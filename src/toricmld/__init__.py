@@ -24,7 +24,6 @@ from .pairs import (
     PairError,
     ToricContraction,
     analyze,
-    box_square,
     cartier_psi,
     fix_mov,
     fold_general,

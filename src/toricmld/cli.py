@@ -226,7 +226,8 @@ def build_parser():
     sp = sub.add_parser("lct", help="lct of a pulled-back invariant hyperplane")
     sp.add_argument("instance")
     sp.add_argument("--phibar", required=True,
-                    help="functional on the base, e.g. 1,0")
+                    help="functional on the base, e.g. 1,0; write a leading "
+                         "minus as --phibar=-1,0")
     common(sp)
     sp.set_defaults(func=cmd_lct)
 

@@ -314,19 +314,6 @@ def solve_rational(rows, rhs, ncols):
     return tuple(x)
 
 
-def solve_integral(rows, rhs, ncols):
-    """Like solve_rational but demands an integral solution of rows.x = rhs."""
-    x = solve_rational(rows, rhs, ncols)
-    if x is None:
-        return None
-    if any(xi.denominator != 1 for xi in x):
-        # a rational solution with fractional pivot values does not rule out
-        # an integral one in general, but all call sites here solve systems
-        # with a unique solution
-        return None
-    return tuple(int(xi) for xi in x)
-
-
 # ---------------------------------------------------------------------------
 # sublattices, quotients, hom extension
 

@@ -40,6 +40,7 @@ from .polyhedra import (
     Polyhedron,
     SupportSet,
     _polar_raw,
+    cone_from_inequalities,
     cone_from_normals,
     cone_over,
     from_generators,
@@ -135,29 +136,25 @@ def _is_extremal_ray(cone, v):
     return rational_rank(active, cone.dim) == cone.dim - 1
 
 
-def _cone_intersection_gens(a, b):
+def _check_face_intersection(fan, i, j):
+    """One double description of a cap b; each side's smallest face over it.
+
+    The smallest face of a cone containing the intersection is cut out by
+    the facets vanishing on it and generated by the cone's generators on
+    which all those facets vanish.  It contains the intersection, so the
+    two are equal exactly when those generators lie in the other cone.
+    """
+    a, b = fan.cone(i), fan.cone(j)
     normals = list(a.dual_rays) + list(b.dual_rays)
     for l in list(a.dual_lines) + list(b.dual_lines):
         normals.append(l)
         normals.append(tuple(-x for x in l))
-    c = cone_from_normals(a.dim, normals)
-    return c.generators
-
-
-def _check_face_intersection(fan, i, j):
-    a, b = fan.cone(i), fan.cone(j)
-    gens = _cone_intersection_gens(a, b)
-    for cone, name in ((a, i), (b, j)):
+    rays, lines = cone_from_inequalities(normals, fan.rank)
+    gens = rays + lines
+    for cone, other in ((a, b), (b, a)):
         sel = [d for d in cone.dual_rays if all(dot(d, g) == 0 for g in gens)]
-        u = tuple(sum(d[k] for d in sel) for k in range(fan.rank)) if sel \
-            else (0,) * fan.rank
-        if sel:
-            face = cone_from_normals(fan.rank, list(cone.dual_rays) + [u, tuple(-x for x in u)])
-        else:
-            face = cone
-        inter = make_cone(fan.rank, gens) if gens else make_cone(fan.rank, [])
-        if not (all(inter.contains(g) for g in face.generators)
-                and all(face.contains(g) for g in inter.generators)):
+        face = [g for g in cone.generators if all(dot(d, g) == 0 for d in sel)]
+        if not all(other.contains(g) for g in face):
             raise PairError(
                 "cones %d and %d do not intersect in a common face" % (i, j))
 
@@ -357,21 +354,36 @@ class BoxData:
     psi: tuple = field(compare=False)
     tc: ToricContraction = field(compare=False)
 
+    @cached_property
+    def quotient(self):
+        """(projection N -> N / span(sigma0), compact image of u there)."""
+        n = self.tc.rank
+        span = saturated_span(n, self.sigma0.generators)
+        proj = quotient_by_span(n, span).projection
+        up = map_polyhedron(proj, self.u, self.l)
+        if not up.is_compact():
+            raise PairError("projected u is not compact")
+        return proj, up
 
-def box_square(tc, pair, psi=None):
-    """Assemble box = Conv(A) + box_{-K-B-D}, its polar u, sigma0 and l."""
-    pair = fold_general(tc.fan, pair)
-    if psi is None:
-        psi = cartier_psi(tc, pair)
-    if not is_f_nef(tc, pair, psi):
+
+def analyze(tc, pair):
+    """Fold, solve the Cartier data, test nef, build the box.
+
+    The box is Conv(A) + box_{-K-B-D}; BoxData adds its polar u, the
+    recession cone sigma0 of u and l = n - dim sigma0.
+    Returns (folded pair, psi, BoxData).
+    """
+    folded = fold_general(tc.fan, pair)
+    psi = cartier_psi(tc, folded)
+    if not is_f_nef(tc, folded, psi):
         raise PairError("-(K+B+D) is not f-nef")
     fan = tc.fan
     n = fan.rank
-    r = _nef_values(fan, pair)
+    r = _nef_values(fan, folded)
     box_d = from_inequalities(n, [(e, -re) for e, re in zip(fan.rays, r)])
     if box_d.empty:
         raise PairError("empty section box")
-    conv_a = from_generators(n, pair.bdiv_a.points)
+    conv_a = from_generators(n, folded.bdiv_a.points)
     box = minkowski_sum(conv_a, box_d)
     u = _polar_raw(box)
     sigma0 = make_cone(n, u.rays) if u.rays else make_cone(n, [])
@@ -384,19 +396,7 @@ def box_square(tc, pair, psi=None):
     if not (all(sup.contains(g) for g in ucone.generators)
             and all(ucone.contains(g) for g in sup.generators)):
         raise PairError("cone over u does not match the support")
-    return BoxData(box, u, sigma0, l, pair.bdiv_a, r, psi, tc)
-
-
-def analyze(tc, pair):
-    """Fold, solve the Cartier data, test nef, build the box.
-
-    Returns (folded pair, psi, BoxData).
-    """
-    folded = fold_general(tc.fan, pair)
-    psi = cartier_psi(tc, folded)
-    if not is_f_nef(tc, folded, psi):
-        raise PairError("-(K+B+D) is not f-nef")
-    return folded, psi, box_square(tc, folded, psi)
+    return folded, psi, BoxData(box, u, sigma0, l, folded.bdiv_a, r, psi, tc)
 
 
 def log_discrepancy(bd, e):
@@ -444,15 +444,9 @@ def mld_over_fiber(tc, bd):
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
     if not is_glc(bd):
         raise PairError("mld_over_fiber needs a g-lc pair")
-    n = tc.rank
     if bd.l == 0:
         return None
-    span = saturated_span(n, bd.sigma0.generators)
-    q = quotient_by_span(n, span)
-    proj = q.projection
-    up = map_polyhedron(proj, bd.u, bd.l)
-    if not up.is_compact():
-        raise PairError("projected u is not compact")
+    proj, up = bd.quotient
     if strict_interior_contains(up, (0,) * bd.l):
         return None
     estar = _fiber_witness(tc.fan)
@@ -468,20 +462,18 @@ def mld_over_fiber(tc, bd):
             continue
         g = gauge(up, v)
         assert g is not None and g > 0
-        if best is None or g < best[0]:
-            best = (g, v)
+        if best is None or g < best:
+            best = g
     assert best is not None, "the witness point must be enumerated"
-    val = best[0]
-    # recheck: no enumerated candidate sits strictly inside val * up
-    for v in lattice_points(scale_polyhedron(up, t_cap)):
-        if not is_zero(v) and pcone.interior_contains(v):
-            assert gauge(up, v) >= val
-    return val
+    return best
 
 
 def lct_pullback(tc, bd, phibar):
     """sup{g >= 0 : -g * pi^*(phibar) in box}, exact."""
     phibar = tuple(int(x) for x in phibar)
+    if len(phibar) != tc.base_rank:
+        raise PairError("functional has %d entries but the base has rank %d"
+                        % (len(phibar), tc.base_rank))
     if is_zero(phibar):
         raise PairError("lct of the zero functional")
     if not all(dot(phibar, g) >= 0 for g in tc.sigma_bar.generators):

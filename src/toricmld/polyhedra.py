@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from .lattice import (
-    LatticeError,
     content,
     dot,
     is_zero,
@@ -310,12 +309,6 @@ def scale_polyhedron(p, t):
     if p.empty:
         return p
     return from_generators(p.dim, [vec_scale(t, x) for x in p.points], p.rays)
-
-
-def translate_polyhedron(p, v):
-    if p.empty:
-        return p
-    return from_generators(p.dim, [vec_add(x, _fraction_vec(v)) for x in p.points], p.rays)
 
 
 def map_polyhedron(mat, p, dim_out):

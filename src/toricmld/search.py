@@ -24,9 +24,7 @@ from .lattice import (
     kernel_basis,
     kernel_sublattice,
     primitive,
-    quotient_by_span,
     rational_rank,
-    saturated_span,
     solve_rational,
     sublattice_from_vectors,
     transpose,
@@ -38,10 +36,8 @@ from .pairs import (
     PairError,
     ToricContraction,
     analyze,
-    box_square,
     is_glc,
     log_discrepancy,
-    make_contraction,
     make_fan,
     make_pair,
     mld_over_fiber,
@@ -51,7 +47,6 @@ from .polyhedra import (
     from_inequalities,
     make_cone,
     interval_image,
-    map_polyhedron,
     polyhedra_equal,
     scale_polyhedron,
     strict_interior_contains,
@@ -153,19 +148,24 @@ def _width_satisfiers(up, bound, k):
 
 
 def width_functional(up, t, l, cap=WIDTH_NORM_CAP):
-    """First functional of length <= l^2/t over up, preferring 0 on the boundary.
+    """First usable functional of length <= l^2/t over up.
 
     Candidates are enumerated by increasing sup-norm and, within a level,
-    by colexicographic order on a sign-canonical representative; the
-    orientation of a boundary result is normalized to [0, w].
+    by colexicographic order on a sign-canonical representative.  At each
+    level the first functional with 0 on the boundary of its interval and
+    1/w >= gamma(l, t) wins, oriented to [0, w]; failing that, the first
+    functional with 0 interior to its interval.
     """
     if up.empty or not up.is_compact():
         raise PairError("width search needs a compact nonempty polyhedron")
     bound = Fraction(l * l) / Fraction(t)
+    need = gamma(l, t)
     for k in range(1, cap + 1):
         sats = _width_satisfiers(up, bound, k)
-        boundary = [s for s in sats if s[1] == 0 or s[2] == 0]
-        pick = boundary[0] if boundary else (sats[0] if sats else None)
+        pick = next((s for s in sats if (s[1] == 0 or s[2] == 0)
+                     and Fraction(1) / (s[2] - s[1]) >= need), None)
+        if pick is None:
+            pick = next((s for s in sats if s[1] < 0 < s[2]), None)
         if pick is None:
             continue
         phi, lo, hi = _oriented(*pick)
@@ -544,70 +544,44 @@ def _search(tc, pair, bd, t, transcript, depth):
                 interval=(lo, hi), gamma=gamma_here, phibar=phibar)
         return phibar, gamma_here
 
-    span = saturated_span(n, bd.sigma0.generators)
-    q = quotient_by_span(n, span)
-    proj = q.projection
-    up = map_polyhedron(proj, bd.u, l)
-    if not up.is_compact():
-        raise SearchError("projected u is not compact")
+    proj, up = bd.quotient
     if strict_interior_contains(up, (0,) * l):
         raise SearchError("0 interior to the projected u: mld not positive")
-    bound = Fraction(l * l) / t
-    need = gamma(l, t)
-    for k in range(1, WIDTH_NORM_CAP + 1):
-        sats = _width_satisfiers(up, bound, k)
-        pick = None
-        for phi, lo, hi in sats:
-            if (lo == 0 or hi == 0) and Fraction(1, 1) / (hi - lo) >= need:
-                pick = ("boundary", phi, lo, hi)
-                break
-        if pick is None:
-            for phi, lo, hi in sats:
-                if lo < 0 < hi:
-                    pick = ("interior", phi, lo, hi)
-                    break
-        if pick is None:
-            continue
-        case, phi, lo, hi = pick
-        if case == "boundary":
-            phi, lo, hi = _oriented(phi, lo, hi)
-            w = hi
-            phi_n = compose_covector(phi, proj, n)
-            gamma_here = Fraction(1) / w
-            if not bd.box.contains(vec_scale(-gamma_here, phi_n)):
-                raise SearchError("boundary functional misses the box at 1/w")
-            phibar = _descend(tc, phi_n)
-            _record(transcript, depth=depth, l=l, case="boundary", t=t,
-                    phi=phi_n, interval=(lo, hi), w=w, gamma=gamma_here,
-                    phibar=phibar)
-            return phibar, gamma_here
-        # interior: slice and recurse
-        w = hi - lo
-        phi_n = compose_covector(phi, proj, n)
-        assert content(phi_n) == 1
-        if not w > 1:
-            raise SearchError("interior width must exceed 1")
-        lam = Fraction(1) / w
-        fan2, newq = subdivide_fan(tc.fan, phi_n)
-        sl = make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq)
-        if sl.max_ray_discrepancy > w:
-            raise SearchError("a subdivided-fan ray has discrepancy above the width")
-        rec = dict(depth=depth, l=l, case="interior", t=t, phi=phi_n,
-                   interval=(lo, hi), w=w, w_minus=-lo,
-                   w_plus=hi, lam=lam, new_rays=len(newq),
-                   max_ray_discrepancy=sl.max_ray_discrepancy,
-                   slice_mld=sl.mld1, width_gt_one=bool(w > 1),
-                   slice_u_ok=True, invariant_point_ok=True)
-        transcript.append(rec)
-        phibar0, gamma1 = _search(sl.tc1, sl.pair1, sl.bd1, t * lam,
-                                  transcript, depth + 1)
-        phibar, gamma_here, tr, scale = lift_hyperplane(
-            tc, bd, sl, phibar0, gamma1, phi_n, w)
-        rec.update(q=tr.q, branch=tr.branch, descent_scale=scale,
-                   gamma=gamma_here, phibar=phibar)
+    wr = width_functional(up, t, l)
+    phi_n = compose_covector(wr.phi, proj, n)
+    lo, hi, w = wr.lo, wr.hi, wr.w
+    if wr.boundary:
+        gamma_here = Fraction(1) / w
+        if not bd.box.contains(vec_scale(-gamma_here, phi_n)):
+            raise SearchError("boundary functional misses the box at 1/w")
+        phibar = _descend(tc, phi_n)
+        _record(transcript, depth=depth, l=l, case="boundary", t=t,
+                phi=phi_n, interval=(lo, hi), w=w, gamma=gamma_here,
+                phibar=phibar)
         return phibar, gamma_here
-    raise SearchError("width bound violated: no usable functional within "
-                      "sup-norm %d" % WIDTH_NORM_CAP)
+    # interior: slice and recurse
+    assert content(phi_n) == 1
+    if not w > 1:
+        raise SearchError("interior width must exceed 1")
+    lam = Fraction(1) / w
+    fan2, newq = subdivide_fan(tc.fan, phi_n)
+    sl = make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq)
+    if sl.max_ray_discrepancy > w:
+        raise SearchError("a subdivided-fan ray has discrepancy above the width")
+    rec = dict(depth=depth, l=l, case="interior", t=t, phi=phi_n,
+               interval=(lo, hi), w=w, w_minus=-lo,
+               w_plus=hi, lam=lam, new_rays=len(newq),
+               max_ray_discrepancy=sl.max_ray_discrepancy,
+               slice_mld=sl.mld1, width_gt_one=bool(w > 1),
+               slice_u_ok=True, invariant_point_ok=True)
+    transcript.append(rec)
+    phibar0, gamma1 = _search(sl.tc1, sl.pair1, sl.bd1, t * lam,
+                              transcript, depth + 1)
+    phibar, gamma_here, tr, scale = lift_hyperplane(
+        tc, bd, sl, phibar0, gamma1, phi_n, w)
+    rec.update(q=tr.q, branch=tr.branch, descent_scale=scale,
+               gamma=gamma_here, phibar=phibar)
+    return phibar, gamma_here
 
 
 def find_hyperplane(tc, pair):

@@ -110,6 +110,13 @@ def test_lct_command(corpus_dir, capsys):
     assert rc == 2
 
 
+def test_lct_rejects_wrong_length_functional(corpus_dir, capsys):
+    # halfplane has a rank-1 base; a leading minus needs the --phibar=v form
+    rc, _out, err = run(capsys, "lct", str(corpus_dir / "halfplane.json"),
+                        "--phibar=-1,0")
+    assert rc == 2 and "base has rank 1" in err
+
+
 def test_find_verify_cycle(corpus_dir, capsys):
     for name, phibar, gam in [("a2_identity", [1, 0], "1"),
                               ("halfplane", [1], "1"),

@@ -8,8 +8,8 @@ from toricmld.lattice import dot, identity
 from toricmld.pairs import (
     NotRCartier,
     PairError,
+    _check_face_intersection,
     analyze,
-    box_square,
     cartier_psi,
     fix_mov,
     fold_general,
@@ -25,7 +25,9 @@ from toricmld.pairs import (
     validate_contraction,
 )
 from toricmld.polyhedra import (
+    cone_from_normals,
     from_generators,
+    make_cone,
     make_support,
     polyhedra_equal,
     support_value,
@@ -65,6 +67,99 @@ def test_overlapping_cones_rejected():
     with pytest.raises(PairError, match="face"):
         from toricmld.pairs import validate_fan
         validate_fan(fan)
+
+
+def _reference_face_intersection(fan, i, j):
+    """Slow reference: rebuild the intersection and both faces by double description."""
+    a, b = fan.cone(i), fan.cone(j)
+    normals = list(a.dual_rays) + list(b.dual_rays)
+    for l in list(a.dual_lines) + list(b.dual_lines):
+        normals.append(l)
+        normals.append(tuple(-x for x in l))
+    gens = cone_from_normals(a.dim, normals).generators
+    inter = make_cone(fan.rank, gens)
+    for cone in (a, b):
+        sel = [d for d in cone.dual_rays if all(dot(d, g) == 0 for g in gens)]
+        face = cone
+        if sel:
+            u = tuple(sum(d[k] for d in sel) for k in range(fan.rank))
+            face = cone_from_normals(
+                fan.rank, list(cone.dual_rays) + [u, tuple(-x for x in u)])
+        if not (all(inter.contains(g) for g in face.generators)
+                and all(face.contains(g) for g in inter.generators)):
+            return False
+    return True
+
+
+def _fast_face_intersection(fan, i, j):
+    try:
+        _check_face_intersection(fan, i, j)
+    except PairError as exc:
+        assert "do not intersect in a common face" in str(exc)
+        return False
+    return True
+
+
+def _random_vector(rng, n):
+    while True:
+        v = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(v):
+            return v
+
+
+def _random_cone_pair(rng, n):
+    """Two pointed full-dimensional cones; half of them glued along a face of the first."""
+    a = make_cone(n, [_random_vector(rng, n) for _ in range(rng.randint(n, n + 2))])
+    if not (a.is_pointed() and a.is_full_dim()):
+        return None
+    if rng.random() < 0.5:
+        d = rng.choice(a.dual_rays)
+        face = [g for g in a.dual().dual_rays if dot(d, g) == 0]
+        face = face[:rng.randint(1, len(face))]
+        below = [v for v in (_random_vector(rng, n) for _ in range(n + 1))
+                 if dot(d, v) < 0]
+        b = make_cone(n, face + below)
+    else:
+        b = make_cone(n, [_random_vector(rng, n) for _ in range(rng.randint(n, n + 2))])
+    if not (b.is_pointed() and b.is_full_dim()) or a == b:
+        return None
+    return a, b
+
+
+def test_face_intersection_matches_reference_on_random_fans():
+    rng = random.Random(29)
+    verdicts = []
+    for trial in range(240):
+        n = 2 + trial % 2
+        cones = _random_cone_pair(rng, n)
+        if cones is None:
+            continue
+        extremal = [c.dual().dual_rays for c in cones]
+        rays = sorted(set(extremal[0]) | set(extremal[1]))
+        fan = make_fan(n, rays, [[rays.index(r) for r in e] for e in extremal])
+        expected = _reference_face_intersection(fan, 0, 1)
+        assert _fast_face_intersection(fan, 0, 1) == expected, fan
+        verdicts.append(expected)
+    assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+
+
+def test_face_intersection_matches_reference_on_generator_fans(monkeypatch):
+    from toricmld import pairs
+    from toricmld.generator import random_instance
+
+    checked = []
+
+    def both(fan, i, j):
+        expected = _reference_face_intersection(fan, i, j)
+        assert _fast_face_intersection(fan, i, j) == expected, fan
+        checked.append(expected)
+        if not expected:
+            raise PairError("cones %d and %d do not intersect in a common face" % (i, j))
+
+    monkeypatch.setattr(pairs, "_check_face_intersection", both)
+    for seed in range(2000, 2004):
+        random_instance(seed)
+    assert checked.count(True) > 0
 
 
 def test_pair_coefficient_range():

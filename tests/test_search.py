@@ -124,6 +124,14 @@ def test_width_rank_one():
         assert wr.phi == (1,) and wr.w == 1 / a
 
 
+def test_width_skips_boundary_functional_below_gamma():
+    # (1, 0) is a boundary functional on [0, 2], but 1/2 < gamma(2, 3/2) = 9/16
+    up = from_generators(2, [(0, 0), (2, 0), (0, 1), (0, -1)])
+    wr = width_functional(up, F(3, 2), 2)
+    assert wr.phi == (0, 1) and (wr.lo, wr.hi) == (-1, 1)
+    assert not wr.boundary
+
+
 def test_width_bound_violated():
     up = from_generators(2, [(0, 0), (9, 0), (0, 9)])
     with pytest.raises(SearchError, match="width bound"):
