@@ -245,7 +245,8 @@ def build_parser():
 
     sp = sub.add_parser("oracle-mld", help="brute-force mld scan in a box")
     sp.add_argument("instance")
-    sp.add_argument("--box", type=int, required=True, help="box radius")
+    sp.add_argument("--box", type=int, required=True,
+                    help="box radius r; (2r+1)^rank must not exceed 10^6 (exit 2)")
     common(sp)
     sp.set_defaults(func=cmd_oracle_mld)
 

@@ -37,6 +37,7 @@ from .lattice import (
 )
 from .polyhedra import (
     Cone,
+    GeometryError,
     Polyhedron,
     SupportSet,
     _polar_raw,
@@ -46,13 +47,12 @@ from .polyhedra import (
     from_generators,
     from_inequalities,
     gauge,
+    integer_points,
     interval_image,
-    lattice_points,
     make_cone,
     make_support,
     minkowski_sum,
     map_polyhedron,
-    scale_polyhedron,
     strict_interior_contains,
     support_scale,
     support_sum,
@@ -407,14 +407,16 @@ def log_discrepancy(bd, e):
     if not bd.tc.support_contains(e):
         raise PairError("vector outside the support of the fan")
     lo, _hi = interval_image(e, bd.box)
-    assert lo is not None, "h_box must be finite on the support"
+    if lo is None:
+        raise PairError("h_box must be finite on the support")
     val = -lo
     # cross-check against the per-cone formula <psi_sigma, e> - h_A(e)
     fan = bd.tc.fan
     for ci in range(len(fan.max_cones)):
         if fan.cone(ci).contains(e):
             alt = dot(bd.psi[ci], e) - support_value(bd.a_eff, e)
-            assert alt == val, "box and per-cone log discrepancies disagree"
+            if alt != val:
+                raise PairError("box and per-cone log discrepancies disagree")
             break
     return val
 
@@ -438,7 +440,11 @@ def mld_over_fiber(tc, bd):
 
     Returns the exact positive rational, or None when the mld is not
     positive.  Works in the quotient by the span of sigma0, where the
-    image of u is compact and lattice points can be enumerated.
+    image up of u is compact.  The candidates are the lattice points of
+    t_cap * up interior to the image of the support, t_cap being the
+    gauge of the fiber witness; for an integer dual ray d and a lattice
+    point v, d.v > 0 is d.v >= 1, so the interior enters the enumeration
+    as cuts and only the candidates are enumerated.
     """
     if tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
@@ -452,19 +458,23 @@ def mld_over_fiber(tc, bd):
     estar = _fiber_witness(tc.fan)
     pstar = apply_hom(proj, estar)
     t_cap = gauge(up, pstar)
-    assert t_cap is not None and t_cap > 0
+    if t_cap is None or t_cap <= 0:
+        raise PairError("the fiber witness must have a positive gauge")
     sup_gens = [g2 for g2 in (apply_hom(proj, g) for g in tc.support.generators)
                 if not is_zero(g2)]
     pcone = make_cone(bd.l, sup_gens)
+    if not pcone.is_full_dim():
+        raise GeometryError("interior test needs a full-dimensional cone")
+    cuts = [(a, t_cap * c) for a, c in up.ineqs] + [(d, 1) for d in pcone.dual_rays]
     best = None
-    for v in lattice_points(scale_polyhedron(up, t_cap)):
-        if is_zero(v) or not pcone.interior_contains(v):
-            continue
+    for v in integer_points(bd.l, cuts):
         g = gauge(up, v)
-        assert g is not None and g > 0
+        if g is None or g <= 0:
+            raise PairError("an enumerated point must have a positive gauge")
         if best is None or g < best:
             best = g
-    assert best is not None, "the witness point must be enumerated"
+    if best is None:
+        raise PairError("the witness point must be enumerated")
     return best
 
 
@@ -494,16 +504,25 @@ def lct_pullback(tc, bd, phibar):
     return best
 
 
+ORACLE_BOX_LIMIT = 10 ** 6
+
+
 def oracle_mld(tc, bd, radius):
     """Brute-force scan: min log discrepancy over primitive points in a box.
 
     Scans [-radius, radius]^n intersected with the strict interior of the
     support.  The result is an upper bound for the mld; it is exact once
     the box contains a minimizer.  Returns (value, witness) or None.
+    Raises PairError before scanning a box of more than ORACLE_BOX_LIMIT
+    points.
     """
     if radius < 1:
         raise PairError("oracle box radius must be positive")
     n = tc.rank
+    size = (2 * radius + 1) ** n
+    if size > ORACLE_BOX_LIMIT:
+        raise PairError("oracle box of %d points exceeds the limit of %d points"
+                        % (size, ORACLE_BOX_LIMIT))
     best = None
     for v in itertools.product(range(-radius, radius + 1), repeat=n):
         if is_zero(v) or content(v) != 1:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, gcd
+from operator import mul
 
 from .lattice import (
     content,
@@ -437,10 +438,126 @@ def lattice_points(p):
         return []
     if not p.is_compact():
         raise GeometryError("lattice enumeration needs a compact polyhedron")
-    los = [min(x[i] for x in p.points) for i in range(p.dim)]
-    his = [max(x[i] for x in p.points) for i in range(p.dim)]
-    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(los, his)]
-    return [v for v in itertools.product(*ranges) if p.contains(v)]
+    return list(integer_points(p.dim, p.ineqs))
+
+
+def _integer_row(a, c):
+    """(a', c') with a' primitive integer and a'.x >= c' iff a.x >= c on Z^n.
+
+    A zero normal stays zero, with the row's own constant.
+    """
+    den = 1
+    for x in a:
+        d = Fraction(x).denominator
+        den = den * d // gcd(den, d)
+    a = tuple(int(x * den) for x in a)
+    c = Fraction(c) * den
+    g = content(a)
+    if g == 0:
+        return a, c
+    return tuple(x // g for x in a), ceil(c / g)
+
+
+def _eliminate(rows, k):
+    """Project x_k away from integer rows {normal: rhs} in x_0..x_k.
+
+    Returns (lower, upper, projected), or None once a row 0 >= c with
+    c > 0 shows the system infeasible.  lower and upper hold
+    (x_k coefficient, prefix normal, rhs) of the rows bounding x_k from
+    below and from above.  projected maps each primitive normal in
+    x_0..x_{k-1} to its tightest rhs over the rows free of x_k and the
+    Fourier-Motzkin combinations of a lower with an upper row.
+    """
+    lower, upper, projected = [], [], {}
+
+    def add(a, c):
+        g = content(a)
+        if g == 0:
+            return c <= 0
+        if g != 1:
+            a, c = tuple(x // g for x in a), -(-c // g)
+        if projected.get(a, c) <= c:
+            projected[a] = c
+        return True
+
+    for a, c in rows.items():
+        if a[k] > 0:
+            lower.append((a[k], a[:k], c))
+        elif a[k] < 0:
+            upper.append((a[k], a[:k], c))
+        elif not add(a[:k], c):
+            return None
+    for p, a, c in lower:
+        for q, b, d in upper:
+            # -q * (p x_k + a.x >= c)  +  p * (q x_k + b.x >= d)
+            if not add(tuple(p * y - q * x for x, y in zip(a, b)), p * d - q * c):
+                return None
+    return lower, upper, projected
+
+
+def integer_points(dim, ineqs):
+    """Integer points of {x in R^dim : a.x >= c for (a, c) in ineqs}.
+
+    Project and lift.  Fourier-Motzkin elimination of x_{dim-1}, ...,
+    x_0 computes the systems S_dim ... S_0 once; every row is scaled to a
+    primitive integer normal a' and its rhs rounded up, which keeps
+    a'.x >= ceil(c) exact on integer points.  The points are then lifted
+    one coordinate at a time: x_k runs between the integer ceil and
+    floor bounds that the rows of S_{k+1} give over x_0..x_{k-1}.  Each
+    row of S_k holds on every integer point of the system, and each
+    input row bounds some coordinate, so exactly the integer points come
+    out, as int tuples in lexicographic order.
+
+    The elimination runs before this returns; it raises GeometryError
+    for an unbounded system that it does not show to be empty.
+    """
+    rows = {}
+    for a, c in ineqs:
+        if len(a) != dim:
+            raise GeometryError("inequality has the wrong dimension")
+        a, c = _integer_row(a, c)
+        if rows.get(a, c) <= c:
+            rows[a] = c
+    levels = [None] * dim
+    for k in range(dim - 1, -1, -1):
+        step = _eliminate(rows, k)
+        if step is None:
+            return iter(())
+        levels[k] = step[:2]
+        rows = step[2]
+    if any(c > 0 for c in rows.values()):
+        return iter(())
+    if not all(lower and upper for lower, upper in levels):
+        raise GeometryError("lattice enumeration needs a bounded system")
+    return _lift(levels)
+
+
+def _lift(levels):
+    """Depth first through levels[k] = (lower, upper) bounds of x_k, in lex order."""
+    dim = len(levels)
+    if dim == 0:
+        yield ()
+        return
+    last = dim - 1
+    x = [0] * dim
+    hi = [0] * dim
+    k, descend = 0, True
+    while k >= 0:
+        if descend:
+            lower, upper = levels[k]
+            x[k] = max(-((sum(map(mul, a, x)) - c) // p) for p, a, c in lower)
+            hi[k] = min((c - sum(map(mul, a, x))) // q for q, a, c in upper)
+        else:
+            x[k] += 1
+        if x[k] > hi[k]:
+            k, descend = k - 1, False
+        elif k == last:
+            prefix = tuple(x[:last])
+            for v in range(x[k], hi[k] + 1):
+                yield prefix + (v,)
+            k, descend = k - 1, False
+        else:
+            k, descend = k + 1, True
 
 
 def strict_interior_contains(p, x):

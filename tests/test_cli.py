@@ -165,6 +165,14 @@ def test_oracle_mld_command(corpus_dir, capsys):
     assert out.splitlines()[0] == "1 at (0, 1)"
 
 
+def test_oracle_mld_rejects_oversized_box(corpus_dir, capsys):
+    # (2 * 1000 + 1)^3 points: refused before the scan starts
+    rc, out, err = run(capsys, "oracle-mld", str(corpus_dir / "a3_identity.json"),
+                       "--box", "1000")
+    assert rc == 2 and out == ""
+    assert "oracle box of 8012006001 points exceeds the limit" in err
+
+
 def test_gamma_command(capsys):
     rc, out, _ = run(capsys, "gamma", "--dim", "2", "--mld", "1")
     assert rc == 0 and "1/4" in out

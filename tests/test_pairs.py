@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -337,6 +338,14 @@ def test_log_discrepancy_examples(a2_germ, cax4_germ):
     assert log_discrepancy(bdc, (2, -1, 1)) == 2
     with pytest.raises(PairError):
         log_discrepancy(bd, (-1, 0))
+
+
+def test_log_discrepancy_cross_check_raises(a2_germ):
+    _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
+    assert log_discrepancy(bd, (1, 1)) == 2
+    wrong = dataclasses.replace(bd, psi=((F(3), F(0)),))
+    with pytest.raises(PairError, match="log discrepancies disagree"):
+        log_discrepancy(wrong, (1, 1))
 
 
 def test_is_glc_examples(a2_germ):
