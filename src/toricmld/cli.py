@@ -2,8 +2,9 @@
 
 Subcommands: check | mld | lc | lct | find | verify | oracle-mld | gamma,
 plus gen for the seeded instance generator.  Exit codes: 0 ok,
-1 verification failure or negative result, 2 invalid input.  All values
-print as exact rationals "p/q"; --json switches to machine output.
+1 verification failure or negative result (gamma: the recursion and the
+closed form disagree), 2 invalid input.  All values print as exact
+rationals "p/q"; --json switches to machine output.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ def cmd_gamma(args):
         closed = gamma_closed(d, a)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(args, 2, str(exc))
-    assert rec == closed
+    if rec != closed:
+        return _fail(args, 1, "recursion %s and closed form %s disagree"
+                     % (frac_str(rec), frac_str(closed)))
     _emit(args, {"gamma": frac_str(rec), "closed_form": frac_str(closed)},
           ["recursion:   %s" % frac_str(rec),
            "closed form: %s" % frac_str(closed),

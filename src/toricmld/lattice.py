@@ -429,5 +429,7 @@ def extend_hom(sub, values):
     g = vv + (0,) * (n - r)
     f = tuple(sum(g[i] * U[i][j] for i in range(n)) for j in range(n))
     for row, val in zip(sub.basis, values):
-        assert dot(f, row) == val
+        if dot(f, row) != val:
+            raise LatticeError("extension takes %s instead of %s on the basis "
+                               "vector %r" % (dot(f, row), val, row))
     return f

@@ -3,16 +3,19 @@
 Both descriptions are kept on every object: generators (points + rays)
 and inequalities <a, x> >= c with primitive integer normal a and
 rational c.  Conversion runs through a single primitive, the double
-description of a cone given by homogeneous inequalities, made
-deterministic by sorting and by an exact extremality test (a ray is
-extreme iff its active constraints have rank dim-1).
+description of a cone given by homogeneous integer inequalities.  It
+does integer arithmetic only: a fraction-free echelon picks the start
+rows, one Gauss-Jordan elimination gives the start rays, and two rays
+are combined iff they are adjacent by the combinatorial test (their
+common zero set over the processed rows has at least dim-2 rows and
+lies in no third ray's zero set).  The rays come out primitive and
+sorted, so the result is deterministic.
 
-Everything is Fraction-exact; there is no floating point anywhere.
+Everything is exact (int and Fraction); there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
@@ -56,48 +59,111 @@ def _integer_direction(v):
 # cone engine
 
 
-def _dd_pointed(rows, dim):
-    """Extreme rays of the pointed cone {x : rows.x >= 0} (kernel must be 0)."""
-    if dim == 0:
-        return ()
-    # greedy linearly independent subset for the simplicial start
-    base = []
+def _cancel(r, b, c):
+    """b[c] r - r[c] b, which is 0 at column c, divided by its content."""
+    p, q = b[c], r[c]
+    r = [p * x - q * y for x, y in zip(r, b)]
+    g = content(r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def _independent_rows(rows, dim):
+    """Indices of the greedy linearly independent subset of the integer rows.
+
+    A fraction-free integer echelon: each row is reduced by the rows kept
+    so far (cancelled at the pivot of each) and kept, with its first
+    nonzero column as pivot, unless it reduces to 0.
+    """
+    base, echelon = [], []
     for i, r in enumerate(rows):
-        if rational_rank([rows[j] for j in base] + [r], dim) > len(base):
-            base.append(i)
+        for c, b in echelon:
+            if r[c]:
+                r = _cancel(r, b, c)
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is None:
+            continue
+        base.append(i)
+        echelon.append((piv, r))
         if len(base) == dim:
             break
+    return base
+
+
+def _inverse_columns(bmat, dim):
+    """Primitive integer directions of the columns of bmat^-1.
+
+    One fraction-free Gauss-Jordan elimination of [bmat | I] leaves
+    [D | M] with D diagonal and M bmat = D, so column j of bmat^-1 is
+    (M[i][j] / D[i][i])_i; it is scaled by the lcm of the |D[i][i]|.
+    """
+    aug = [list(r) + [int(k == i) for k in range(dim)] for i, r in enumerate(bmat)]
+    for c in range(dim):
+        piv = next(i for i in range(c, dim) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for i in range(dim):
+            if i != c and aug[i][c]:
+                aug[i] = _cancel(aug[i], aug[c], c)
+    lcm = 1
+    for i in range(dim):
+        d = abs(aug[i][i])
+        lcm = lcm * d // gcd(lcm, d)
+    scale = [lcm // aug[i][i] for i in range(dim)]
+    return [primitive(tuple(aug[i][dim + j] * scale[i] for i in range(dim)))
+            for j in range(dim)]
+
+
+def _dd_pointed(rows, dim):
+    """Extreme rays of the pointed cone {x : rows.x >= 0} (kernel must be 0)."""
+    base = _independent_rows(rows, dim)
     if len(base) < dim:
         raise GeometryError("cone is not pointed")
-    from .lattice import solve_rational
+    return _dd_from_base(rows, dim, base)
 
-    rays = []
-    bmat = [rows[i] for i in base]
-    for j in range(dim):
-        e = [Fraction(1) if k == j else Fraction(0) for k in range(dim)]
-        sol = solve_rational(bmat, e, dim)
-        rays.append(_integer_direction(sol))
-    processed = list(base)
-    for i in range(len(rows)):
-        if i in base:
+
+def _dd_from_base(rows, dim, base):
+    """Double description of {x : rows.x >= 0} from dim independent rows.
+
+    The start rays are the columns of the base's inverse.  Each ray
+    carries its zero set over the processed rows as a bitmask (bit i for
+    row i).  Adding a row keeps the rays on its nonnegative side and
+    combines each positive ray r+ with each negative ray r- that is
+    adjacent to it: z = zero(r+) & zero(r-) has at least dim - 2 bits and
+    no third ray's zero set contains z (the combinatorial test of
+    Fukuda-Prodon).  The new ray's zero set is z plus the added row.
+    """
+    rays = _inverse_columns([rows[i] for i in base], dim)
+    full = 0
+    for i in base:
+        full |= 1 << i
+    masks = [full & ~(1 << i) for i in base]
+    skip = set(base)
+    for i, a in enumerate(rows):
+        if i in skip:
             continue
-        a = rows[i]
-        processed.append(i)
-        vals = [dot(a, r) for r in rays]
-        kept = {r: None for r, v in zip(rays, vals) if v >= 0}
-        for (rp, vp), (rm, vm) in itertools.product(
-                [(r, v) for r, v in zip(rays, vals) if v > 0],
-                [(r, v) for r, v in zip(rays, vals) if v < 0]):
-            cand = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-            if is_zero(cand):
+        bit = 1 << i
+        pos, neg, kept, kept_masks = [], [], [], []
+        for r, z in zip(rays, masks):
+            v = sum(map(mul, a, r))
+            if v < 0:
+                neg.append((r, z, v))
                 continue
-            cand = primitive(cand)
-            if cand in kept:
-                continue
-            active = [rows[j] for j in processed if dot(rows[j], cand) == 0]
-            if rational_rank(active, dim) == dim - 1:
-                kept[cand] = None
-        rays = list(kept)
+            if v > 0:
+                pos.append((r, z, v))
+            else:
+                z |= bit
+            kept.append(r)
+            kept_masks.append(z)
+        # distinct extreme rays have distinct zero sets, so comparing masks
+        # by value leaves out exactly r+ and r-
+        for rp, zp, vp in pos:
+            for rm, zm, vm in neg:
+                z = zp & zm
+                if z.bit_count() < dim - 2 or any(
+                        y & z == z for y in masks if y != zp and y != zm):
+                    continue
+                kept.append(primitive(tuple(vp * x - vm * y for x, y in zip(rm, rp))))
+                kept_masks.append(z | bit)
+        rays, masks = kept, kept_masks
     return tuple(sorted(rays))
 
 
@@ -105,12 +171,14 @@ def cone_from_inequalities(rows, dim):
     """Generator description of {x in R^dim : <a, x> >= 0 for a in rows}.
 
     Returns (rays, lines): extreme rays of a pointed complement plus an
-    integer basis of the lineality space.
+    integer basis of the lineality space.  Rows of rank dim give a
+    pointed cone; only below that is the lineality space computed.
     """
     rows = [tuple(r) for r in rows if not is_zero(r)]
+    base = _independent_rows(rows, dim)
+    if len(base) == dim:
+        return _dd_from_base(rows, dim, base), ()
     lines = kernel_basis(tuple(rows), dim)
-    if not lines:
-        return _dd_pointed(rows, dim), ()
     sub = sublattice_from_vectors(dim, lines)
     q = quotient_by_span(dim, sub)
     d2 = dim - len(lines)

@@ -141,7 +141,9 @@ def _width_satisfiers(up, bound, k):
     out = []
     for phi in _covector_level(up.dim, k):
         lo, hi = interval_image(phi, up)
-        assert lo is not None and hi is not None
+        if lo is None or hi is None:
+            raise SearchError("width search needs a compact polyhedron: "
+                              "%r is unbounded on it" % (phi,))
         if hi - lo <= bound:
             out.append((phi, lo, hi))
     return out
@@ -214,8 +216,9 @@ def subdivide_fan(fan, phi):
             w = tuple(v2 * x - v1 * y for x, y in zip(e1, e2))
             qv = content(w)
             p = tuple(x // qv for x in w)
-            if p in newq:
-                assert newq[p] == qv
+            if newq.get(p, qv) != qv:
+                raise SearchError("subdivision gives the new ray %r two "
+                                  "multiplicities, %d and %d" % (p, newq[p], qv))
             newq[p] = qv
     rays = list(fan.rays) + sorted(p for p in newq if p not in fan._ray_lookup)
     cones = set()
@@ -297,7 +300,8 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     rays0 = []
     for g in rays_n:
         c = kern.coordinates(g)
-        assert c is not None, "slice ray outside ker(phi)"
+        if c is None:
+            raise SearchError("slice ray %r lies outside ker(phi)" % (g,))
         rays0.append(c)
     index = {g: i for i, g in enumerate(rays_n)}
     cones0 = [tuple(sorted(index[g] for g in gens)) for gens in zero_sets]
@@ -317,7 +321,9 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     cols = []
     for img in images:
         c = nbar0.coordinates(img)
-        assert c is not None
+        if c is None:
+            raise SearchError("image %r of ker(phi) lies outside the slice base "
+                              "lattice" % (img,))
         cols.append(c)
     pi0 = tuple(tuple(cols[j][i] for j in range(len(cols)))
                 for i in range(nbar0.rank))
@@ -530,12 +536,14 @@ def _search(tc, pair, bd, t, transcript, depth):
             raise SearchError("sigma0-perp is not one-dimensional")
         phi1 = primitive(cov[0])
         lo, hi = interval_image(phi1, bd.u)
-        assert lo is not None and hi is not None
+        if lo is None or hi is None:
+            raise SearchError("l=1 interval of phi1 over u is unbounded")
         if lo != 0 and hi == 0:
             phi1, lo, hi = tuple(-x for x in phi1), -hi, -lo
         if lo != 0:
             raise SearchError("l=1 orientation failed: 0 interior to phi1(U)")
-        assert hi > 0
+        if hi <= 0:
+            raise SearchError("l=1 interval of phi1 over u is the point 0")
         if t * hi > 1:
             raise SearchError("l=1 interval longer than 1/t contradicts the mld")
         gamma_here = Fraction(1) / hi
@@ -560,7 +568,9 @@ def _search(tc, pair, bd, t, transcript, depth):
                 phibar=phibar)
         return phibar, gamma_here
     # interior: slice and recurse
-    assert content(phi_n) == 1
+    if content(phi_n) != 1:
+        raise SearchError("width functional %r pulls back to a non-primitive "
+                          "functional on N" % (wr.phi,))
     if not w > 1:
         raise SearchError("interior width must exceed 1")
     lam = Fraction(1) / w
@@ -603,7 +613,7 @@ def find_hyperplane(tc, pair):
     phibar, gamma_val = _search(tc, folded, bd, a, transcript, 0)
     cert = HyperplaneCertificate(phibar, gamma_val, a, tc.rank,
                                  tuple(transcript))
-    ok, reasons = verify_certificate(tc, pair, cert)
+    ok, reasons = _check_certificate(tc, bd, a, cert)
     if not ok:
         raise SearchError("internal: produced certificate fails verification: %s"
                           % "; ".join(reasons))
@@ -613,10 +623,29 @@ def find_hyperplane(tc, pair):
 def verify_certificate(tc, pair, cert):
     """Re-check a certificate from scratch, ignoring its transcript.
 
-    Returns (ok, reasons).  Checks: phi_bar is primitive, nonzero and in
-    the dual of sigma_bar; the pair is g-lc; -gamma pi^*(phi_bar) lies in
-    the box; gamma >= gamma(d, mld) for the recomputed mld; the stored
-    mld and dimension match.
+    Returns (ok, reasons).  Recomputes the box data of the pair and its
+    mld over the fiber, then runs every check of _check_certificate on
+    them.
+    """
+    try:
+        _folded, _psi, bd = analyze(tc, pair)
+    except PairError as exc:
+        return False, ["pair data invalid: %s" % exc]
+    mld = None
+    # mld_over_fiber refuses dim Y = 0, where every phi_bar is zero
+    if tc.base_rank > 0 and is_glc(bd):
+        mld = mld_over_fiber(tc, bd)
+    return _check_certificate(tc, bd, mld, cert)
+
+
+def _check_certificate(tc, bd, mld, cert):
+    """Check a certificate against the box data bd and the mld of the pair.
+
+    Returns (ok, reasons).  Checks: phi_bar is an integer vector of the
+    base's dimension, primitive, nonzero and in the dual of sigma_bar;
+    gamma > 0; the pair is g-lc; -gamma pi^*(phi_bar) lies in the box;
+    the mld is positive and gamma >= gamma(d, mld); the stored mld and
+    dimension match.
     """
     reasons = []
     try:
@@ -636,16 +665,11 @@ def verify_certificate(tc, pair, cert):
         reasons.append("gamma is not positive")
     if reasons:
         return False, reasons
-    try:
-        _folded, _psi, bd = analyze(tc, pair)
-    except PairError as exc:
-        return False, ["pair data invalid: %s" % exc]
     if not is_glc(bd):
         return False, ["pair is not g-lc"]
     phi = compose_covector(phibar, tc.pi, tc.rank)
     if not bd.box.contains(vec_scale(-gamma_val, phi)):
         reasons.append("-gamma pi^*(phi_bar) is outside the box")
-    mld = mld_over_fiber(tc, bd)
     if mld is None:
         reasons.append("mld over the fiber is not positive")
     else:

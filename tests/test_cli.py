@@ -182,6 +182,15 @@ def test_gamma_command(capsys):
     assert json.loads(out)["gamma"] == "1/324"
 
 
+def test_gamma_command_fails_when_forms_disagree(monkeypatch, capsys):
+    import toricmld.cli
+
+    monkeypatch.setattr(toricmld.cli, "gamma_closed", lambda d, a: a + 1)
+    rc, out, err = run(capsys, "gamma", "--dim", "2", "--mld", "1")
+    assert rc == 1 and out == ""
+    assert "recursion 1/4 and closed form 2 disagree" in err
+
+
 def test_gen_command(tmp_path, capsys):
     rc, out, _ = run(capsys, "gen", "--seed", "5", "--count", "2",
                      "--out-dir", str(tmp_path), "--json")

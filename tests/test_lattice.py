@@ -176,6 +176,22 @@ def test_extend_hom_rejects_unsaturated():
         extend_hom(sublattice_from_vectors(2, [(2, 0)]), (1,))
 
 
+def test_extend_hom_postcondition_raises(monkeypatch):
+    """A wrong extension is a LatticeError, not an assert that -O removes."""
+    import toricmld.lattice
+
+    real_snf = toricmld.lattice.snf
+
+    def negated_v(*args):
+        D, U, V, Ui, Vi = real_snf(*args)
+        return D, U, tuple(tuple(-x for x in row) for row in V), Ui, Vi
+
+    sub = sublattice_from_vectors(2, [(1, 1)])
+    monkeypatch.setattr(toricmld.lattice, "snf", negated_v)
+    with pytest.raises(LatticeError, match="extension takes -1 instead of 1"):
+        extend_hom(sub, (1,))
+
+
 def test_extend_hom_random_restriction():
     rng = random.Random(13)
     for _ in range(50):

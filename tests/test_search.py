@@ -26,8 +26,10 @@ from toricmld.polyhedra import (
     polyhedra_equal,
     scale_polyhedron,
 )
+import toricmld.search
 from toricmld.search import (
     SearchError,
+    _width_satisfiers,
     extend_functional,
     find_hyperplane,
     gamma,
@@ -140,6 +142,12 @@ def test_width_bound_violated():
 
 # ---------------------------------------------------------------------------
 # fan subdivision
+
+
+def test_width_satisfiers_reject_unbounded_polyhedron():
+    halfline = from_generators(1, [(F(0),)], [(1,)])
+    with pytest.raises(SearchError, match="unbounded"):
+        _width_satisfiers(halfline, F(1), 1)
 
 
 def test_subdivide_quadrant():
@@ -366,3 +374,62 @@ def test_certificate_never_overclaims(a1_germ, a2_germ, halfplane_germ,
         assert lct_pullback(tc, bd, cert.phi_bar) >= cert.gamma
         assert content(cert.phi_bar) == 1
         assert all(dot(cert.phi_bar, g) >= 0 for g in tc.sigma_bar.generators)
+
+
+def test_find_analyzes_the_germ_once(monkeypatch, wedge25_germ):
+    """find_hyperplane checks its certificate on its own box data and mld."""
+    calls = []
+    real_analyze, real_mld = toricmld.search.analyze, toricmld.search.mld_over_fiber
+
+    def counted_analyze(tc, pair):
+        calls.append(("analyze", tc, pair))
+        return real_analyze(tc, pair)
+
+    def counted_mld(tc, bd):
+        calls.append(("mld", tc, bd))
+        return real_mld(tc, bd)
+
+    monkeypatch.setattr(toricmld.search, "analyze", counted_analyze)
+    monkeypatch.setattr(toricmld.search, "mld_over_fiber", counted_mld)
+    pair = wedge25_pair(wedge25_germ)
+    cert = find_hyperplane(wedge25_germ, pair)
+    assert [r["case"] for r in cert.transcript] == ["interior", "l1"]
+    top = [c[0] for c in calls if c[1] is wedge25_germ]
+    assert top == ["analyze", "mld"]
+    assert calls[0][2] is pair
+    # the slice germ is analyzed too, once
+    assert len(calls) == 4
+
+
+def test_find_keeps_its_internal_certificate_check(monkeypatch, a1_germ):
+    real_search = toricmld.search._search
+
+    def weak_search(tc, pair, bd, t, transcript, depth):
+        phibar, gamma_val = real_search(tc, pair, bd, t, transcript, depth)
+        return phibar, gamma_val / 10 ** 6
+
+    monkeypatch.setattr(toricmld.search, "_search", weak_search)
+    with pytest.raises(SearchError, match="internal: produced certificate fails "
+                                          "verification: gamma below the bound"):
+        find_hyperplane(a1_germ, a1_pair(a1_germ, F(1, 2)))
+
+
+@pytest.mark.parametrize("interval, message", [
+    ((0, None), "l=1 interval of phi1 over u is unbounded"),
+    ((0, 0), "l=1 interval of phi1 over u is the point 0"),
+])
+def test_l1_interval_checks_raise(monkeypatch, a1_germ, interval, message):
+    monkeypatch.setattr(toricmld.search, "interval_image", lambda phi, p: interval)
+    with pytest.raises(SearchError, match=message):
+        find_hyperplane(a1_germ, a1_pair(a1_germ, F(1, 2)))
+
+
+def test_interior_functional_must_pull_back_primitive(monkeypatch, wedge25_germ):
+    real = toricmld.search.compose_covector
+
+    def doubled(f, mat, ncols=None):
+        return tuple(2 * x for x in real(f, mat, ncols))
+
+    monkeypatch.setattr(toricmld.search, "compose_covector", doubled)
+    with pytest.raises(SearchError, match="non-primitive"):
+        find_hyperplane(wedge25_germ, wedge25_pair(wedge25_germ))
