@@ -35,6 +35,7 @@ from .pairs import (
     make_fan,
     make_pair,
     mld_over_fiber,
+    nef_values,
     oracle_mld,
     validate_contraction,
 )
@@ -45,7 +46,6 @@ from .polyhedra import (
     from_generators,
     from_inequalities,
     gauge,
-    hrep_vrep_roundtrip,
     interval_image,
     lattice_points,
     make_cone,
@@ -63,7 +63,6 @@ from .search import (
     find_hyperplane,
     gamma,
     gamma_closed,
-    lc_places_cone,
     lift_hyperplane,
     make_slice,
     subdivide_fan,

@@ -3,8 +3,10 @@
 Subcommands: check | mld | lc | lct | find | verify | oracle-mld | gamma,
 plus gen for the seeded instance generator.  Exit codes: 0 ok,
 1 verification failure or negative result (gamma: the recursion and the
-closed form disagree), 2 invalid input.  All values print as exact
-rationals "p/q"; --json switches to machine output.
+closed form disagree), 2 invalid input, a gamma value whose numerator or
+denominator may exceed GAMMA_DIGIT_LIMIT digits, or an output file that
+cannot be written.  All values print as exact rationals "p/q"; --json
+switches to machine output.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ def cmd_find(args):
     except (InstanceError, PairError) as exc:
         return _fail(args, 2, str(exc))
     out = args.out or _default_cert_path(args.instance)
-    save_certificate(out, cert)
+    try:
+        save_certificate(out, cert)
+    except OSError as exc:
+        return _fail(args, 2, "cannot write %s: %s" % (out, exc.strerror or exc))
     _emit(args,
           {"phi_bar": list(cert.phi_bar), "gamma": frac_str(cert.gamma),
            "mld": frac_str(cert.mld), "certificate": out},
@@ -164,10 +169,34 @@ def cmd_oracle_mld(args):
     return 0
 
 
+# Python's default limit on the digits of an int converted to str
+GAMMA_DIGIT_LIMIT = 4300
+
+
+def _gamma_too_long(d, a):
+    """True when gamma(d, a) may have a numerator or denominator of more
+    than GAMMA_DIGIT_LIMIT digits.
+
+    Bit lengths follow the recursion a -> a^2 / k^2 for k = d, ..., 2 (a
+    product has at most the sum of its factors' bits), and stop once past
+    the limit, so no big number is computed.  A b-bit number has at most
+    30103 b // 10^5 + 1 digits, since log10 2 < 0.30103.
+    """
+    num, den = a.numerator.bit_length(), a.denominator.bit_length()
+    k = d
+    while k > 1 and 30103 * max(num, den) // 100000 < GAMMA_DIGIT_LIMIT:
+        num, den = 2 * num, 2 * den + 2 * k.bit_length()
+        k -= 1
+    return 30103 * max(num, den) // 100000 >= GAMMA_DIGIT_LIMIT
+
+
 def cmd_gamma(args):
     try:
         d = int(args.dim)
         a = Fraction(args.mld)
+        if d >= 1 and a > 0 and _gamma_too_long(d, a):
+            return _fail(args, 2, "gamma(%d, %s) may have more than %d digits"
+                         % (d, frac_str(a), GAMMA_DIGIT_LIMIT))
         rec = gamma(d, a)
         closed = gamma_closed(d, a)
     except (ValueError, ZeroDivisionError) as exc:
@@ -191,10 +220,13 @@ def cmd_gen(args):
         tc, pair, meta = random_instance(seed)
         name = "gen_%06d.json" % seed
         path = os.path.join(args.out_dir, name)
-        os.makedirs(args.out_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            comment = "generated instance, seed %d" % seed
-            fh.write(dumps_canonical(instance_to_obj(tc, pair, comment)))
+        comment = "generated instance, seed %d" % seed
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(dumps_canonical(instance_to_obj(tc, pair, comment)))
+        except OSError as exc:
+            return _fail(args, 2, "cannot write %s: %s" % (path, exc.strerror or exc))
         written.append(path)
     _emit(args, {"written": written},
           ["wrote %d instance(s) to %s" % (len(written), args.out_dir)])

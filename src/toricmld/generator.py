@@ -233,7 +233,3 @@ def random_instance(seed):
         except (PairError, GeometryError, LatticeError):
             continue
     raise PairError("no valid instance found for seed %r" % seed)
-
-
-def random_instances(count, base_seed=0):
-    return [random_instance(base_seed + i) for i in range(count)]

@@ -35,16 +35,8 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v):
     return tuple(c * a for a in v)
-
-
-def vec_neg(v):
-    return tuple(-a for a in v)
 
 
 def is_zero(v):
@@ -266,21 +258,51 @@ def kernel_basis(mat, ncols):
     return [tuple(V[i][j] for i in range(ncols)) for j in range(rank, ncols)]
 
 
-def rational_rank(rows, ncols):
-    rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+def _cancel(r, b, c):
+    """b[c] r - r[c] b, which is 0 at column c, divided by its content."""
+    p, q = b[c], r[c]
+    r = [p * x - q * y for x, y in zip(r, b)]
+    g = content(r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def _independent_rows(rows, dim):
+    """Indices of the greedy linearly independent subset of the integer rows.
+
+    A fraction-free integer echelon: each row is reduced by the rows kept
+    so far (cancelled at the pivot of each) and kept, with its first
+    nonzero column as pivot, unless it reduces to 0.
+    """
+    base, echelon = [], []
+    for i, r in enumerate(rows):
+        for c, b in echelon:
+            if r[c]:
+                r = _cancel(r, b, c)
+        piv = next((c for c, x in enumerate(r) if x), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / prow[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-    return rank
+        base.append(i)
+        echelon.append((piv, r))
+        if len(base) == dim:
+            break
+    return base
+
+
+def rational_rank(rows, ncols):
+    """Rank over Q of int or Fraction rows: the rows the integer echelon keeps.
+
+    A row with a Fraction entry is first scaled to integers by the lcm of
+    its denominators.
+    """
+    ints = []
+    for r in rows:
+        if not all(isinstance(x, int) for x in r):
+            den = 1
+            for x in r:
+                den = den * x.denominator // gcd(den, x.denominator)
+            r = [int(x * den) for x in r]
+        ints.append(r)
+    return len(_independent_rows(ints, ncols))
 
 
 def solve_rational(rows, rhs, ncols):

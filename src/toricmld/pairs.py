@@ -186,11 +186,6 @@ class ToricContraction:
             normals.append(tuple(-x for x in w))
         return cone_from_normals(self.rank, normals)
 
-    def support_contains(self, v, strict=False):
-        if strict:
-            return self.support.interior_contains(v)
-        return self.support.contains(v)
-
 
 def make_contraction(fan, pi, sigma_bar_gens=None):
     pi = tuple(tuple(int(x) for x in row) for row in pi)
@@ -314,12 +309,17 @@ def fold_general(fan, pair):
     return make_pair(fan, b, a_set.points, ())
 
 
-def cartier_psi(tc, pair):
-    """Per-cone solutions psi with <psi,e> - h_A(e) = 1 - b_e on the rays."""
+def nef_values(fan, pair):
+    """r_e = 1 - b_e + h_A(e): the coefficients of -(K + B + D_X)."""
     if not pair.folded:
-        raise PairError("cartier_psi needs a folded pair")
+        raise PairError("nef_values needs a folded pair")
+    return tuple(1 - b + support_value(pair.bdiv_a, e)
+                 for e, b in zip(fan.rays, pair.b_inv))
+
+
+def cartier_psi(tc, r):
+    """Per-cone solutions psi with <psi,e> = r_e on the rays (r from nef_values)."""
     fan = tc.fan
-    r = _nef_values(fan, pair)
     psis = []
     for ci, cone_rays in enumerate(fan.max_cones):
         rows = [fan.rays[i] for i in cone_rays]
@@ -331,15 +331,8 @@ def cartier_psi(tc, pair):
     return tuple(psis)
 
 
-def _nef_values(fan, pair):
-    """r_e = 1 - b_e + h_A(e): the coefficients of -(K + B + D_X)."""
-    return tuple(1 - b + support_value(pair.bdiv_a, e)
-                 for e, b in zip(fan.rays, pair.b_inv))
-
-
-def is_f_nef(tc, pair, psi):
+def is_f_nef(tc, r, psi):
     """Toric relative nef test: each -psi_sigma lies in the section box."""
-    r = _nef_values(tc.fan, pair)
     return all(dot(p, e) <= re for p in psi for e, re in zip(tc.fan.rays, r))
 
 
@@ -373,13 +366,13 @@ def analyze(tc, pair):
     recession cone sigma0 of u and l = n - dim sigma0.
     Returns (folded pair, psi, BoxData).
     """
-    folded = fold_general(tc.fan, pair)
-    psi = cartier_psi(tc, folded)
-    if not is_f_nef(tc, folded, psi):
-        raise PairError("-(K+B+D) is not f-nef")
     fan = tc.fan
     n = fan.rank
-    r = _nef_values(fan, folded)
+    folded = fold_general(fan, pair)
+    r = nef_values(fan, folded)
+    psi = cartier_psi(tc, r)
+    if not is_f_nef(tc, r, psi):
+        raise PairError("-(K+B+D) is not f-nef")
     box_d = from_inequalities(n, [(e, -re) for e, re in zip(fan.rays, r)])
     if box_d.empty:
         raise PairError("empty section box")
@@ -404,7 +397,7 @@ def log_discrepancy(bd, e):
     e = tuple(int(x) for x in e)
     if is_zero(e):
         raise PairError("log discrepancy of the zero vector")
-    if not bd.tc.support_contains(e):
+    if not bd.tc.support.contains(e):
         raise PairError("vector outside the support of the fan")
     lo, _hi = interval_image(e, bd.box)
     if lo is None:
@@ -527,7 +520,7 @@ def oracle_mld(tc, bd, radius):
     for v in itertools.product(range(-radius, radius + 1), repeat=n):
         if is_zero(v) or content(v) != 1:
             continue
-        if not tc.support_contains(v, strict=True):
+        if not tc.support.interior_contains(v):
             continue
         a = log_discrepancy(bd, v)
         if best is None or a < best[0] or (a == best[0] and v < best[1]):

@@ -22,6 +22,8 @@ from math import ceil, gcd
 from operator import mul
 
 from .lattice import (
+    _cancel,
+    _independent_rows,
     content,
     dot,
     is_zero,
@@ -57,36 +59,6 @@ def _integer_direction(v):
 
 # ---------------------------------------------------------------------------
 # cone engine
-
-
-def _cancel(r, b, c):
-    """b[c] r - r[c] b, which is 0 at column c, divided by its content."""
-    p, q = b[c], r[c]
-    r = [p * x - q * y for x, y in zip(r, b)]
-    g = content(r)
-    return [x // g for x in r] if g > 1 else r
-
-
-def _independent_rows(rows, dim):
-    """Indices of the greedy linearly independent subset of the integer rows.
-
-    A fraction-free integer echelon: each row is reduced by the rows kept
-    so far (cancelled at the pivot of each) and kept, with its first
-    nonzero column as pivot, unless it reduces to 0.
-    """
-    base, echelon = [], []
-    for i, r in enumerate(rows):
-        for c, b in echelon:
-            if r[c]:
-                r = _cancel(r, b, c)
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is None:
-            continue
-        base.append(i)
-        echelon.append((piv, r))
-        if len(base) == dim:
-            break
-    return base
 
 
 def _inverse_columns(bmat, dim):
@@ -193,7 +165,11 @@ def cone_from_inequalities(rows, dim):
 
 @dataclass(frozen=True)
 class Cone:
-    """Rational polyhedral cone, generators plus cached dual generators."""
+    """Rational polyhedral cone, generators plus cached dual generators.
+
+    Built by make_cone, so dual_lines is an integer basis of the
+    orthogonal complement of the generators' span.
+    """
 
     dim: int
     generators: tuple
@@ -210,19 +186,13 @@ class Cone:
         return all(dot(d, v) > 0 for d in self.dual_rays)
 
     def cone_dim(self):
-        return rational_rank(self.generators, self.dim)
+        return self.dim - len(self.dual_lines)
 
     def is_full_dim(self):
         return self.cone_dim() == self.dim
 
     def is_pointed(self):
-        sides = list(self.dual_rays) + list(self.dual_lines) + \
-            [tuple(-a for a in l) for l in self.dual_lines]
-        return not kernel_basis(tuple(sides), self.dim)
-
-    def lineality_dim(self):
-        sides = list(self.dual_rays) + list(self.dual_lines)
-        return len(kernel_basis(tuple(sides), self.dim))
+        return rational_rank(self.dual_rays + self.dual_lines, self.dim) == self.dim
 
     def dual(self):
         gens = tuple(self.dual_rays) + tuple(self.dual_lines) + \
@@ -348,19 +318,12 @@ def polyhedra_equal(p, q):
             and all(all(dot(a, r) >= 0 for a, _ in p.ineqs) for r in q.rays))
 
 
-def hrep_vrep_roundtrip(p):
-    """Rebuild p from its own generators; the fixed point of V->H->V."""
-    if p.empty:
-        return p
-    return from_generators(p.dim, p.points, p.rays)
-
-
 def affine_dim(p):
     if p.empty:
         return -1
     base = p.points[0]
     dirs = [tuple(x - b for x, b in zip(q, base)) for q in p.points[1:]]
-    dirs += [tuple(Fraction(x) for x in r) for r in p.rays]
+    dirs += p.rays
     return rational_rank(dirs, p.dim)
 
 
@@ -388,13 +351,6 @@ def map_polyhedron(mat, p, dim_out):
     rays = [r2 for r2 in (tuple(dot(row, r) for row in mat) for r in p.rays)
             if not is_zero(r2)]
     return from_generators(dim_out, pts, rays)
-
-
-def recession_cone(p):
-    """Recession cone computed from the H-representation."""
-    if p.empty:
-        raise GeometryError("recession cone of the empty polyhedron")
-    return cone_from_normals(p.dim, [a for a, _ in p.ineqs])
 
 
 def cone_over(p):

@@ -90,13 +90,6 @@ def gamma_closed(d, a):
     return num / den
 
 
-def lc_places_cone(bd):
-    """The cone of log discrepancy <= 0 directions (recession cone of u)."""
-    if not is_glc(bd):
-        raise PairError("lc places need a g-lc pair")
-    return bd.sigma0
-
-
 # ---------------------------------------------------------------------------
 # width search
 

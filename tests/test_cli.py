@@ -191,6 +191,15 @@ def test_gamma_command_fails_when_forms_disagree(monkeypatch, capsys):
     assert "recursion 1/4 and closed form 2 disagree" in err
 
 
+def test_gamma_command_refuses_results_too_long_to_print(capsys):
+    rc, out, _ = run(capsys, "gamma", "--dim", "11", "--mld", "2/3", "--json")
+    assert rc == 0 and len(json.loads(out)["gamma"].split("/")[1]) == 2240
+    for dim, mld in (("12", "2/3"), ("1000", "1")):
+        rc, out, err = run(capsys, "gamma", "--dim", dim, "--mld", mld)
+        assert rc == 2 and out == ""
+        assert "may have more than 4300 digits" in err
+
+
 def test_gen_command(tmp_path, capsys):
     rc, out, _ = run(capsys, "gen", "--seed", "5", "--count", "2",
                      "--out-dir", str(tmp_path), "--json")
@@ -200,6 +209,26 @@ def test_gen_command(tmp_path, capsys):
     for p in paths:
         rc, out, _ = run(capsys, "check", p)
         assert rc == 0
+
+
+def test_gen_reports_unwritable_directory(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = str(blocker / "sub")
+    rc, out, err = run(capsys, "gen", "--seed", "5", "--out-dir", out_dir)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write %s" % out_dir)
+
+
+def test_find_reports_unwritable_certificate_path(corpus_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for parent in (blocker, tmp_path / "missing"):
+        cert = str(parent / "a2.cert.json")
+        rc, out, err = run(capsys, "find", str(corpus_dir / "a2_identity.json"),
+                           "--out", cert)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot write %s: " % cert)
 
 
 def test_certificate_file_roundtrip(corpus_dir, capsys):

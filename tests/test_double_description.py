@@ -1,10 +1,14 @@
 """The integer double description against the Fraction kernel it replaced.
 
+`reference_rational_rank` is the former `lattice.rational_rank`, kept
+here verbatim as a Fraction Gaussian elimination; `rational_rank` now
+counts the rows that the integer echelon keeps.
 `reference_dd_pointed` is the former `polyhedra._dd_pointed`, kept here
-verbatim (its local import of `solve_rational` moved to the top) as the
-slow reference: a growing `rational_rank` picks the start
-rows, one `solve_rational` per start ray inverts them, and each candidate
-ray is kept iff its active rows have rank dim - 1.
+verbatim (its local import of `solve_rational` moved to the top, and its
+rank calls pointed at `reference_rational_rank`) as the slow reference:
+a growing rank picks the start rows, one `solve_rational` per start ray
+inverts them, and each candidate ray is kept iff its active rows have
+rank dim - 1.
 `reference_cone_from_inequalities` is the former
 `cone_from_inequalities`, which computed the SNF kernel first and called
 the reference kernel on the quotient.
@@ -29,7 +33,25 @@ from toricmld.polyhedra import (
     _dd_pointed,
     _integer_direction,
     cone_from_inequalities,
+    make_cone,
 )
+
+
+def reference_rational_rank(rows, ncols):
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / prow[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        rank += 1
+    return rank
 
 
 def reference_dd_pointed(rows, dim):
@@ -39,7 +61,7 @@ def reference_dd_pointed(rows, dim):
     # greedy linearly independent subset for the simplicial start
     base = []
     for i, r in enumerate(rows):
-        if rational_rank([rows[j] for j in base] + [r], dim) > len(base):
+        if reference_rational_rank([rows[j] for j in base] + [r], dim) > len(base):
             base.append(i)
         if len(base) == dim:
             break
@@ -70,7 +92,7 @@ def reference_dd_pointed(rows, dim):
             if cand in kept:
                 continue
             active = [rows[j] for j in processed if dot(rows[j], cand) == 0]
-            if rational_rank(active, dim) == dim - 1:
+            if reference_rational_rank(active, dim) == dim - 1:
                 kept[cand] = None
         rays = list(kept)
     return tuple(sorted(rays))
@@ -165,3 +187,52 @@ def test_cone_from_inequalities_matches_reference():
         assert _outcome(cone_from_inequalities, rows, dim) == want, (rows, dim)
         lineal += isinstance(want, tuple) and bool(want[1])
     assert lineal >= 300
+
+
+def _rank_rows(rng):
+    """0-8 rows in dim 0-5: ints, Fractions, zero rows, repeats and multiples."""
+    dim = rng.randint(0, 5)
+    lim = rng.choice((1, 3, 50))
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.15 or not dim:
+            rows.append((0,) * dim)
+        elif kind < 0.3 and rows:
+            k = rng.choice((1, -2, Fraction(1, 3)))
+            rows.append(tuple(k * x for x in rng.choice(rows)))
+        elif kind < 0.5:
+            rows.append(tuple(Fraction(rng.randint(-lim, lim), rng.randint(1, 7))
+                              for _ in range(dim)))
+        else:
+            rows.append(tuple(rng.randint(-lim, lim) for _ in range(dim)))
+    return rows, dim
+
+
+def test_rational_rank_matches_reference():
+    rng = random.Random(6006)
+    seen = set()
+    for _ in range(1500):
+        rows, dim = _rank_rows(rng)
+        want = reference_rational_rank(rows, dim)
+        assert rational_rank(rows, dim) == want, (rows, dim)
+        seen.add((dim, want))
+    # every rank from 0 to dim is hit in every dimension
+    assert seen == {(d, r) for d in range(6) for r in range(d + 1)}
+
+
+def test_cone_dim_and_pointedness_match_reference():
+    """Cone reads its dimension off the double description; check it against a rank."""
+    rng = random.Random(7007)
+    kinds = set()
+    for _ in range(400):
+        rows, dim = _random_rows(rng)
+        gens = [r for r in rows if not is_zero(r)]
+        cone = make_cone(dim, gens)
+        assert cone.cone_dim() == reference_rational_rank(gens, dim), (gens, dim)
+        sides = list(cone.dual_rays) + list(cone.dual_lines) + \
+            [tuple(-a for a in l) for l in cone.dual_lines]
+        pointed = not kernel_basis(tuple(sides), dim)
+        assert cone.is_pointed() == pointed, (gens, dim)
+        kinds.add((cone.is_full_dim(), pointed))
+    assert len(kinds) == 4, kinds

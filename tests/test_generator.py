@@ -1,10 +1,10 @@
-from toricmld.generator import random_instance, random_instances
+from toricmld.generator import random_instance
 from toricmld.instances import dumps_canonical, instance_to_obj
 from toricmld.pairs import analyze, is_glc, mld_over_fiber, validate_contraction
 
 
 def test_instances_satisfy_hypotheses():
-    for tc, pair, meta in random_instances(15, base_seed=100):
+    for tc, pair, meta in [random_instance(100 + i) for i in range(15)]:
         validate_contraction(tc)
         _folded, psi, bd = analyze(tc, pair)
         assert is_glc(bd)
@@ -23,7 +23,7 @@ def test_some_variety():
     ranks = set()
     nontrivial_a = 0
     general = 0
-    for tc, pair, _meta in random_instances(25, base_seed=300):
+    for tc, pair, _meta in [random_instance(300 + i) for i in range(25)]:
         ranks.add(tc.rank)
         if len(pair.bdiv_a.points) > 1:
             nontrivial_a += 1

@@ -22,6 +22,7 @@ from toricmld.pairs import (
     make_fan,
     make_pair,
     mld_over_fiber,
+    nef_values,
     oracle_mld,
     validate_contraction,
 )
@@ -234,7 +235,7 @@ def test_fold_preserves_log_discrepancies(a2_germ):
     _, _, bd = analyze(a2_germ, folded)
     # independent route: the per-cone value psi with the combined support
     a_eff = folded.bdiv_a
-    psi = cartier_psi(a2_germ, folded)[0]
+    psi = cartier_psi(a2_germ, nef_values(a2_germ.fan, folded))[0]
     for e in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 3)]:
         assert log_discrepancy(bd, e) == dot(psi, e) - support_value(a_eff, e)
 
@@ -244,12 +245,13 @@ def test_fold_preserves_log_discrepancies(a2_germ):
 
 
 def test_cartier_a2(a2_germ):
-    psi = cartier_psi(a2_germ, zero_pair(a2_germ))
+    psi = cartier_psi(a2_germ, nef_values(a2_germ.fan, zero_pair(a2_germ)))
     assert psi == (((1), (1)),) or psi == ((F(1), F(1)),)
 
 
 def test_cartier_halfplane(halfplane_germ):
-    psi = cartier_psi(halfplane_germ, zero_pair(halfplane_germ))
+    psi = cartier_psi(halfplane_germ,
+                      nef_values(halfplane_germ.fan, zero_pair(halfplane_germ)))
     assert psi[0] == (2, 1) and psi[1] == (0, 1)
 
 
@@ -261,18 +263,24 @@ def test_not_r_cartier():
     validate_contraction(tc)
     pair = zero_pair(tc)
     with pytest.raises(NotRCartier) as err:
-        cartier_psi(tc, pair)
+        cartier_psi(tc, nef_values(tc.fan, pair))
     assert err.value.cone_index == 0
+
+
+def test_nef_values_need_a_folded_pair(a2_germ):
+    pair = make_pair(a2_germ.fan, (0, 0), [(0, 0)], [(1, [(0, 0), (1, 0)])])
+    with pytest.raises(PairError, match="needs a folded pair"):
+        nef_values(a2_germ.fan, pair)
 
 
 def test_nef_failure_deterministic():
     # blown-up plane germ; heavy boundary off the exceptional ray breaks nef
     tc = germ(2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)], identity(2),
               [(1, 0), (0, 1)])
-    good = make_pair(tc.fan, (0, F(1, 2), 0), [(0, 0)])
+    good = nef_values(tc.fan, make_pair(tc.fan, (0, F(1, 2), 0), [(0, 0)]))
     psi = cartier_psi(tc, good)
     assert is_f_nef(tc, good, psi)
-    bad = make_pair(tc.fan, (1, F(1, 2), 1), [(0, 0)])
+    bad = nef_values(tc.fan, make_pair(tc.fan, (1, F(1, 2), 1), [(0, 0)]))
     psib = cartier_psi(tc, bad)
     assert not is_f_nef(tc, bad, psib)
 
@@ -286,7 +294,8 @@ def test_nef_failure_randomized_search():
     for _ in range(200):
         pair = make_pair(tc.fan, tuple(rng.choice(pool) for _ in range(3)),
                          [(0, 0)])
-        if not is_f_nef(tc, pair, cartier_psi(tc, pair)):
+        r = nef_values(tc.fan, pair)
+        if not is_f_nef(tc, r, cartier_psi(tc, r)):
             hits += 1
     assert hits > 0
 
@@ -297,7 +306,8 @@ def test_single_cone_always_nef(a3_germ):
     for _ in range(20):
         pair = make_pair(a3_germ.fan, tuple(rng.choice(pool) for _ in range(3)),
                          [(0, 0, 0)])
-        assert is_f_nef(a3_germ, pair, cartier_psi(a3_germ, pair))
+        r = nef_values(a3_germ.fan, pair)
+        assert is_f_nef(a3_germ, r, cartier_psi(a3_germ, r))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +459,7 @@ def test_translation_invariance(a2_germ, wedge25_germ):
             _, _, bd2 = analyze(tc, moved)
             assert polyhedra_equal(bd.box, bd2.box)
             for e in [(1, 1), (1, 2), (2, 1)]:
-                if tc.support_contains(e):
+                if tc.support.contains(e):
                     assert log_discrepancy(bd, e) == log_discrepancy(bd2, e)
 
 

