@@ -19,12 +19,11 @@ from fractions import Fraction
 from .generator import random_instance
 from .instances import (
     InstanceError,
-    dumps_canonical,
     frac_str,
-    instance_to_obj,
     load_certificate,
     load_instance,
     save_certificate,
+    save_instance,
 )
 from .pairs import PairError, analyze, is_glc, lct_pullback, mld_over_fiber, oracle_mld
 from .search import find_hyperplane, gamma, gamma_closed, verify_certificate
@@ -220,11 +219,9 @@ def cmd_gen(args):
         tc, pair, meta = random_instance(seed)
         name = "gen_%06d.json" % seed
         path = os.path.join(args.out_dir, name)
-        comment = "generated instance, seed %d" % seed
         try:
             os.makedirs(args.out_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dumps_canonical(instance_to_obj(tc, pair, comment)))
+            save_instance(path, tc, pair, "generated instance, seed %d" % seed)
         except OSError as exc:
             return _fail(args, 2, "cannot write %s: %s" % (path, exc.strerror or exc))
         written.append(path)

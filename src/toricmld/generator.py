@@ -18,6 +18,7 @@ from .lattice import dot, identity, is_zero, kernel_basis, primitive, vec_add
 from .pairs import (
     PairError,
     analyze,
+    fix_mov,
     is_glc,
     make_contraction,
     make_fan,
@@ -189,8 +190,8 @@ def _candidate_pair(rng, tc):
     for bj, pts in general:
         s = make_support(pts)
         a_eff = support_sum(a_eff, support_scale(bj, s))
-        fixes = [f + bj * min(dot(p, e) for p in s.points)
-                 for f, e in zip(fixes, fan.rays)]
+        fix = fix_mov(s, (0,) * len(fan.rays), fan.rays)
+        fixes = [f + bj * x for f, x in zip(fixes, fix)]
     if rng.random() < 0.55:
         # log Calabi-Yau mode: boundary determined by a single global psi
         psi = _rand_psi(rng, tc.support, n)

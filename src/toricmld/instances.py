@@ -42,8 +42,13 @@ def frac_str(f):
     return str(Fraction(f))
 
 
+def _is_int(x):
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_vector(v, where):
-    if not isinstance(v, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+    if not isinstance(v, list) or not all(_is_int(x) for x in v):
         raise InstanceError("%s: expected a list of integers, got %r" % (where, v))
     return tuple(v)
 
@@ -67,10 +72,9 @@ def instance_from_obj(obj):
     for k in obj:
         if k not in known:
             raise InstanceError("instance: unknown field %r" % k)
-    try:
-        rank = int(obj["rank_N"])
-    except (KeyError, TypeError, ValueError):
-        raise InstanceError("rank_N: missing or not an integer")
+    rank = obj.get("rank_N")
+    if not _is_int(rank) or rank < 0:
+        raise InstanceError("rank_N: expected a nonnegative integer, got %r" % (rank,))
     rays = _int_matrix(obj.get("rays", None), "rays")
     if any(len(r) != rank for r in rays):
         raise InstanceError("rays: vector length differs from rank_N")
@@ -215,10 +219,9 @@ def certificate_from_obj(obj):
     phibar = _int_vector(obj["phi_bar"], "phi_bar")
     gamma = parse_fraction(obj["gamma"], "gamma")
     mld = parse_fraction(obj["mld"], "mld")
-    try:
-        d = int(obj["d"])
-    except (TypeError, ValueError):
-        raise InstanceError("d: expected an integer")
+    d = obj["d"]
+    if not _is_int(d):
+        raise InstanceError("d: expected an integer, got %r" % (d,))
     transcript = obj.get("transcript", [])
     if not isinstance(transcript, list):
         raise InstanceError("transcript: expected a list")

@@ -43,7 +43,6 @@ from .polyhedra import (
     _polar_raw,
     cone_from_inequalities,
     cone_from_normals,
-    cone_over,
     from_generators,
     from_inequalities,
     gauge,
@@ -51,7 +50,6 @@ from .polyhedra import (
     interval_image,
     make_cone,
     make_support,
-    minkowski_sum,
     map_polyhedron,
     strict_interior_contains,
     support_scale,
@@ -87,13 +85,6 @@ class Fan:
     def _cones(self):
         return tuple(make_cone(self.rank, [self.rays[j] for j in c])
                      for c in self.max_cones)
-
-    def ray_index(self, v):
-        return self._ray_lookup.get(tuple(v))
-
-    @cached_property
-    def _ray_lookup(self):
-        return {r: i for i, r in enumerate(self.rays)}
 
 
 def make_fan(rank, rays, max_cones):
@@ -282,14 +273,13 @@ def make_pair(fan, b_inv, bdiv_points, general=()):
 
 
 def fix_mov(a_set, l_coeffs, rays):
-    """Fixed/mobile decomposition of the system induced by A with twist L.
+    """Fixed part of the system induced by A with twist L.
 
-    The fixed part has coefficient min_{a in A} <a, e> + mult_e L on each
-    ray e; the mobile part depends only on A.
+    Its coefficient on each ray e is min_{a in A} <a, e> + mult_e L; the
+    mobile part is the system of A itself.
     """
-    fix = tuple(support_value(a_set, e) + Fraction(l)
-                for e, l in zip(rays, l_coeffs))
-    return fix, a_set
+    return tuple(support_value(a_set, e) + Fraction(l)
+                 for e, l in zip(rays, l_coeffs))
 
 
 def fold_general(fan, pair):
@@ -303,7 +293,7 @@ def fold_general(fan, pair):
     b = list(pair.b_inv)
     a_set = pair.bdiv_a
     for bj, aj in pair.general:
-        fix, _mov = fix_mov(aj, (0,) * len(fan.rays), fan.rays)
+        fix = fix_mov(aj, (0,) * len(fan.rays), fan.rays)
         b = [x + bj * f for x, f in zip(b, fix)]
         a_set = support_sum(a_set, support_scale(bj, aj))
     return make_pair(fan, b, a_set.points, ())
@@ -343,7 +333,6 @@ class BoxData:
     sigma0: Cone
     l: int
     a_eff: SupportSet = field(compare=False)
-    r: tuple = field(compare=False)
     psi: tuple = field(compare=False)
     tc: ToricContraction = field(compare=False)
 
@@ -362,9 +351,10 @@ class BoxData:
 def analyze(tc, pair):
     """Fold, solve the Cartier data, test nef, build the box.
 
-    The box is Conv(A) + box_{-K-B-D}; BoxData adds its polar u, the
-    recession cone sigma0 of u and l = n - dim sigma0.
-    Returns (folded pair, psi, BoxData).
+    The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
+    points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D};
+    BoxData adds its polar u, the recession cone sigma0 of u and
+    l = n - dim sigma0.  Returns (folded pair, psi, BoxData).
     """
     fan = tc.fan
     n = fan.rank
@@ -376,8 +366,8 @@ def analyze(tc, pair):
     box_d = from_inequalities(n, [(e, -re) for e, re in zip(fan.rays, r)])
     if box_d.empty:
         raise PairError("empty section box")
-    conv_a = from_generators(n, folded.bdiv_a.points)
-    box = minkowski_sum(conv_a, box_d)
+    box = from_generators(n, [vec_add(a, p) for a in folded.bdiv_a.points
+                              for p in box_d.points], box_d.rays)
     u = _polar_raw(box)
     sigma0 = make_cone(n, u.rays) if u.rays else make_cone(n, [])
     l = n - sigma0.cone_dim()
@@ -385,11 +375,21 @@ def analyze(tc, pair):
     for g in sigma0.generators:
         if not sup.contains(g):
             raise PairError("sigma0 leaves the support")
-    ucone = cone_over(u)
-    if not (all(sup.contains(g) for g in ucone.generators)
-            and all(ucone.contains(g) for g in sup.generators)):
+    if not _cone_over_is(u, sup):
         raise PairError("cone over u does not match the support")
-    return folded, psi, BoxData(box, u, sigma0, l, folded.bdiv_a, r, psi, tc)
+    return folded, psi, BoxData(box, u, sigma0, l, folded.bdiv_a, psi, tc)
+
+
+def _cone_over_is(u, cone):
+    """cone(u) == cone, read off u's own descriptions.
+
+    With 0 in u, cone(u) is generated by u's points and rays and cut out
+    by u's inequalities through 0.
+    """
+    return (u.contains((0,) * u.dim)
+            and all(cone.contains(x) for x in u.points + u.rays)
+            and all(dot(a, g) >= 0 for a, c in u.ineqs if c == 0
+                    for g in cone.generators))
 
 
 def log_discrepancy(bd, e):

@@ -194,11 +194,6 @@ class Cone:
     def is_pointed(self):
         return rational_rank(self.dual_rays + self.dual_lines, self.dim) == self.dim
 
-    def dual(self):
-        gens = tuple(self.dual_rays) + tuple(self.dual_lines) + \
-            tuple(tuple(-a for a in l) for l in self.dual_lines)
-        return make_cone(self.dim, gens)
-
     def __eq__(self, other):
         return (self.dim == other.dim
                 and all(self.contains(g) for g in other.generators)
@@ -327,20 +322,15 @@ def affine_dim(p):
     return rational_rank(dirs, p.dim)
 
 
-def minkowski_sum(p, q):
-    if p.empty or q.empty:
-        raise GeometryError("Minkowski sum with an empty polyhedron")
-    pts = [vec_add(a, b) for a in p.points for b in q.points]
-    return from_generators(p.dim, pts, tuple(p.rays) + tuple(q.rays))
-
-
 def scale_polyhedron(p, t):
+    """t * p for t > 0: points and right-hand sides scale, rays and normals stay."""
     t = Fraction(t)
     if t <= 0:
         raise GeometryError("scale factor must be positive")
     if p.empty:
         return p
-    return from_generators(p.dim, [vec_scale(t, x) for x in p.points], p.rays)
+    return Polyhedron(p.dim, tuple(vec_scale(t, x) for x in p.points), p.rays,
+                      tuple((a, t * c) for a, c in p.ineqs))
 
 
 def map_polyhedron(mat, p, dim_out):
@@ -351,13 +341,6 @@ def map_polyhedron(mat, p, dim_out):
     rays = [r2 for r2 in (tuple(dot(row, r) for row in mat) for r in p.rays)
             if not is_zero(r2)]
     return from_generators(dim_out, pts, rays)
-
-
-def cone_over(p):
-    """cone(p) = closure of union of t*p, for polyhedra containing 0."""
-    if not p.contains((0,) * p.dim):
-        raise GeometryError("cone_over needs 0 in the polyhedron")
-    return cone_from_normals(p.dim, [a for a, c in p.ineqs if c == 0])
 
 
 # ---------------------------------------------------------------------------

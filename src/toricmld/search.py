@@ -130,32 +130,31 @@ def _oriented(phi, lo, hi):
 
 
 def _width_satisfiers(up, bound, k):
-    """Bound-satisfying functionals at sup-norm level k, in colex order."""
+    """Bound-satisfying functionals at sup-norm level k over a compact up,
+    in colex order."""
     out = []
     for phi in _covector_level(up.dim, k):
         lo, hi = interval_image(phi, up)
-        if lo is None or hi is None:
-            raise SearchError("width search needs a compact polyhedron: "
-                              "%r is unbounded on it" % (phi,))
         if hi - lo <= bound:
             out.append((phi, lo, hi))
     return out
 
 
-def width_functional(up, t, l, cap=WIDTH_NORM_CAP):
+def width_functional(up, t, l):
     """First usable functional of length <= l^2/t over up.
 
     Candidates are enumerated by increasing sup-norm and, within a level,
     by colexicographic order on a sign-canonical representative.  At each
     level the first functional with 0 on the boundary of its interval and
     1/w >= gamma(l, t) wins, oriented to [0, w]; failing that, the first
-    functional with 0 interior to its interval.
+    functional with 0 interior to its interval.  The search stops after
+    sup-norm WIDTH_NORM_CAP.
     """
     if up.empty or not up.is_compact():
         raise PairError("width search needs a compact nonempty polyhedron")
     bound = Fraction(l * l) / Fraction(t)
     need = gamma(l, t)
-    for k in range(1, cap + 1):
+    for k in range(1, WIDTH_NORM_CAP + 1):
         sats = _width_satisfiers(up, bound, k)
         pick = next((s for s in sats if (s[1] == 0 or s[2] == 0)
                      and Fraction(1) / (s[2] - s[1]) >= need), None)
@@ -166,7 +165,7 @@ def width_functional(up, t, l, cap=WIDTH_NORM_CAP):
         phi, lo, hi = _oriented(*pick)
         return WidthResult(phi, lo, hi, hi - lo, -lo, hi)
     raise SearchError("width bound violated: no functional of length <= %s "
-                      "with sup-norm <= %d" % (bound, cap))
+                      "with sup-norm <= %d" % (bound, WIDTH_NORM_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def subdivide_fan(fan, phi):
                 raise SearchError("subdivision gives the new ray %r two "
                                   "multiplicities, %d and %d" % (p, newq[p], qv))
             newq[p] = qv
-    rays = list(fan.rays) + sorted(p for p in newq if p not in fan._ray_lookup)
+    rays = list(fan.rays) + sorted(set(newq) - set(fan.rays))
     cones = set()
     for ci, cidx in enumerate(fan.max_cones):
         cone = fan.cone(ci)

@@ -247,3 +247,37 @@ def test_instance_rejects_floats():
     obj["B"] = {"0": 0.5}
     with pytest.raises(InstanceError, match="strings"):
         instance_from_obj(obj)
+
+
+@pytest.mark.parametrize("rank", [2.7, "2", True, -1, None])
+def test_check_requires_a_nonnegative_integer_rank(tmp_path, capsys, rank):
+    obj = json.loads(corpus_bytes("a2_identity").decode())
+    obj["rank_N"] = rank
+    p = tmp_path / "rank.json"
+    p.write_text(dumps_canonical(obj))
+    rc, out, err = run(capsys, "check", str(p))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: rank_N: expected a nonnegative integer")
+
+
+@pytest.mark.parametrize("d", [2.9, "2", True])
+def test_verify_requires_an_integer_dimension(corpus_dir, capsys, d):
+    inst = str(corpus_dir / "a2_identity.json")
+    rc, out, _ = run(capsys, "find", inst, "--json")
+    cert_path = json.loads(out)["certificate"]
+    obj = json.loads(open(cert_path).read())
+    obj["d"] = d
+    open(cert_path, "w").write(dumps_canonical(obj))
+    rc, out, err = run(capsys, "verify", inst, cert_path)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: d: expected an integer")
+
+
+def test_gen_writes_the_canonical_instance(tmp_path, capsys):
+    from toricmld.generator import random_instance
+
+    rc, out, _ = run(capsys, "gen", "--seed", "7", "--out-dir", str(tmp_path), "--json")
+    assert rc == 0
+    tc, pair, _meta = random_instance(7)
+    expected = dumps_canonical(instance_to_obj(tc, pair, "generated instance, seed 7"))
+    assert open(json.loads(out)["written"][0]).read() == expected

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from toricmld.lattice import dot
+from toricmld.lattice import dot, vec_add
 from toricmld.polyhedra import (
     GeometryError,
+    affine_dim,
     cone_from_normals,
     from_generators,
     from_inequalities,
@@ -14,7 +15,6 @@ from toricmld.polyhedra import (
     lattice_points,
     make_cone,
     make_support,
-    minkowski_sum,
     polar_dual,
     polyhedra_equal,
     scale_polyhedron,
@@ -211,10 +211,48 @@ def test_recession_cone_matches_generating_rays():
 
 
 def test_minkowski_sum_supports():
-    a = from_generators(2, [(0, 0), (1, 0)])
+    # conv(A) + b from the sums of their points, as analyze builds the box
+    a = [(0, 0), (1, 0)]
     b = from_generators(2, [(0, 0), (0, 1)])
-    s = minkowski_sum(a, b)
+    s = from_generators(2, [vec_add(x, y) for x in a for y in b.points], b.rays)
     assert polyhedra_equal(s, from_generators(2, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+
+
+def _random_scale_case(rng, kind):
+    """Seeded polyhedra: bounded, unbounded, lower-dimensional, non-pointed."""
+    n = rng.randint(1, 3)
+    pts = rand_points(rng, n, rng.randint(1, 4), lim=3)
+    rays = []
+    if kind == "lower":
+        pts = [(pts[0][0],) + p[1:] for p in pts]
+    elif kind == "unbounded":
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(2)]
+    elif kind == "non-pointed":
+        r = tuple(rng.randint(-2, 2) for _ in range(n))
+        rays = [r, tuple(-x for x in r)]
+    return from_generators(n, pts, rays)
+
+
+@pytest.mark.parametrize("kind", ["bounded", "unbounded", "lower", "non-pointed"])
+def test_scale_polyhedron_matches_from_generators(kind):
+    rng = random.Random(59)
+    shapes = set()
+    for _ in range(60):
+        p = _random_scale_case(rng, kind)
+        shapes.add((p.is_compact(), affine_dim(p) == p.dim))
+        t = F(rng.randint(1, 9), rng.randint(1, 9))
+        fast = scale_polyhedron(p, t)
+        slow = from_generators(p.dim, [tuple(t * x for x in q) for q in p.points], p.rays)
+        # each of the direct result's two descriptions is t * p on its own
+        assert polyhedra_equal(from_generators(p.dim, fast.points, fast.rays), slow)
+        assert polyhedra_equal(from_inequalities(p.dim, fast.ineqs), slow)
+        if not any(tuple(-x for x in r) in p.rays for r in p.rays):
+            assert (fast.points, fast.rays) == (slow.points, slow.rays)
+        if affine_dim(p) == p.dim:
+            assert fast.ineqs == slow.ineqs
+    expected = {"bounded": (True, True), "unbounded": (False, True),
+                "lower": (True, False), "non-pointed": (False, True)}[kind]
+    assert expected in shapes
 
 
 def test_strict_interior():

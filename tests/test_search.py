@@ -29,7 +29,6 @@ from toricmld.polyhedra import (
 import toricmld.search
 from toricmld.search import (
     SearchError,
-    _width_satisfiers,
     extend_functional,
     find_hyperplane,
     gamma,
@@ -137,7 +136,7 @@ def test_width_skips_boundary_functional_below_gamma():
 def test_width_bound_violated():
     up = from_generators(2, [(0, 0), (9, 0), (0, 9)])
     with pytest.raises(SearchError, match="width bound"):
-        width_functional(up, 40, 2, cap=4)
+        width_functional(up, 40, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +145,8 @@ def test_width_bound_violated():
 
 def test_width_satisfiers_reject_unbounded_polyhedron():
     halfline = from_generators(1, [(F(0),)], [(1,)])
-    with pytest.raises(SearchError, match="unbounded"):
-        _width_satisfiers(halfline, F(1), 1)
+    with pytest.raises(PairError, match="compact nonempty"):
+        width_functional(halfline, 1, 1)
 
 
 def test_subdivide_quadrant():
