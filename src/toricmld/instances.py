@@ -95,13 +95,12 @@ def instance_from_obj(obj):
     if not isinstance(b_map, dict):
         raise InstanceError("B: expected an object mapping ray index to rational")
     b = [Fraction(0)] * len(rays)
+    index = {str(i): i for i in range(len(rays))}
     for k, v in b_map.items():
-        try:
-            i = int(k)
-        except ValueError:
-            raise InstanceError("B: bad ray index %r" % k)
-        if not 0 <= i < len(rays):
-            raise InstanceError("B: ray index %d out of range" % i)
+        if k not in index:
+            raise InstanceError("B: key %r is not the index of one of the %d rays"
+                                % (k, len(rays)))
+        i = index[k]
         b[i] = parse_fraction(v, "B[%s]" % k)
         if not 0 <= b[i] <= 1:
             raise InstanceError("B[%s]: coefficient %s outside [0,1]" % (k, v))

@@ -63,11 +63,6 @@ def compose_covector(f, mat, ncols=None):
     return tuple(sum(f[i] * mat[i][j] for i in range(len(mat))) for j in range(ncols))
 
 
-def mat_mul(a, b):
-    return tuple(tuple(sum(ra[k] * b[k][j] for k in range(len(b)))
-                       for j in range(len(b[0]) if b else 0)) for ra in a)
-
-
 def transpose(mat, ncols=None):
     if not mat:
         if ncols is None:
@@ -351,9 +346,6 @@ class Sublattice:
     def rank(self):
         return len(self.basis)
 
-    def contains(self, v):
-        return self.coordinates(v) is not None
-
     def coordinates(self, v):
         """Integer coordinates of v in the basis, or None."""
         v = list(v)
@@ -366,12 +358,6 @@ class Sublattice:
             coords[i] = c
             v = [a - c * b for a, b in zip(v, row)]
         return tuple(coords) if all(a == 0 for a in v) else None
-
-    def from_coordinates(self, c):
-        v = (0,) * self.ambient_rank
-        for ci, row in zip(c, self.basis):
-            v = vec_add(v, vec_scale(ci, row))
-        return v
 
     def is_saturated(self):
         if not self.basis:

@@ -40,11 +40,12 @@ from .polyhedra import (
     GeometryError,
     Polyhedron,
     SupportSet,
+    _generators_from_ineqs,
+    _integer_row,
     _polar_raw,
     cone_from_inequalities,
     cone_from_normals,
     from_generators,
-    from_inequalities,
     gauge,
     integer_points,
     interval_image,
@@ -363,11 +364,13 @@ def analyze(tc, pair):
     psi = cartier_psi(tc, r)
     if not is_f_nef(tc, r, psi):
         raise PairError("-(K+B+D) is not f-nef")
-    box_d = from_inequalities(n, [(e, -re) for e, re in zip(fan.rays, r)])
-    if box_d.empty:
+    # box_{-K-B-D} = {m : <m, e> >= -r_e}: only its generators are needed
+    d_points, d_rays = _generators_from_ineqs(
+        [_integer_row(e, -re) for e, re in zip(fan.rays, r)], n)
+    if not d_points:
         raise PairError("empty section box")
     box = from_generators(n, [vec_add(a, p) for a in folded.bdiv_a.points
-                              for p in box_d.points], box_d.rays)
+                              for p in d_points], d_rays)
     u = _polar_raw(box)
     sigma0 = make_cone(n, u.rays) if u.rays else make_cone(n, [])
     l = n - sigma0.cone_dim()
@@ -488,7 +491,7 @@ def lct_pullback(tc, bd, phibar):
     for a, c in bd.box.ineqs:
         s = dot(a, phi)
         if s > 0:
-            cand = Fraction(-c) / s
+            cand = Fraction(-c, s)
             best = cand if best is None else min(best, cand)
         elif s == 0 and c > 0:
             raise PairError("box is infeasible along the functional")

@@ -1,15 +1,17 @@
 """Exact rational cones and polyhedra in small dimension.
 
 Both descriptions are kept on every object: generators (points + rays)
-and inequalities <a, x> >= c with primitive integer normal a and
-rational c.  Conversion runs through a single primitive, the double
-description of a cone given by homogeneous integer inequalities.  It
-does integer arithmetic only: a fraction-free echelon picks the start
-rows, one Gauss-Jordan elimination gives the start rays, and two rays
-are combined iff they are adjacent by the combinatorial test (their
-common zero set over the processed rows has at least dim-2 rows and
-lies in no third ray's zero set).  The rays come out primitive and
-sorted, so the result is deterministic.
+and inequalities <a, x> >= c, each stored as a row (a, c) of integers
+with (a, -c) primitive in Z^(n+1): the homogenized row a.x - c t >= 0
+exactly as the double description returns it.  A caller's rational row
+becomes this form in one place, `_integer_row`.  Conversion runs through
+a single primitive, the double description of a cone given by
+homogeneous integer inequalities.  It does integer arithmetic only: a
+fraction-free echelon picks the start rows, one Gauss-Jordan elimination
+gives the start rays, and two rays are combined iff they are adjacent by
+the combinatorial test (their common zero set over the processed rows
+has at least dim-2 rows and lies in no third ray's zero set).  The rays
+come out primitive and sorted, so the result is deterministic.
 
 Everything is exact (int and Fraction); there is no floating point anywhere.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd
+from math import lcm
 from operator import mul
 
 from .lattice import (
@@ -49,12 +51,19 @@ def _integer_direction(v):
     """Scale a rational vector to a primitive integer one."""
     if all(a == 0 for a in v):
         raise GeometryError("zero direction")
-    lcm = 1
-    for a in v:
-        a = Fraction(a)
-        lcm = lcm * a.denominator // gcd(lcm, a.denominator)
-    w = tuple(int(a * lcm) for a in v)
-    return primitive(w)
+    den = lcm(*(a.denominator for a in v))
+    return primitive(tuple(int(a * den) for a in v))
+
+
+def _integer_row(a, c):
+    """The rational row a.x >= c as integers (a', c') with (a', -c') primitive.
+
+    A positive multiple of the row, so it has the same solutions.  With a
+    zero normal, c > 0 gives the empty marker (0, 1); callers drop the rows
+    0 >= c with c <= 0, which hold everywhere (0 >= 0 has no such form).
+    """
+    w = _integer_direction(tuple(a) + (-c,))
+    return w[:-1], -w[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +84,8 @@ def _inverse_columns(bmat, dim):
         for i in range(dim):
             if i != c and aug[i][c]:
                 aug[i] = _cancel(aug[i], aug[c], c)
-    lcm = 1
-    for i in range(dim):
-        d = abs(aug[i][i])
-        lcm = lcm * d // gcd(lcm, d)
-    scale = [lcm // aug[i][i] for i in range(dim)]
+    den = lcm(*(aug[i][i] for i in range(dim)))
+    scale = [den // aug[i][i] for i in range(dim)]
     return [primitive(tuple(aug[i][dim + j] * scale[i] for i in range(dim)))
             for j in range(dim)]
 
@@ -225,7 +231,7 @@ class Polyhedron:
     dim: int
     points: tuple   # tuple of Fraction tuples
     rays: tuple     # tuple of primitive integer tuples (lineality as +/- pairs)
-    ineqs: tuple    # tuple of (integer normal, Fraction rhs)
+    ineqs: tuple    # sorted rows (a, c) of <a,x> >= c: int a, int c, (a, -c) primitive
 
     @property
     def empty(self):
@@ -240,29 +246,27 @@ class Polyhedron:
         return not self.rays
 
 
+def _empty(dim):
+    """The empty polyhedron, cut out by the single row 0 >= 1."""
+    return Polyhedron(dim, (), (), (((0,) * dim, 1),))
+
+
 def _homogenize_generators(points, rays):
-    rows = [tuple(p) + (Fraction(1),) for p in points]
-    rows += [tuple(Fraction(r_) for r_ in r) + (Fraction(0),) for r in rays]
-    return [_integer_direction(r) for r in rows]
+    """Primitive integer rows (p, 1) of the points and (r, 0) of the primitive rays."""
+    return ([_integer_direction(tuple(p) + (1,)) for p in points]
+            + [tuple(r) + (0,) for r in rays])
 
 
 def _ineqs_from_dual(rays, lines, dim):
-    ineqs = []
-    for gen, both in [(r, False) for r in rays] + [(l, True) for l in lines]:
-        a, c = gen[:dim], gen[dim]
-        if is_zero(a):
-            continue
-        g = content(a)
-        ineqs.append((tuple(x // g for x in a), Fraction(-c, g)))
-        if both:
-            ineqs.append((tuple(-x // g for x in a), Fraction(c, g)))
-    return tuple(sorted(set(ineqs)))
+    """Rows (a, c) of the homogenized dual rays (a, -c) and of both signs of its lines."""
+    gens = list(rays) + list(lines) + [tuple(-x for x in l) for l in lines]
+    return tuple(sorted({(g[:dim], -g[dim]) for g in gens if not is_zero(g[:dim])}))
 
 
 def _generators_from_ineqs(ineqs, dim):
-    rows = [_integer_direction(tuple(a) + (-Fraction(c),)) for a, c in ineqs]
-    tpos = [0] * dim + [1]
-    rows.append(tuple(tpos))
+    """(points, rays) of {x : a.x >= c} for integer rows (a, c)."""
+    rows = [tuple(a) + (-c,) for a, c in ineqs]
+    rows.append((0,) * dim + (1,))
     rays, lines = cone_from_inequalities(tuple(rows), dim + 1)
     points, rrays = [], []
     for r in rays:
@@ -276,15 +280,12 @@ def _generators_from_ineqs(ineqs, dim):
     return tuple(sorted(points)), tuple(sorted(set(rrays)))
 
 
-_EMPTY_MARK = ((), Fraction(1))  # "0 >= 1"
-
-
 def from_generators(dim, points, rays=()):
     """Polyhedron conv(points) + cone(rays); empty when points is empty."""
     points = [_fraction_vec(p) for p in points]
     rays = [primitive(tuple(r)) for r in rays if not is_zero(tuple(r))]
     if not points:
-        return Polyhedron(dim, (), (), ((tuple([0] * dim), Fraction(1)),))
+        return _empty(dim)
     drays, dlines = cone_from_inequalities(_homogenize_generators(points, rays), dim + 1)
     ineqs = _ineqs_from_dual(drays, dlines, dim)
     pts, rrays = _generators_from_ineqs(ineqs, dim)
@@ -292,14 +293,13 @@ def from_generators(dim, points, rays=()):
 
 
 def from_inequalities(dim, ineqs):
-    """Polyhedron {x : <a, x> >= c for (a, c) in ineqs}."""
-    ineqs = [(tuple(a), Fraction(c)) for a, c in ineqs if not is_zero(a) or Fraction(c) > 0]
-    for a, c in ineqs:
-        if is_zero(a) and c > 0:
-            return Polyhedron(dim, (), (), ((tuple([0] * dim), Fraction(1)),))
-    pts, rrays = _generators_from_ineqs(ineqs, dim)
+    """Polyhedron {x : <a, x> >= c for (a, c) in ineqs}, rational rows allowed."""
+    rows = [_integer_row(a, c) for a, c in ineqs if not (is_zero(a) and c <= 0)]
+    if any(is_zero(a) for a, _ in rows):
+        return _empty(dim)
+    pts, rrays = _generators_from_ineqs(rows, dim)
     if not pts:
-        return Polyhedron(dim, (), (), ((tuple([0] * dim), Fraction(1)),))
+        return _empty(dim)
     drays, dlines = cone_from_inequalities(_homogenize_generators(pts, rrays), dim + 1)
     return Polyhedron(dim, pts, rrays, _ineqs_from_dual(drays, dlines, dim))
 
@@ -323,14 +323,19 @@ def affine_dim(p):
 
 
 def scale_polyhedron(p, t):
-    """t * p for t > 0: points and right-hand sides scale, rays and normals stay."""
+    """t * p for t > 0: points and right-hand sides scale, rays stay.
+
+    Each scaled row is renormalized and the rows re-sorted, so on a
+    full-dimensional p the result equals from_generators of the scaled
+    points and rays.
+    """
     t = Fraction(t)
     if t <= 0:
         raise GeometryError("scale factor must be positive")
     if p.empty:
         return p
     return Polyhedron(p.dim, tuple(vec_scale(t, x) for x in p.points), p.rays,
-                      tuple((a, t * c) for a, c in p.ineqs))
+                      tuple(sorted(_integer_row(a, t * c) for a, c in p.ineqs)))
 
 
 def map_polyhedron(mat, p, dim_out):
@@ -387,24 +392,12 @@ def support_scale(t, a_set):
     return make_support([vec_scale(t, p) for p in a_set.points])
 
 
-def polar_dual(p):
-    """{y : <x, y> >= -1 for all x in p}; requires 0 in p."""
-    if not p.contains((0,) * p.dim):
-        raise GeometryError("polar duality needs 0 in the polyhedron")
-    return _polar_raw(p)
-
-
 def _polar_raw(p):
-    ineqs = [(v, Fraction(-1)) for v in p.points] + \
-            [(tuple(Fraction(x) for x in r), Fraction(0)) for r in p.rays]
-    norm = []
-    for a, c in ineqs:
-        if all(x == 0 for x in a):
-            continue
-        w = _integer_direction(a)
-        s = next(Fraction(x) / w[i] for i, x in enumerate(a) if w[i] != 0)
-        norm.append((w, c / s))
-    return from_inequalities(p.dim, norm)
+    """{y : <v, y> >= -1 for the points v of p, <r, y> >= 0 for its rays}.
+
+    For p containing 0 this is the polar {y : <x, y> >= -1 for all x in p}.
+    """
+    return from_inequalities(p.dim, [(v, -1) for v in p.points] + [(r, 0) for r in p.rays])
 
 
 def gauge(p, x):
@@ -420,7 +413,7 @@ def gauge(p, x):
             if v < 0:
                 return None
         elif v < 0 <= -c:
-            best = max(best, Fraction(v) / c)
+            best = max(best, Fraction(v, c))
     return best
 
 
@@ -448,21 +441,15 @@ def lattice_points(p):
     return list(integer_points(p.dim, p.ineqs))
 
 
-def _integer_row(a, c):
-    """(a', c') with a' primitive integer and a'.x >= c' iff a.x >= c on Z^n.
+def _tighten(a, c):
+    """(a', c') with a' primitive and a'.x >= c' iff a.x >= c on Z^n, for integer rows.
 
-    A zero normal stays zero, with the row's own constant.
+    The rhs is rounded up after dividing by the content; a zero normal stays.
     """
-    den = 1
-    for x in a:
-        d = Fraction(x).denominator
-        den = den * d // gcd(den, d)
-    a = tuple(int(x * den) for x in a)
-    c = Fraction(c) * den
     g = content(a)
-    if g == 0:
+    if g <= 1:
         return a, c
-    return tuple(x // g for x in a), ceil(c / g)
+    return tuple(x // g for x in a), -(-c // g)
 
 
 def _eliminate(rows, k):
@@ -478,11 +465,9 @@ def _eliminate(rows, k):
     lower, upper, projected = [], [], {}
 
     def add(a, c):
-        g = content(a)
-        if g == 0:
+        a, c = _tighten(a, c)
+        if not any(a):
             return c <= 0
-        if g != 1:
-            a, c = tuple(x // g for x in a), -(-c // g)
         if projected.get(a, c) <= c:
             projected[a] = c
         return True
@@ -506,14 +491,14 @@ def integer_points(dim, ineqs):
     """Integer points of {x in R^dim : a.x >= c for (a, c) in ineqs}.
 
     Project and lift.  Fourier-Motzkin elimination of x_{dim-1}, ...,
-    x_0 computes the systems S_dim ... S_0 once; every row is scaled to a
-    primitive integer normal a' and its rhs rounded up, which keeps
-    a'.x >= ceil(c) exact on integer points.  The points are then lifted
-    one coordinate at a time: x_k runs between the integer ceil and
-    floor bounds that the rows of S_{k+1} give over x_0..x_{k-1}.  Each
-    row of S_k holds on every integer point of the system, and each
-    input row bounds some coordinate, so exactly the integer points come
-    out, as int tuples in lexicographic order.
+    x_0 computes the systems S_dim ... S_0 once; every row, given or
+    combined, is scaled to a primitive integer normal a' and its rhs
+    rounded up (`_tighten`), which is exact on integer points.  The
+    points are then lifted one coordinate at a time: x_k runs between the
+    integer ceil and floor bounds that the rows of S_{k+1} give over
+    x_0..x_{k-1}.  Each row of S_k holds on every integer point of the
+    system, and each input row bounds some coordinate, so exactly the
+    integer points come out, as int tuples in lexicographic order.
 
     The elimination runs before this returns; it raises GeometryError
     for an unbounded system that it does not show to be empty.
@@ -522,7 +507,9 @@ def integer_points(dim, ineqs):
     for a, c in ineqs:
         if len(a) != dim:
             raise GeometryError("inequality has the wrong dimension")
-        a, c = _integer_row(a, c)
+        if is_zero(a) and c <= 0:
+            continue
+        a, c = _tighten(*_integer_row(a, c))
         if rows.get(a, c) <= c:
             rows[a] = c
     levels = [None] * dim

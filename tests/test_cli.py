@@ -260,6 +260,19 @@ def test_check_requires_a_nonnegative_integer_rank(tmp_path, capsys, rank):
     assert err.startswith("error: rank_N: expected a nonnegative integer")
 
 
+@pytest.mark.parametrize("key", [" 1", "+0", "1_0", "00", "-0", "2"])
+def test_check_requires_canonical_ray_keys_in_b(tmp_path, capsys, key):
+    # only str(i) for a ray index i names a ray: int() would read " 1" and
+    # "+0", read "1_0" as 10, and let "00" overwrite "0"
+    obj = json.loads(corpus_bytes("a2_identity").decode())
+    obj["B"] = {"0": "1/2", key: "0"}
+    p = tmp_path / "keys.json"
+    p.write_text(dumps_canonical(obj))
+    rc, out, err = run(capsys, "check", str(p))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: B: key %r is not the index of one of the 2 rays" % key)
+
+
 @pytest.mark.parametrize("d", [2.9, "2", True])
 def test_verify_requires_an_integer_dimension(corpus_dir, capsys, d):
     inst = str(corpus_dir / "a2_identity.json")

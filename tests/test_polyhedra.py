@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from toricmld.lattice import dot, vec_add
+from toricmld.lattice import content, dot, vec_add
 from toricmld.polyhedra import (
     GeometryError,
+    _polar_raw,
     affine_dim,
     cone_from_normals,
     from_generators,
@@ -15,7 +16,7 @@ from toricmld.polyhedra import (
     lattice_points,
     make_cone,
     make_support,
-    polar_dual,
+    map_polyhedron,
     polyhedra_equal,
     scale_polyhedron,
     strict_interior_contains,
@@ -63,13 +64,13 @@ def test_support_additivity_and_homogeneity():
 def test_polar_square_cross():
     square = from_generators(2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     cross = from_generators(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert polyhedra_equal(polar_dual(square), cross)
-    assert polyhedra_equal(polar_dual(cross), square)
+    assert polyhedra_equal(_polar_raw(square), cross)
+    assert polyhedra_equal(_polar_raw(cross), square)
 
 
 def test_polar_shifted_orthant():
     box = from_generators(2, [(-1, -1)], [(1, 0), (0, 1)])
-    u = polar_dual(box)
+    u = _polar_raw(box)
     assert polyhedra_equal(u, from_generators(2, [(0, 0), (1, 0), (0, 1)]))
     # -h_box <= 1 on u vertices, and fails just outside
     assert not u.contains((F(2, 3), F(2, 3)))
@@ -78,14 +79,8 @@ def test_polar_shifted_orthant():
 def test_polar_halfline():
     for a in (F(1, 2), F(2), F(3, 4)):
         hl = from_generators(1, [(-a,)], [(1,)])
-        seg = polar_dual(hl)
+        seg = _polar_raw(hl)
         assert polyhedra_equal(seg, from_generators(1, [(0,), (1 / a,)]))
-
-
-def test_polar_requires_origin():
-    p = from_generators(1, [(1,), (2,)])
-    with pytest.raises(GeometryError):
-        polar_dual(p)
 
 
 def test_double_polar_random():
@@ -97,7 +92,7 @@ def test_double_polar_random():
                 for _ in range(rng.randint(0, 2))]
         rays = [r for r in rays if any(r)]
         p = from_generators(n, pts, rays)
-        assert polyhedra_equal(polar_dual(polar_dual(p)), p)
+        assert polyhedra_equal(_polar_raw(_polar_raw(p)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +248,36 @@ def test_scale_polyhedron_matches_from_generators(kind):
     expected = {"bounded": (True, True), "unbounded": (False, True),
                 "lower": (True, False), "non-pointed": (False, True)}[kind]
     assert expected in shapes
+
+
+def _assert_primitive_integer_rows(p):
+    for a, c in p.ineqs:
+        assert type(c) is int and all(type(x) is int for x in a), (a, c)
+        assert len(a) == p.dim and content(a + (-c,)) == 1, (a, c)
+    assert list(p.ineqs) == sorted(p.ineqs)
+
+
+@pytest.mark.parametrize("kind", ["bounded", "unbounded", "lower", "non-pointed", "empty"])
+def test_every_constructor_stores_primitive_integer_rows(kind):
+    # each row (a, c) of a.x >= c is the homogenized dual ray (a, -c)
+    rng = random.Random(71)
+    for _ in range(20):
+        if kind == "empty":
+            n = rng.randint(1, 3)
+            e = (F(rng.randint(1, 5), rng.randint(1, 3)),) + (0,) * (n - 1)
+            p = from_inequalities(n, [(e, 1), (tuple(-x for x in e), 0)])
+            assert p.empty and p.ineqs == (((0,) * n, 1),)
+        else:
+            p = _random_scale_case(rng, kind)
+        s = F(rng.randint(1, 5), rng.randint(1, 5))
+        rows = [(tuple(s * x for x in a), s * c) for a, c in p.ineqs]
+        m = rng.randint(1, 3)
+        mat = tuple(tuple(rng.randint(-2, 2) for _ in range(p.dim)) for _ in range(m))
+        built = [p, from_inequalities(p.dim, rows), scale_polyhedron(p, s),
+                 map_polyhedron(mat, p, m), _polar_raw(p)]
+        assert polyhedra_equal(built[1], p)
+        for q in built:
+            _assert_primitive_integer_rows(q)
 
 
 def test_strict_interior():
