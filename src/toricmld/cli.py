@@ -189,17 +189,35 @@ def _gamma_too_long(d, a):
     return 30103 * max(num, den) // 100000 >= GAMMA_DIGIT_LIMIT
 
 
+def _gamma_args(dim, mld):
+    """(d, a) from the strings of --dim and --mld; ValueError naming the flag
+    and the value unless d is an integer >= 1 and a a positive rational."""
+    try:
+        d = int(dim)
+    except ValueError:
+        d = 0
+    if d < 1:
+        raise ValueError("--dim: expected an integer d >= 1, got %r" % dim)
+    try:
+        a = Fraction(mld)
+    except (ValueError, ZeroDivisionError):
+        a = 0
+    if a <= 0:
+        raise ValueError("--mld: expected a positive rational such as 2/3, got %r" % mld)
+    return d, a
+
+
 def cmd_gamma(args):
     try:
-        d = int(args.dim)
-        a = Fraction(args.mld)
-        if d >= 1 and a > 0 and _gamma_too_long(d, a):
-            return _fail(args, 2, "gamma(%d, %s) may have more than %d digits"
-                         % (d, frac_str(a), GAMMA_DIGIT_LIMIT))
-        rec = gamma(d, a)
-        closed = gamma_closed(d, a)
-    except (ValueError, ZeroDivisionError) as exc:
+        d, a = _gamma_args(args.dim, args.mld)
+    except ValueError as exc:
         return _fail(args, 2, str(exc))
+    if _gamma_too_long(d, a):
+        # a itself may be too long for frac_str, so the message quotes --mld
+        return _fail(args, 2, "gamma(%d, %s) may have more than %d digits"
+                     % (d, args.mld, GAMMA_DIGIT_LIMIT))
+    rec = gamma(d, a)
+    closed = gamma_closed(d, a)
     if rec != closed:
         return _fail(args, 1, "recursion %s and closed form %s disagree"
                      % (frac_str(rec), frac_str(closed)))
@@ -213,6 +231,8 @@ def cmd_gamma(args):
 def cmd_gen(args):
     import os
 
+    if args.count < 0:
+        return _fail(args, 2, "--count: expected a nonnegative integer, got %d" % args.count)
     written = []
     for i in range(args.count):
         seed = args.seed + i

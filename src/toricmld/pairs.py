@@ -40,6 +40,8 @@ from .polyhedra import (
     GeometryError,
     Polyhedron,
     SupportSet,
+    _gauge_ratio,
+    _gauge_rows,
     _generators_from_ineqs,
     _integer_row,
     _polar_raw,
@@ -440,7 +442,11 @@ def mld_over_fiber(tc, bd):
     t_cap * up interior to the image of the support, t_cap being the
     gauge of the fiber witness; for an integer dual ray d and a lattice
     point v, d.v > 0 is d.v >= 1, so the interior enters the enumeration
-    as cuts and only the candidates are enumerated.
+    as cuts and only the candidates are enumerated.  The gauge of up is
+    checked once (`_gauge_rows`, after the one `gauge` call for t_cap);
+    each candidate then goes through the integer kernel `_gauge_ratio`,
+    the running minimum is an integer pair compared by cross-multiplying,
+    and one Fraction is built at the end.
     """
     if tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
@@ -456,6 +462,7 @@ def mld_over_fiber(tc, bd):
     t_cap = gauge(up, pstar)
     if t_cap is None or t_cap <= 0:
         raise PairError("the fiber witness must have a positive gauge")
+    rows = _gauge_rows(up)
     sup_gens = [g2 for g2 in (apply_hom(proj, g) for g in tc.support.generators)
                 if not is_zero(g2)]
     pcone = make_cone(bd.l, sup_gens)
@@ -464,14 +471,14 @@ def mld_over_fiber(tc, bd):
     cuts = [(a, t_cap * c) for a, c in up.ineqs] + [(d, 1) for d in pcone.dual_rays]
     best = None
     for v in integer_points(bd.l, cuts):
-        g = gauge(up, v)
-        if g is None or g <= 0:
+        g = _gauge_ratio(rows, v)
+        if g is None or g[0] <= 0:
             raise PairError("an enumerated point must have a positive gauge")
-        if best is None or g < best:
+        if best is None or g[0] * best[1] < best[0] * g[1]:
             best = g
     if best is None:
         raise PairError("the witness point must be enumerated")
-    return best
+    return Fraction(*best)
 
 
 def lct_pullback(tc, bd, phibar):

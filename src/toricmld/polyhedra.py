@@ -24,6 +24,7 @@ from math import lcm
 from operator import mul
 
 from .lattice import (
+    LatticeError,
     _cancel,
     _independent_rows,
     content,
@@ -400,21 +401,57 @@ def _polar_raw(p):
     return from_inequalities(p.dim, [(v, -1) for v in p.points] + [(r, 0) for r in p.rays])
 
 
-def gauge(p, x):
-    """inf{t > 0 : x in t*p} for compact p containing 0; Fraction or None (+inf)."""
+def _gauge_rows(p):
+    """Check p once for the gauge and return the rows it reads: (facets, through_zero).
+
+    p must be compact and contain 0, so every row (a, c) of p has c <= 0.
+    facets holds (a, -c) for the rows with c < 0, through_zero the normals
+    a of the rows with c = 0.  `_gauge_ratio` evaluates any number of
+    points against them.
+    """
     if not p.is_compact():
         raise GeometryError("gauge needs a compact polyhedron")
     if not p.contains((0,) * p.dim):
         raise GeometryError("gauge needs 0 in the polyhedron")
-    best = Fraction(0)
-    for a, c in p.ineqs:
-        v = dot(a, x)
-        if c == 0:
-            if v < 0:
-                return None
-        elif v < 0 <= -c:
-            best = max(best, Fraction(v, c))
-    return best
+    return (tuple((a, -c) for a, c in p.ineqs if c),
+            tuple(a for a, c in p.ineqs if not c))
+
+
+def _gauge_ratio(rows, x):
+    """The gauge of x as a pair (n, d) with d > 0, or None for +inf.
+
+    rows is `_gauge_rows(p)`.  x lies in t*p iff a.x >= 0 on every row
+    through 0 and a.x >= -t*m on every facet (a, m), so the gauge is None
+    if some row through 0 has a.x < 0, and otherwise the largest s/m over
+    the facets with s = -(a.x), or (0, 1) if no s is positive.  The ratios
+    are compared as s*d > n*m from (n, d) = (0, 1), with no Fraction
+    built: integers in, integers out, for an integer x.
+    """
+    facets, through_zero = rows
+    for a in through_zero:
+        if sum(map(mul, a, x)) < 0:
+            return None
+    n, d = 0, 1
+    for a, m in facets:
+        s = -sum(map(mul, a, x))
+        if s * d > n * m:
+            n, d = s, m
+    return n, d
+
+
+def gauge(p, x):
+    """inf{t > 0 : x in t*p} for compact p containing 0; Fraction or None (+inf).
+
+    The check step `_gauge_rows` runs once per call, then the integer
+    kernel `_gauge_ratio` evaluates x; a caller with many points to
+    evaluate against one p runs the two parts itself.  The kernel does not
+    compare lengths, so the dimension of x is checked here.
+    """
+    rows = _gauge_rows(p)
+    if len(x) != p.dim:
+        raise LatticeError("dimension mismatch: %d vs %d" % (p.dim, len(x)))
+    ratio = _gauge_ratio(rows, x)
+    return None if ratio is None else Fraction(*ratio)
 
 
 def interval_image(phi, p):

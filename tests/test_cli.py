@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import toricmld
 from toricmld.cli import main
 from toricmld.instances import (
     CORPUS,
@@ -198,6 +202,53 @@ def test_gamma_command_refuses_results_too_long_to_print(capsys):
         rc, out, err = run(capsys, "gamma", "--dim", dim, "--mld", mld)
         assert rc == 2 and out == ""
         assert "may have more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--dim", "abc", "an integer d >= 1"),
+    ("--dim", "2.5", "an integer d >= 1"),
+    ("--dim", "0", "an integer d >= 1"),
+    ("--mld", "1/0", "a positive rational such as 2/3"),
+    ("--mld", "abc", "a positive rational such as 2/3"),
+    ("--mld", "-1", "a positive rational such as 2/3"),
+])
+def test_gamma_names_the_bad_argument(capsys, flag, value, expected):
+    argv = {"--dim": "3", "--mld": "2/3"}
+    argv[flag] = value
+    rc, out, err = run(capsys, "gamma", "--dim", argv["--dim"], "--mld", argv["--mld"])
+    assert rc == 2 and out == ""
+    assert err == "error: %s: expected %s, got '%s'\n" % (flag, expected, value)
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_gamma_refuses_an_mld_too_long_to_print(capsys, dim):
+    # the refusal quotes --mld as given: a has 5001 digits, past what
+    # frac_str can print
+    rc, out, err = run(capsys, "gamma", "--dim", dim, "--mld", "1e5000")
+    assert rc == 2 and out == ""
+    assert err == "error: gamma(%s, 1e5000) may have more than 4300 digits\n" % dim
+
+
+def test_gen_rejects_a_negative_count(tmp_path, capsys):
+    rc, out, err = run(capsys, "gen", "--count", "-1", "--out-dir", str(tmp_path))
+    assert rc == 2 and out == ""
+    assert err == "error: --count: expected a nonnegative integer, got -1\n"
+    rc, out, _ = run(capsys, "gen", "--count", "0", "--out-dir", str(tmp_path), "--json")
+    assert rc == 0 and json.loads(out) == {"written": []}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_runs_the_command():
+    # a checkout is never installed: python -m toricmld with src/ on the
+    # path is how it runs the command
+    src = os.path.dirname(os.path.dirname(toricmld.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "toricmld", "gamma", "--dim", "3",
+                           "--mld", "2/3"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "recursion:   4/6561\nclosed form: 4/6561\nagree: yes\n"
 
 
 def test_gen_command(tmp_path, capsys):

@@ -4,6 +4,10 @@
 implementations of `lattice_points` and `mld_over_fiber`, kept here as
 slow references: every point of the bounding box is tested with Fraction
 `contains`, and each mld candidate with `Cone.interior_contains`.
+`reference_gauge` is the former Fraction `gauge`, which checks p on
+every call and takes the max of one Fraction per facet; `reference_mld`
+uses it, so the integer gauge kernel is checked against code it does
+not share.
 """
 
 import itertools
@@ -19,10 +23,12 @@ import toricmld.pairs
 from conftest import germ, zero_pair
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
-from toricmld.lattice import apply_hom, dot, identity, is_zero
+from toricmld.lattice import LatticeError, apply_hom, dot, identity, is_zero
 from toricmld.pairs import _fiber_witness, analyze, make_pair, mld_over_fiber
 from toricmld.polyhedra import (
     GeometryError,
+    _gauge_ratio,
+    _gauge_rows,
     affine_dim,
     from_generators,
     from_inequalities,
@@ -47,6 +53,23 @@ def reference_lattice_points(p):
     return [v for v in itertools.product(*ranges) if p.contains(v)]
 
 
+def reference_gauge(p, x):
+    """inf{t > 0 : x in t*p} for compact p containing 0; Fraction or None (+inf)."""
+    if not p.is_compact():
+        raise GeometryError("gauge needs a compact polyhedron")
+    if not p.contains((0,) * p.dim):
+        raise GeometryError("gauge needs 0 in the polyhedron")
+    best = F(0)
+    for a, c in p.ineqs:
+        v = dot(a, x)
+        if c == 0:
+            if v < 0:
+                return None
+        elif v < 0 <= -c:
+            best = max(best, F(v, c))
+    return best
+
+
 def reference_mld(tc, bd):
     """mld_over_fiber as a scan of the box of t_cap * up, point by point."""
     if bd.l == 0:
@@ -54,7 +77,7 @@ def reference_mld(tc, bd):
     proj, up = bd.quotient
     if strict_interior_contains(up, (0,) * bd.l):
         return None
-    t_cap = gauge(up, apply_hom(proj, _fiber_witness(tc.fan)))
+    t_cap = reference_gauge(up, apply_hom(proj, _fiber_witness(tc.fan)))
     assert t_cap is not None and t_cap > 0
     sup_gens = [g2 for g2 in (apply_hom(proj, g) for g in tc.support.generators)
                 if not is_zero(g2)]
@@ -63,7 +86,7 @@ def reference_mld(tc, bd):
     for v in reference_lattice_points(scale_polyhedron(up, t_cap)):
         if is_zero(v) or not pcone.interior_contains(v):
             continue
-        g = gauge(up, v)
+        g = reference_gauge(up, v)
         assert g is not None and g > 0
         if best is None or g < best:
             best = g
@@ -202,3 +225,112 @@ def test_mld_needs_the_witness_point(monkeypatch, a2_germ):
     monkeypatch.setattr(toricmld.pairs, "integer_points", lambda dim, ineqs: iter(()))
     with pytest.raises(toricmld.pairs.PairError, match="witness point must be enumerated"):
         mld_over_fiber(a2_germ, bd)
+
+
+def random_polytopes_with_origin(rng, count):
+    """Compact polytopes containing 0, dims 1-4, with Fraction vertices.
+
+    Kinds by i % 3: 0 around the origin (mostly interior), 0 a vertex (all
+    points in the nonnegative orthant, so rows run through 0), and
+    lower-dimensional through 0 (a line or a plane, rows through 0 on both
+    sides).
+    """
+    for i in range(count):
+        n = 1 + (i // 3) % 4
+        kind = i % 3
+        if kind == 2:
+            dirs = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(rng.randint(1, max(1, n - 1)))]
+            pts = [tuple(sum(rand_rational(rng, 3) * d[j] for d in dirs) for j in range(n))
+                   for _ in range(rng.randint(1, 4))]
+        else:
+            pts = [tuple(rand_rational(rng) for _ in range(n))
+                   for _ in range(rng.randint(1, n + 4))]
+            if kind == 1:
+                pts = [tuple(abs(v) for v in x) for x in pts]
+        yield from_generators(n, pts + [(0,) * n])
+
+
+def gauge_probes(rng, p):
+    """0, vertices, scaled vertices, midpoints, both sides of every row through 0,
+    and random integer and Fraction points."""
+    n = p.dim
+    yield (0,) * n
+    for v in p.points:
+        yield v
+        yield tuple(F(1, 2) * x for x in v)
+        yield tuple(3 * x for x in v)
+    for u, w in zip(p.points, p.points[1:]):
+        yield tuple((x + y) / 2 for x, y in zip(u, w))
+    for a, c in p.ineqs:
+        if c == 0:
+            yield a
+            yield tuple(-x for x in a)
+    for _ in range(8):
+        yield tuple(rng.randint(-6, 6) for _ in range(n))
+        yield tuple(rand_rational(rng) for _ in range(n))
+
+
+def test_gauge_matches_reference_gauge_on_polytopes_containing_zero():
+    rng = random.Random(71)
+    seen = {"inf": 0, "zero": 0, "positive": 0, "dims": set()}
+    for p in random_polytopes_with_origin(rng, 240):
+        seen["dims"].add(p.dim)
+        rows = _gauge_rows(p)
+        for x in gauge_probes(rng, p):
+            expect = reference_gauge(p, x)
+            got = gauge(p, x)
+            assert got == expect, (p.ineqs, x)
+            ratio = _gauge_ratio(rows, x)
+            if expect is None:
+                assert ratio is None
+                seen["inf"] += 1
+            else:
+                n, d = ratio
+                assert type(got) is F and d > 0 and F(n, d) == expect
+                # no positive s leaves the start pair (0, 1)
+                assert expect != 0 or ratio == (0, 1)
+                seen["zero" if expect == 0 else "positive"] += 1
+        lift = 1 - min(v[0] for v in p.points)
+        shifted = from_generators(p.dim, [(v[0] + lift,) + v[1:] for v in p.points])
+        for g in (gauge, reference_gauge):
+            with pytest.raises(GeometryError, match="0 in the polyhedron"):
+                g(shifted, (1,) * p.dim)
+            with pytest.raises(LatticeError, match="dimension mismatch"):
+                g(p, (0,) * (p.dim + 1))
+    assert seen["dims"] == {1, 2, 3, 4}
+    assert min(seen["inf"], seen["zero"], seen["positive"]) >= 50, seen
+
+
+@pytest.fixture()
+def counted_gauge(monkeypatch):
+    """The number of calls of the gauge that pairs uses, since the last reset."""
+    calls = [0]
+    inner = toricmld.pairs.gauge
+
+    def counting(p, x):
+        calls[0] += 1
+        return inner(p, x)
+
+    monkeypatch.setattr(toricmld.pairs, "gauge", counting)
+    return calls
+
+
+def test_mld_calls_gauge_once_and_matches_reference(counted_gauge):
+    # the gauge checks run once per mld_over_fiber, for t_cap; every
+    # candidate goes through the integer kernel, not through gauge
+    cases = []
+    for name in CORPUS:
+        tc, pair, _obj = load_corpus(name)
+        _folded, _psi, bd = analyze(tc, pair)
+        cases.append((name, tc, bd))
+    cases += list(_generated(range(1000, 1016)))
+    scanned = 0
+    for name, tc, bd in cases:
+        counted_gauge[0] = 0
+        got = mld_over_fiber(tc, bd)
+        # mld_over_fiber returns None only before it computes t_cap
+        assert counted_gauge[0] == (got is not None), name
+        assert got == reference_mld(tc, bd), name
+        scanned += got is not None
+    assert scanned >= 20
