@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -189,21 +190,48 @@ def _gamma_too_long(d, a):
     return 30103 * max(num, den) // 100000 >= GAMMA_DIGIT_LIMIT
 
 
+# a decimal with an exponent, in the grammar of Fraction()
+_SCIENTIFIC = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                         r"(?:\.(\d*|\d+(?:_\d+)*))?E([-+]?\d+(?:_\d+)*)\s*",
+                         re.IGNORECASE)
+
+
 def _gamma_args(dim, mld):
     """(d, a) from the strings of --dim and --mld; ValueError naming the flag
-    and the value unless d is an integer >= 1 and a a positive rational."""
+    and the value unless d is an integer >= 1 and a a positive rational.
+
+    a is None when --mld is a decimal m * 10^e whose value has more than
+    GAMMA_DIGIT_LIMIT digits in its numerator or denominator.  That is
+    decided from the lengths of m and e, because Fraction() computes 10^|e|
+    first: the value is at least 10^(e - f) for f fractional digits, and
+    below 10^(e - f + l) for l digits in all.  Every decimal that reaches
+    Fraction() has |e| <= GAMMA_DIGIT_LIMIT + len(mld).
+    """
     try:
         d = int(dim)
     except ValueError:
         d = 0
     if d < 1:
         raise ValueError("--dim: expected an integer d >= 1, got %r" % dim)
+    bad_mld = ValueError("--mld: expected a positive rational such as 2/3, got %r" % mld)
+    match = _SCIENTIFIC.fullmatch(mld)
+    if match is not None:
+        sign, whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
+        try:
+            # the conversions Fraction() makes, with its limit on digits
+            e, zero = int(exp), int(whole or "0") == int(frac or "0") == 0
+        except ValueError:
+            raise bad_mld from None
+        if sign == "-" or zero:
+            raise bad_mld
+        if e - len(frac) > GAMMA_DIGIT_LIMIT or -e - len(whole) > GAMMA_DIGIT_LIMIT:
+            return d, None
     try:
         a = Fraction(mld)
     except (ValueError, ZeroDivisionError):
         a = 0
     if a <= 0:
-        raise ValueError("--mld: expected a positive rational such as 2/3, got %r" % mld)
+        raise bad_mld
     return d, a
 
 
@@ -212,7 +240,7 @@ def cmd_gamma(args):
         d, a = _gamma_args(args.dim, args.mld)
     except ValueError as exc:
         return _fail(args, 2, str(exc))
-    if _gamma_too_long(d, a):
+    if a is None or _gamma_too_long(d, a):
         # a itself may be too long for frac_str, so the message quotes --mld
         return _fail(args, 2, "gamma(%d, %s) may have more than %d digits"
                      % (d, args.mld, GAMMA_DIGIT_LIMIT))

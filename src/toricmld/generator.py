@@ -207,7 +207,15 @@ def random_instance(seed):
     """Deterministic valid instance for the given seed.
 
     Returns (tc, pair, meta); the pair is R-Cartier, f-nef, g-lc, and has
-    positive mld over the fiber (the search hypotheses, checked exactly).
+    positive mld over the fiber (the search hypotheses, checked exactly),
+    and the contraction passes validate_contraction.
+
+    The cheap rejections run first: most samples fail the boundary test
+    in make_pair or the f-nef test in analyze.  validate_contraction is
+    the last check, run once on the candidate about to be returned.  It
+    draws nothing from rng, so where it runs changes neither the random
+    stream, nor the instance, nor meta["attempts"]; a contraction it
+    rejects counts as one more rejected sample.
     """
     rng = random.Random(seed)
     for attempt in range(MAX_ATTEMPTS):
@@ -222,13 +230,13 @@ def random_instance(seed):
             support = cone_from_normals(n, normals)
             fan = _build_fan(rng, support, n)
             tc = make_contraction(fan, pi, sigma_bar.generators)
-            validate_contraction(tc)
             pair = _candidate_pair(rng, tc)
             _folded, _psi, bd = analyze(tc, pair)
             if not is_glc(bd):
                 raise PairError("sampled pair not g-lc")
             if mld_over_fiber(tc, bd) is None:
                 raise PairError("sampled pair has non-positive mld")
+            validate_contraction(tc)
             return tc, pair, {"seed": seed, "attempts": attempt + 1,
                               "rank": n, "base_rank": nbar}
         except (PairError, GeometryError, LatticeError):

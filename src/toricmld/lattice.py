@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 class LatticeError(ValueError):
@@ -28,7 +29,7 @@ class LatticeError(ValueError):
 def dot(u, v):
     if len(u) != len(v):
         raise LatticeError("dimension mismatch: %d vs %d" % (len(u), len(v)))
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v):
@@ -72,11 +73,8 @@ def transpose(mat, ncols=None):
 
 
 def content(v):
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    """gcd of the entries (0 for the zero or empty vector)."""
+    return gcd(*v)
 
 
 def primitive(v):

@@ -229,6 +229,34 @@ def test_gamma_refuses_an_mld_too_long_to_print(capsys, dim):
     assert err == "error: gamma(%s, 1e5000) may have more than 4300 digits\n" % dim
 
 
+@pytest.mark.parametrize("mld, reason", [
+    ("1e20000000", "gamma(2, 1e20000000) may have more than 4300 digits"),
+    ("1E-20000000", "gamma(2, 1E-20000000) may have more than 4300 digits"),
+    ("0e99999999", "--mld: expected a positive rational such as 2/3, got '0e99999999'"),
+    ("-1e99999999", "--mld: expected a positive rational such as 2/3, got '-1e99999999'"),
+])
+def test_gamma_refuses_a_huge_exponent_without_expanding_it(mld, reason):
+    # Fraction() would compute 10^|e| first, for seconds to minutes
+    src = os.path.dirname(os.path.dirname(toricmld.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "toricmld", "gamma", "--dim", "2",
+                           "--mld=" + mld], capture_output=True, text=True, env=env,
+                          timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % reason
+
+
+@pytest.mark.parametrize("mld, expected", [
+    ("0.0001e4302", "1" + "0" * 4298),
+    ("1" + "0" * 50 + "e-4340", "1/1" + "0" * 4290),
+])
+def test_gamma_expands_an_exponent_that_the_mantissa_brings_back(capsys, mld, expected):
+    # the exponent alone is past 4300, the value is not: gamma(1, a) = a
+    rc, out, _ = run(capsys, "gamma", "--dim", "1", "--mld", mld, "--json")
+    assert rc == 0 and json.loads(out)["gamma"] == expected
+
+
 def test_gen_rejects_a_negative_count(tmp_path, capsys):
     rc, out, err = run(capsys, "gen", "--count", "-1", "--out-dir", str(tmp_path))
     assert rc == 2 and out == ""

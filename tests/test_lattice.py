@@ -6,6 +6,7 @@ import pytest
 from toricmld.lattice import (
     LatticeError,
     Sublattice,
+    content,
     dot,
     extend_hom,
     hnf,
@@ -34,6 +35,15 @@ def det(m):
         return m[0][0]
     return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(n))
+
+
+def test_dot_and_content():
+    assert dot((2, -3, 5), (4, 1, -1)) == 0 and dot((), ()) == 0
+    assert dot((F(1, 2), 3), (F(2, 3), F(-1, 9))) == 0
+    with pytest.raises(LatticeError, match="dimension mismatch: 2 vs 3"):
+        dot((1, 2), (1, 2, 3))
+    assert content((6, -4, 0)) == 2 and content((-7,)) == 7
+    assert content((0, 0)) == 0 and content(()) == 0
 
 
 def rand_matrix(rng, nr, nc, lim=9):

@@ -9,6 +9,7 @@ test fail.  The tracer is only imported here, never changed.
 import importlib.util
 from pathlib import Path
 
+import toricmld.generator as generator
 import toricmld.search as search
 from toricmld.instances import load_corpus
 
@@ -37,3 +38,13 @@ def test_traced_find_and_verify_report_layer_metrics():
     assert m["search.verify_calls"] == 1
     assert m["pairs.analyze_calls"] >= 2 and m["pairs.mld_calls"] >= 2
     assert m["polyhedra.dd_calls"] > 0 and m["trace.spans"] > 0
+
+
+def test_traced_generator_validates_only_the_instance_it_returns():
+    tracer_mod = _tracer_module()
+    t = tracer_mod.Tracer()
+    with t:
+        _tc, _pair, meta = generator.random_instance(2000)
+    m = tracer_mod.layer_metrics(t, 1.0, 0.0)
+    assert m["pairs.validate_calls"] == 1
+    assert m["generator.attempts"] == meta["attempts"] > 1
