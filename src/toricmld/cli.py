@@ -1,18 +1,28 @@
 """Command-line front end.
 
 Subcommands: check | mld | lc | lct | find | verify | oracle-mld | gamma,
-plus gen for the seeded instance generator.  Exit codes: 0 ok,
-1 verification failure or negative result (gamma: the recursion and the
-closed form disagree), 2 invalid input, a gamma value whose numerator or
-denominator may exceed GAMMA_DIGIT_LIMIT digits, or an output file that
-cannot be written.  All values print as exact rationals "p/q"; --json
-switches to machine output.
+plus gen for the seeded instance generator.  All values print as exact
+rationals "p/q"; --json switches to machine output, errors included.
+
+Exit codes:
+  0  ok
+  1  a negative result: the pair is not g-lc, the mld is not positive,
+     the certificate is rejected, the oracle box holds no interior point,
+     or gamma's recursion and closed form disagree
+  2  invalid input: any InstanceError or PairError from a command exits 2
+     with its message.  That covers a malformed instance or certificate,
+     a pair outside the hypotheses, a bad --phibar, --dim, --mld or
+     --count, a gamma value whose numerator or denominator may exceed
+     GAMMA_DIGIT_LIMIT digits, and an output file that cannot be written.
+     argparse exits 2 as well on a missing or malformed option.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -46,26 +56,25 @@ def _fail(args, code, message):
     return code
 
 
+def _box(args):
+    """(tc, bd) of the instance file args.instance, loaded and analyzed."""
+    tc, pair, _obj = load_instance(args.instance)
+    _folded, _psi, bd = analyze(tc, pair)
+    return tc, bd
+
+
 def cmd_check(args):
-    try:
-        tc, pair, _obj = load_instance(args.instance)
-        analyze(tc, pair)
-    except (InstanceError, PairError) as exc:
-        return _fail(args, 2, str(exc))
+    tc, _bd = _box(args)
     _emit(args, {"valid": True, "rank": tc.rank, "base_rank": tc.base_rank},
           ["valid: rank %d germ over a rank-%d base" % (tc.rank, tc.base_rank)])
     return 0
 
 
 def cmd_mld(args):
-    try:
-        tc, pair, _obj = load_instance(args.instance)
-        _folded, _psi, bd = analyze(tc, pair)
-        if not is_glc(bd):
-            return _fail(args, 1, "pair is not g-lc")
-        val = mld_over_fiber(tc, bd)
-    except (InstanceError, PairError) as exc:
-        return _fail(args, 2, str(exc))
+    tc, bd = _box(args)
+    if not is_glc(bd):
+        return _fail(args, 1, "pair is not g-lc")
+    val = mld_over_fiber(tc, bd)
     if val is None:
         _emit(args, {"mld": None}, ["not positive"])
         return 1
@@ -74,12 +83,8 @@ def cmd_mld(args):
 
 
 def cmd_lc(args):
-    try:
-        tc, pair, _obj = load_instance(args.instance)
-        _folded, _psi, bd = analyze(tc, pair)
-        glc = is_glc(bd)
-    except (InstanceError, PairError) as exc:
-        return _fail(args, 2, str(exc))
+    _tc, bd = _box(args)
+    glc = is_glc(bd)
     _emit(args, {"glc": glc}, ["g-lc: %s" % ("yes" if glc else "no")])
     return 0 if glc else 1
 
@@ -92,28 +97,25 @@ def _parse_phibar(s):
 
 
 def cmd_lct(args):
-    try:
-        phibar = _parse_phibar(args.phibar)
-        tc, pair, _obj = load_instance(args.instance)
-        _folded, _psi, bd = analyze(tc, pair)
-        val = lct_pullback(tc, bd, phibar)
-    except (InstanceError, PairError) as exc:
-        return _fail(args, 2, str(exc))
+    phibar = _parse_phibar(args.phibar)
+    tc, bd = _box(args)
+    val = lct_pullback(tc, bd, phibar)
     _emit(args, {"lct": frac_str(val)}, [frac_str(val)])
     return 0
 
 
+def _cannot_write(path, exc):
+    return InstanceError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def cmd_find(args):
-    try:
-        tc, pair, _obj = load_instance(args.instance)
-        cert = find_hyperplane(tc, pair)
-    except (InstanceError, PairError) as exc:
-        return _fail(args, 2, str(exc))
+    tc, pair, _obj = load_instance(args.instance)
+    cert = find_hyperplane(tc, pair)
     out = args.out or _default_cert_path(args.instance)
     try:
         save_certificate(out, cert)
     except OSError as exc:
-        return _fail(args, 2, "cannot write %s: %s" % (out, exc.strerror or exc))
+        raise _cannot_write(out, exc) from exc
     _emit(args,
           {"phi_bar": list(cert.phi_bar), "gamma": frac_str(cert.gamma),
            "mld": frac_str(cert.mld), "certificate": out},
@@ -130,11 +132,8 @@ def _default_cert_path(instance_path):
 
 
 def cmd_verify(args):
-    try:
-        tc, pair, _obj = load_instance(args.instance)
-        cert = load_certificate(args.certificate)
-    except (InstanceError, PairError) as exc:
-        return _fail(args, 2, str(exc))
+    tc, pair, _obj = load_instance(args.instance)
+    cert = load_certificate(args.certificate)
     ok, reasons = verify_certificate(tc, pair, cert)
     if ok:
         _emit(args, {"verified": True}, ["certificate OK"])
@@ -145,13 +144,9 @@ def cmd_verify(args):
 
 
 def cmd_oracle_mld(args):
-    try:
-        tc, pair, _obj = load_instance(args.instance)
-        _folded, _psi, bd = analyze(tc, pair)
-        found = oracle_mld(tc, bd, args.box)
-        algo = mld_over_fiber(tc, bd) if is_glc(bd) else None
-    except (InstanceError, PairError) as exc:
-        return _fail(args, 2, str(exc))
+    tc, bd = _box(args)
+    found = oracle_mld(tc, bd, args.box)
+    algo = mld_over_fiber(tc, bd) if is_glc(bd) else None
     if found is None:
         _emit(args, {"oracle_mld": None, "box": args.box},
               ["no interior lattice point within box radius %d" % args.box])
@@ -197,8 +192,8 @@ _SCIENTIFIC = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
 
 
 def _gamma_args(dim, mld):
-    """(d, a) from the strings of --dim and --mld; ValueError naming the flag
-    and the value unless d is an integer >= 1 and a a positive rational.
+    """(d, a) from the strings of --dim and --mld; InstanceError naming the
+    flag and the value unless d is an integer >= 1 and a a positive rational.
 
     a is None when --mld is a decimal m * 10^e whose value has more than
     GAMMA_DIGIT_LIMIT digits in its numerator or denominator.  That is
@@ -212,8 +207,8 @@ def _gamma_args(dim, mld):
     except ValueError:
         d = 0
     if d < 1:
-        raise ValueError("--dim: expected an integer d >= 1, got %r" % dim)
-    bad_mld = ValueError("--mld: expected a positive rational such as 2/3, got %r" % mld)
+        raise InstanceError("--dim: expected an integer d >= 1, got %r" % dim)
+    bad_mld = InstanceError("--mld: expected a positive rational such as 2/3, got %r" % mld)
     match = _SCIENTIFIC.fullmatch(mld)
     if match is not None:
         sign, whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
@@ -236,14 +231,11 @@ def _gamma_args(dim, mld):
 
 
 def cmd_gamma(args):
-    try:
-        d, a = _gamma_args(args.dim, args.mld)
-    except ValueError as exc:
-        return _fail(args, 2, str(exc))
+    d, a = _gamma_args(args.dim, args.mld)
     if a is None or _gamma_too_long(d, a):
         # a itself may be too long for frac_str, so the message quotes --mld
-        return _fail(args, 2, "gamma(%d, %s) may have more than %d digits"
-                     % (d, args.mld, GAMMA_DIGIT_LIMIT))
+        raise InstanceError("gamma(%d, %s) may have more than %d digits"
+                            % (d, args.mld, GAMMA_DIGIT_LIMIT))
     rec = gamma(d, a)
     closed = gamma_closed(d, a)
     if rec != closed:
@@ -257,10 +249,8 @@ def cmd_gamma(args):
 
 
 def cmd_gen(args):
-    import os
-
     if args.count < 0:
-        return _fail(args, 2, "--count: expected a nonnegative integer, got %d" % args.count)
+        raise InstanceError("--count: expected a nonnegative integer, got %d" % args.count)
     written = []
     for i in range(args.count):
         seed = args.seed + i
@@ -271,83 +261,61 @@ def cmd_gen(args):
             os.makedirs(args.out_dir, exist_ok=True)
             save_instance(path, tc, pair, "generated instance, seed %d" % seed)
         except OSError as exc:
-            return _fail(args, 2, "cannot write %s: %s" % (path, exc.strerror or exc))
+            raise _cannot_write(path, exc) from exc
         written.append(path)
     _emit(args, {"written": written},
           ["wrote %d instance(s) to %s" % (len(written), args.out_dir)])
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="toricmld",
         description="Exact mld/lct computations and certified invariant "
                     "hyperplane sections for germs of toric Fano contractions.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def add(name, func, help, positionals=("instance",), options=None):
+        sp = sub.add_parser(name, help=help)
+        for pos in positionals:
+            sp.add_argument(pos)
+        for flag, kwargs in (options or {}).items():
+            sp.add_argument(flag, **kwargs)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("check", help="validate an instance file")
-    sp.add_argument("instance")
-    common(sp)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("mld", help="minimal log discrepancy over the fiber")
-    sp.add_argument("instance")
-    common(sp)
-    sp.set_defaults(func=cmd_mld)
-
-    sp = sub.add_parser("lc", help="generalized log canonical test")
-    sp.add_argument("instance")
-    common(sp)
-    sp.set_defaults(func=cmd_lc)
-
-    sp = sub.add_parser("lct", help="lct of a pulled-back invariant hyperplane")
-    sp.add_argument("instance")
-    sp.add_argument("--phibar", required=True,
-                    help="functional on the base, e.g. 1,0; write a leading "
-                         "minus as --phibar=-1,0")
-    common(sp)
-    sp.set_defaults(func=cmd_lct)
-
-    sp = sub.add_parser("find", help="search a certified hyperplane section")
-    sp.add_argument("instance")
-    sp.add_argument("--out", help="certificate path (default: <instance>.cert.json)")
-    common(sp)
-    sp.set_defaults(func=cmd_find)
-
-    sp = sub.add_parser("verify", help="re-check a certificate independently")
-    sp.add_argument("instance")
-    sp.add_argument("certificate")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("oracle-mld", help="brute-force mld scan in a box")
-    sp.add_argument("instance")
-    sp.add_argument("--box", type=int, required=True,
-                    help="box radius r; (2r+1)^rank must not exceed 10^6 (exit 2)")
-    common(sp)
-    sp.set_defaults(func=cmd_oracle_mld)
-
-    sp = sub.add_parser("gamma", help="the bound function gamma(d, a)")
-    sp.add_argument("--dim", required=True, help="dimension d >= 1")
-    sp.add_argument("--mld", required=True, help="positive rational a, e.g. 2/3")
-    common(sp)
-    sp.set_defaults(func=cmd_gamma)
-
-    sp = sub.add_parser("gen", help="write seeded random valid instances")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--out-dir", default=".")
-    common(sp)
-    sp.set_defaults(func=cmd_gen)
+    add("check", cmd_check, "validate an instance file")
+    add("mld", cmd_mld, "minimal log discrepancy over the fiber")
+    add("lc", cmd_lc, "generalized log canonical test")
+    add("lct", cmd_lct, "lct of a pulled-back invariant hyperplane", options={
+        "--phibar": dict(required=True,
+                         help="functional on the base, e.g. 1,0; write a leading "
+                              "minus as --phibar=-1,0")})
+    add("find", cmd_find, "search a certified hyperplane section", options={
+        "--out": dict(help="certificate path (default: <instance>.cert.json)")})
+    add("verify", cmd_verify, "re-check a certificate independently",
+        positionals=("instance", "certificate"))
+    add("oracle-mld", cmd_oracle_mld, "brute-force mld scan in a box", options={
+        "--box": dict(type=int, required=True,
+                      help="box radius r; (2r+1)^rank must not exceed 10^6 (exit 2)")})
+    add("gamma", cmd_gamma, "the bound function gamma(d, a)", positionals=(), options={
+        "--dim": dict(required=True, help="dimension d >= 1"),
+        "--mld": dict(required=True, help="positive rational a, e.g. 2/3")})
+    add("gen", cmd_gen, "write seeded random valid instances", positionals=(), options={
+        "--seed": dict(type=int, default=0),
+        "--count": dict(type=int, default=1),
+        "--out-dir": dict(default=".")})
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InstanceError, PairError) as exc:
+        return _fail(args, 2, str(exc))
 
 
 if __name__ == "__main__":

@@ -398,8 +398,6 @@ class QuotientPresentation:
 
 def quotient_by_span(rank, sub):
     """Quotient of Z^rank by a saturated sublattice, with a splitting."""
-    if not sub.is_saturated():
-        raise LatticeError("sublattice not saturated")
     r = sub.rank
     if r == 0:
         return QuotientPresentation(identity(rank), identity(rank))
@@ -425,8 +423,6 @@ def extend_hom(sub, values):
         return (0,) * n
     if len(values) != r:
         raise LatticeError("value count does not match the basis")
-    if not sub.is_saturated():
-        raise LatticeError("sublattice not saturated")
     G = transpose(sub.basis)
     D, U, V, _Ui, _Vi = snf(G, n, r)
     if any(D[i][i] != 1 for i in range(r)):

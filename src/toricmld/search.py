@@ -100,8 +100,6 @@ class WidthResult:
     lo: Fraction
     hi: Fraction
     w: Fraction
-    w_minus: Fraction
-    w_plus: Fraction
 
     @property
     def boundary(self):
@@ -109,18 +107,17 @@ class WidthResult:
 
 
 def _covector_level(l, k):
-    """Primitive covectors of sup-norm k, one per +/- pair, in colex order."""
-    seen = set()
+    """Primitive covectors of sup-norm k, one per +/- pair, in colex order.
+
+    product() runs in lex order, so its reversed tuples come in colex
+    order; of each +/- pair the one with a positive first nonzero entry
+    is kept.
+    """
     for v in itertools.product(range(-k, k + 1), repeat=l):
-        if max(abs(x) for x in v) != k or content(v) != 1:
-            continue
-        for x in v:
-            if x != 0:
-                if x < 0:
-                    v = tuple(-y for y in v)
-                break
-        seen.add(v)
-    return sorted(seen, key=lambda v: v[::-1])
+        v = v[::-1]
+        if (max(abs(x) for x in v) == k and content(v) == 1
+                and next(x for x in v if x) > 0):
+            yield v
 
 
 def _oriented(phi, lo, hi):
@@ -163,7 +160,7 @@ def width_functional(up, t, l):
         if pick is None:
             continue
         phi, lo, hi = _oriented(*pick)
-        return WidthResult(phi, lo, hi, hi - lo, -lo, hi)
+        return WidthResult(phi, lo, hi, hi - lo)
     raise SearchError("width bound violated: no functional of length <= %s "
                       "with sup-norm <= %d" % (bound, WIDTH_NORM_CAP))
 
@@ -235,16 +232,13 @@ def subdivide_fan(fan, phi):
 class SliceData:
     tc1: ToricContraction
     pair1: GPair
-    psi1: tuple
     bd1: BoxData
     lam: Fraction
-    kernel: object            # Sublattice N0 = ker phi
     pi0: tuple                # hom N0 -> Nbar0 in the chosen bases
     nbar0: object             # Sublattice pi(N0) inside Nbar
     u0: object                # U cap phi-perp in N0 coordinates
     u_check: object           # u of the slice pair (equals u0 / lam)
     mld1: Fraction
-    rays_n: tuple             # slice fan rays in N coordinates
     max_ray_discrepancy: Fraction
 
 
@@ -339,7 +333,7 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     a0 = [tuple(dot(a, b) for b in kern.basis) for a in pair.bdiv_a.points]
     pair1 = make_pair(fan0, b1, [vec_scale(lam, p) for p in a0])
     try:
-        _folded1, psi1, bd1 = analyze(tc1, pair1)
+        _folded1, _psi1, bd1 = analyze(tc1, pair1)
     except PairError as exc:
         raise PairError("slice anti-log-canonical class is not nef: %s" % exc)
 
@@ -356,8 +350,8 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
         raise PairError("slice mld drops below lam * t")
     if bd1.l != bd.l - 1:
         raise PairError("slice lc-place dimension did not drop by one")
-    return SliceData(tc1, pair1, psi1, bd1, lam, kern, pi0, nbar0, u0,
-                     u_check, mld1, tuple(rays_n), max_ray_discrepancy)
+    return SliceData(tc1, pair1, bd1, lam, pi0, nbar0, u0, u_check, mld1,
+                     max_ray_discrepancy)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +360,8 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
 
 @dataclass(frozen=True)
 class ExtensionTrace:
-    phi1: tuple
-    phi2: tuple
     phi_prime: tuple
     q: int
-    c: Fraction
-    gen_index: int
     branch: str
     w_minus: Fraction
     w_plus: Fraction
@@ -416,23 +406,22 @@ def extend_functional(rank, gens, c_body, phi, phi0_vals, l0):
     phi2 = extend_hom(kern, tuple(phi0_vals))
 
     if w_minus <= w_plus:
-        cands = [(Fraction(dot(phi2, g), -dot(phi, g)), i, g)
-                 for i, g in enumerate(gens) if dot(phi, g) < 0]
+        cands = [(Fraction(dot(phi2, g), -dot(phi, g)), g)
+                 for g in gens if dot(phi, g) < 0]
         if not cands:
             raise PairError("no generator with phi < 0")
-        c = min(x[0] for x in cands)
-        _, gi, g = next(x for x in cands if x[0] == c)
+        # the first generator attaining the extremal multiple c
+        _c, g = min(cands, key=lambda x: x[0])
         q = -dot(phi, g)
         phi_prime = tuple(dot(phi2, g) * x - dot(phi, g) * y
                           for x, y in zip(phi, phi2))
         branch = "w- <= w+"
     else:
-        cands = [(Fraction(-dot(phi2, g), dot(phi, g)), i, g)
-                 for i, g in enumerate(gens) if dot(phi, g) > 0]
+        cands = [(Fraction(-dot(phi2, g), dot(phi, g)), g)
+                 for g in gens if dot(phi, g) > 0]
         if not cands:
             raise PairError("no generator with phi > 0")
-        c = max(x[0] for x in cands)
-        _, gi, g = next(x for x in cands if x[0] == c)
+        _c, g = max(cands, key=lambda x: x[0])
         q = dot(phi, g)
         phi_prime = tuple(-dot(phi2, g) * x + dot(phi, g) * y
                           for x, y in zip(phi, phi2))
@@ -446,8 +435,7 @@ def extend_functional(rank, gens, c_body, phi, phi0_vals, l0):
     plo, phi_hi = interval_image(phi_prime, c_body)
     if plo is None or phi_hi is None or plo < 0 or phi_hi > w * l0:
         raise PairError("extension postcondition fails: phi'(C) not in [0, w l0]")
-    return ExtensionTrace(tuple(phi), phi2, phi_prime, int(q), c, gi, branch,
-                          w_minus, w_plus, (plo, phi_hi))
+    return ExtensionTrace(phi_prime, int(q), branch, w_minus, w_plus, (plo, phi_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -373,3 +373,51 @@ def test_gen_writes_the_canonical_instance(tmp_path, capsys):
     tc, pair, _meta = random_instance(7)
     expected = dumps_canonical(instance_to_obj(tc, pair, "generated instance, seed 7"))
     assert open(json.loads(out)["written"][0]).read() == expected
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    import argparse
+
+    run(capsys, "gamma", "--dim", "2", "--mld", "1")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for mld in ("1", "2/3", "5"):
+        rc, _out, _err = run(capsys, "gamma", "--dim", "2", "--mld", mld)
+        assert rc == 0
+    assert built == []
+
+
+def _raise_pair_error(*_args, **_kwargs):
+    from toricmld.pairs import PairError
+
+    raise PairError("no valid instance found")
+
+
+def test_verify_reports_a_pair_error_as_invalid_input(corpus_dir, monkeypatch, capsys):
+    import toricmld.cli
+
+    inst = str(corpus_dir / "a2_identity.json")
+    rc, out, _ = run(capsys, "find", inst, "--json")
+    cert_path = json.loads(out)["certificate"]
+    monkeypatch.setattr(toricmld.cli, "verify_certificate", _raise_pair_error)
+    rc, out, err = run(capsys, "verify", inst, cert_path)
+    assert rc == 2 and out == "" and err == "error: no valid instance found\n"
+    rc, out, err = run(capsys, "verify", inst, cert_path, "--json")
+    assert rc == 2 and err == "" and json.loads(out) == {"error": "no valid instance found"}
+
+
+def test_gen_reports_a_pair_error_as_invalid_input(tmp_path, monkeypatch, capsys):
+    import toricmld.cli
+
+    monkeypatch.setattr(toricmld.cli, "random_instance", _raise_pair_error)
+    rc, out, err = run(capsys, "gen", "--seed", "5", "--out-dir", str(tmp_path))
+    assert rc == 2 and out == "" and err == "error: no valid instance found\n"
+    rc, out, err = run(capsys, "gen", "--seed", "5", "--out-dir", str(tmp_path), "--json")
+    assert rc == 2 and err == "" and json.loads(out) == {"error": "no valid instance found"}
+    assert list(tmp_path.iterdir()) == []

@@ -189,6 +189,29 @@ def test_extend_hom_rejects_unsaturated():
         extend_hom(sublattice_from_vectors(2, [(2, 0)]), (1,))
 
 
+def test_quotient_and_extension_take_one_snf(monkeypatch):
+    """The SNF that splits the sublattice is also its saturation test."""
+    import toricmld.lattice
+
+    calls = []
+    real_snf = toricmld.lattice.snf
+
+    def counted(*args):
+        calls.append(args)
+        return real_snf(*args)
+
+    monkeypatch.setattr(toricmld.lattice, "snf", counted)
+    sub = sublattice_from_vectors(3, [(1, 1, 0), (0, 1, 1)])
+    for run in (lambda s: quotient_by_span(3, s), lambda s: extend_hom(s, (1, 2))):
+        calls.clear()
+        run(sub)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(LatticeError, match="sublattice not saturated"):
+            run(sublattice_from_vectors(3, [(2, 0, 0), (0, 1, 1)]))
+        assert len(calls) == 1
+
+
 def test_extend_hom_postcondition_raises(monkeypatch):
     """A wrong extension is a LatticeError, not an assert that -O removes."""
     import toricmld.lattice

@@ -139,6 +139,28 @@ def test_width_bound_violated():
         width_functional(up, 40, 2)
 
 
+def _covector_level_by_sorting(l, k):
+    """Reference level: canonical representatives collected in a set, then
+    sorted colexicographically."""
+    seen = set()
+    for v in itertools.product(range(-k, k + 1), repeat=l):
+        if max(abs(x) for x in v) != k or content(v) != 1:
+            continue
+        for x in v:
+            if x != 0:
+                if x < 0:
+                    v = tuple(-y for y in v)
+                break
+        seen.add(v)
+    return sorted(seen, key=lambda v: v[::-1])
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_covector_level_matches_the_sorted_set(l):
+    for k in range(1, 6):
+        assert list(toricmld.search._covector_level(l, k)) == _covector_level_by_sorting(l, k)
+
+
 # ---------------------------------------------------------------------------
 # fan subdivision
 
