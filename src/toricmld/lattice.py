@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 
@@ -281,51 +281,49 @@ def _independent_rows(rows, dim):
     return base
 
 
-def rational_rank(rows, ncols):
-    """Rank over Q of int or Fraction rows: the rows the integer echelon keeps.
+def _as_integers(r):
+    """An int row as it is; a row with a Fraction entry times the lcm of its denominators."""
+    if all(isinstance(x, int) for x in r):
+        return r
+    den = lcm(*(x.denominator for x in r))
+    return [x.numerator * (den // x.denominator) for x in r]
 
-    A row with a Fraction entry is first scaled to integers by the lcm of
-    its denominators.
-    """
-    ints = []
-    for r in rows:
-        if not all(isinstance(x, int) for x in r):
-            den = 1
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-            r = [int(x * den) for x in r]
-        ints.append(r)
-    return len(_independent_rows(ints, ncols))
+
+def rational_rank(rows, ncols):
+    """Rank over Q of int or Fraction rows: the rows the integer echelon keeps."""
+    return len(_independent_rows([_as_integers(r) for r in rows], ncols))
 
 
 def solve_rational(rows, rhs, ncols):
     """One exact solution x of rows.x = rhs, or None if inconsistent.
 
-    Free variables are set to 0, so the result is deterministic.
+    Free variables are set to 0, so the result is deterministic.  Each
+    row of [rows | rhs] is scaled to integers (`_as_integers`), then one
+    fraction-free Gauss-Jordan elimination (`_cancel`) takes the first
+    row with a nonzero entry in each column as its pivot.  Every row it
+    leaves is a nonzero multiple of the row that elimination over Q
+    leaves, so the pivots are the same and x[c] = rhs_i / pivot_i is the
+    only Fraction built.
     """
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [list(_as_integers(tuple(r) + (b,))) for r, b in zip(rows, rhs)]
     pivots = []
     rank = 0
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(aug)) if aug[i][c] != 0), None)
+        piv = next((i for i in range(rank, len(aug)) if aug[i][c]), None)
         if piv is None:
             continue
         aug[rank], aug[piv] = aug[piv], aug[rank]
         prow = aug[rank]
-        inv = 1 / prow[c]
-        aug[rank] = [a * inv for a in prow]
         for i in range(len(aug)):
-            if i != rank and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+            if i != rank and aug[i][c]:
+                aug[i] = _cancel(aug[i], prow, c)
         pivots.append(c)
         rank += 1
-    for i in range(rank, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
+    if any(aug[i][ncols] for i in range(rank, len(aug))):
+        return None
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
+        x[c] = Fraction(aug[i][ncols], aug[i][c])
     return tuple(x)
 
 
@@ -356,12 +354,6 @@ class Sublattice:
             coords[i] = c
             v = [a - c * b for a, b in zip(v, row)]
         return tuple(coords) if all(a == 0 for a in v) else None
-
-    def is_saturated(self):
-        if not self.basis:
-            return True
-        D, *_ = snf(self.basis, len(self.basis), self.ambient_rank)
-        return all(D[i][i] == 1 for i in range(len(self.basis)))
 
 
 def sublattice_from_vectors(rank, vectors):

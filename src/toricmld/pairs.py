@@ -40,14 +40,16 @@ from .polyhedra import (
     GeometryError,
     Polyhedron,
     SupportSet,
+    _from_hpoints,
     _gauge_ratio,
     _gauge_rows,
     _generators_from_ineqs,
     _integer_row,
+    _point_row,
+    _point_sum,
     _polar_raw,
     cone_from_inequalities,
     cone_from_normals,
-    from_generators,
     gauge,
     integer_points,
     interval_image,
@@ -355,7 +357,8 @@ def analyze(tc, pair):
     """Fold, solve the Cartier data, test nef, build the box.
 
     The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
-    points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D};
+    points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D}, with
+    every point as an integer row (A's rows made once);
     BoxData adds its polar u, the recession cone sigma0 of u and
     l = n - dim sigma0.  Returns (folded pair, psi, BoxData).
     """
@@ -371,8 +374,8 @@ def analyze(tc, pair):
         [_integer_row(e, -re) for e, re in zip(fan.rays, r)], n)
     if not d_points:
         raise PairError("empty section box")
-    box = from_generators(n, [vec_add(a, p) for a in folded.bdiv_a.points
-                              for p in d_points], d_rays)
+    a_rows = [_point_row(a) for a in folded.bdiv_a.points]
+    box = _from_hpoints(n, [_point_sum(g, h) for g in a_rows for h in d_points], d_rays)
     u = _polar_raw(box)
     sigma0 = make_cone(n, u.rays) if u.rays else make_cone(n, [])
     l = n - sigma0.cone_dim()
@@ -392,7 +395,8 @@ def _cone_over_is(u, cone):
     by u's inequalities through 0.
     """
     return (u.contains((0,) * u.dim)
-            and all(cone.contains(x) for x in u.points + u.rays)
+            and all(cone.contains(h[:-1]) for h in u.hpoints)   # x / q in cone iff x is
+            and all(cone.contains(r) for r in u.rays)
             and all(dot(a, g) >= 0 for a, c in u.ineqs if c == 0
                     for g in cone.generators))
 

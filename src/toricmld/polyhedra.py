@@ -1,10 +1,14 @@
 """Exact rational cones and polyhedra in small dimension.
 
-Both descriptions are kept on every object: generators (points + rays)
-and inequalities <a, x> >= c, each stored as a row (a, c) of integers
-with (a, -c) primitive in Z^(n+1): the homogenized row a.x - c t >= 0
-exactly as the double description returns it.  A caller's rational row
-becomes this form in one place, `_integer_row`.  Conversion runs through
+Both descriptions are kept on every object, in integers: generators
+(points + rays) and inequalities <a, x> >= c.  Each inequality is a row
+(a, c) of integers with (a, -c) primitive in Z^(n+1), the homogenized row
+a.x - c t >= 0, and each point x / q is a primitive row (x, q) with q > 0,
+the homogenized ray; both exactly as the double description returns them.
+A caller's rational row becomes this form in one place, `_integer_row`,
+and a caller's rational point in `_point_row`; the readers compare ratios
+by cross-multiplying, and Fraction points exist only as the `points` view
+of the public API.  Conversion runs through
 a single primitive, the double description of a cone given by
 homogeneous integer inequalities.  It does integer arithmetic only: a
 fraction-free echelon picks the start rows, one Gauss-Jordan elimination
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -27,6 +32,7 @@ from .lattice import (
     LatticeError,
     _cancel,
     _independent_rows,
+    apply_hom,
     content,
     dot,
     is_zero,
@@ -54,6 +60,17 @@ def _integer_direction(v):
         raise GeometryError("zero direction")
     den = lcm(*(a.denominator for a in v))
     return primitive(tuple(int(a * den) for a in v))
+
+
+def _point_row(p):
+    """The rational point p as its integer row (x, q): primitive, q > 0, p = x / q."""
+    return _integer_direction(_fraction_vec(p) + (1,))
+
+
+def _point_sum(g, h):
+    """The point row of y / s + x / q for the point rows g = (y, s) and h = (x, q)."""
+    s, q = g[-1], h[-1]
+    return primitive(tuple(q * y + s * x for y, x in zip(g[:-1], h)) + (s * q,))
 
 
 def _integer_row(a, c):
@@ -230,13 +247,19 @@ class Polyhedron:
     """Rational polyhedron conv(points) + cone(rays) = {x : <a,x> >= c}."""
 
     dim: int
-    points: tuple   # tuple of Fraction tuples
+    hpoints: tuple  # sorted rows (x, q): int x, int q > 0, (x, q) primitive; the point x / q
     rays: tuple     # tuple of primitive integer tuples (lineality as +/- pairs)
     ineqs: tuple    # sorted rows (a, c) of <a,x> >= c: int a, int c, (a, -c) primitive
 
+    @cached_property
+    def points(self):
+        """The points x / q of hpoints as sorted Fraction tuples."""
+        return tuple(sorted(tuple(Fraction(x, h[-1]) for x in h[:-1])
+                            for h in self.hpoints))
+
     @property
     def empty(self):
-        return not self.points
+        return not self.hpoints
 
     def contains(self, x):
         if self.empty:
@@ -252,10 +275,9 @@ def _empty(dim):
     return Polyhedron(dim, (), (), (((0,) * dim, 1),))
 
 
-def _homogenize_generators(points, rays):
-    """Primitive integer rows (p, 1) of the points and (r, 0) of the primitive rays."""
-    return ([_integer_direction(tuple(p) + (1,)) for p in points]
-            + [tuple(r) + (0,) for r in rays])
+def _homogenize_generators(hpoints, rays):
+    """The point rows (x, q) as they are, and a row (r, 0) per primitive ray."""
+    return list(hpoints) + [tuple(r) + (0,) for r in rays]
 
 
 def _ineqs_from_dual(rays, lines, dim):
@@ -265,88 +287,110 @@ def _ineqs_from_dual(rays, lines, dim):
 
 
 def _generators_from_ineqs(ineqs, dim):
-    """(points, rays) of {x : a.x >= c} for integer rows (a, c)."""
+    """(hpoints, rays) of {x : a.x >= c} for integer rows (a, c).
+
+    The point rows are the rays (x, q) with q > 0 of the homogenized cone,
+    primitive as the double description returns them.
+    """
     rows = [tuple(a) + (-c,) for a, c in ineqs]
     rows.append((0,) * dim + (1,))
     rays, lines = cone_from_inequalities(tuple(rows), dim + 1)
-    points, rrays = [], []
+    hpoints, rrays = [], []
     for r in rays:
         if r[dim] > 0:
-            points.append(tuple(Fraction(x, r[dim]) for x in r[:dim]))
+            hpoints.append(r)
         else:
             rrays.append(primitive(r[:dim]))
     for l in lines:
         rrays.append(primitive(l[:dim]))
         rrays.append(primitive(tuple(-x for x in l[:dim])))
-    return tuple(sorted(points)), tuple(sorted(set(rrays)))
+    return tuple(sorted(hpoints)), tuple(sorted(set(rrays)))
 
 
 def from_generators(dim, points, rays=()):
     """Polyhedron conv(points) + cone(rays); empty when points is empty."""
-    points = [_fraction_vec(p) for p in points]
+    return _from_hpoints(dim, [_point_row(p) for p in points], rays)
+
+
+def _from_hpoints(dim, hpoints, rays):
+    """from_generators with each point given as an integer row (x, q), q > 0."""
     rays = [primitive(tuple(r)) for r in rays if not is_zero(tuple(r))]
-    if not points:
+    if not hpoints:
         return _empty(dim)
-    drays, dlines = cone_from_inequalities(_homogenize_generators(points, rays), dim + 1)
+    drays, dlines = cone_from_inequalities(_homogenize_generators(hpoints, rays), dim + 1)
     ineqs = _ineqs_from_dual(drays, dlines, dim)
-    pts, rrays = _generators_from_ineqs(ineqs, dim)
-    return Polyhedron(dim, pts, rrays, ineqs)
+    hpts, rrays = _generators_from_ineqs(ineqs, dim)
+    return Polyhedron(dim, hpts, rrays, ineqs)
 
 
 def from_inequalities(dim, ineqs):
     """Polyhedron {x : <a, x> >= c for (a, c) in ineqs}, rational rows allowed."""
-    rows = [_integer_row(a, c) for a, c in ineqs if not (is_zero(a) and c <= 0)]
+    return _from_rows(dim, [_integer_row(a, c) for a, c in ineqs
+                            if not (is_zero(a) and c <= 0)])
+
+
+def _from_rows(dim, rows):
+    """from_inequalities for integer rows (a, c), (a, -c) primitive; a zero a means empty."""
     if any(is_zero(a) for a, _ in rows):
         return _empty(dim)
-    pts, rrays = _generators_from_ineqs(rows, dim)
-    if not pts:
+    hpts, rrays = _generators_from_ineqs(rows, dim)
+    if not hpts:
         return _empty(dim)
-    drays, dlines = cone_from_inequalities(_homogenize_generators(pts, rrays), dim + 1)
-    return Polyhedron(dim, pts, rrays, _ineqs_from_dual(drays, dlines, dim))
+    drays, dlines = cone_from_inequalities(_homogenize_generators(hpts, rrays), dim + 1)
+    return Polyhedron(dim, hpts, rrays, _ineqs_from_dual(drays, dlines, dim))
+
+
+def _generators_within(p, q):
+    """Every generator of p satisfies q's rows: a.x >= c q at (x, q), a.r >= 0 at a ray r."""
+    # map(mul, a, g) stops after the dim entries of a, so it sums a.x
+    return all(sum(map(mul, a, g)) >= c * g[-1]
+               for g in _homogenize_generators(p.hpoints, p.rays) for a, c in q.ineqs)
 
 
 def polyhedra_equal(p, q):
     if p.empty or q.empty:
         return p.empty and q.empty
-    return (all(q.contains(x) for x in p.points)
-            and all(all(dot(a, r) >= 0 for a, _ in q.ineqs) for r in p.rays)
-            and all(p.contains(x) for x in q.points)
-            and all(all(dot(a, r) >= 0 for a, _ in p.ineqs) for r in q.rays))
+    return _generators_within(p, q) and _generators_within(q, p)
 
 
 def affine_dim(p):
+    """-1 if p is empty, else the rank of its homogenized generators minus 1."""
     if p.empty:
         return -1
-    base = p.points[0]
-    dirs = [tuple(x - b for x, b in zip(q, base)) for q in p.points[1:]]
-    dirs += p.rays
-    return rational_rank(dirs, p.dim)
+    return rational_rank(_homogenize_generators(p.hpoints, p.rays), p.dim + 1) - 1
+
+
+def _rescaled(row, s, t):
+    """The primitive row of (s * row[:-1], t * row[-1]) for positive ints s, t."""
+    return primitive(tuple(s * x for x in row[:-1]) + (t * row[-1],))
 
 
 def scale_polyhedron(p, t):
     """t * p for t > 0: points and right-hand sides scale, rays stay.
 
-    Each scaled row is renormalized and the rows re-sorted, so on a
-    full-dimensional p the result equals from_generators of the scaled
-    points and rays.
+    With t = n / d, the point row (x, q) becomes (n x, d q) and the row
+    a.x >= c becomes d a.x >= n c, each made primitive and re-sorted, so
+    on a full-dimensional p the result equals from_generators of the
+    scaled points and rays.
     """
     t = Fraction(t)
     if t <= 0:
         raise GeometryError("scale factor must be positive")
     if p.empty:
         return p
-    return Polyhedron(p.dim, tuple(vec_scale(t, x) for x in p.points), p.rays,
-                      tuple(sorted(_integer_row(a, t * c) for a, c in p.ineqs)))
+    n, d = t.numerator, t.denominator
+    rows = (_rescaled(a + (-c,), d, n) for a, c in p.ineqs)
+    return Polyhedron(p.dim, tuple(sorted(_rescaled(h, n, d) for h in p.hpoints)), p.rays,
+                      tuple(sorted((w[:-1], -w[-1]) for w in rows)))
 
 
 def map_polyhedron(mat, p, dim_out):
     """Image of p under an integer linear map (rows of mat)."""
     if p.empty:
-        return from_generators(dim_out, [])
-    pts = [tuple(dot(row, x) for row in mat) for x in p.points]
-    rays = [r2 for r2 in (tuple(dot(row, r) for row in mat) for r in p.rays)
-            if not is_zero(r2)]
-    return from_generators(dim_out, pts, rays)
+        return _empty(dim_out)
+    hpts = [primitive(apply_hom(mat, h[:-1]) + (h[-1],)) for h in p.hpoints]
+    rays = [r2 for r2 in (apply_hom(mat, r) for r in p.rays) if not is_zero(r2)]
+    return _from_hpoints(dim_out, hpts, rays)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +442,9 @@ def _polar_raw(p):
 
     For p containing 0 this is the polar {y : <x, y> >= -1 for all x in p}.
     """
-    return from_inequalities(p.dim, [(v, -1) for v in p.points] + [(r, 0) for r in p.rays])
+    # v.y >= -1 at v = x / q is the row (x, -q), already in integer form
+    return _from_rows(p.dim, [(h[:-1], -h[-1]) for h in p.hpoints if not is_zero(h[:-1])]
+                      + [(r, 0) for r in p.rays])
 
 
 def _gauge_rows(p):
@@ -455,18 +501,35 @@ def gauge(p, x):
 
 
 def interval_image(phi, p):
-    """Exact (min, max) of a functional over p; None encodes an infinite end."""
+    """Exact (min, max) of a functional over p; None encodes an infinite end.
+
+    The point row (x, q) gives the value s / q with s = phi.x.  The ends
+    are kept as pairs (s, q) and compared by cross-multiplying, and one
+    Fraction is built per finite end.
+    """
     if p.empty:
         raise GeometryError("interval over the empty polyhedron")
-    vals = [dot(phi, x) for x in p.points]
-    lo, hi = min(vals), max(vals)
+    if len(phi) != p.dim:
+        raise LatticeError("dimension mismatch: %d vs %d" % (len(phi), p.dim))
+    first = p.hpoints[0]
+    # map(mul, phi, h) stops after the dim entries of phi, so it sums phi.x
+    ls = hs = sum(map(mul, phi, first))
+    lq = hq = first[-1]
+    for h in p.hpoints[1:]:
+        s, q = sum(map(mul, phi, h)), h[-1]
+        if s * lq < ls * q:
+            ls, lq = s, q
+        elif s * hq > hs * q:
+            hs, hq = s, q
+    lo, hi = (ls, lq), (hs, hq)
     for r in p.rays:
         v = dot(phi, r)
         if v > 0:
             hi = None
         elif v < 0:
             lo = None
-    return lo, hi
+    return (None if lo is None else Fraction(*lo),
+            None if hi is None else Fraction(*hi))
 
 
 def lattice_points(p):

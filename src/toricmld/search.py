@@ -120,21 +120,11 @@ def _covector_level(l, k):
             yield v
 
 
-def _oriented(phi, lo, hi):
+def _width_result(phi, lo, hi):
+    """The pick oriented so that [0, w] is its interval when 0 is an end."""
     if hi == 0:
-        return tuple(-x for x in phi), -hi, -lo
-    return phi, lo, hi
-
-
-def _width_satisfiers(up, bound, k):
-    """Bound-satisfying functionals at sup-norm level k over a compact up,
-    in colex order."""
-    out = []
-    for phi in _covector_level(up.dim, k):
-        lo, hi = interval_image(phi, up)
-        if hi - lo <= bound:
-            out.append((phi, lo, hi))
-    return out
+        phi, lo, hi = tuple(-x for x in phi), -hi, -lo
+    return WidthResult(phi, lo, hi, hi - lo)
 
 
 def width_functional(up, t, l):
@@ -143,24 +133,28 @@ def width_functional(up, t, l):
     Candidates are enumerated by increasing sup-norm and, within a level,
     by colexicographic order on a sign-canonical representative.  At each
     level the first functional with 0 on the boundary of its interval and
-    1/w >= gamma(l, t) wins, oriented to [0, w]; failing that, the first
-    functional with 0 interior to its interval.  The search stops after
-    sup-norm WIDTH_NORM_CAP.
+    1/w >= gamma(l, t) wins, oriented to [0, w], and the walk stops there;
+    failing that, the first functional with 0 interior to its interval,
+    kept while the level is walked, wins at its end.  The search stops
+    after sup-norm WIDTH_NORM_CAP.
     """
     if up.empty or not up.is_compact():
         raise PairError("width search needs a compact nonempty polyhedron")
     bound = Fraction(l * l) / Fraction(t)
     need = gamma(l, t)
     for k in range(1, WIDTH_NORM_CAP + 1):
-        sats = _width_satisfiers(up, bound, k)
-        pick = next((s for s in sats if (s[1] == 0 or s[2] == 0)
-                     and Fraction(1) / (s[2] - s[1]) >= need), None)
-        if pick is None:
-            pick = next((s for s in sats if s[1] < 0 < s[2]), None)
-        if pick is None:
-            continue
-        phi, lo, hi = _oriented(*pick)
-        return WidthResult(phi, lo, hi, hi - lo)
+        interior = None
+        for phi in _covector_level(up.dim, k):
+            lo, hi = interval_image(phi, up)
+            if hi - lo > bound:
+                continue
+            if lo == 0 or hi == 0:
+                if Fraction(1) / (hi - lo) >= need:
+                    return _width_result(phi, lo, hi)
+            elif interior is None and lo < 0 < hi:
+                interior = (phi, lo, hi)
+        if interior is not None:
+            return _width_result(*interior)
     raise SearchError("width bound violated: no functional of length <= %s "
                       "with sup-norm <= %d" % (bound, WIDTH_NORM_CAP))
 
@@ -384,12 +378,9 @@ def extend_functional(rank, gens, c_body, phi, phi0_vals, l0):
         if not c_body.contains(g):
             raise PairError("extension hypothesis fails: generator %r not in C" % (g,))
     sigma = make_cone(rank, gens)
-    for p in c_body.points:
-        if not sigma.contains(p):
-            raise PairError("extension hypothesis fails: C is not inside the cone")
-    for r in c_body.rays:
-        if not sigma.contains(r):
-            raise PairError("extension hypothesis fails: C is not inside the cone")
+    # the point x / q of a row (x, q) is in the cone iff x is
+    if not all(sigma.contains(x) for x in [h[:-1] for h in c_body.hpoints] + list(c_body.rays)):
+        raise PairError("extension hypothesis fails: C is not inside the cone")
     lo, hi = interval_image(phi, c_body)
     if lo is None or hi is None or not lo < 0 < hi:
         raise PairError("extension hypothesis fails: phi(C) must be compact "

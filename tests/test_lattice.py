@@ -253,6 +253,74 @@ def test_solve_rational():
     assert solve_rational(((2, 0), (0, 0)), (1, 0), 2) == (F(1, 2), F(0))
 
 
+def reference_solve_rational(rows, rhs, ncols):
+    """Gauss-Jordan elimination over Q, each pivot row normalized to 1."""
+    aug = [list(map(F, r)) + [F(b)] for r, b in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        prow = aug[rank]
+        inv = 1 / prow[c]
+        aug[rank] = [a * inv for a in prow]
+        for i in range(len(aug)):
+            if i != rank and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+        pivots.append(c)
+        rank += 1
+    for i in range(rank, len(aug)):
+        if aug[i][ncols] != 0:
+            return None
+    x = [F(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][ncols]
+    return tuple(x)
+
+
+def _random_system(rng, kind):
+    """Seeded systems rows.x = rhs of the given kind, with int or Fraction entries."""
+    nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+
+    def entry():
+        x = rng.randint(-4, 4)
+        return F(x, rng.randint(1, 5)) if kind == "fraction" else x
+
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if kind in ("rank-deficient", "inconsistent"):
+        # one row a combination of the others, so the rank is below the row count
+        i = rng.randrange(nr)
+        rows.append([rng.randint(-2, 2) * x for x in rows[i]])
+        rows.append([x + y for x, y in zip(rows[i], rows[-1])])
+    x0 = [entry() for _ in range(nc)]
+    rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
+    if kind == "inconsistent":
+        rhs[-1] += F(1, rng.randint(1, 3))
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [tuple(rows[i]) for i in order], [rhs[i] for i in order], nc
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient", "fraction"])
+def test_solve_rational_matches_the_fraction_elimination(kind):
+    rng = random.Random(83)
+    outcomes = set()
+    for _ in range(150):
+        rows, rhs, nc = _random_system(rng, kind)
+        got = solve_rational(rows, rhs, nc)
+        assert got == reference_solve_rational(rows, rhs, nc), (rows, rhs)
+        if got is None:
+            outcomes.add("none")
+            continue
+        assert all(type(x) is F for x in got)
+        assert all(sum(a * b for a, b in zip(r, got)) == b for r, b in zip(rows, rhs))
+        outcomes.add("solved")
+    assert outcomes == ({"none"} if kind == "inconsistent" else {"solved"})
+
+
 def test_kernel_basis_saturated():
     rng = random.Random(17)
     for _ in range(30):
@@ -262,4 +330,6 @@ def test_kernel_basis_saturated():
         for v in ker:
             assert all(dot(row, v) == 0 for row in m)
         sub = sublattice_from_vectors(nc, ker)
-        assert sub.is_saturated()
+        # quotient_by_span raises "sublattice not saturated" otherwise
+        q = quotient_by_span(nc, sub)
+        assert len(q.projection) == nc - sub.rank

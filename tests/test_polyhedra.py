@@ -164,6 +164,36 @@ def test_interval_examples():
     assert interval_image((1,), ray) == (0, None)
 
 
+def reference_interval_image(phi, p):
+    """(min, max) of phi over the Fraction points of p; None for an infinite end."""
+    vals = [dot(phi, x) for x in p.points]
+    lo, hi = min(vals), max(vals)
+    for r in p.rays:
+        v = dot(phi, r)
+        if v > 0:
+            hi = None
+        elif v < 0:
+            lo = None
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_interval_image_matches_the_fraction_points(n):
+    rng = random.Random(97 + n)
+    ends = set()
+    for _ in range(40):
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.choice((0, 0, 1, 2)))]
+        p = from_generators(n, rand_points(rng, n, rng.randint(1, 5)), rays)
+        for _ in range(5):
+            phi = tuple(rng.randint(-3, 3) for _ in range(n))
+            got = interval_image(phi, p)
+            assert got == reference_interval_image(phi, p), (phi, p)
+            assert all(type(x) is F for x in got if x is not None)
+            ends.add(tuple(x is None for x in got))
+    assert ends == {(False, False), (True, False), (False, True), (True, True)}
+
+
 def test_lattice_points_examples():
     s = from_generators(2, [(0, 0), (1, 0), (0, 1)])
     assert lattice_points(s) == [(0, 0), (0, 1), (1, 0)]
@@ -278,6 +308,39 @@ def test_every_constructor_stores_primitive_integer_rows(kind):
         assert polyhedra_equal(built[1], p)
         for q in built:
             _assert_primitive_integer_rows(q)
+
+
+def _assert_integer_point_rows(p):
+    for h in p.hpoints:
+        assert all(type(x) is int for x in h), h
+        assert len(h) == p.dim + 1 and content(h) == 1 and h[-1] > 0, h
+    assert list(p.hpoints) == sorted(p.hpoints)
+    view = sorted(tuple(F(x, h[-1]) for x in h[:-1]) for h in p.hpoints)
+    assert p.points == tuple(view)
+    assert all(type(x) is F for v in p.points for x in v)
+
+
+@pytest.mark.parametrize("kind", ["bounded", "unbounded", "lower", "non-pointed", "empty"])
+def test_every_constructor_stores_primitive_integer_point_rows(kind):
+    # each point x / q is stored as the homogenized ray (x, q) of the double description
+    rng = random.Random(73)
+    for _ in range(20):
+        if kind == "empty":
+            n = rng.randint(1, 3)
+            e = (F(rng.randint(1, 5), rng.randint(1, 3)),) + (0,) * (n - 1)
+            p = from_inequalities(n, [(e, 1), (tuple(-x for x in e), 0)])
+            assert p.empty and p.hpoints == () and p.points == ()
+        else:
+            p = _random_scale_case(rng, kind)
+        s = F(rng.randint(1, 5), rng.randint(1, 5))
+        m = rng.randint(1, 3)
+        mat = tuple(tuple(rng.randint(-2, 2) for _ in range(p.dim)) for _ in range(m))
+        built = [p, from_inequalities(p.dim, p.ineqs), scale_polyhedron(p, s),
+                 map_polyhedron(mat, p, m), _polar_raw(p)]
+        for q in built:
+            _assert_integer_point_rows(q)
+        if not p.empty:
+            assert from_generators(p.dim, p.points, p.rays) == p
 
 
 def test_strict_interior():

@@ -20,6 +20,7 @@ from toricmld.pairs import (
     validate_contraction,
 )
 from toricmld.polyhedra import (
+    affine_dim,
     from_generators,
     from_inequalities,
     interval_image,
@@ -137,6 +138,62 @@ def test_width_bound_violated():
     up = from_generators(2, [(0, 0), (9, 0), (0, 9)])
     with pytest.raises(SearchError, match="width bound"):
         width_functional(up, 40, 2)
+
+
+def _whole_level_pick(up, t, l):
+    """Width pick from each level's whole list of bound-satisfying functionals.
+
+    Returns (result, interior_first): the pick as width_functional gives
+    it, or None when no level up to WIDTH_NORM_CAP has one, and whether a
+    boundary pick came after an interior candidate of its level.
+    """
+    bound = F(l * l) / F(t)
+    need = gamma(l, t)
+    for k in range(1, toricmld.search.WIDTH_NORM_CAP + 1):
+        sats = []
+        for phi in toricmld.search._covector_level(up.dim, k):
+            lo, hi = interval_image(phi, up)
+            if hi - lo <= bound:
+                sats.append((phi, lo, hi))
+        boundary = [i for i, s in enumerate(sats)
+                    if (s[1] == 0 or s[2] == 0) and 1 / (s[2] - s[1]) >= need]
+        interior = [i for i, s in enumerate(sats) if s[1] < 0 < s[2]]
+        if not boundary and not interior:
+            continue
+        i = boundary[0] if boundary else interior[0]
+        phi, lo, hi = sats[i]
+        if hi == 0:
+            phi, lo, hi = tuple(-x for x in phi), -hi, -lo
+        return (toricmld.search.WidthResult(phi, lo, hi, hi - lo),
+                bool(boundary and interior and interior[0] < boundary[0]))
+    return None, False
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_width_pick_that_stops_early_matches_the_whole_level_pick(l):
+    rng = random.Random(131 + l)
+    kinds = set()
+    for _ in range(40):
+        pts = [tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(l))
+               for _ in range(rng.randint(1, 4))]
+        # 0 is a point of up, as in the search; phi(up) then contains 0
+        up = from_generators(l, pts + [(0,) * l])
+        if affine_dim(up) < l:
+            continue
+        lo1, hi1 = interval_image((1,) + (0,) * (l - 1), up)
+        # a bound of at least the width of the first level-1 functional
+        t = F(l * l) / ((hi1 - lo1) * rng.choice((1, 2, 3)))
+        ref, interior_first = _whole_level_pick(up, t, l)
+        if ref is None:
+            with pytest.raises(SearchError, match="width bound"):
+                width_functional(up, t, l)
+            continue
+        assert width_functional(up, t, l) == ref, (pts, t)
+        kinds.add("boundary" if ref.boundary else "interior")
+        if interior_first:
+            kinds.add("boundary after interior")
+    expected = {"boundary", "interior", "boundary after interior"} if l > 1 else {"boundary"}
+    assert expected <= kinds
 
 
 def _covector_level_by_sorting(l, k):
