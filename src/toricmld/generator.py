@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .lattice import dot, identity, is_zero, kernel_basis, primitive, vec_add
+from .lattice import (LatticeError, compose_covector, dot, identity, is_zero,
+                      kernel_basis, primitive, vec_add)
 from .pairs import (
     PairError,
     analyze,
@@ -35,7 +36,6 @@ from .polyhedra import (
     support_sum,
     support_value,
 )
-from .lattice import LatticeError
 
 MAX_ATTEMPTS = 400
 
@@ -75,12 +75,7 @@ def _rand_sigma_bar(rng, nbar):
 def _split(cone, cov, n):
     pieces = []
     for sign in (1, -1):
-        rows = list(cone.dual_rays)
-        for l in cone.dual_lines:
-            rows.append(l)
-            rows.append(tuple(-x for x in l))
-        rows.append(tuple(sign * x for x in cov))
-        piece = cone_from_normals(n, rows)
+        piece = cone_from_normals(n, cone.normals + (tuple(sign * x for x in cov),))
         if piece.cone_dim() == n:
             pieces.append(piece)
     return pieces
@@ -225,8 +220,7 @@ def random_instance(seed):
             uni = _rand_unimodular(rng, n)
             pi = tuple(uni[i] for i in range(nbar))
             sigma_bar = _rand_sigma_bar(rng, nbar)
-            normals = [tuple(sum(d[i] * pi[i][j] for i in range(nbar))
-                             for j in range(n)) for d in sigma_bar.dual_rays]
+            normals = [compose_covector(d, pi, n) for d in sigma_bar.dual_rays]
             support = cone_from_normals(n, normals)
             fan = _build_fan(rng, support, n)
             tc = make_contraction(fan, pi, sigma_bar.generators)

@@ -12,6 +12,14 @@ The computational heart: the polyhedron box = Conv(A) + {m : <m,e> >=
 derived invariants (log discrepancies, the g-lc test, the minimal log
 discrepancy over the central fiber, and lct of pulled-back invariant
 hyperplanes).
+
+Each check lives in one place and raises PairError.  The constructors
+own shapes and ranges: make_fan the rank, the rays (entry counts,
+nonzero, primitive, distinct) and the cone indices, make_contraction the
+entry counts of pi and sigma_bar, make_pair the boundary coefficients,
+nonempty A and A_j, the entry counts of their points and integral A_j.
+validate_fan and validate_contraction own the geometry of the germ,
+analyze the Cartier and nef conditions of the pair.
 """
 
 from __future__ import annotations
@@ -92,8 +100,18 @@ class Fan:
                      for c in self.max_cones)
 
 
+def _check_entries(rows, n, what):
+    """PairError naming the first of rows that does not have n entries."""
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise PairError("%s %d has %d entries, not %d" % (what, i, len(r), n))
+
+
 def make_fan(rank, rays, max_cones):
+    if rank < 0:
+        raise PairError("fan rank %d is negative" % rank)
     rays = tuple(tuple(int(x) for x in r) for r in rays)
+    _check_entries(rays, rank, "fan ray")
     for r in rays:
         if is_zero(r) or primitive(r) != r:
             raise PairError("fan rays must be nonzero and primitive: %r" % (r,))
@@ -141,11 +159,7 @@ def _check_face_intersection(fan, i, j):
     two are equal exactly when those generators lie in the other cone.
     """
     a, b = fan.cone(i), fan.cone(j)
-    normals = list(a.dual_rays) + list(b.dual_rays)
-    for l in list(a.dual_lines) + list(b.dual_lines):
-        normals.append(l)
-        normals.append(tuple(-x for x in l))
-    rays, lines = cone_from_inequalities(normals, fan.rank)
+    rays, lines = cone_from_inequalities(a.normals + b.normals, fan.rank)
     gens = rays + lines
     for cone, other in ((a, b), (b, a)):
         sel = [d for d in cone.dual_rays if all(dot(d, g) == 0 for g in gens)]
@@ -174,37 +188,30 @@ class ToricContraction:
     @cached_property
     def support(self):
         """|fan| = pi^{-1}(sigma_bar) as a cone."""
-        normals = [compose_covector(d, self.pi, self.rank)
-                   for d in self.sigma_bar.dual_rays]
-        for l in self.sigma_bar.dual_lines:
-            w = compose_covector(l, self.pi, self.rank)
-            normals.append(w)
-            normals.append(tuple(-x for x in w))
-        return cone_from_normals(self.rank, normals)
+        return cone_from_normals(self.rank, [compose_covector(d, self.pi, self.rank)
+                                             for d in self.sigma_bar.normals])
 
 
 def make_contraction(fan, pi, sigma_bar_gens=None):
     pi = tuple(tuple(int(x) for x in row) for row in pi)
     nbar = len(pi)
+    _check_entries(pi, fan.rank, "pi row")
     if sigma_bar_gens is None:
-        sigma_bar_gens = [apply_hom(pi, r) for r in fan.rays]
-        sigma_bar_gens = [g for g in sigma_bar_gens if not is_zero(g)]
+        sigma_bar_gens = [apply_hom(pi, r) for r in fan.rays]   # make_cone drops zeros
+    _check_entries(sigma_bar_gens, nbar, "sigma_bar generator")
     sigma_bar = make_cone(nbar, sigma_bar_gens)
     return ToricContraction(fan, pi, sigma_bar)
 
 
 def validate_contraction(tc):
     validate_fan(tc.fan)
-    n, nbar = tc.rank, tc.base_rank
-    if any(len(row) != n for row in tc.pi):
-        raise PairError("pi has the wrong shape")
-    if not hom_is_surjective(tc.pi, n):
+    if not hom_is_surjective(tc.pi, tc.rank):
         raise PairError("pi is not surjective")
-    if nbar > 0:
-        if not tc.sigma_bar.is_pointed():
-            raise PairError("sigma_bar is not strongly convex")
-        if not tc.sigma_bar.is_full_dim():
-            raise PairError("sigma_bar is not full-dimensional (no invariant point)")
+    # the zero cone of a rank-0 base is pointed and full-dimensional
+    if not tc.sigma_bar.is_pointed():
+        raise PairError("sigma_bar is not strongly convex")
+    if not tc.sigma_bar.is_full_dim():
+        raise PairError("sigma_bar is not full-dimensional (no invariant point)")
     sup = tc.support
     for i, r in enumerate(tc.fan.rays):
         if not sup.contains(r):
@@ -260,21 +267,27 @@ def make_pair(fan, b_inv, bdiv_points, general=()):
     for i, x in enumerate(b):
         if not 0 <= x <= 1:
             raise PairError("boundary coefficient %s on ray %d outside [0,1]" % (x, i))
-    a_set = make_support(bdiv_points)
-    if a_set.dim != fan.rank:
-        raise PairError("b-divisor points have the wrong dimension")
+    a_set = _support_of(fan, bdiv_points, "b-divisor")
     gen = []
-    for bj, pts in general:
+    for j, (bj, pts) in enumerate(general):
         bj = Fraction(bj)
         if bj < 0:
-            raise PairError("general boundary coefficient must be nonnegative")
-        s = make_support(pts)
-        if s.dim != fan.rank:
-            raise PairError("general boundary points have the wrong dimension")
+            raise PairError("general boundary %d coefficient %s must be nonnegative"
+                            % (j, bj))
+        s = _support_of(fan, pts, "general boundary %d" % j)
         if any(x.denominator != 1 for p in s.points for x in p):
             raise PairError("general boundary support sets must be integral")
         gen.append((bj, s))
     return GPair(b, a_set, tuple(gen))
+
+
+def _support_of(fan, points, what):
+    """make_support(points) once they are nonempty with fan.rank entries each."""
+    points = list(points)
+    if not points:
+        raise PairError("%s has no points" % what)
+    _check_entries(points, fan.rank, what + " point")
+    return make_support(points)
 
 
 def fix_mov(a_set, l_coeffs, rays):
@@ -343,14 +356,11 @@ class BoxData:
 
     @cached_property
     def quotient(self):
-        """(projection N -> N / span(sigma0), compact image of u there)."""
+        """(projection N -> N / span(sigma0), image of u: compact, as u's rays span sigma0)."""
         n = self.tc.rank
         span = saturated_span(n, self.sigma0.generators)
         proj = quotient_by_span(n, span).projection
-        up = map_polyhedron(proj, self.u, self.l)
-        if not up.is_compact():
-            raise PairError("projected u is not compact")
-        return proj, up
+        return proj, map_polyhedron(proj, self.u, self.l)
 
 
 def analyze(tc, pair):
@@ -359,7 +369,8 @@ def analyze(tc, pair):
     The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
     points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D}, with
     every point as an integer row (A's rows made once);
-    BoxData adds its polar u, the recession cone sigma0 of u and
+    BoxData adds its polar u, the recession cone sigma0 of u (spanned by
+    u's rays, so cone(u) == support keeps it in the support) and
     l = n - dim sigma0.  Returns (folded pair, psi, BoxData).
     """
     fan = tc.fan
@@ -369,21 +380,16 @@ def analyze(tc, pair):
     psi = cartier_psi(tc, r)
     if not is_f_nef(tc, r, psi):
         raise PairError("-(K+B+D) is not f-nef")
-    # box_{-K-B-D} = {m : <m, e> >= -r_e}: only its generators are needed
+    # box_{-K-B-D} = {m : <m, e> >= -r_e}: only its generators are needed;
+    # f-nef puts every -psi_sigma in it, so it has a point
     d_points, d_rays = _generators_from_ineqs(
         [_integer_row(e, -re) for e, re in zip(fan.rays, r)], n)
-    if not d_points:
-        raise PairError("empty section box")
     a_rows = [_point_row(a) for a in folded.bdiv_a.points]
     box = _from_hpoints(n, [_point_sum(g, h) for g in a_rows for h in d_points], d_rays)
     u = _polar_raw(box)
-    sigma0 = make_cone(n, u.rays) if u.rays else make_cone(n, [])
+    sigma0 = make_cone(n, u.rays)
     l = n - sigma0.cone_dim()
-    sup = tc.support
-    for g in sigma0.generators:
-        if not sup.contains(g):
-            raise PairError("sigma0 leaves the support")
-    if not _cone_over_is(u, sup):
+    if not _cone_over_is(u, tc.support):
         raise PairError("cone over u does not match the support")
     return folded, psi, BoxData(box, u, sigma0, l, folded.bdiv_a, psi, tc)
 
@@ -455,7 +461,7 @@ def mld_over_fiber(tc, bd):
     if tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
     if not is_glc(bd):
-        raise PairError("mld_over_fiber needs a g-lc pair")
+        raise PairError("pair is not g-lc")
     if bd.l == 0:
         return None
     proj, up = bd.quotient
@@ -467,9 +473,7 @@ def mld_over_fiber(tc, bd):
     if t_cap is None or t_cap <= 0:
         raise PairError("the fiber witness must have a positive gauge")
     rows = _gauge_rows(up)
-    sup_gens = [g2 for g2 in (apply_hom(proj, g) for g in tc.support.generators)
-                if not is_zero(g2)]
-    pcone = make_cone(bd.l, sup_gens)
+    pcone = make_cone(bd.l, [apply_hom(proj, g) for g in tc.support.generators])
     if not pcone.is_full_dim():
         raise GeometryError("interior test needs a full-dimensional cone")
     cuts = [(a, t_cap * c) for a, c in up.ineqs] + [(d, 1) for d in pcone.dual_rays]
@@ -499,13 +503,12 @@ def lct_pullback(tc, bd, phibar):
         raise PairError("lct_pullback needs a g-lc pair")
     phi = compose_covector(phibar, tc.pi, tc.rank)
     best = None
+    # g-lc puts 0 in the box, so every c <= 0 and every candidate is >= 0
     for a, c in bd.box.ineqs:
         s = dot(a, phi)
         if s > 0:
             cand = Fraction(-c, s)
             best = cand if best is None else min(best, cand)
-        elif s == 0 and c > 0:
-            raise PairError("box is infeasible along the functional")
     if best is None:
         raise PairError("unbounded lct: functional is trivial on the box")
     return best

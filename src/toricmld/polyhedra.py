@@ -33,6 +33,7 @@ from .lattice import (
     _cancel,
     _independent_rows,
     apply_hom,
+    compose_covector,
     content,
     dot,
     is_zero,
@@ -178,12 +179,8 @@ def cone_from_inequalities(rows, dim):
     sub = sublattice_from_vectors(dim, lines)
     q = quotient_by_span(dim, sub)
     d2 = dim - len(lines)
-    reduced = [tuple(sum(a[k] * q.section[k][j] for k in range(dim)) for j in range(d2))
-               for a in rows]
-    lifted = []
-    for r in _dd_pointed(reduced, d2):
-        v = tuple(sum(q.section[k][j] * r[j] for j in range(d2)) for k in range(dim))
-        lifted.append(primitive(v))
+    reduced = [compose_covector(a, q.section, d2) for a in rows]
+    lifted = [primitive(apply_hom(q.section, r)) for r in _dd_pointed(reduced, d2)]
     return tuple(sorted(lifted)), tuple(sorted(tuple(l) for l in lines))
 
 
@@ -199,6 +196,12 @@ class Cone:
     generators: tuple
     dual_rays: tuple = field(compare=False)
     dual_lines: tuple = field(compare=False)
+
+    @property
+    def normals(self):
+        """Rows a with cone = {x : a.x >= 0}: the dual rays, then l and -l per dual line."""
+        return self.dual_rays + tuple(s for l in self.dual_lines
+                                      for s in (l, tuple(-x for x in l)))
 
     def contains(self, v):
         return (all(dot(d, v) >= 0 for d in self.dual_rays)

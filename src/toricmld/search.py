@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
+    apply_hom,
     compose_covector,
     content,
     dot,
     extend_hom,
     is_zero,
-    kernel_basis,
     kernel_sublattice,
     primitive,
     rational_rank,
@@ -49,7 +49,6 @@ from .polyhedra import (
     interval_image,
     polyhedra_equal,
     scale_polyhedron,
-    strict_interior_contains,
 )
 
 WIDTH_NORM_CAP = 16
@@ -293,8 +292,7 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
             raise PairError("slice fan does not cover phi-perp")
 
     # contraction of the slice: pi restricted to ker(phi), onto its image
-    images = [tuple(sum(tc.pi[i][j] * b[j] for j in range(n))
-                    for i in range(tc.base_rank)) for b in kern.basis]
+    images = [apply_hom(tc.pi, b) for b in kern.basis]
     nbar0 = sublattice_from_vectors(tc.base_rank, images)
     if nbar0.rank == 0:
         raise PairError("slice base has rank zero")
@@ -305,25 +303,14 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
             raise SearchError("image %r of ker(phi) lies outside the slice base "
                               "lattice" % (img,))
         cols.append(c)
-    pi0 = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                for i in range(nbar0.rank))
-    sb_gens = [g2 for g2 in (tuple(dot(pi0[i], r) for i in range(nbar0.rank))
-                             for r in rays0) if not is_zero(g2)]
-    sigma_bar0 = make_cone(nbar0.rank, sb_gens)
-    if sigma_bar0.cone_dim() != nbar0.rank:
-        raise PairError("slice base cone is not full-dimensional: no invariant point")
+    pi0 = transpose(cols, nbar0.rank)
+    sigma_bar0 = make_cone(nbar0.rank, [apply_hom(pi0, r) for r in rays0])
     tc1 = ToricContraction(fan0, pi0, sigma_bar0)
     validate_contraction(tc1)
 
-    # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice
-    b1 = []
-    for g in rays_n:
-        ae = log_discrepancy(bd, g)
-        coeff = 1 - lam * ae
-        if not 0 <= coeff <= 1:
-            raise PairError("rescaled slice coefficient %s on %r is "
-                            "outside [0,1]" % (coeff, g))
-        b1.append(coeff)
+    # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice;
+    # make_pair checks that it lies in [0, 1]
+    b1 = [1 - lam * log_discrepancy(bd, g) for g in rays_n]
     a0 = [tuple(dot(a, b) for b in kern.basis) for a in pair.bdiv_a.points]
     pair1 = make_pair(fan0, b1, [vec_scale(lam, p) for p in a0])
     try:
@@ -492,20 +479,13 @@ class HyperplaneCertificate:
     transcript: tuple
 
 
-def _record(transcript, **kw):
-    transcript.append(dict(kw))
-
-
 def _search(tc, pair, bd, t, transcript, depth):
+    """(phi_bar, gamma) for bd, whose mld t over the fiber is positive (so l >= 1)."""
     n = tc.rank
     l = bd.l
-    if l < 1:
-        raise SearchError("l = 0 contradicts a positive mld over the fiber")
     if l == 1:
-        cov = kernel_basis(tuple(bd.sigma0.generators), n)
-        if len(cov) != 1:
-            raise SearchError("sigma0-perp is not one-dimensional")
-        phi1 = primitive(cov[0])
+        # sigma0-perp is the one dual line of sigma0
+        phi1 = primitive(bd.sigma0.dual_lines[0])
         lo, hi = interval_image(phi1, bd.u)
         if lo is None or hi is None:
             raise SearchError("l=1 interval of phi1 over u is unbounded")
@@ -519,13 +499,11 @@ def _search(tc, pair, bd, t, transcript, depth):
             raise SearchError("l=1 interval longer than 1/t contradicts the mld")
         gamma_here = Fraction(1) / hi
         phibar = _descend(tc, phi1)
-        _record(transcript, depth=depth, l=l, case="l1", t=t, phi=phi1,
-                interval=(lo, hi), gamma=gamma_here, phibar=phibar)
+        transcript.append(dict(depth=depth, l=l, case="l1", t=t, phi=phi1,
+                               interval=(lo, hi), gamma=gamma_here, phibar=phibar))
         return phibar, gamma_here
 
     proj, up = bd.quotient
-    if strict_interior_contains(up, (0,) * l):
-        raise SearchError("0 interior to the projected u: mld not positive")
     wr = width_functional(up, t, l)
     phi_n = compose_covector(wr.phi, proj, n)
     lo, hi, w = wr.lo, wr.hi, wr.w
@@ -534,9 +512,9 @@ def _search(tc, pair, bd, t, transcript, depth):
         if not bd.box.contains(vec_scale(-gamma_here, phi_n)):
             raise SearchError("boundary functional misses the box at 1/w")
         phibar = _descend(tc, phi_n)
-        _record(transcript, depth=depth, l=l, case="boundary", t=t,
-                phi=phi_n, interval=(lo, hi), w=w, gamma=gamma_here,
-                phibar=phibar)
+        transcript.append(dict(depth=depth, l=l, case="boundary", t=t,
+                               phi=phi_n, interval=(lo, hi), w=w, gamma=gamma_here,
+                               phibar=phibar))
         return phibar, gamma_here
     # interior: slice and recurse
     if content(phi_n) != 1:
@@ -575,8 +553,6 @@ def find_hyperplane(tc, pair):
     if tc.base_rank == 0:
         raise PairError("dim Y = 0 is out of scope for the hyperplane search")
     folded, _psi, bd = analyze(tc, pair)
-    if not is_glc(bd):
-        raise PairError("pair is not g-lc")
     a = mld_over_fiber(tc, bd)
     if a is None:
         raise PairError("mld over the fiber is not positive")
