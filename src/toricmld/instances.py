@@ -66,10 +66,10 @@ def _int_matrix(m, where):
 def instance_from_obj(obj):
     """Parse a JSON object into (ToricContraction, GPair), fully validated.
 
-    Checks here: JSON types, unknown fields, and that each key of B names a
-    ray.  Shapes and ranges are make_fan's, make_contraction's and
-    make_pair's, the geometry validate_contraction's; their PairError
-    becomes an InstanceError with the same message.
+    Checks here: JSON types, rank_N >= 0, unknown fields, and that each
+    key of B names a ray.  Other shapes and ranges are make_fan's,
+    make_contraction's and make_pair's, the geometry is
+    validate_contraction's; their PairError keeps its message.
     """
     if not isinstance(obj, dict):
         raise InstanceError("instance: expected a JSON object")
@@ -101,14 +101,15 @@ def instance_from_obj(obj):
             raise InstanceError("B: key %r is not the index of one of the %d rays"
                                 % (k, len(rays)))
         b[index[k]] = parse_fraction(v, "B[%s]" % k)
-    a_raw = obj.get("bdiv_A", [[0] * rank])
-    if not isinstance(a_raw, list):
-        raise InstanceError("bdiv_A: expected a list of rational vectors")
-    a_pts = []
-    for j, p in enumerate(a_raw):
-        if not isinstance(p, list):
-            raise InstanceError("bdiv_A[%d]: expected a list of rationals" % j)
-        a_pts.append(tuple(parse_fraction(x, "bdiv_A[%d]" % j) for x in p))
+    a_pts = None        # default [0], built once make_fan has checked the rays
+    if "bdiv_A" in obj:
+        if not isinstance(obj["bdiv_A"], list):
+            raise InstanceError("bdiv_A: expected a list of rational vectors")
+        a_pts = []
+        for j, p in enumerate(obj["bdiv_A"]):
+            if not isinstance(p, list):
+                raise InstanceError("bdiv_A[%d]: expected a list of rationals" % j)
+            a_pts.append(tuple(parse_fraction(x, "bdiv_A[%d]" % j) for x in p))
     g_raw = obj.get("general", [])
     if not isinstance(g_raw, list):
         raise InstanceError("general: expected a list of {b, A} objects")
@@ -122,7 +123,7 @@ def instance_from_obj(obj):
     try:
         fan = make_fan(rank, rays, max_cones)
         tc = make_contraction(fan, pi, sb_gens)
-        pair = make_pair(fan, b, a_pts, general)
+        pair = make_pair(fan, b, [[0] * fan.rank] if a_pts is None else a_pts, general)
         validate_contraction(tc)
     except PairError as exc:
         raise InstanceError(str(exc))

@@ -239,10 +239,11 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     """Build the codimension-one germ cut out by ker(phi) and validate it.
 
     Validations, each raising with the violated statement named:
-    boundary coefficients of the rescaled pair in [0, 1], slice anti-log
-    canonical class nef, u of the slice equal to lam^{-1} (u cap
-    phi-perp), the base of the slice has an invariant point, and the
-    slice mld is at least lam * t.
+    slice anti-log canonical class nef, u of the slice equal to lam^{-1}
+    (u cap phi-perp), the base of the slice has an invariant point, and
+    the slice mld is at least lam * t.  make_pair checks that the
+    boundary coefficients of the rescaled pair lie in [0, 1]; its message
+    numbers the rays of the slice fan.
     """
     if not pair.folded:
         raise PairError("slice construction needs a folded pair")
@@ -550,8 +551,6 @@ def find_hyperplane(tc, pair):
     fiber; returns a HyperplaneCertificate whose (phi_bar, gamma) pass
     verify_certificate and satisfy gamma >= gamma(d, mld).
     """
-    if tc.base_rank == 0:
-        raise PairError("dim Y = 0 is out of scope for the hyperplane search")
     folded, _psi, bd = analyze(tc, pair)
     a = mld_over_fiber(tc, bd)
     if a is None:

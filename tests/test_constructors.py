@@ -8,6 +8,7 @@ the constructors' messages and exits 2.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction as F
 from functools import partial
 
@@ -16,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricmld.cli import main
-from toricmld.instances import corpus_bytes, dumps_canonical
+from toricmld.instances import (
+    InstanceError,
+    corpus_bytes,
+    dumps_canonical,
+    instance_from_obj,
+)
 from toricmld.lattice import identity
 from toricmld.pairs import PairError, make_contraction, make_fan, make_pair
 
@@ -178,3 +184,33 @@ def test_check_requires_a_list_of_general_boundaries(tmp_path, capsys, general):
     rc, out, err = run(capsys, "check", str(p))
     assert rc == 2 and out == ""
     assert err == "error: general: expected a list of {b, A} objects\n"
+
+
+def test_check_refuses_a_huge_rank_before_building_anything_of_that_size(tmp_path, capsys):
+    # the default b-divisor point has rank_N entries: the ray check in
+    # make_fan must refuse the file before that point is built
+    rank = 10 ** 7
+    obj = json.loads(corpus_bytes("a2_identity").decode())
+    obj["rank_N"] = rank
+    del obj["bdiv_A"]
+    p = tmp_path / "huge.json"
+    p.write_text(dumps_canonical(obj))
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "check", str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert err == "error: fan ray 0 has 2 entries, not %d\n" % rank
+    assert peak < rank       # a list of rank_N entries takes 8 bytes an entry
+
+
+def test_instance_without_bdiv_a_gets_the_point_zero():
+    obj = json.loads(corpus_bytes("a2_identity").decode())
+    del obj["bdiv_A"]
+    _tc, pair = instance_from_obj(obj)
+    assert pair.bdiv_a.points == ((0, 0),)
+    obj["bdiv_A"] = None
+    with pytest.raises(InstanceError, match="^bdiv_A: expected a list"):
+        instance_from_obj(obj)
