@@ -172,12 +172,6 @@ def save_instance(path, tc, pair, comment=None):
 # ---------------------------------------------------------------------------
 # certificates
 
-_TRANSCRIPT_KEYS = ("depth", "l", "case", "t", "phi", "interval", "w",
-                    "w_minus", "w_plus", "lam", "new_rays",
-                    "max_ray_discrepancy", "slice_mld", "width_gt_one",
-                    "slice_u_ok", "invariant_point_ok", "q", "branch",
-                    "descent_scale", "gamma", "phibar")
-
 
 def _encode(x):
     if isinstance(x, Fraction):
@@ -192,16 +186,12 @@ def _encode(x):
 
 
 def certificate_to_obj(cert):
-    records = []
-    for rec in cert.transcript:
-        out = {k: _encode(rec[k]) for k in _TRANSCRIPT_KEYS if k in rec}
-        records.append(out)
     return {
         "phi_bar": list(cert.phi_bar),
         "gamma": frac_str(cert.gamma),
         "mld": frac_str(cert.mld),
         "d": cert.d,
-        "transcript": records,
+        "transcript": _encode(cert.transcript),
     }
 
 

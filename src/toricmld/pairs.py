@@ -8,10 +8,10 @@ inducing the free b-divisor, and optional general boundaries (b_j, A_j)
 that fold into (B, A).
 
 The computational heart: the polyhedron box = Conv(A) + {m : <m,e> >=
--(1 - b_e + h_A(e))}, its polar u, the recession cone sigma0, and the
-derived invariants (log discrepancies, the g-lc test, the minimal log
-discrepancy over the central fiber, and lct of pulled-back invariant
-hyperplanes).
+-(1 - b_e + h_A(e))}, its polar u, whose rays span the recession cone
+sigma0 (read off u, never rebuilt), and the derived invariants (log
+discrepancies, the g-lc test, the minimal log discrepancy over the
+central fiber, and lct of pulled-back invariant hyperplanes).
 
 Each check lives in one place and raises PairError.  The constructors
 own shapes and ranges: make_fan the rank, the rays (entry counts,
@@ -45,7 +45,6 @@ from .lattice import (
 )
 from .polyhedra import (
     Cone,
-    GeometryError,
     Polyhedron,
     SupportSet,
     _from_hpoints,
@@ -58,13 +57,11 @@ from .polyhedra import (
     _polar_raw,
     cone_from_inequalities,
     cone_from_normals,
-    gauge,
     integer_points,
     interval_image,
     make_cone,
     make_support,
     map_polyhedron,
-    strict_interior_contains,
     support_scale,
     support_sum,
     support_value,
@@ -126,6 +123,8 @@ def make_fan(rank, rays, max_cones):
     used = {i for c in cones for i in c}
     if used != set(range(len(rays))):
         raise PairError("fan ray not used by any maximal cone")
+    if rank > 0 and not cones:
+        raise PairError("fan of rank %d has no maximal cones" % rank)
     return Fan(rank, rays, cones)
 
 
@@ -348,7 +347,6 @@ def is_f_nef(tc, r, psi):
 class BoxData:
     box: Polyhedron
     u: Polyhedron
-    sigma0: Cone
     l: int
     a_eff: SupportSet = field(compare=False)
     psi: tuple = field(compare=False)
@@ -356,9 +354,9 @@ class BoxData:
 
     @cached_property
     def quotient(self):
-        """(projection N -> N / span(sigma0), image of u: compact, as u's rays span sigma0)."""
+        """(projection N -> N / span(sigma0), image of u): u's rays span sigma0, so it is compact."""
         n = self.tc.rank
-        span = saturated_span(n, self.sigma0.generators)
+        span = saturated_span(n, self.u.rays)
         proj = quotient_by_span(n, span).projection
         return proj, map_polyhedron(proj, self.u, self.l)
 
@@ -369,9 +367,10 @@ def analyze(tc, pair):
     The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
     points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D}, with
     every point as an integer row (A's rows made once);
-    BoxData adds its polar u, the recession cone sigma0 of u (spanned by
-    u's rays, so cone(u) == support keeps it in the support) and
-    l = n - dim sigma0.  Returns (folded pair, psi, BoxData).
+    BoxData adds its polar u and l = n - dim sigma0, where the recession
+    cone sigma0 of u is spanned by u's rays (cone(u) == support keeps it
+    in the support), so dim sigma0 is their rank.  Returns (folded pair,
+    psi, BoxData).
     """
     fan = tc.fan
     n = fan.rank
@@ -387,11 +386,10 @@ def analyze(tc, pair):
     a_rows = [_point_row(a) for a in folded.bdiv_a.points]
     box = _from_hpoints(n, [_point_sum(g, h) for g in a_rows for h in d_points], d_rays)
     u = _polar_raw(box)
-    sigma0 = make_cone(n, u.rays)
-    l = n - sigma0.cone_dim()
+    l = n - rational_rank(u.rays, n)
     if not _cone_over_is(u, tc.support):
         raise PairError("cone over u does not match the support")
-    return folded, psi, BoxData(box, u, sigma0, l, folded.bdiv_a, psi, tc)
+    return folded, psi, BoxData(box, u, l, folded.bdiv_a, psi, tc)
 
 
 def _cone_over_is(u, cone):
@@ -448,15 +446,17 @@ def mld_over_fiber(tc, bd):
 
     Returns the exact positive rational, or None when the mld is not
     positive.  Works in the quotient by the span of sigma0, where the
-    image up of u is compact.  The candidates are the lattice points of
-    t_cap * up interior to the image of the support, t_cap being the
-    gauge of the fiber witness; for an integer dual ray d and a lattice
-    point v, d.v > 0 is d.v >= 1, so the interior enters the enumeration
-    as cuts and only the candidates are enumerated.  The gauge of up is
-    checked once (`_gauge_rows`, after the one `gauge` call for t_cap);
-    each candidate then goes through the integer kernel `_gauge_ratio`,
-    the running minimum is an integer pair compared by cross-multiplying,
-    and one Fraction is built at the end.
+    image up of u is compact and full-dimensional, as cone(u) is the
+    support.  The gauge of up is checked once (`_gauge_rows`), and every
+    point then goes through the integer kernel `_gauge_ratio`.  The rows
+    of up through 0 are the facets of the image of the support, so with
+    none the mld is not positive (0 is interior to up).  The candidates
+    are the lattice points of t_cap * up interior to that cone, t_cap
+    being the gauge of the fiber witness; for an integer normal d of a
+    row through 0 and a lattice point v, d.v > 0 is d.v >= 1, so the
+    interior enters the enumeration as cuts and only the candidates are
+    enumerated.  The running minimum is an integer pair compared by
+    cross-multiplying, and one Fraction is built at the end.
     """
     if tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
@@ -465,18 +465,15 @@ def mld_over_fiber(tc, bd):
     if bd.l == 0:
         return None
     proj, up = bd.quotient
-    if strict_interior_contains(up, (0,) * bd.l):
-        return None
-    estar = _fiber_witness(tc.fan)
-    pstar = apply_hom(proj, estar)
-    t_cap = gauge(up, pstar)
-    if t_cap is None or t_cap <= 0:
-        raise PairError("the fiber witness must have a positive gauge")
     rows = _gauge_rows(up)
-    pcone = make_cone(bd.l, [apply_hom(proj, g) for g in tc.support.generators])
-    if not pcone.is_full_dim():
-        raise GeometryError("interior test needs a full-dimensional cone")
-    cuts = [(a, t_cap * c) for a, c in up.ineqs] + [(d, 1) for d in pcone.dual_rays]
+    through_zero = rows[1]
+    if not through_zero:
+        return None
+    witness = _gauge_ratio(rows, apply_hom(proj, _fiber_witness(tc.fan)))
+    if witness is None or witness[0] <= 0:
+        raise PairError("the fiber witness must have a positive gauge")
+    t_cap = Fraction(*witness)
+    cuts = [(a, t_cap * c) for a, c in up.ineqs] + [(d, 1) for d in through_zero]
     best = None
     for v in integer_points(bd.l, cuts):
         g = _gauge_ratio(rows, v)

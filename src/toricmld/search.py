@@ -484,26 +484,6 @@ def _search(tc, pair, bd, t, transcript, depth):
     """(phi_bar, gamma) for bd, whose mld t over the fiber is positive (so l >= 1)."""
     n = tc.rank
     l = bd.l
-    if l == 1:
-        # sigma0-perp is the one dual line of sigma0
-        phi1 = primitive(bd.sigma0.dual_lines[0])
-        lo, hi = interval_image(phi1, bd.u)
-        if lo is None or hi is None:
-            raise SearchError("l=1 interval of phi1 over u is unbounded")
-        if lo != 0 and hi == 0:
-            phi1, lo, hi = tuple(-x for x in phi1), -hi, -lo
-        if lo != 0:
-            raise SearchError("l=1 orientation failed: 0 interior to phi1(U)")
-        if hi <= 0:
-            raise SearchError("l=1 interval of phi1 over u is the point 0")
-        if t * hi > 1:
-            raise SearchError("l=1 interval longer than 1/t contradicts the mld")
-        gamma_here = Fraction(1) / hi
-        phibar = _descend(tc, phi1)
-        transcript.append(dict(depth=depth, l=l, case="l1", t=t, phi=phi1,
-                               interval=(lo, hi), gamma=gamma_here, phibar=phibar))
-        return phibar, gamma_here
-
     proj, up = bd.quotient
     wr = width_functional(up, t, l)
     phi_n = compose_covector(wr.phi, proj, n)
@@ -513,14 +493,14 @@ def _search(tc, pair, bd, t, transcript, depth):
         if not bd.box.contains(vec_scale(-gamma_here, phi_n)):
             raise SearchError("boundary functional misses the box at 1/w")
         phibar = _descend(tc, phi_n)
-        transcript.append(dict(depth=depth, l=l, case="boundary", t=t,
-                               phi=phi_n, interval=(lo, hi), w=w, gamma=gamma_here,
-                               phibar=phibar))
+        # at l = 1 the pick is +-sigma0's dual line, recorded as "l1" without w
+        rec = dict(depth=depth, l=l, case="l1", t=t, phi=phi_n, interval=(lo, hi))
+        if l > 1:
+            rec.update(case="boundary", w=w)
+        rec.update(gamma=gamma_here, phibar=phibar)
+        transcript.append(rec)
         return phibar, gamma_here
     # interior: slice and recurse
-    if content(phi_n) != 1:
-        raise SearchError("width functional %r pulls back to a non-primitive "
-                          "functional on N" % (wr.phi,))
     if not w > 1:
         raise SearchError("interior width must exceed 1")
     lam = Fraction(1) / w

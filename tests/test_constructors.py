@@ -53,6 +53,12 @@ def test_make_fan_refuses_a_negative_rank():
         make_fan(-1, [], [])
 
 
+def test_make_fan_refuses_positive_rank_without_cones_only():
+    with pytest.raises(PairError, match=r"^fan of rank 3 has no maximal cones$"):
+        make_fan(3, [], [])
+    assert make_fan(0, [], []).max_cones == ()
+
+
 def test_make_pair_refuses_an_empty_point_set():
     with pytest.raises(PairError, match=r"^b-divisor has no points$"):
         make_pair(_a2_fan(), (0, 0), [])
@@ -204,6 +210,16 @@ def test_check_refuses_a_huge_rank_before_building_anything_of_that_size(tmp_pat
     assert rc == 2 and out == ""
     assert err == "error: fan ray 0 has 2 entries, not %d\n" % rank
     assert peak < rank       # a list of rank_N entries takes 8 bytes an entry
+
+
+def test_check_refuses_a_fan_of_positive_rank_without_cones(tmp_path, capsys):
+    # make_fan refuses it before validate_contraction builds pi^-1(sigma_bar)
+    # in rank rank_N, which took about 0.5 s at rank 200
+    p = tmp_path / "empty.json"
+    p.write_text(dumps_canonical({"rank_N": 200, "rays": [], "max_cones": [], "pi": []}))
+    rc, out, err = run(capsys, "check", str(p))
+    assert rc == 2 and out == ""
+    assert err == "error: fan of rank 200 has no maximal cones\n"
 
 
 def test_instance_without_bdiv_a_gets_the_point_zero():

@@ -303,22 +303,22 @@ def test_gauge_matches_reference_gauge_on_polytopes_containing_zero():
 
 
 @pytest.fixture()
-def counted_gauge(monkeypatch):
-    """The number of calls of the gauge that pairs uses, since the last reset."""
+def counted_gauge_rows(monkeypatch):
+    """The number of calls of the gauge check that pairs uses, since the last reset."""
     calls = [0]
-    inner = toricmld.pairs.gauge
+    inner = toricmld.pairs._gauge_rows
 
-    def counting(p, x):
+    def counting(p):
         calls[0] += 1
-        return inner(p, x)
+        return inner(p)
 
-    monkeypatch.setattr(toricmld.pairs, "gauge", counting)
+    monkeypatch.setattr(toricmld.pairs, "_gauge_rows", counting)
     return calls
 
 
-def test_mld_calls_gauge_once_and_matches_reference(counted_gauge):
-    # the gauge checks run once per mld_over_fiber, for t_cap; every
-    # candidate goes through the integer kernel, not through gauge
+def test_mld_calls_gauge_once_and_matches_reference(counted_gauge_rows):
+    # the gauge checks run once per mld_over_fiber that gets past l == 0;
+    # t_cap and every candidate go through the integer kernel on those rows
     cases = []
     for name in CORPUS:
         tc, pair, _obj = load_corpus(name)
@@ -327,10 +327,9 @@ def test_mld_calls_gauge_once_and_matches_reference(counted_gauge):
     cases += list(_generated(range(1000, 1016)))
     scanned = 0
     for name, tc, bd in cases:
-        counted_gauge[0] = 0
+        counted_gauge_rows[0] = 0
         got = mld_over_fiber(tc, bd)
-        # mld_over_fiber returns None only before it computes t_cap
-        assert counted_gauge[0] == (got is not None), name
+        assert counted_gauge_rows[0] == (bd.l > 0), name
         assert got == reference_mld(tc, bd), name
         scanned += got is not None
     assert scanned >= 20

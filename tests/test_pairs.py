@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import a1_pair, germ, wedge25_pair, zero_pair
-from toricmld.lattice import dot, identity
+from toricmld.lattice import dot, identity, rational_rank
 from toricmld.pairs import (
     NotRCartier,
     PairError,
@@ -323,7 +323,7 @@ def test_box_a2(a2_germ):
     _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
     assert polyhedra_equal(bd.box, from_generators(2, [(-1, -1)], [(1, 0), (0, 1)]))
     assert polyhedra_equal(bd.u, from_generators(2, [(0, 0), (1, 0), (0, 1)]))
-    assert bd.sigma0.generators == ()
+    assert bd.u.rays == ()
     assert bd.l == 2
 
 
@@ -332,8 +332,9 @@ def test_box_full_boundary(halfplane_germ):
     _, _, bd = analyze(halfplane_germ, pair)
     sup = halfplane_germ.support
     assert all(bd.u.contains(g) for g in sup.generators)
-    assert all(sup.contains(g) for g in bd.sigma0.generators)
-    assert bd.sigma0.cone_dim() == 2 and bd.l == 0
+    # sigma0 is the cone over u's rays
+    assert all(sup.contains(g) for g in bd.u.rays)
+    assert rational_rank(bd.u.rays, 2) == 2 and bd.l == 0
     for e in halfplane_germ.fan.rays:
         assert log_discrepancy(bd, e) == 0
     assert mld_over_fiber(halfplane_germ, bd) is None

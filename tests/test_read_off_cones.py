@@ -1,0 +1,102 @@
+"""Cones read off u and its image up, against the derivations they replaced.
+
+`analyze` reads l off the rank of u's rays, `BoxData.quotient` spans
+u's rays, `mld_over_fiber` takes the interior of the support's image from
+the rows of up through 0, and `_search` sends l = 1 through the width
+search.  The references below are the former derivations: the cone
+sigma0 over u's rays by its own double description, the image of the
+support by one more, `strict_interior_contains` for "0 is interior to
+up", and the former l = 1 branch of `_search`, which took sigma0's dual
+line.
+"""
+
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+import toricmld.search
+from toricmld.generator import random_instance
+from toricmld.instances import CORPUS, instance_from_obj, load_corpus
+from toricmld.lattice import apply_hom, primitive, quotient_by_span, saturated_span
+from toricmld.pairs import analyze, mld_over_fiber
+from toricmld.polyhedra import (
+    _gauge_rows,
+    interval_image,
+    make_cone,
+    strict_interior_contains,
+)
+from toricmld.search import _descend, find_hyperplane
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "certify.json"
+
+
+def _cases():
+    """The corpus, seeds 1000-1015 and every certify golden with an l = 1 record."""
+    for name in CORPUS:
+        tc, pair, _obj = load_corpus(name)
+        yield name, tc, pair
+    for seed in range(1000, 1016):
+        tc, pair, _meta = random_instance(seed)
+        yield "seed%d" % seed, tc, pair
+    for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))["instances"]:
+        if any(r["case"] == "l1" for r in entry["certificate"]["transcript"]):
+            tc, pair = instance_from_obj(entry["instance"])
+            yield "golden " + entry["name"], tc, pair
+
+
+def reference_l1(tc, bd, t):
+    """The former l = 1 branch: (phi, interval, gamma, phibar) from sigma0's dual line."""
+    phi1 = primitive(make_cone(tc.rank, bd.u.rays).dual_lines[0])
+    lo, hi = interval_image(phi1, bd.u)
+    if lo != 0 and hi == 0:
+        phi1, lo, hi = tuple(-x for x in phi1), -hi, -lo
+    assert lo == 0 < hi and t * hi <= 1
+    return phi1, (lo, hi), F(1) / hi, _descend(tc, phi1)
+
+
+def assert_read_off_matches_reference(tc, bd, name):
+    n = tc.rank
+    sigma0 = make_cone(n, bd.u.rays)
+    assert bd.l == n - sigma0.cone_dim(), name
+    if bd.l == 0:
+        return
+    proj, up = bd.quotient
+    assert proj == quotient_by_span(n, saturated_span(n, sigma0.generators)).projection, name
+    through_zero = _gauge_rows(up)[1]
+    pcone = make_cone(bd.l, [apply_hom(proj, g) for g in tc.support.generators])
+    assert through_zero == pcone.dual_rays, name
+    assert (not through_zero) == strict_interior_contains(up, (0,) * bd.l), name
+
+
+def test_read_off_cones_and_the_l1_width_pick_match_the_former_derivations(monkeypatch):
+    real_search = toricmld.search._search
+    searched = []
+
+    def recording(tc, pair, bd, t, transcript, depth):
+        out = real_search(tc, pair, bd, t, transcript, depth)
+        searched.append((tc, bd, t, depth, transcript[-1] if bd.l == 1 else None, out))
+        return out
+
+    monkeypatch.setattr(toricmld.search, "_search", recording)
+    cases = l1_checked = 0
+    for name, tc, pair in _cases():
+        _folded, _psi, bd = analyze(tc, pair)
+        assert_read_off_matches_reference(tc, bd, name)
+        cases += 1
+        if mld_over_fiber(tc, bd) is None:
+            continue
+        searched.clear()
+        find_hyperplane(tc, pair)
+        for tc1, bd1, t, depth, rec, out in searched:
+            assert_read_off_matches_reference(tc1, bd1, name)
+            if rec is None:
+                continue
+            phi, interval, gamma_val, phibar = reference_l1(tc1, bd1, t)
+            # the same record, key order included, as the former branch wrote
+            assert list(rec.items()) == [
+                ("depth", depth), ("l", 1), ("case", "l1"), ("t", t), ("phi", phi),
+                ("interval", interval), ("gamma", gamma_val), ("phibar", phibar)], name
+            assert out == (phibar, gamma_val), name
+            l1_checked += 1
+    assert cases == 8 + 16 + 60
+    assert l1_checked >= 60

@@ -2,6 +2,10 @@ import ast
 import pathlib
 
 import toricmld
+import toricmld.pairs
+import toricmld.polyhedra
+from toricmld.instances import CORPUS, load_corpus
+from toricmld.pairs import analyze, mld_over_fiber
 
 
 def test_no_assert_statements_in_the_package():
@@ -46,3 +50,36 @@ def test_unused_import_scan_sees_a_planted_import():
     source = "from fractions import Fraction\nimport os\nfrom .lattice import dot, primitive\n" \
              "x = primitive(Fraction(1))\n"
     assert _unused_imports(source, "planted.py") == [(2, "os"), (3, "dot")]
+
+
+def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
+    """analyze runs 5 double descriptions, mld_over_fiber none of its own.
+
+    With tc.support cached, analyze converts box_{-K-B-D}, the box and u
+    (one, two and two calls); sigma0 is read off u's rays.  With
+    bd.quotient cached, mld_over_fiber reads the interior of the
+    support's image off up's rows through 0.
+    """
+    calls = [0]
+    real = toricmld.polyhedra.cone_from_inequalities
+
+    def counted(rows, dim):
+        calls[0] += 1
+        return real(rows, dim)
+
+    monkeypatch.setattr(toricmld.polyhedra, "cone_from_inequalities", counted)
+    monkeypatch.setattr(toricmld.pairs, "cone_from_inequalities", counted)
+    scanned = 0
+    for name in CORPUS:
+        tc, pair, _obj = load_corpus(name)
+        assert tc.support
+        calls[0] = 0
+        _folded, _psi, bd = analyze(tc, pair)
+        assert calls[0] == 5, name
+        if bd.l == 0:
+            continue
+        assert bd.quotient
+        calls[0] = 0
+        scanned += mld_over_fiber(tc, bd) is not None
+        assert calls[0] == 0, name
+    assert scanned >= 5
