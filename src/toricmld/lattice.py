@@ -191,9 +191,7 @@ def snf(m, nrows=None, ncols=None):
             ent = [(abs(D[i][j]), i, j) for i in range(k, nr)
                    for j in range(k, nc) if D[i][j] != 0]
             if not ent:
-                return (tuple(tuple(r) for r in D), tuple(tuple(r) for r in U),
-                        tuple(tuple(r) for r in V), tuple(tuple(r) for r in Ui),
-                        tuple(tuple(r) for r in Vi))
+                return tuple(tuple(map(tuple, m)) for m in (D, U, V, Ui, Vi))
             _, i, j = min(ent)
             if i != k:
                 row_swap(i, k)
@@ -213,23 +211,15 @@ def snf(m, nrows=None, ncols=None):
             if not clean:
                 continue
             # enforce the divisibility chain
-            bad = None
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
-                    if D[i][j] % D[k][k] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(k + 1, nr) for j in range(k + 1, nc)
+                        if D[i][j] % D[k][k]), None)
             if bad is None:
                 break
             row_op(k, bad, -1)
         if D[k][k] < 0:
             row_neg(k)
         k += 1
-    return (tuple(tuple(r) for r in D), tuple(tuple(r) for r in U),
-            tuple(tuple(r) for r in V), tuple(tuple(r) for r in Ui),
-            tuple(tuple(r) for r in Vi))
+    return tuple(tuple(map(tuple, m)) for m in (D, U, V, Ui, Vi))
 
 
 def hom_is_surjective(mat, ncols):

@@ -339,8 +339,13 @@ def cartier_psi(tc, r):
 
 
 def is_f_nef(tc, r, psi):
-    """Toric relative nef test: each -psi_sigma lies in the section box."""
-    return all(dot(p, e) <= re for p in psi for e, re in zip(tc.fan.rays, r))
+    """Toric relative nef test: each -psi_sigma lies in the section box.
+
+    At the point row (x, q) of psi_sigma and r_e = n / d, the test
+    <psi_sigma, e> <= r_e reads x.e * d <= n * q, in integers.
+    """
+    return all(dot(x[:-1], e) * re.denominator <= re.numerator * x[-1]
+               for x in map(_point_row, psi) for e, re in zip(tc.fan.rays, r))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ the homogenized ray; both exactly as the double description returns them.
 A caller's rational row becomes this form in one place, `_integer_row`,
 and a caller's rational point in `_point_row`; the readers compare ratios
 by cross-multiplying, and Fraction points exist only as the `points` view
-of the public API.  Conversion runs through
-a single primitive, the double description of a cone given by
-homogeneous integer inequalities.  It does integer arithmetic only: a
-fraction-free echelon picks the start rows, one Gauss-Jordan elimination
-gives the start rays, and two rays are combined iff they are adjacent by
-the combinatorial test (their common zero set over the processed rows
-has at least dim-2 rows and lies in no third ray's zero set).  The rays
-come out primitive and sorted, so the result is deterministic.
+of the public API.  Conversion runs through a single primitive, the
+double description of a cone given by homogeneous integer inequalities,
+in integer arithmetic only: one fraction-free Gauss-Jordan elimination
+picks the start rows and gives the start rays, and two rays are combined
+iff their common zero set over the processed rows has at least dim-2
+rows and lies in no third ray's zero set (the combinatorial adjacency
+test).  The rays come out primitive and sorted, so the result is
+deterministic.
 
 Everything is exact (int and Fraction); there is no floating point anywhere.
 """
@@ -30,8 +30,8 @@ from operator import mul
 
 from .lattice import (
     LatticeError,
+    _as_integers,
     _cancel,
-    _independent_rows,
     apply_hom,
     compose_covector,
     content,
@@ -51,21 +51,16 @@ class GeometryError(ValueError):
     pass
 
 
-def _fraction_vec(v):
-    return tuple(Fraction(a) for a in v)
-
-
 def _integer_direction(v):
-    """Scale a rational vector to a primitive integer one."""
-    if all(a == 0 for a in v):
+    """Scale a vector of ints and Fractions to a primitive integer one."""
+    if is_zero(v):
         raise GeometryError("zero direction")
-    den = lcm(*(a.denominator for a in v))
-    return primitive(tuple(int(a * den) for a in v))
+    return primitive(_as_integers(v))
 
 
 def _point_row(p):
     """The rational point p as its integer row (x, q): primitive, q > 0, p = x / q."""
-    return _integer_direction(_fraction_vec(p) + (1,))
+    return _integer_direction(tuple(p) + (1,))
 
 
 def _point_sum(g, h):
@@ -89,49 +84,59 @@ def _integer_row(a, c):
 # cone engine
 
 
-def _inverse_columns(bmat, dim):
-    """Primitive integer directions of the columns of bmat^-1.
+def _simplicial_start(rows, dim):
+    """(base, rays): the greedy independent rows and the start rays of the double description.
 
-    One fraction-free Gauss-Jordan elimination of [bmat | I] leaves
-    [D | M] with D diagonal and M bmat = D, so column j of bmat^-1 is
-    (M[i][j] / D[i][i])_i; it is scaled by the lcm of the |D[i][i]|.
+    One fraction-free Gauss-Jordan elimination (`_cancel`) runs over the
+    rows in order, each augmented by the unit vector of its slot in the
+    base; a row that reduces to 0 is dropped, a kept row with first nonzero
+    column c clears c from the rows kept before it.  Kept row k then reads
+    M_k B = d_k e_c for the base matrix B, so the rays, the primitive
+    columns of B^-1, are lcm(d) M_k / d_k at c; rays is None below dim rows.
     """
-    aug = [list(r) + [int(k == i) for k in range(dim)] for i, r in enumerate(bmat)]
-    for c in range(dim):
-        piv = next(i for i in range(c, dim) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        for i in range(dim):
-            if i != c and aug[i][c]:
-                aug[i] = _cancel(aug[i], aug[c], c)
-    den = lcm(*(aug[i][i] for i in range(dim)))
-    scale = [den // aug[i][i] for i in range(dim)]
-    return [primitive(tuple(aug[i][dim + j] * scale[i] for i in range(dim)))
-            for j in range(dim)]
+    base, kept = [], []
+    for i, r in enumerate(rows):
+        if len(base) == dim:
+            break
+        r = list(r) + [0] * dim
+        r[dim + len(base)] = 1
+        for c, b in kept:
+            if r[c]:
+                r = _cancel(r, b, c)
+        for piv in range(dim):
+            if r[piv]:
+                break
+        else:
+            continue
+        kept = [(c, _cancel(b, r, piv) if b[piv] else b) for c, b in kept] + [(piv, r)]
+        base.append(i)
+    if len(base) < dim:
+        return base, None
+    den = lcm(*(b[c] for c, b in kept))
+    inv = [[den // b[c] * x for x in b[dim:]] for c, b in sorted(kept)]
+    return base, [primitive(col) for col in zip(*inv)]
 
 
 def _dd_pointed(rows, dim):
     """Extreme rays of the pointed cone {x : rows.x >= 0} (kernel must be 0)."""
-    base = _independent_rows(rows, dim)
-    if len(base) < dim:
+    base, rays = _simplicial_start(rows, dim)
+    if rays is None:
         raise GeometryError("cone is not pointed")
-    return _dd_from_base(rows, dim, base)
+    return _dd_from_base(rows, dim, base, rays)
 
 
-def _dd_from_base(rows, dim, base):
-    """Double description of {x : rows.x >= 0} from dim independent rows.
+def _dd_from_base(rows, dim, base, rays):
+    """Double description of {x : rows.x >= 0} from `_simplicial_start`.
 
-    The start rays are the columns of the base's inverse.  Each ray
-    carries its zero set over the processed rows as a bitmask (bit i for
-    row i).  Adding a row keeps the rays on its nonnegative side and
-    combines each positive ray r+ with each negative ray r- that is
-    adjacent to it: z = zero(r+) & zero(r-) has at least dim - 2 bits and
-    no third ray's zero set contains z (the combinatorial test of
-    Fukuda-Prodon).  The new ray's zero set is z plus the added row.
+    Start ray j is zero on every base row but the j-th.  Each ray carries
+    its zero set over the processed rows as a bitmask (bit i for row i).
+    Adding a row keeps the rays on its nonnegative side and combines each
+    positive ray r+ with each negative ray r- that is adjacent to it:
+    z = zero(r+) & zero(r-) has at least dim - 2 bits and no third ray's
+    zero set contains z (the combinatorial test of Fukuda-Prodon).  The
+    new ray's zero set is z plus the added row.
     """
-    rays = _inverse_columns([rows[i] for i in base], dim)
-    full = 0
-    for i in base:
-        full |= 1 << i
+    full = sum(1 << i for i in base)
     masks = [full & ~(1 << i) for i in base]
     skip = set(base)
     for i, a in enumerate(rows):
@@ -172,9 +177,9 @@ def cone_from_inequalities(rows, dim):
     pointed cone; only below that is the lineality space computed.
     """
     rows = [tuple(r) for r in rows if not is_zero(r)]
-    base = _independent_rows(rows, dim)
-    if len(base) == dim:
-        return _dd_from_base(rows, dim, base), ()
+    base, rays = _simplicial_start(rows, dim)
+    if rays is not None:
+        return _dd_from_base(rows, dim, base, rays), ()
     lines = kernel_basis(tuple(rows), dim)
     sub = sublattice_from_vectors(dim, lines)
     q = quotient_by_span(dim, sub)
@@ -416,7 +421,7 @@ class SupportSet:
 
 
 def make_support(points):
-    pts = sorted({_fraction_vec(p) for p in points})
+    pts = sorted({tuple(Fraction(a) for a in p) for p in points})
     return SupportSet(tuple(pts))
 
 

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import pathlib
 
 import toricmld
@@ -83,3 +85,58 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         scanned += mld_over_fiber(tc, bd) is not None
         assert calls[0] == 0, name
     assert scanned >= 5
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _traced_names(source):
+    """The "layer.function" strings the tracer reads: c(...), t(...), names.index(...), PROBES."""
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in ("c", "t")
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "index"):
+            found.update(a.value for a in node.args if isinstance(a, ast.Constant))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(x, ast.Name) and x.id == "PROBES" for x in node.targets):
+            found.update(k.value for k in node.value.keys)
+    return found
+
+
+def _package_attributes(source):
+    """The "module.name" of each toricmld.module.name the source reads."""
+    return {"%s.%s" % (node.value.attr, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "toricmld"}
+
+
+def test_every_name_the_bench_reads_exists():
+    """A renamed function would read as zero calls in the traced metrics, not fail."""
+    traced = _traced_names((BENCH / "tracer.py").read_text())
+    asserted = _package_attributes((BENCH / "test_harness.py").read_text())
+    assert "polyhedra.cone_from_inequalities" in traced
+    assert "polyhedra._dd_pointed" in asserted
+    missing = []
+    for qualname in sorted(traced):
+        layer, name = qualname.split(".")
+        module = importlib.import_module("toricmld." + layer)
+        fn = getattr(module, name, None)
+        # the tracer wraps only the public functions a layer defines itself
+        if not (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                and not name.startswith("_")):
+            missing.append(qualname)
+    for qualname in sorted(asserted):
+        layer, name = qualname.split(".")
+        if not hasattr(importlib.import_module("toricmld." + layer), name):
+            missing.append(qualname)
+    assert missing == []
+
+
+def test_bench_name_scan_sees_planted_names():
+    source = 'PROBES = {"a.b": f}\n' \
+             'def g():\n    return c("l.x"), t("l.y", "l.z"), names.index("l.w"), d("no")\n'
+    assert _traced_names(source) == {"a.b", "l.x", "l.y", "l.z", "l.w"}
+    assert _package_attributes("toricmld.polyhedra._dd_pointed is toricmld.dot") == \
+        {"polyhedra._dd_pointed"}
