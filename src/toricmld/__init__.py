@@ -50,7 +50,6 @@ from .polyhedra import (
     lattice_points,
     make_cone,
     make_support,
-    strict_interior_contains,
     support_value,
 )
 from .search import (

@@ -38,11 +38,12 @@ from .polyhedra import (
 )
 
 MAX_ATTEMPTS = 400
+UNIMODULAR_STEPS = 8
 
 
-def _rand_unimodular(rng, n, steps=8):
+def _rand_unimodular(rng, n):
     m = [list(r) for r in identity(n)]
-    for _ in range(steps):
+    for _ in range(UNIMODULAR_STEPS):
         op = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if op == 0 and i != j:

@@ -61,7 +61,6 @@ from .polyhedra import (
     interval_image,
     make_cone,
     make_support,
-    map_polyhedron,
     support_scale,
     support_sum,
     support_value,
@@ -359,11 +358,20 @@ class BoxData:
 
     @cached_property
     def quotient(self):
-        """(projection N -> N / span(sigma0), image of u): u's rays span sigma0, so it is compact."""
-        n = self.tc.rank
-        span = saturated_span(n, self.u.rays)
-        proj = quotient_by_span(n, span).projection
-        return proj, map_polyhedron(proj, self.u, self.l)
+        """(projection N -> N / span(sigma0), image up of u), up read off u's facets.
+
+        u's rays span sigma0 = ker(projection), so up is compact.  A facet
+        of up pulls back to a facet of u whose normal vanishes on sigma0,
+        and each such facet (a, c) of u maps onto the facet (a.section, c)
+        of up, primitive because the projection is onto; one double
+        description of those rows gives up's generators.
+        """
+        n, l, u = self.tc.rank, self.l, self.u
+        q = quotient_by_span(n, saturated_span(n, u.rays))
+        rows = sorted((compose_covector(a, q.section, l), c) for a, c in u.ineqs
+                      if all(dot(a, r) == 0 for r in u.rays))
+        hpoints, rays = _generators_from_ineqs(rows, l)
+        return q.projection, Polyhedron(l, hpoints, rays, tuple(rows))
 
 
 def analyze(tc, pair):

@@ -361,13 +361,6 @@ def polyhedra_equal(p, q):
     return _generators_within(p, q) and _generators_within(q, p)
 
 
-def affine_dim(p):
-    """-1 if p is empty, else the rank of its homogenized generators minus 1."""
-    if p.empty:
-        return -1
-    return rational_rank(_homogenize_generators(p.hpoints, p.rays), p.dim + 1) - 1
-
-
 def _rescaled(row, s, t):
     """The primitive row of (s * row[:-1], t * row[-1]) for positive ints s, t."""
     return primitive(tuple(s * x for x in row[:-1]) + (t * row[-1],))
@@ -390,15 +383,6 @@ def scale_polyhedron(p, t):
     rows = (_rescaled(a + (-c,), d, n) for a, c in p.ineqs)
     return Polyhedron(p.dim, tuple(sorted(_rescaled(h, n, d) for h in p.hpoints)), p.rays,
                       tuple(sorted((w[:-1], -w[-1]) for w in rows)))
-
-
-def map_polyhedron(mat, p, dim_out):
-    """Image of p under an integer linear map (rows of mat)."""
-    if p.empty:
-        return _empty(dim_out)
-    hpts = [primitive(apply_hom(mat, h[:-1]) + (h[-1],)) for h in p.hpoints]
-    rays = [r2 for r2 in (apply_hom(mat, r) for r in p.rays) if not is_zero(r2)]
-    return _from_hpoints(dim_out, hpts, rays)
 
 
 # ---------------------------------------------------------------------------
@@ -636,34 +620,19 @@ def integer_points(dim, ineqs):
 
 def _lift(levels):
     """Depth first through levels[k] = (lower, upper) bounds of x_k, in lex order."""
-    dim = len(levels)
-    if dim == 0:
-        yield ()
-        return
-    last = dim - 1
-    x = [0] * dim
-    hi = [0] * dim
-    k, descend = 0, True
-    while k >= 0:
-        if descend:
-            lower, upper = levels[k]
-            x[k] = max(-((sum(map(mul, a, x)) - c) // p) for p, a, c in lower)
-            hi[k] = min((c - sum(map(mul, a, x))) // q for q, a, c in upper)
-        else:
-            x[k] += 1
-        if x[k] > hi[k]:
-            k, descend = k - 1, False
-        elif k == last:
-            prefix = tuple(x[:last])
-            for v in range(x[k], hi[k] + 1):
-                yield prefix + (v,)
-            k, descend = k - 1, False
-        else:
-            k, descend = k + 1, True
+    last = len(levels) - 1
+    if last < 0:
+        return iter(((),))
 
+    def walk(x):
+        lower, upper = levels[len(x)]
+        lo = max(-((sum(map(mul, a, x)) - c) // p) for p, a, c in lower)
+        hi = min((c - sum(map(mul, a, x))) // q for q, a, c in upper)
+        if len(x) == last:
+            for v in range(lo, hi + 1):
+                yield x + (v,)
+        else:
+            for v in range(lo, hi + 1):
+                yield from walk(x + (v,))
 
-def strict_interior_contains(p, x):
-    """True iff every inequality is strict at x; p must be full-dimensional."""
-    if affine_dim(p) != p.dim:
-        raise GeometryError("strict interior needs a full-dimensional polyhedron")
-    return all(dot(a, x) > c for a, c in p.ineqs)
+    return walk(())

@@ -230,7 +230,6 @@ class SliceData:
     pi0: tuple                # hom N0 -> Nbar0 in the chosen bases
     nbar0: object             # Sublattice pi(N0) inside Nbar
     u0: object                # U cap phi-perp in N0 coordinates
-    u_check: object           # u of the slice pair (equals u0 / lam)
     mld1: Fraction
     max_ray_discrepancy: Fraction
 
@@ -277,12 +276,8 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
         raise PairError("slice fan is empty: phi-perp misses the support")
 
     rays_n = sorted({g for gens in zero_sets for g in gens})
-    rays0 = []
-    for g in rays_n:
-        c = kern.coordinates(g)
-        if c is None:
-            raise SearchError("slice ray %r lies outside ker(phi)" % (g,))
-        rays0.append(c)
+    # phi vanishes on every slice ray, so each lies in the saturated ker(phi)
+    rays0 = [kern.coordinates(g) for g in rays_n]
     index = {g: i for i, g in enumerate(rays_n)}
     cones0 = [tuple(sorted(index[g] for g in gens)) for gens in zero_sets]
     fan0 = make_fan(n - 1, rays0, cones0)
@@ -297,14 +292,8 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     nbar0 = sublattice_from_vectors(tc.base_rank, images)
     if nbar0.rank == 0:
         raise PairError("slice base has rank zero")
-    cols = []
-    for img in images:
-        c = nbar0.coordinates(img)
-        if c is None:
-            raise SearchError("image %r of ker(phi) lies outside the slice base "
-                              "lattice" % (img,))
-        cols.append(c)
-    pi0 = transpose(cols, nbar0.rank)
+    # the images generate nbar0, so each has coordinates in it
+    pi0 = transpose([nbar0.coordinates(img) for img in images], nbar0.rank)
     sigma_bar0 = make_cone(nbar0.rank, [apply_hom(pi0, r) for r in rays0])
     tc1 = ToricContraction(fan0, pi0, sigma_bar0)
     validate_contraction(tc1)
@@ -323,8 +312,7 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     restricted = [(tuple(dot(a, b) for b in kern.basis), c)
                   for a, c in bd.u.ineqs]
     u0 = from_inequalities(n - 1, restricted)
-    u_check = bd1.u
-    if not polyhedra_equal(u_check, scale_polyhedron(u0, Fraction(1) / lam)):
+    if not polyhedra_equal(bd1.u, scale_polyhedron(u0, Fraction(1) / lam)):
         raise PairError("slice identity fails: U(slice) != lam^-1 (U cap phi-perp)")
 
     mld1 = mld_over_fiber(tc1, bd1)
@@ -332,7 +320,7 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
         raise PairError("slice mld drops below lam * t")
     if bd1.l != bd.l - 1:
         raise PairError("slice lc-place dimension did not drop by one")
-    return SliceData(tc1, pair1, bd1, lam, pi0, nbar0, u0, u_check, mld1,
+    return SliceData(tc1, pair1, bd1, lam, pi0, nbar0, u0, mld1,
                      max_ray_discrepancy)
 
 

@@ -9,6 +9,7 @@ from toricmld.lattice import (
     is_zero,
     kernel_sublattice,
     primitive,
+    rational_rank,
 )
 from toricmld.pairs import (
     make_contraction,
@@ -17,6 +18,8 @@ from toricmld.pairs import (
     validate_contraction,
 )
 from toricmld.polyhedra import (
+    GeometryError,
+    _homogenize_generators,
     from_generators,
     from_inequalities,
     interval_image,
@@ -130,3 +133,22 @@ def extension_posts_hold(phi_prime, q, kern, phi0, c_body, w, l0):
         return False
     lo, hi = interval_image(phi_prime, c_body)
     return lo is not None and hi is not None and lo >= 0 and hi <= w * l0
+
+
+# ---------------------------------------------------------------------------
+# reference helpers: former package functions that the tests still use to
+# describe a polyhedron independently of the code under test
+
+
+def affine_dim(p):
+    """-1 if p is empty, else the rank of its homogenized generators minus 1."""
+    if p.empty:
+        return -1
+    return rational_rank(_homogenize_generators(p.hpoints, p.rays), p.dim + 1) - 1
+
+
+def strict_interior_contains(p, x):
+    """True iff every inequality is strict at x; p must be full-dimensional."""
+    if affine_dim(p) != p.dim:
+        raise GeometryError("strict interior needs a full-dimensional polyhedron")
+    return all(dot(a, x) > c for a, c in p.ineqs)

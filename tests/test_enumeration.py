@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricmld.pairs
-from conftest import germ, zero_pair
+from conftest import affine_dim, germ, strict_interior_contains, zero_pair
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import LatticeError, apply_hom, dot, identity, is_zero
@@ -29,7 +29,6 @@ from toricmld.polyhedra import (
     GeometryError,
     _gauge_ratio,
     _gauge_rows,
-    affine_dim,
     from_generators,
     from_inequalities,
     gauge,
@@ -37,7 +36,6 @@ from toricmld.polyhedra import (
     lattice_points,
     make_cone,
     scale_polyhedron,
-    strict_interior_contains,
 )
 
 

@@ -1,13 +1,14 @@
-"""Cones read off u and its image up, against the derivations they replaced.
+"""Cones and the quotient read off u, against the derivations they replaced.
 
 `analyze` reads l off the rank of u's rays, `BoxData.quotient` spans
-u's rays, `mld_over_fiber` takes the interior of the support's image from
-the rows of up through 0, and `_search` sends l = 1 through the width
-search.  The references below are the former derivations: the cone
-sigma0 over u's rays by its own double description, the image of the
-support by one more, `strict_interior_contains` for "0 is interior to
-up", and the former l = 1 branch of `_search`, which took sigma0's dual
-line.
+u's rays and reads up off u's facets whose normals vanish on them,
+`mld_over_fiber` takes the interior of the support's image from the rows
+of up through 0, and `_search` sends l = 1 through the width search.
+The references below are the former derivations: the cone sigma0 over
+u's rays by its own double description, up as the image of u under the
+projection by two more (`reference_quotient`), the image of the support
+by one more, `strict_interior_contains` for "0 is interior to up", and
+the former l = 1 branch of `_search`, which took sigma0's dual line.
 """
 
 import json
@@ -15,15 +16,24 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import toricmld.search
+from conftest import germ, strict_interior_contains
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, instance_from_obj, load_corpus
-from toricmld.lattice import apply_hom, primitive, quotient_by_span, saturated_span
-from toricmld.pairs import analyze, mld_over_fiber
+from toricmld.lattice import (
+    apply_hom,
+    identity,
+    is_zero,
+    primitive,
+    quotient_by_span,
+    saturated_span,
+)
+from toricmld.pairs import analyze, make_pair, mld_over_fiber
 from toricmld.polyhedra import (
+    _empty,
+    _from_hpoints,
     _gauge_rows,
     interval_image,
     make_cone,
-    strict_interior_contains,
 )
 from toricmld.search import _descend, find_hyperplane
 
@@ -100,3 +110,76 @@ def test_read_off_cones_and_the_l1_width_pick_match_the_former_derivations(monke
             l1_checked += 1
     assert cases == 8 + 16 + 60
     assert l1_checked >= 60
+
+
+def map_polyhedron(mat, p, dim_out):
+    """Image of p under an integer linear map (rows of mat)."""
+    if p.empty:
+        return _empty(dim_out)
+    hpts = [primitive(apply_hom(mat, h[:-1]) + (h[-1],)) for h in p.hpoints]
+    rays = [r2 for r2 in (apply_hom(mat, r) for r in p.rays) if not is_zero(r2)]
+    return _from_hpoints(dim_out, hpts, rays)
+
+
+def reference_quotient(bd):
+    """The former BoxData.quotient: the projection, and up as the image of u under it."""
+    n = bd.tc.rank
+    proj = quotient_by_span(n, saturated_span(n, bd.u.rays)).projection
+    return proj, map_polyhedron(proj, bd.u, bd.l)
+
+
+ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + (5, 27, 82, 93, 119, 159, 271, 362)
+# both near-boundary ladders of the bench, and d = 10^9
+NEAR_BOUNDARY_D = (2, 3, 4, 6, 8, 10, 11, 16, 23, 32, 45, 100, 316, 1000, 3162, 10 ** 9)
+
+
+def _smooth(n):
+    return germ(n, identity(n), [tuple(range(n))], identity(n))
+
+
+def _quotient_cases():
+    """The germs whose quotient is checked against the reference.
+
+    The corpus, the acceptance seeds, generator seeds 2000-2063, the
+    near-boundary points (A^3 with B = (1-1/d, 1-1/d, 0) and A^2 with
+    B = (1-1/d, 0)), and A^2 with B = (1, 1), where l = 0.
+    """
+    for name in CORPUS:
+        tc, pair, _obj = load_corpus(name)
+        yield name, tc, pair
+    for seed in ACCEPTANCE_SEEDS + tuple(range(2000, 2064)):
+        tc, pair, _meta = random_instance(seed)
+        yield "seed%d" % seed, tc, pair
+    for n, boundary in ((3, 2), (2, 1)):
+        tc = _smooth(n)
+        for d in NEAR_BOUNDARY_D:
+            b = [1 - F(1, d)] * boundary + [0] * (n - boundary)
+            yield "A%d_d%d" % (n, d), tc, make_pair(tc.fan, b, [(0,) * n])
+    tc = _smooth(2)
+    yield "A2 with B = (1, 1)", tc, make_pair(tc.fan, (1, 1), [(0, 0)])
+
+
+def test_quotient_read_off_u_is_the_image_of_u(monkeypatch):
+    checked, ls = 0, set()
+    for name, tc, pair in _quotient_cases():
+        _folded, _psi, bd = analyze(tc, pair)
+        assert bd.quotient == reference_quotient(bd), name
+        checked += 1
+        ls.add(bd.l)
+    assert checked == 8 + 104 + 64 + 2 * len(NEAR_BOUNDARY_D) + 1
+    assert 0 in ls and 3 in ls
+
+    real_slice = toricmld.search.make_slice
+    slices = []
+
+    def recording(*args):
+        sl = real_slice(*args)
+        slices.append(sl.bd1)
+        return sl
+
+    monkeypatch.setattr(toricmld.search, "make_slice", recording)
+    for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))["instances"]:
+        find_hyperplane(*instance_from_obj(entry["instance"]))
+    for bd1 in slices:
+        assert bd1.quotient == reference_quotient(bd1), bd1.tc
+    assert len(slices) >= 9

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import a1_pair, germ, wedge25_pair, zero_pair
+from conftest import a1_pair, affine_dim, germ, wedge25_pair, zero_pair
 from toricmld.lattice import (
     content,
     dot,
@@ -27,7 +27,6 @@ from toricmld.pairs import (
     validate_contraction,
 )
 from toricmld.polyhedra import (
-    affine_dim,
     from_generators,
     from_inequalities,
     interval_image,
@@ -344,7 +343,7 @@ def test_slice_wedge25(wedge25_germ):
     assert sl.pair1.b_inv == (F(24, 25),)
     assert sorted(sl.pair1.bdiv_a.points) == [(F(-1, 25),), (F(3, 100),)]
     assert polyhedra_equal(sl.u0, from_generators(1, [(0,), (F(25, 8),)]))
-    assert polyhedra_equal(sl.u_check, from_generators(1, [(0,), (25,)]))
+    assert polyhedra_equal(sl.bd1.u, from_generators(1, [(0,), (25,)]))
     assert sl.max_ray_discrepancy == 1
     assert bd.l == 2 and sl.bd1.l == 1
 

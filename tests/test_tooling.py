@@ -55,10 +55,11 @@ def test_unused_import_scan_sees_a_planted_import():
 
 
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
-    """analyze runs 5 double descriptions, mld_over_fiber none of its own.
+    """analyze runs 5 double descriptions, bd.quotient 1, mld_over_fiber none.
 
     With tc.support cached, analyze converts box_{-K-B-D}, the box and u
-    (one, two and two calls); sigma0 is read off u's rays.  With
+    (one, two and two calls); sigma0 is read off u's rays.  bd.quotient
+    reads up's rows off u's facets and converts them once.  With
     bd.quotient cached, mld_over_fiber reads the interior of the
     support's image off up's rows through 0.
     """
@@ -80,7 +81,9 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         assert calls[0] == 5, name
         if bd.l == 0:
             continue
+        calls[0] = 0
         assert bd.quotient
+        assert calls[0] == 1, name
         calls[0] = 0
         scanned += mld_over_fiber(tc, bd) is not None
         assert calls[0] == 0, name
