@@ -59,7 +59,7 @@ def _fail(args, code, message):
 def _box(args):
     """(tc, bd) of the instance file args.instance, loaded and analyzed."""
     tc, pair, _obj = load_instance(args.instance)
-    _folded, _psi, bd = analyze(tc, pair)
+    bd = analyze(tc, pair)
     return tc, bd
 
 

@@ -20,7 +20,6 @@ from .pairs import (
     PairError,
     analyze,
     fix_mov,
-    is_glc,
     make_contraction,
     make_fan,
     make_pair,
@@ -186,7 +185,7 @@ def _candidate_pair(rng, tc):
     for bj, pts in general:
         s = make_support(pts)
         a_eff = support_sum(a_eff, support_scale(bj, s))
-        fix = fix_mov(s, (0,) * len(fan.rays), fan.rays)
+        fix = fix_mov(s, fan.rays)
         fixes = [f + bj * x for f, x in zip(fixes, fix)]
     if rng.random() < 0.55:
         # log Calabi-Yau mode: boundary determined by a single global psi
@@ -226,9 +225,7 @@ def random_instance(seed):
             fan = _build_fan(rng, support, n)
             tc = make_contraction(fan, pi, sigma_bar.generators)
             pair = _candidate_pair(rng, tc)
-            _folded, _psi, bd = analyze(tc, pair)
-            if not is_glc(bd):
-                raise PairError("sampled pair not g-lc")
+            bd = analyze(tc, pair)
             if mld_over_fiber(tc, bd) is None:
                 raise PairError("sampled pair has non-positive mld")
             validate_contraction(tc)

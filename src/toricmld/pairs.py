@@ -14,10 +14,10 @@ discrepancies, the g-lc test, the minimal log discrepancy over the
 central fiber, and lct of pulled-back invariant hyperplanes).
 
 Each check lives in one place and raises PairError.  The constructors
-own shapes and ranges: make_fan the rank, the rays (entry counts,
-nonzero, primitive, distinct) and the cone indices, make_contraction the
-entry counts of pi and sigma_bar, make_pair the boundary coefficients,
-nonempty A and A_j, the entry counts of their points and integral A_j.
+own shapes and ranges: make_fan the rank, the integer rays (entry counts,
+nonzero, primitive, distinct) and cone indices, make_contraction the
+integer pi and sigma_bar and their entry counts, make_pair the boundary
+coefficients, nonempty A and A_j, their points' entry counts and integral A_j.
 validate_fan and validate_contraction own the geometry of the germ,
 analyze the Cartier and nef conditions of the pair.
 """
@@ -103,17 +103,30 @@ def _check_entries(rows, n, what):
             raise PairError("%s %d has %d entries, not %d" % (what, i, len(r), n))
 
 
+def _int_vector(v, what):
+    """v's entries as ints; PairError naming what unless each equals an integer."""
+    try:
+        v = tuple(v)
+        out = tuple(int(x) for x in v)
+        if out == v:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PairError("%s is not an integer vector: %r" % (what, v))
+
+
 def make_fan(rank, rays, max_cones):
     if rank < 0:
         raise PairError("fan rank %d is negative" % rank)
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = tuple(_int_vector(r, "fan ray %d" % i) for i, r in enumerate(rays))
     _check_entries(rays, rank, "fan ray")
     for r in rays:
         if is_zero(r) or primitive(r) != r:
             raise PairError("fan rays must be nonzero and primitive: %r" % (r,))
     if len(set(rays)) != len(rays):
         raise PairError("duplicate fan ray")
-    cones = tuple(tuple(sorted(set(int(i) for i in c))) for c in max_cones)
+    cones = tuple(tuple(sorted(set(_int_vector(c, "maximal cone %d" % i))))
+                  for i, c in enumerate(max_cones))
     if len(set(cones)) != len(cones):
         raise PairError("duplicate maximal cone")
     for c in cones:
@@ -191,11 +204,13 @@ class ToricContraction:
 
 
 def make_contraction(fan, pi, sigma_bar_gens=None):
-    pi = tuple(tuple(int(x) for x in row) for row in pi)
+    pi = tuple(_int_vector(row, "pi row %d" % i) for i, row in enumerate(pi))
     nbar = len(pi)
     _check_entries(pi, fan.rank, "pi row")
     if sigma_bar_gens is None:
         sigma_bar_gens = [apply_hom(pi, r) for r in fan.rays]   # make_cone drops zeros
+    sigma_bar_gens = [_int_vector(g, "sigma_bar generator %d" % i)
+                      for i, g in enumerate(sigma_bar_gens)]
     _check_entries(sigma_bar_gens, nbar, "sigma_bar generator")
     sigma_bar = make_cone(nbar, sigma_bar_gens)
     return ToricContraction(fan, pi, sigma_bar)
@@ -288,14 +303,9 @@ def _support_of(fan, points, what):
     return make_support(points)
 
 
-def fix_mov(a_set, l_coeffs, rays):
-    """Fixed part of the system induced by A with twist L.
-
-    Its coefficient on each ray e is min_{a in A} <a, e> + mult_e L; the
-    mobile part is the system of A itself.
-    """
-    return tuple(support_value(a_set, e) + Fraction(l)
-                 for e, l in zip(rays, l_coeffs))
+def fix_mov(a_set, rays):
+    """Fixed part of the system of A: min_{a in A} <a, e> on each ray e."""
+    return tuple(support_value(a_set, e) for e in rays)
 
 
 def fold_general(fan, pair):
@@ -309,7 +319,7 @@ def fold_general(fan, pair):
     b = list(pair.b_inv)
     a_set = pair.bdiv_a
     for bj, aj in pair.general:
-        fix = fix_mov(aj, (0,) * len(fan.rays), fan.rays)
+        fix = fix_mov(aj, fan.rays)
         b = [x + bj * f for x, f in zip(b, fix)]
         a_set = support_sum(a_set, support_scale(bj, aj))
     return make_pair(fan, b, a_set.points, ())
@@ -382,8 +392,8 @@ def analyze(tc, pair):
     every point as an integer row (A's rows made once);
     BoxData adds its polar u and l = n - dim sigma0, where the recession
     cone sigma0 of u is spanned by u's rays (cone(u) == support keeps it
-    in the support), so dim sigma0 is their rank.  Returns (folded pair,
-    psi, BoxData).
+    in the support), so dim sigma0 is their rank.  Returns the BoxData;
+    its a_eff and psi are the folded pair's A and the Cartier data.
     """
     fan = tc.fan
     n = fan.rank
@@ -402,7 +412,7 @@ def analyze(tc, pair):
     l = n - rational_rank(u.rays, n)
     if not _cone_over_is(u, tc.support):
         raise PairError("cone over u does not match the support")
-    return folded, psi, BoxData(box, u, l, folded.bdiv_a, psi, tc)
+    return BoxData(box, u, l, folded.bdiv_a, psi, tc)
 
 
 def _cone_over_is(u, cone):
@@ -420,7 +430,7 @@ def _cone_over_is(u, cone):
 
 def log_discrepancy(bd, e):
     """-h_box(e): the g-log discrepancy in the toric valuation of e."""
-    e = tuple(int(x) for x in e)
+    e = _int_vector(e, "valuation vector")
     if is_zero(e):
         raise PairError("log discrepancy of the zero vector")
     if not bd.tc.support.contains(e):
@@ -501,7 +511,7 @@ def mld_over_fiber(tc, bd):
 
 def lct_pullback(tc, bd, phibar):
     """sup{g >= 0 : -g * pi^*(phibar) in box}, exact."""
-    phibar = tuple(int(x) for x in phibar)
+    phibar = _int_vector(phibar, "functional")
     if len(phibar) != tc.base_rank:
         raise PairError("functional has %d entries but the base has rank %d"
                         % (len(phibar), tc.base_rank))

@@ -252,7 +252,10 @@ def cone_from_normals(dim, normals):
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Rational polyhedron conv(points) + cone(rays) = {x : <a,x> >= c}."""
+    """Rational polyhedron conv(points) + cone(rays) = {x : <a,x> >= c}.
+
+    `==` compares stored descriptions: set equality only at full dimension.
+    """
 
     dim: int
     hpoints: tuple  # sorted rows (x, q): int x, int q > 0, (x, q) primitive; the point x / q

@@ -2,11 +2,11 @@
 
 Implements the bound function gamma(d, a), lattice width search over the
 compact quotient image of u, fan subdivision along a functional, the
-slice germ with rescaled boundary, the extension of non-negative
-functionals with length control, hyperplane lifting, and the recursion
-tying these together.  Every intermediate lemma is re-validated at run
-time and the final (phi_bar, gamma) pair is checked against the box
-independently of the search trace.
+slice germ along the width functional (w, lam = 1/w and the subdivision
+derived from it), the extension of non-negative functionals with length
+control, hyperplane lifting, and the recursion tying these together.
+Every lemma is re-validated at run time and the final (phi_bar, gamma)
+pair is checked against the box independently of the search trace.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .pairs import (
     GPair,
     PairError,
     ToricContraction,
+    _int_vector,
     analyze,
     is_glc,
     log_discrepancy,
@@ -226,7 +227,10 @@ class SliceData:
     tc1: ToricContraction
     pair1: GPair
     bd1: BoxData
-    lam: Fraction
+    phi: tuple                # the width functional on N
+    w: Fraction               # the width of phi(U)
+    lam: Fraction             # 1 / w
+    new_rays: int             # rays the subdivision along phi adds
     pi0: tuple                # hom N0 -> Nbar0 in the chosen bases
     nbar0: object             # Sublattice pi(N0) inside Nbar
     u0: object                # U cap phi-perp in N0 coordinates
@@ -234,42 +238,42 @@ class SliceData:
     max_ray_discrepancy: Fraction
 
 
-def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
+def make_slice(tc, bd, phi_n, t):
     """Build the codimension-one germ cut out by ker(phi) and validate it.
 
-    Validations, each raising with the violated statement named:
-    slice anti-log canonical class nef, u of the slice equal to lam^{-1}
-    (u cap phi-perp), the base of the slice has an invariant point, and
-    the slice mld is at least lam * t.  make_pair checks that the
-    boundary coefficients of the rescaled pair lie in [0, 1]; its message
-    numbers the rays of the slice fan.
+    With w the width of phi(U) and lam = 1/w, the slice fan is read off
+    the fan subdivided along phi.  Validations, each raising with the
+    violated statement named: w > 1, no subdivided-fan ray of discrepancy
+    above w, slice anti-log canonical class nef, u of the slice equal to
+    lam^{-1} (u cap phi-perp), the base of the slice has an invariant
+    point, and the slice mld is at least lam * t.  make_pair checks that
+    the boundary coefficients of the rescaled pair lie in [0, 1]; its
+    message numbers the rays of the slice fan.
     """
-    if not pair.folded:
-        raise PairError("slice construction needs a folded pair")
     n = tc.rank
-    lam = Fraction(lam)
     lo, hi = interval_image(phi_n, bd.u)
     if lo is None or hi is None or not lo < 0 < hi:
         raise PairError("slice needs 0 interior to phi(U)")
-    if not 0 < lam <= 1 / (hi - lo):
-        raise PairError("lambda must be in (0, 1/w]")
+    w = hi - lo
+    if not w > 1:
+        raise SearchError("interior width must exceed 1")
+    lam = 1 / w
+    fan2, newq = subdivide_fan(tc.fan, phi_n)
+    max_ray_discrepancy = max(log_discrepancy(bd, e) for e in fan2.rays)
+    if max_ray_discrepancy > w:
+        raise SearchError("a subdivided-fan ray has discrepancy above the width")
     kern = kernel_sublattice(phi_n)
 
-    max_ray_discrepancy = max(log_discrepancy(bd, e) for e in fan2.rays)
-
-    # maximal cones of the phi-perp fan, collected from the original cones
+    # maximal cones of the phi-perp fan: the rays with phi = 0 of each cone
+    zero = [dot(phi_n, r) == 0 for r in fan2.rays]
     zero_sets = []
     low_sets = []
-    for ci, cidx in enumerate(tc.fan.max_cones):
-        cone = tc.fan.cone(ci)
-        gens = [tc.fan.rays[i] for i in cidx if dot(phi_n, tc.fan.rays[i]) == 0]
-        gens += [p for p in newq if cone.contains(p)]
-        gens = sorted(set(gens))
-        if not gens:
+    for cidx in fan2.max_cones:
+        gens = [fan2.rays[i] for i in cidx if zero[i]]
+        if not gens or gens in zero_sets:
             continue
         if rational_rank(gens, n) == n - 1:
-            if gens not in zero_sets:
-                zero_sets.append(gens)
+            zero_sets.append(gens)
         else:
             low_sets.append(gens)
     if not zero_sets:
@@ -301,10 +305,10 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice;
     # make_pair checks that it lies in [0, 1]
     b1 = [1 - lam * log_discrepancy(bd, g) for g in rays_n]
-    a0 = [tuple(dot(a, b) for b in kern.basis) for a in pair.bdiv_a.points]
+    a0 = [tuple(dot(a, b) for b in kern.basis) for a in bd.a_eff.points]
     pair1 = make_pair(fan0, b1, [vec_scale(lam, p) for p in a0])
     try:
-        _folded1, _psi1, bd1 = analyze(tc1, pair1)
+        bd1 = analyze(tc1, pair1)
     except PairError as exc:
         raise PairError("slice anti-log-canonical class is not nef: %s" % exc)
 
@@ -312,7 +316,7 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
     restricted = [(tuple(dot(a, b) for b in kern.basis), c)
                   for a, c in bd.u.ineqs]
     u0 = from_inequalities(n - 1, restricted)
-    if not polyhedra_equal(bd1.u, scale_polyhedron(u0, Fraction(1) / lam)):
+    if not polyhedra_equal(bd1.u, scale_polyhedron(u0, w)):
         raise PairError("slice identity fails: U(slice) != lam^-1 (U cap phi-perp)")
 
     mld1 = mld_over_fiber(tc1, bd1)
@@ -320,8 +324,8 @@ def make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq):
         raise PairError("slice mld drops below lam * t")
     if bd1.l != bd.l - 1:
         raise PairError("slice lc-place dimension did not drop by one")
-    return SliceData(tc1, pair1, bd1, lam, pi0, nbar0, u0, mld1,
-                     max_ray_discrepancy)
+    return SliceData(tc1, pair1, bd1, phi_n, w, lam, len(newq), pi0, nbar0, u0,
+                     mld1, max_ray_discrepancy)
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +340,25 @@ class ExtensionTrace:
     w_minus: Fraction
     w_plus: Fraction
     interval_prime: tuple
+    l0: Fraction
 
 
-def extend_functional(rank, gens, c_body, phi, phi0_vals, l0):
+def extend_functional(gens, c_body, phi, phi0_vals):
     """Extend q * phi0 from ker(phi) to a functional nonnegative on the cone.
 
-    Follows the extension argument step by step: extend phi0 arbitrarily
-    to phi2, move to the extremal admissible multiple c of phi, and
-    combine at a generator attaining it.  Postconditions checked exactly:
-    1 <= q < w, restriction q * phi0, and phi'(C) inside [0, w * l0].
+    Needs phi0(C cap ker phi) = [0, l0] with l0 > 0.  Follows the
+    extension argument step by step: extend phi0 arbitrarily to phi2,
+    move to the extremal admissible multiple c of phi, and combine at a
+    generator attaining it.  Postconditions checked exactly: 1 <= q < w,
+    restriction q * phi0, and phi'(C) inside [0, w * l0].
     """
-    l0 = Fraction(l0)
-    gens = [tuple(int(x) for x in g) for g in gens]
-    if not c_body.contains((0,) * rank):
+    gens = [_int_vector(g, "generator %d" % i) for i, g in enumerate(gens)]
+    if not c_body.contains((0,) * c_body.dim):
         raise PairError("extension hypothesis fails: 0 not in C")
     for g in gens:
         if not c_body.contains(g):
             raise PairError("extension hypothesis fails: generator %r not in C" % (g,))
-    sigma = make_cone(rank, gens)
+    sigma = make_cone(c_body.dim, gens)
     # the point x / q of a row (x, q) is in the cone iff x is
     if not all(sigma.contains(x) for x in [h[:-1] for h in c_body.hpoints] + list(c_body.rays)):
         raise PairError("extension hypothesis fails: C is not inside the cone")
@@ -367,8 +372,8 @@ def extend_functional(rank, gens, c_body, phi, phi0_vals, l0):
         raise PairError("phi0 values do not match ker(phi)")
     restricted = [(tuple(dot(a, b) for b in kern.basis), c) for a, c in c_body.ineqs]
     c0 = from_inequalities(kern.rank, restricted)
-    lo0, hi0 = interval_image(tuple(phi0_vals), c0)
-    if lo0 != 0 or hi0 != l0 or l0 <= 0:
+    lo0, l0 = interval_image(tuple(phi0_vals), c0)
+    if lo0 != 0 or l0 is None or l0 <= 0:
         raise PairError("extension hypothesis fails: phi0(C0) != [0, l0]")
     phi2 = extend_hom(kern, tuple(phi0_vals))
 
@@ -402,7 +407,7 @@ def extend_functional(rank, gens, c_body, phi, phi0_vals, l0):
     plo, phi_hi = interval_image(phi_prime, c_body)
     if plo is None or phi_hi is None or plo < 0 or phi_hi > w * l0:
         raise PairError("extension postcondition fails: phi'(C) not in [0, w l0]")
-    return ExtensionTrace(phi_prime, int(q), branch, w_minus, w_plus, (plo, phi_hi))
+    return ExtensionTrace(phi_prime, int(q), branch, w_minus, w_plus, (plo, phi_hi), l0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,30 +429,23 @@ def _descend(tc, phi):
     return phibar
 
 
-def lift_hyperplane(tc, bd, sl, phibar0, gamma1, phi_n, w):
-    """Lift a slice certificate (phibar0, gamma1) through the width functional.
+def lift_hyperplane(tc, bd, sl, phibar0, gamma1):
+    """Lift a slice certificate (phibar0, gamma1) through the slice's functional.
 
     Applies the nonnegative-functional extension with C = u and the fan rays as
     generators, descends the result along pi, and returns the primitive
-    phi_bar together with gamma = gamma1 / (lam w), the integer q of the
-    pullback relation, and the primitivization scale.
+    phi_bar together with gamma = gamma1 / (lam w), the extension trace
+    (its q is that of the pullback relation), and the primitivization scale.
     """
     n = tc.rank
-    w = Fraction(w)
-    lam = sl.lam
     phi0 = compose_covector(phibar0, sl.pi0, n - 1)
-    lo0, l0 = interval_image(phi0, sl.u0)
-    if lo0 != 0 or l0 is None or l0 <= 0:
-        raise PairError("slice functional is not normalized on U0")
-    if l0 > lam / gamma1:
+    tr = extend_functional(tc.fan.rays, bd.u, sl.phi, phi0)
+    if tr.l0 > sl.lam / gamma1:
         raise PairError("slice certificate too weak: l0 > lam / gamma1")
-    tr = extend_functional(n, tc.fan.rays, bd.u, phi_n,
-                           tuple(phi0), l0)
-    gamma_val = gamma1 / (lam * w)
-    phi_prime = tr.phi_prime
-    if not bd.box.contains(vec_scale(-gamma_val, phi_prime)):
+    gamma_val = gamma1 / (sl.lam * sl.w)
+    if not bd.box.contains(vec_scale(-gamma_val, tr.phi_prime)):
         raise PairError("lifted functional misses the box at gamma")
-    phibar_raw = _descend(tc, phi_prime)
+    phibar_raw = _descend(tc, tr.phi_prime)
     ustar = tuple(dot(phibar_raw, row) for row in sl.nbar0.basis)
     if ustar != tuple(tr.q * x for x in phibar0):
         raise PairError("pullback relation u^* H = q H1 fails")
@@ -468,13 +466,12 @@ class HyperplaneCertificate:
     transcript: tuple
 
 
-def _search(tc, pair, bd, t, transcript, depth):
+def _search(tc, bd, t, transcript, depth):
     """(phi_bar, gamma) for bd, whose mld t over the fiber is positive (so l >= 1)."""
-    n = tc.rank
     l = bd.l
     proj, up = bd.quotient
     wr = width_functional(up, t, l)
-    phi_n = compose_covector(wr.phi, proj, n)
+    phi_n = compose_covector(wr.phi, proj, tc.rank)
     lo, hi, w = wr.lo, wr.hi, wr.w
     if wr.boundary:
         gamma_here = Fraction(1) / w
@@ -489,24 +486,16 @@ def _search(tc, pair, bd, t, transcript, depth):
         transcript.append(rec)
         return phibar, gamma_here
     # interior: slice and recurse
-    if not w > 1:
-        raise SearchError("interior width must exceed 1")
-    lam = Fraction(1) / w
-    fan2, newq = subdivide_fan(tc.fan, phi_n)
-    sl = make_slice(tc, pair, bd, phi_n, lam, t, fan2, newq)
-    if sl.max_ray_discrepancy > w:
-        raise SearchError("a subdivided-fan ray has discrepancy above the width")
+    sl = make_slice(tc, bd, phi_n, t)
     rec = dict(depth=depth, l=l, case="interior", t=t, phi=phi_n,
                interval=(lo, hi), w=w, w_minus=-lo,
-               w_plus=hi, lam=lam, new_rays=len(newq),
+               w_plus=hi, lam=sl.lam, new_rays=sl.new_rays,
                max_ray_discrepancy=sl.max_ray_discrepancy,
                slice_mld=sl.mld1, width_gt_one=bool(w > 1),
                slice_u_ok=True, invariant_point_ok=True)
     transcript.append(rec)
-    phibar0, gamma1 = _search(sl.tc1, sl.pair1, sl.bd1, t * lam,
-                              transcript, depth + 1)
-    phibar, gamma_here, tr, scale = lift_hyperplane(
-        tc, bd, sl, phibar0, gamma1, phi_n, w)
+    phibar0, gamma1 = _search(sl.tc1, sl.bd1, t * sl.lam, transcript, depth + 1)
+    phibar, gamma_here, tr, scale = lift_hyperplane(tc, bd, sl, phibar0, gamma1)
     rec.update(q=tr.q, branch=tr.branch, descent_scale=scale,
                gamma=gamma_here, phibar=phibar)
     return phibar, gamma_here
@@ -519,12 +508,12 @@ def find_hyperplane(tc, pair):
     fiber; returns a HyperplaneCertificate whose (phi_bar, gamma) pass
     verify_certificate and satisfy gamma >= gamma(d, mld).
     """
-    folded, _psi, bd = analyze(tc, pair)
+    bd = analyze(tc, pair)
     a = mld_over_fiber(tc, bd)
     if a is None:
         raise PairError("mld over the fiber is not positive")
     transcript = []
-    phibar, gamma_val = _search(tc, folded, bd, a, transcript, 0)
+    phibar, gamma_val = _search(tc, bd, a, transcript, 0)
     cert = HyperplaneCertificate(phibar, gamma_val, a, tc.rank,
                                  tuple(transcript))
     ok, reasons = _check_certificate(tc, bd, a, cert)
@@ -542,7 +531,7 @@ def verify_certificate(tc, pair, cert):
     them.
     """
     try:
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
     except PairError as exc:
         return False, ["pair data invalid: %s" % exc]
     mld = None
@@ -563,8 +552,8 @@ def _check_certificate(tc, bd, mld, cert):
     """
     reasons = []
     try:
-        phibar = tuple(int(x) for x in cert.phi_bar)
-    except (TypeError, ValueError):
+        phibar = _int_vector(cert.phi_bar, "phi_bar")
+    except PairError:
         return False, ["phi_bar is not an integer vector"]
     if len(phibar) != tc.base_rank:
         return False, ["phi_bar has the wrong dimension"]
@@ -590,7 +579,7 @@ def _check_certificate(tc, bd, mld, cert):
         if Fraction(cert.mld) != mld:
             reasons.append("stored mld %s differs from recomputed %s"
                            % (cert.mld, mld))
-        if int(cert.d) != tc.rank:
+        if cert.d != tc.rank:
             reasons.append("stored dimension differs from rank N")
         if gamma_val < gamma(tc.rank, mld):
             reasons.append("gamma below the bound gamma(d, mld)")

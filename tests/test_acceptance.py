@@ -84,15 +84,15 @@ def test_criterion_1_gamma_function():
 def test_criterion_2_worked_germs(a1_germ, a2_germ, a3_germ, cax4_germ):
     checks = []
     for tc, d in ((a1_germ, 1), (a2_germ, 2), (a3_germ, 3)):
-        _, _, bd = analyze(tc, zero_pair(tc))
+        bd = analyze(tc, zero_pair(tc))
         assert mld_over_fiber(tc, bd) == d
         checks.append("mld(A^%d) = %d" % (d, d))
     for a in (F(1, 3), F(1, 2), F(2, 3)):
-        _, _, bd = analyze(a1_germ, a1_pair(a1_germ, a))
+        bd = analyze(a1_germ, a1_pair(a1_germ, a))
         assert mld_over_fiber(a1_germ, bd) == a
         assert lct_pullback(a1_germ, bd, (1,)) == a
     checks.append("A^1 family: mld = lct = a for a in {1/3, 1/2, 2/3}")
-    _, _, bdc = analyze(cax4_germ, zero_pair(cax4_germ))
+    bdc = analyze(cax4_germ, zero_pair(cax4_germ))
     assert mld_over_fiber(cax4_germ, bdc) == 2
     checks.append("mld(z4^2 = z1 z2 z3) = 2")
     _ok(2, "; ".join(checks))
@@ -118,7 +118,7 @@ def end_to_end():
         cert = find_hyperplane(tc, pair)
         ok, reasons = verify_certificate(tc, pair, cert)
         assert ok, (name, reasons)
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         out.append((name, tc, pair, bd, cert))
     return out
 
@@ -157,7 +157,7 @@ ORACLE_RADII = {
 def test_criterion_4_oracle_equivalence():
     for name in CORPUS:
         tc, pair, _obj = load_corpus(name)
-        _, _, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         value, witness = oracle_mld(tc, bd, ORACLE_RADII[name])
         assert mld_over_fiber(tc, bd) == value, name
         assert log_discrepancy(bd, witness) == value
@@ -175,7 +175,8 @@ def test_criterion_5_extension_suite():
     for trial in range(500):
         n = rng.choice((2, 2, 3))
         gens, c_body, phi, phi0, l0, kern = random_extension_input(rng, n)
-        tr = extend_functional(n, gens, c_body, phi, phi0, l0)
+        tr = extend_functional(gens, c_body, phi, phi0)
+        assert tr.l0 == l0
         w = tr.w_minus + tr.w_plus
         # the three postconditions, exact
         assert 1 <= tr.q < w

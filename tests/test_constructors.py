@@ -76,6 +76,27 @@ def test_make_contraction_refuses_a_sigma_bar_generator_of_the_wrong_length():
         make_contraction(_a2_fan(), [(1, 1)], [(1,), (1, 0)])
 
 
+def test_make_fan_refuses_an_entry_that_is_not_an_integer():
+    # int() took the ray (3/2, 0) for (1, 0)
+    with pytest.raises(PairError, match=r"^fan ray 0 is not an integer vector"):
+        make_fan(2, [(F(3, 2), 0), (0, 1)], [(0, 1)])
+    with pytest.raises(PairError, match=r"^maximal cone 0 is not an integer vector"):
+        make_fan(2, [(1, 0), (0, 1)], [(0, 1.5)])
+    fan = make_fan(2, [(F(1), 0), (0, 1.0)], [(0.0, 1)])
+    assert fan.rays == ((1, 0), (0, 1)) and fan.max_cones == ((0, 1),)
+    assert all(type(x) is int for r in fan.rays for x in r)
+
+
+def test_make_contraction_refuses_an_entry_that_is_not_an_integer():
+    with pytest.raises(PairError, match=r"^pi row 0 is not an integer vector"):
+        make_contraction(_a2_fan(), [(F(1, 2), 0)])
+    # a Fraction generator raised a bare TypeError
+    with pytest.raises(PairError, match=r"^sigma_bar generator 0 is not an integer vector"):
+        make_contraction(_a2_fan(), [(1, 1)], [(F(1, 2),)])
+    tc = make_contraction(_a2_fan(), [(1.0, F(1))], [(F(1),)])
+    assert tc.pi == ((1, 1),) and tc.sigma_bar.generators == ((1,),)
+
+
 def _off_length(draw, n):
     return draw(st.sampled_from([k for k in (n - 1, n + 1, n + 2) if k >= 0]))
 

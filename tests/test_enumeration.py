@@ -166,7 +166,7 @@ def test_enumerator_edge_cases():
 def _generated(seeds):
     for s in seeds:
         tc, pair, _meta = random_instance(s)
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         yield "seed%d" % s, tc, bd
 
 
@@ -174,7 +174,7 @@ def test_mld_matches_reference_on_corpus_and_acceptance_seeds():
     cases = []
     for name in CORPUS:
         tc, pair, _obj = load_corpus(name)
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         cases.append((name, tc, bd))
     cases += list(_generated(range(1000, 1016)))
     positive = 0
@@ -213,13 +213,13 @@ def test_near_boundary_a3_enumerates_one_point(counted_enumerator, d):
     # d^2, but the cuts leave only the minimizer (1, 1, 1)
     tc = germ(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)], identity(3))
     pair = make_pair(tc.fan, (1 - F(1, d), 1 - F(1, d), 0), [(0, 0, 0)])
-    _folded, _psi, bd = analyze(tc, pair)
+    bd = analyze(tc, pair)
     assert mld_over_fiber(tc, bd) == 1 + F(2, d)
     assert counted_enumerator == [1]
 
 
 def test_mld_needs_the_witness_point(monkeypatch, a2_germ):
-    _folded, _psi, bd = analyze(a2_germ, zero_pair(a2_germ))
+    bd = analyze(a2_germ, zero_pair(a2_germ))
     monkeypatch.setattr(toricmld.pairs, "integer_points", lambda dim, ineqs: iter(()))
     with pytest.raises(toricmld.pairs.PairError, match="witness point must be enumerated"):
         mld_over_fiber(a2_germ, bd)
@@ -320,7 +320,7 @@ def test_mld_calls_gauge_once_and_matches_reference(counted_gauge_rows):
     cases = []
     for name in CORPUS:
         tc, pair, _obj = load_corpus(name)
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         cases.append((name, tc, bd))
     cases += list(_generated(range(1000, 1016)))
     scanned = 0

@@ -42,7 +42,7 @@ def reference_random_instance(seed):
             tc = make_contraction(fan, pi, sigma_bar.generators)
             validate_contraction(tc)
             pair = _candidate_pair(rng, tc)
-            _folded, _psi, bd = analyze(tc, pair)
+            bd = analyze(tc, pair)
             if not is_glc(bd):
                 raise PairError("sampled pair not g-lc")
             if mld_over_fiber(tc, bd) is None:
@@ -57,7 +57,7 @@ def reference_random_instance(seed):
 def test_instances_satisfy_hypotheses():
     for tc, pair, meta in [random_instance(100 + i) for i in range(15)]:
         validate_contraction(tc)
-        _folded, psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         assert is_glc(bd)
         assert mld_over_fiber(tc, bd) is not None
         assert 1 <= tc.rank <= 3 and 1 <= tc.base_rank <= tc.rank

@@ -178,15 +178,15 @@ def test_pair_coefficient_range():
 
 def test_fix_mov_fixed_system():
     rays = ((1, 0), (0, 1))
-    a = make_support([(0, 0)])
-    fix = fix_mov(a, (F(2), F(3)), rays)
-    assert fix == (2, 3)  # Fix = L for the system of the zero character
+    a = make_support([(2, 3)])
+    fix = fix_mov(a, rays)
+    assert fix == (2, 3)  # the system of a single character is its own fixed part
 
 
 def test_fix_mov_basepoint_free():
     rays = ((1, 0), (0, 1))
     a = make_support([(0, 0), (1, 1)])
-    fix = fix_mov(a, (0, 0), rays)
+    fix = fix_mov(a, rays)
     assert fix == (0, 0)
 
 
@@ -198,10 +198,10 @@ def test_fix_additivity_random():
                            for _ in range(rng.randint(1, 3))])
         a2 = make_support([tuple(rng.randint(-3, 3) for _ in range(2))
                            for _ in range(rng.randint(1, 3))])
-        f1 = fix_mov(a1, (0, 0, 0), rays)
-        f2 = fix_mov(a2, (0, 0, 0), rays)
+        f1 = fix_mov(a1, rays)
+        f2 = fix_mov(a2, rays)
         from toricmld.polyhedra import support_sum
-        fs = fix_mov(support_sum(a1, a2), (0, 0, 0), rays)
+        fs = fix_mov(support_sum(a1, a2), rays)
         assert fs == tuple(x + y for x, y in zip(f1, f2))
 
 
@@ -231,7 +231,7 @@ def test_fold_preserves_log_discrepancies(a2_germ):
     pair = make_pair(a2_germ.fan, (F(1, 3), 0), [(0, 0)],
                      [(F(1, 2), [(0, 0), (1, 0), (0, 1)])])
     folded = fold_general(a2_germ.fan, pair)
-    _, _, bd = analyze(a2_germ, folded)
+    bd = analyze(a2_germ, folded)
     # independent route: the per-cone value psi with the combined support
     a_eff = folded.bdiv_a
     psi = cartier_psi(a2_germ, nef_values(a2_germ.fan, folded))[0]
@@ -314,13 +314,13 @@ def test_single_cone_always_nef(a3_germ):
 
 
 def test_box_a1_half(a1_germ):
-    _, _, bd = analyze(a1_germ, a1_pair(a1_germ, F(1, 2)))
+    bd = analyze(a1_germ, a1_pair(a1_germ, F(1, 2)))
     assert polyhedra_equal(bd.box, from_generators(1, [(F(-1, 2),)], [(1,)]))
     assert polyhedra_equal(bd.u, from_generators(1, [(0,), (2,)]))
 
 
 def test_box_a2(a2_germ):
-    _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
+    bd = analyze(a2_germ, zero_pair(a2_germ))
     assert polyhedra_equal(bd.box, from_generators(2, [(-1, -1)], [(1, 0), (0, 1)]))
     assert polyhedra_equal(bd.u, from_generators(2, [(0, 0), (1, 0), (0, 1)]))
     assert bd.u.rays == ()
@@ -329,7 +329,7 @@ def test_box_a2(a2_germ):
 
 def test_box_full_boundary(halfplane_germ):
     pair = make_pair(halfplane_germ.fan, (1, 1, 1), [(0, 0)])
-    _, _, bd = analyze(halfplane_germ, pair)
+    bd = analyze(halfplane_germ, pair)
     sup = halfplane_germ.support
     assert all(bd.u.contains(g) for g in sup.generators)
     # sigma0 is the cone over u's rays
@@ -341,17 +341,25 @@ def test_box_full_boundary(halfplane_germ):
 
 
 def test_log_discrepancy_examples(a2_germ, cax4_germ):
-    _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
+    bd = analyze(a2_germ, zero_pair(a2_germ))
     assert log_discrepancy(bd, (1, 1)) == 2
-    _, _, bdc = analyze(cax4_germ, zero_pair(cax4_germ))
+    bdc = analyze(cax4_germ, zero_pair(cax4_germ))
     # (2,-1,1) is the basis image of the ambient point (2,1,1)
     assert log_discrepancy(bdc, (2, -1, 1)) == 2
     with pytest.raises(PairError):
         log_discrepancy(bd, (-1, 0))
 
 
+def test_log_discrepancy_refuses_an_entry_that_is_not_an_integer(a2_germ):
+    bd = analyze(a2_germ, zero_pair(a2_germ))
+    # int() took (3/2, 1) for (1, 1)
+    with pytest.raises(PairError, match="is not an integer vector"):
+        log_discrepancy(bd, (F(3, 2), 1))
+    assert log_discrepancy(bd, (F(1), 1.0)) == 2
+
+
 def test_log_discrepancy_cross_check_raises(a2_germ):
-    _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
+    bd = analyze(a2_germ, zero_pair(a2_germ))
     assert log_discrepancy(bd, (1, 1)) == 2
     wrong = dataclasses.replace(bd, psi=((F(3), F(0)),))
     with pytest.raises(PairError, match="log discrepancies disagree"):
@@ -359,13 +367,13 @@ def test_log_discrepancy_cross_check_raises(a2_germ):
 
 
 def test_is_glc_examples(a2_germ):
-    _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
+    bd = analyze(a2_germ, zero_pair(a2_germ))
     assert is_glc(bd)
     shifted = make_pair(a2_germ.fan, (0, 0), [(3, 0), (0, 3)])
-    _, _, bds = analyze(a2_germ, shifted)
+    bds = analyze(a2_germ, shifted)
     assert not is_glc(bds)
     sig = make_pair(a2_germ.fan, (1, 1), [(0, 0)])
-    _, _, bdsig = analyze(a2_germ, sig)
+    bdsig = analyze(a2_germ, sig)
     assert is_glc(bdsig)
 
 
@@ -378,7 +386,7 @@ def test_mld_examples(a1_germ, a2_germ, a3_germ, halfplane_germ, cax4_germ):
         (cax4_germ, zero_pair(cax4_germ), F(2)),
     ]
     for tc, pair, expected in cases:
-        _, _, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         assert mld_over_fiber(tc, bd) == expected
 
 
@@ -386,7 +394,7 @@ def test_mld_rejects_dim_y_zero():
     fan = make_fan(1, [(1,), (-1,)], [(0,), (1,)])
     tc = make_contraction(fan, ())
     validate_contraction(tc)
-    _, _, bd = analyze(tc, make_pair(fan, (0, 0), [(0,)]))
+    bd = analyze(tc, make_pair(fan, (0, 0), [(0,)]))
     with pytest.raises(PairError, match="dim Y = 0"):
         mld_over_fiber(tc, bd)
 
@@ -403,22 +411,29 @@ def test_mld_against_oracle_corpus(a1_germ, a2_germ, a3_germ, halfplane_germ,
         (wedge25_germ, wedge25_pair(wedge25_germ), 5),
     ]
     for tc, pair, radius in cases:
-        _, _, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         value, witness = oracle_mld(tc, bd, radius)
         assert mld_over_fiber(tc, bd) == value
         assert log_discrepancy(bd, witness) == value
 
 
 def test_lct_examples(a1_germ, a2_germ, halfplane_germ):
-    _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
+    bd = analyze(a2_germ, zero_pair(a2_germ))
     assert lct_pullback(a2_germ, bd, (1, 0)) == 1
     for a in (F(1, 3), F(1, 2), F(2, 3)):
-        _, _, bda = analyze(a1_germ, a1_pair(a1_germ, a))
+        bda = analyze(a1_germ, a1_pair(a1_germ, a))
         assert lct_pullback(a1_germ, bda, (1,)) == a
-    _, _, bdh = analyze(halfplane_germ, zero_pair(halfplane_germ))
+    bdh = analyze(halfplane_germ, zero_pair(halfplane_germ))
     assert lct_pullback(halfplane_germ, bdh, (1,)) == 1
     with pytest.raises(PairError):
         lct_pullback(a2_germ, bd, (0, 0))
+
+
+def test_lct_pullback_refuses_an_entry_that_is_not_an_integer(a1_germ):
+    bd = analyze(a1_germ, a1_pair(a1_germ, F(1, 2)))
+    with pytest.raises(PairError, match="is not an integer vector"):
+        lct_pullback(a1_germ, bd, (F(3, 2),))
+    assert lct_pullback(a1_germ, bd, (1.0,)) == F(1, 2)
 
 
 def test_mld_dominates_lct(a1_germ, a2_germ, a3_germ, halfplane_germ,
@@ -433,7 +448,7 @@ def test_mld_dominates_lct(a1_germ, a2_germ, a3_germ, halfplane_germ,
         (wedge25_germ, wedge25_pair(wedge25_germ)),
     ]
     for tc, pair in cases:
-        _, _, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         a = mld_over_fiber(tc, bd)
         duals = tc.sigma_bar.dual_rays
         for _ in range(8):
@@ -450,13 +465,13 @@ def test_translation_invariance(a2_germ, wedge25_germ):
     for tc, pair in [(a2_germ, make_pair(a2_germ.fan, (0, F(1, 3)),
                                          [(0, 0), (1, 1)])),
                      (wedge25_germ, wedge25_pair(wedge25_germ))]:
-        _, _, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         for _ in range(5):
             m = tuple(rng.randint(-2, 2) for _ in range(tc.rank))
             moved = make_pair(
                 tc.fan, pair.b_inv,
                 [tuple(x + y for x, y in zip(p, m)) for p in pair.bdiv_a.points])
-            _, _, bd2 = analyze(tc, moved)
+            bd2 = analyze(tc, moved)
             assert polyhedra_equal(bd.box, bd2.box)
             for e in [(1, 1), (1, 2), (2, 1)]:
                 if tc.support.contains(e):
@@ -471,25 +486,25 @@ def _pulled_back_pair(tc, bd, fan2):
 def test_log_pullback_box_equality_sigma(halfplane_germ):
     # B = Sigma_X: every refinement carries the pair with coefficients 1
     pair = make_pair(halfplane_germ.fan, (1, 1, 1), [(0, 0)])
-    _, _, bd = analyze(halfplane_germ, pair)
+    bd = analyze(halfplane_germ, pair)
     fan2, _ = subdivide_fan(halfplane_germ.fan, (1, 0))
     tc2 = make_contraction(fan2, halfplane_germ.pi,
                            halfplane_germ.sigma_bar.generators)
     validate_contraction(tc2)
-    _, _, bd2 = analyze(tc2, _pulled_back_pair(tc2, bd, fan2))
+    bd2 = analyze(tc2, _pulled_back_pair(tc2, bd, fan2))
     assert polyhedra_equal(bd.box, bd2.box)
 
 
 def test_log_pullback_box_equality_wedge(wedge25_germ):
     # refine along the kink of h_A so the b-divisor descends
     pair = wedge25_pair(wedge25_germ)
-    _, _, bd = analyze(wedge25_germ, pair)
+    bd = analyze(wedge25_germ, pair)
     fan2, q = subdivide_fan(wedge25_germ.fan, (25, -7))
     assert (7, 25) in q
     tc2 = make_contraction(fan2, wedge25_germ.pi,
                            wedge25_germ.sigma_bar.generators)
     validate_contraction(tc2)
-    _, _, bd2 = analyze(tc2, _pulled_back_pair(tc2, bd, fan2))
+    bd2 = analyze(tc2, _pulled_back_pair(tc2, bd, fan2))
     assert polyhedra_equal(bd.box, bd2.box)
     assert mld_over_fiber(tc2, bd2) == mld_over_fiber(wedge25_germ, bd)
 
@@ -499,7 +514,7 @@ def test_box_independent_of_bdiv_translation_only_through_difference(a1_germ):
     # with psi but discrepancies are unchanged
     base = make_pair(a1_germ.fan, (F(1, 4),), [(0,)])
     shifted = make_pair(a1_germ.fan, (F(1, 4),), [(F(5, 2),)])
-    _, _, b1 = analyze(a1_germ, base)
-    _, _, b2 = analyze(a1_germ, shifted)
+    b1 = analyze(a1_germ, base)
+    b2 = analyze(a1_germ, shifted)
     for e in [(1,), (2,), (3,)]:
         assert log_discrepancy(b1, e) == log_discrepancy(b2, e)

@@ -278,15 +278,6 @@ def test_scale_polyhedron_matches_from_generators(kind):
     assert expected in shapes
 
 
-def _skip_image_draws(rng, dim):
-    """Make the draws of the former linear-image case of the two tests below.
-
-    The later cases of each test then stay the cases it always ran.
-    """
-    for _ in range(rng.randint(1, 3) * dim):
-        rng.randint(-2, 2)
-
-
 def _assert_primitive_integer_rows(p):
     for a, c in p.ineqs:
         assert type(c) is int and all(type(x) is int for x in a), (a, c)
@@ -308,7 +299,6 @@ def test_every_constructor_stores_primitive_integer_rows(kind):
             p = _random_scale_case(rng, kind)
         s = F(rng.randint(1, 5), rng.randint(1, 5))
         rows = [(tuple(s * x for x in a), s * c) for a, c in p.ineqs]
-        _skip_image_draws(rng, p.dim)
         built = [p, from_inequalities(p.dim, rows), scale_polyhedron(p, s), _polar_raw(p)]
         assert polyhedra_equal(built[1], p)
         for q in built:
@@ -338,12 +328,15 @@ def test_every_constructor_stores_primitive_integer_point_rows(kind):
         else:
             p = _random_scale_case(rng, kind)
         s = F(rng.randint(1, 5), rng.randint(1, 5))
-        _skip_image_draws(rng, p.dim)
         built = [p, from_inequalities(p.dim, p.ineqs), scale_polyhedron(p, s), _polar_raw(p)]
         for q in built:
             _assert_integer_point_rows(q)
         if not p.empty:
-            assert from_generators(p.dim, p.points, p.rays) == p
+            # == compares stored descriptions: set equality only at full dimension
+            round_trip = from_generators(p.dim, p.points, p.rays)
+            assert polyhedra_equal(round_trip, p)
+            if affine_dim(p) == p.dim:
+                assert round_trip == p
 
 
 def test_cone_duality_basics():

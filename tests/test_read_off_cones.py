@@ -82,15 +82,15 @@ def test_read_off_cones_and_the_l1_width_pick_match_the_former_derivations(monke
     real_search = toricmld.search._search
     searched = []
 
-    def recording(tc, pair, bd, t, transcript, depth):
-        out = real_search(tc, pair, bd, t, transcript, depth)
+    def recording(tc, bd, t, transcript, depth):
+        out = real_search(tc, bd, t, transcript, depth)
         searched.append((tc, bd, t, depth, transcript[-1] if bd.l == 1 else None, out))
         return out
 
     monkeypatch.setattr(toricmld.search, "_search", recording)
     cases = l1_checked = 0
     for name, tc, pair in _cases():
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         assert_read_off_matches_reference(tc, bd, name)
         cases += 1
         if mld_over_fiber(tc, bd) is None:
@@ -162,7 +162,7 @@ def _quotient_cases():
 def test_quotient_read_off_u_is_the_image_of_u(monkeypatch):
     checked, ls = 0, set()
     for name, tc, pair in _quotient_cases():
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         assert bd.quotient == reference_quotient(bd), name
         checked += 1
         ls.add(bd.l)

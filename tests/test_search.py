@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import a1_pair, affine_dim, germ, wedge25_pair, zero_pair
+from toricmld.instances import load_corpus
 from toricmld.lattice import (
     content,
     dot,
@@ -94,16 +95,16 @@ def test_gamma_increasing_in_a():
 
 
 def test_lc_places(a1_germ, a2_germ, halfplane_germ):
-    _, _, bd = analyze(a2_germ, zero_pair(a2_germ))
+    bd = analyze(a2_germ, zero_pair(a2_germ))
     assert is_glc(bd) and bd.u.rays == ()
     pair = make_pair(halfplane_germ.fan, (1, 1, 1), [(0, 0)])
-    _, _, bds = analyze(halfplane_germ, pair)
+    bds = analyze(halfplane_germ, pair)
     assert is_glc(bds)
     # sigma0 is the cone over u's rays
     sup = halfplane_germ.support
     assert all(sup.contains(g) for g in bds.u.rays)
     assert rational_rank(bds.u.rays, 2) == 2
-    _, _, bda = analyze(a1_germ, a1_pair(a1_germ, F(1, 2)))
+    bda = analyze(a1_germ, a1_pair(a1_germ, F(1, 2)))
     assert is_glc(bda) and bda.u.rays == ()
 
 
@@ -269,7 +270,8 @@ def test_subdivide_three_dim():
 
 def test_extension_hand_trace():
     c_body = from_generators(2, [(0, 0), (1, 0), (0, 1)])
-    tr = extend_functional(2, [(1, 0), (0, 1)], c_body, (1, -1), (1,), F(1, 2))
+    tr = extend_functional([(1, 0), (0, 1)], c_body, (1, -1), (1,))
+    assert tr.l0 == F(1, 2)
     assert tr.phi_prime == (1, 0)
     assert tr.q == 1
     assert tr.interval_prime == (0, 1)
@@ -278,16 +280,15 @@ def test_extension_hand_trace():
 
 def test_extension_scaling_in_phi0():
     c_body = from_generators(2, [(0, 0), (1, 0), (0, 1)])
-    t1 = extend_functional(2, [(1, 0), (0, 1)], c_body, (1, -1), (1,), F(1, 2))
-    t2 = extend_functional(2, [(1, 0), (0, 1)], c_body, (1, -1), (2,), F(1))
+    t1 = extend_functional([(1, 0), (0, 1)], c_body, (1, -1), (1,))
+    t2 = extend_functional([(1, 0), (0, 1)], c_body, (1, -1), (2,))
     assert t2.phi_prime == tuple(2 * x for x in t1.phi_prime)
     assert t2.q == t1.q
 
 
 def test_extension_mirror_branch_coordinate():
     c_body = from_generators(2, [(0, 0), (1, 0), (0, 1), (-1, 1)])
-    tr = extend_functional(2, [(1, 0), (0, 1), (-1, 1)], c_body, (1, -1),
-                           (1,), F(1, 2))
+    tr = extend_functional([(1, 0), (0, 1), (-1, 1)], c_body, (1, -1), (1,))
     assert tr.branch == "w+ < w-"
     assert tr.phi_prime == (0, 1) and tr.q == 1
 
@@ -300,7 +301,8 @@ def test_extension_randomized_with_exhaustive_crosscheck():
     for trial in range(120):
         n = rng.choice((2, 2, 3))
         gens, c_body, phi, phi0, l0, kern = random_extension_input(rng, n)
-        tr = extend_functional(n, gens, c_body, phi, phi0, l0)
+        tr = extend_functional(gens, c_body, phi, phi0)
+        assert tr.l0 == l0
         w = tr.w_minus + tr.w_plus
         assert extension_posts_hold(tr.phi_prime, tr.q, kern, phi0, c_body, w, l0)
         # exhaustive cross-check over integer functionals of sup-norm <= 5
@@ -323,9 +325,25 @@ def test_extension_randomized_with_exhaustive_crosscheck():
 def test_extension_rejects_bad_hypotheses():
     c_body = from_generators(2, [(0, 0), (1, 0), (0, 1)])
     with pytest.raises(PairError, match="hypothesis"):
-        extend_functional(2, [(1, 0), (0, 1)], c_body, (1, 1), (1,), F(1, 2))
+        extend_functional([(1, 0), (0, 1)], c_body, (1, 1), (1,))
     with pytest.raises(PairError, match="not in C"):
-        extend_functional(2, [(2, 0), (0, 2)], c_body, (1, -1), (1,), F(1, 2))
+        extend_functional([(2, 0), (0, 2)], c_body, (1, -1), (1,))
+
+
+def test_extension_rejects_phi0_not_starting_at_0():
+    c_body = from_generators(2, [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(PairError, match=r"phi0\(C0\) != \[0, l0\]"):
+        # C0 is the segment from 0 to (1/2, 1/2), where phi0 runs over [-1/2, 0]
+        extend_functional([(1, 0), (0, 1)], c_body, (1, -1), (-1,))
+
+
+def test_extension_rejects_a_generator_with_a_fraction_entry():
+    c_body = from_generators(2, [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(PairError, match="generator 1 is not an integer vector"):
+        extend_functional([(1, 0), (F(1, 2), 1)], c_body, (1, -1), (1,))
+    # an entry equal to an integer is that integer
+    tr = extend_functional([(F(1), 0), (0, 1.0)], c_body, (1, -1), (1,))
+    assert tr.phi_prime == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +353,10 @@ def test_extension_rejects_bad_hypotheses():
 def test_slice_wedge25(wedge25_germ):
     tc = wedge25_germ
     pair = wedge25_pair(tc)
-    folded, _, bd = analyze(tc, pair)
+    bd = analyze(tc, pair)
     assert mld_over_fiber(tc, bd) == F(7, 25)
-    fan2, newq = subdivide_fan(tc.fan, (1, 0))
-    sl = make_slice(tc, folded, bd, (1, 0), F(1, 8), F(7, 25), fan2, newq)
+    sl = make_slice(tc, bd, (1, 0), F(7, 25))
+    assert sl.lam == F(1, 8) and sl.w == 8
     assert sl.mld1 == F(1, 25)
     assert sl.pair1.b_inv == (F(24, 25),)
     assert sorted(sl.pair1.bdiv_a.points) == [(F(-1, 25),), (F(3, 100),)]
@@ -348,15 +366,12 @@ def test_slice_wedge25(wedge25_germ):
     assert bd.l == 2 and sl.bd1.l == 1
 
 
-def test_slice_rejects_lambda_beyond_width(wedge25_germ):
+def test_slice_rejects_a_functional_without_0_interior(wedge25_germ):
     tc = wedge25_germ
-    folded, _, bd = analyze(tc, wedge25_pair(tc))
-    fan2, newq = subdivide_fan(tc.fan, (1, 0))
-    with pytest.raises(PairError, match="lambda"):
-        make_slice(tc, folded, bd, (1, 0), F(1, 2), F(7, 25), fan2, newq)
+    bd = analyze(tc, wedge25_pair(tc))
     with pytest.raises(PairError, match="interior"):
         # the halfplane support direction has 0 on the boundary of phi(U)
-        make_slice(tc, folded, bd, (0, 1), F(1, 25), F(7, 25), fan2, newq)
+        make_slice(tc, bd, (0, 1), F(7, 25))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +423,7 @@ def test_find_wedge25_interior_recursion(wedge25_germ):
     assert top["slice_mld"] == F(1, 25) >= top["lam"] * top["t"]
     # gamma = gamma1 / (lam w) with lam = 1/w collapses to gamma1
     assert cert.gamma == cert.transcript[1]["gamma"]
-    _, _, bd = analyze(wedge25_germ, pair)
+    bd = analyze(wedge25_germ, pair)
     assert lct_pullback(wedge25_germ, bd, cert.phi_bar) >= cert.gamma
 
 
@@ -443,6 +458,18 @@ def test_verify_tampering(a2_germ, wedge25_germ):
     assert not ok and any("bound" in r for r in reasons)
 
 
+def test_verify_refuses_entries_that_are_not_integers():
+    # int() truncated both, and the certificate passed
+    tc, pair, _obj = load_corpus("a1_family_1_2")
+    cert = find_hyperplane(tc, pair)
+    assert verify_certificate(tc, pair, cert) == (True, [])
+    for phi_bar in ((F(3, 2),), (1.7,)):
+        assert verify_certificate(tc, pair, replace(cert, phi_bar=phi_bar)) == (
+            False, ["phi_bar is not an integer vector"])
+    assert verify_certificate(tc, pair, replace(cert, d=F(3, 2))) == (
+        False, ["stored dimension differs from rank N"])
+
+
 def test_certificate_never_overclaims(a1_germ, a2_germ, halfplane_germ,
                                       cax4_germ, wedge25_germ):
     cases = [
@@ -454,7 +481,7 @@ def test_certificate_never_overclaims(a1_germ, a2_germ, halfplane_germ,
     ]
     for tc, pair in cases:
         cert = find_hyperplane(tc, pair)
-        _, _, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         assert lct_pullback(tc, bd, cert.phi_bar) >= cert.gamma
         assert content(cert.phi_bar) == 1
         assert all(dot(cert.phi_bar, g) >= 0 for g in tc.sigma_bar.generators)
@@ -488,8 +515,8 @@ def test_find_analyzes_the_germ_once(monkeypatch, wedge25_germ):
 def test_find_keeps_its_internal_certificate_check(monkeypatch, a1_germ):
     real_search = toricmld.search._search
 
-    def weak_search(tc, pair, bd, t, transcript, depth):
-        phibar, gamma_val = real_search(tc, pair, bd, t, transcript, depth)
+    def weak_search(tc, bd, t, transcript, depth):
+        phibar, gamma_val = real_search(tc, bd, t, transcript, depth)
         return phibar, gamma_val / 10 ** 6
 
     monkeypatch.setattr(toricmld.search, "_search", weak_search)

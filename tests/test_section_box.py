@@ -75,7 +75,7 @@ def reference_section(tc, pair):
 
 def assert_matches_reference(tc, pair):
     box, u, l, verdict = reference_section(tc, pair)
-    _folded, _psi, bd = analyze(tc, pair)
+    bd = analyze(tc, pair)
     assert bd.box == box
     assert bd.u == u
     assert bd.l == l

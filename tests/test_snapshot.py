@@ -3,21 +3,28 @@
 `bench/golden/certify.json` holds the canonical certificate of every
 certify instance and `bench/golden/generate.json` the canonical instance
 and attempt count of every generator seed.  These tests only read them.
+The acceptance digest pins the certificates of the whole acceptance set,
+which holds instances the certify golden leaves out.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 from toricmld.generator import random_instance
 from toricmld.instances import (
+    CORPUS,
     certificate_to_obj,
     dumps_canonical,
     instance_from_obj,
     instance_to_obj,
+    load_corpus,
 )
 from toricmld.search import find_hyperplane
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+INTERIOR_SEEDS = (5, 27, 82, 93, 119, 159, 271, 362)
+ACCEPTANCE_DIGEST = "5a377269e1b6553bb87b45aa955b8c353a5e3faa22d18466f66e5034f0b621d7"
 
 
 def _golden(name):
@@ -43,3 +50,19 @@ def test_generated_instances_match_golden():
         obj = instance_to_obj(tc, pair, "generated instance, seed %d" % seed)
         assert dumps_canonical(obj) == dumps_canonical(entry["instance"]), seed
         assert meta["attempts"] == entry["attempts"], seed
+
+
+def test_acceptance_digest():
+    """SHA-256 over the canonical certificates of the acceptance set, in order.
+
+    The corpus in CORPUS order, then random_instance(s) for s = 1000..1095,
+    then the interior seeds.
+    """
+    instances = [load_corpus(name)[:2] for name in CORPUS]
+    instances += [random_instance(s)[:2] for s in (*range(1000, 1096), *INTERIOR_SEEDS)]
+    digest = hashlib.sha256()
+    for tc, pair in instances:
+        cert = find_hyperplane(tc, pair)
+        digest.update(dumps_canonical(certificate_to_obj(cert)).encode("utf-8"))
+    assert len(instances) == 112
+    assert digest.hexdigest() == ACCEPTANCE_DIGEST

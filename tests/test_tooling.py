@@ -77,7 +77,7 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         tc, pair, _obj = load_corpus(name)
         assert tc.support
         calls[0] = 0
-        _folded, _psi, bd = analyze(tc, pair)
+        bd = analyze(tc, pair)
         assert calls[0] == 5, name
         if bd.l == 0:
             continue
