@@ -389,11 +389,16 @@ def analyze(tc, pair):
 
     The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
     points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D}, with
-    every point as an integer row (A's rows made once);
-    BoxData adds its polar u and l = n - dim sigma0, where the recession
-    cone sigma0 of u is spanned by u's rays (cone(u) == support keeps it
-    in the support), so dim sigma0 is their rank.  Returns the BoxData;
-    its a_eff and psi are the folded pair's A and the Cartier data.
+    every point as an integer row (A's rows, `SupportSet.rows`, made once
+    per set); BoxData adds its polar u and l = n - dim sigma0, where the
+    recession cone sigma0 of u is spanned by u's rays (cone(u) == support
+    keeps it in the support), so dim sigma0 is their rank.  When the box
+    contains 0 (the g-lc case) and is full-dimensional and pointed, u is
+    read off the box's own rows and generators, byte-identical to the
+    computed polar because both homogenized cones are then pointed and
+    the double description's canonical rays are the box's stored rows
+    (`_polar_raw`): three double descriptions in all, otherwise five.  Returns the BoxData; its a_eff and psi are the
+    folded pair's A and the Cartier data.
     """
     fan = tc.fan
     n = fan.rank
@@ -406,8 +411,8 @@ def analyze(tc, pair):
     # f-nef puts every -psi_sigma in it, so it has a point
     d_points, d_rays = _generators_from_ineqs(
         [_integer_row(e, -re) for e, re in zip(fan.rays, r)], n)
-    a_rows = [_point_row(a) for a in folded.bdiv_a.points]
-    box = _from_hpoints(n, [_point_sum(g, h) for g in a_rows for h in d_points], d_rays)
+    box = _from_hpoints(n, [_point_sum(g, h) for g in folded.bdiv_a.rows for h in d_points],
+                        d_rays)
     u = _polar_raw(box)
     l = n - rational_rank(u.rays, n)
     if not _cone_over_is(u, tc.support):

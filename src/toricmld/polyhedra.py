@@ -15,7 +15,9 @@ picks the start rows and gives the start rays, and two rays are combined
 iff their common zero set over the processed rows has at least dim-2
 rows and lies in no third ray's zero set (the combinatorial adjacency
 test).  The rays come out primitive and sorted, so the result is
-deterministic.
+deterministic; that is what lets `_polar_raw` read the polar of a
+full-dimensional pointed polyhedron containing 0 off its stored rows
+with no conversion at all.
 
 Everything is exact (int and Fraction); there is no floating point anywhere.
 """
@@ -277,6 +279,17 @@ class Polyhedron:
             return False
         return all(dot(a, x) >= c for a, c in self.ineqs)
 
+    def contains_scaled(self, t, v):
+        """contains(t * v) for a rational t, in integers when v is integral.
+
+        With t = n / d and d > 0, a.(t v) >= c reads n (a.v) >= c d, so
+        no Fraction point is built.
+        """
+        if self.empty:
+            return False
+        n, d = t.numerator, t.denominator
+        return all(n * dot(a, v) >= c * d for a, c in self.ineqs)
+
     def is_compact(self):
         return not self.rays
 
@@ -406,6 +419,11 @@ class SupportSet:
     def dim(self):
         return len(self.points[0])
 
+    @cached_property
+    def rows(self):
+        """Each point x / q as its integer row (x, q), as in `Polyhedron.hpoints`."""
+        return tuple(_point_row(p) for p in self.points)
+
 
 def make_support(points):
     pts = sorted({tuple(Fraction(a) for a in p) for p in points})
@@ -413,10 +431,22 @@ def make_support(points):
 
 
 def support_value(a_set, e):
-    """h_A(e) = min over the finite set A of <a, e>."""
+    """h_A(e) = min over the finite set A of <a, e>.
+
+    At the row (x, q) of a point the value is s / q with s = x.e; the
+    running minimum is kept as such a pair and compared by
+    cross-multiplying, and one Fraction is built at the end.
+    """
     if len(e) != a_set.dim:
         raise GeometryError("dimension mismatch in support_value")
-    return min(dot(p, e) for p in a_set.points)
+    first, *rest = a_set.rows
+    # map(mul, e, h) stops after the dim entries of e, so it sums x.e
+    ms, mq = sum(map(mul, e, first)), first[-1]
+    for h in rest:
+        s, q = sum(map(mul, e, h)), h[-1]
+        if s * mq < ms * q:
+            ms, mq = s, q
+    return Fraction(ms, mq)
 
 
 def support_sum(a_set, b_set):
@@ -436,10 +466,43 @@ def _polar_raw(p):
     """{y : <v, y> >= -1 for the points v of p, <r, y> >= 0 for its rays}.
 
     For p containing 0 this is the polar {y : <x, y> >= -1 for all x in p}.
+    Its homogenized cone is then the dual of p's, and the dual of its own
+    is p's.  When p contains 0 (every row has c <= 0), is
+    full-dimensional (no row (a, 0) has (-a, 0) as a row too) and is
+    pointed (no ray r has -r as a ray too), both cones are pointed.  The
+    double description returns a pointed cone's extreme rays, primitive
+    and sorted, and p's stored rows are exactly these rays of the two
+    cones, so the polar is read off p with no double description,
+    equal field by field to the one `_from_rows` computes:
+    - its point rows are a + (-c,) for p's rows with c < 0, plus the
+      origin (0, 1) when p's rays have full rank (only then is (0, 1) an
+      extreme ray of the dual cone);
+    - its rays are the normals a of p's rows with c = 0;
+    - its rows are the ones built below from p's points and rays.
+    Otherwise `_from_rows` computes it: without 0 in p the homogenized
+    cone is not the dual of p's, and a cone with lines has no canonical
+    rays to read off.
     """
     # v.y >= -1 at v = x / q is the row (x, -q), already in integer form
-    return _from_rows(p.dim, [(h[:-1], -h[-1]) for h in p.hpoints if not is_zero(h[:-1])]
-                      + [(r, 0) for r in p.rays])
+    rows = ([(h[:-1], -h[-1]) for h in p.hpoints if not is_zero(h[:-1])]
+            + [(r, 0) for r in p.rays])
+    if not _reads_off_polar(p):
+        return _from_rows(p.dim, rows)
+    hpoints = [a + (-c,) for a, c in p.ineqs if c]
+    if rational_rank(p.rays, p.dim) == p.dim:
+        hpoints.append((0,) * p.dim + (1,))
+    return Polyhedron(p.dim, tuple(sorted(hpoints)),
+                      tuple(sorted(a for a, c in p.ineqs if not c)), tuple(sorted(rows)))
+
+
+def _reads_off_polar(p):
+    """p contains 0, is full-dimensional and is pointed: `_polar_raw` reads the polar off."""
+    if any(c > 0 for _, c in p.ineqs):
+        return False
+    through_zero = {a for a, c in p.ineqs if not c}
+    rays = set(p.rays)
+    return (not any(tuple(-x for x in a) in through_zero for a in through_zero)
+            and not any(tuple(-x for x in r) in rays for r in rays))
 
 
 def _gauge_rows(p):

@@ -259,7 +259,8 @@ def make_slice(tc, bd, phi_n, t):
         raise SearchError("interior width must exceed 1")
     lam = 1 / w
     fan2, newq = subdivide_fan(tc.fan, phi_n)
-    max_ray_discrepancy = max(log_discrepancy(bd, e) for e in fan2.rays)
+    disc = {e: log_discrepancy(bd, e) for e in fan2.rays}
+    max_ray_discrepancy = max(disc.values())
     if max_ray_discrepancy > w:
         raise SearchError("a subdivided-fan ray has discrepancy above the width")
     kern = kernel_sublattice(phi_n)
@@ -304,7 +305,7 @@ def make_slice(tc, bd, phi_n, t):
 
     # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice;
     # make_pair checks that it lies in [0, 1]
-    b1 = [1 - lam * log_discrepancy(bd, g) for g in rays_n]
+    b1 = [1 - lam * disc[g] for g in rays_n]
     a0 = [tuple(dot(a, b) for b in kern.basis) for a in bd.a_eff.points]
     pair1 = make_pair(fan0, b1, [vec_scale(lam, p) for p in a0])
     try:
@@ -443,7 +444,7 @@ def lift_hyperplane(tc, bd, sl, phibar0, gamma1):
     if tr.l0 > sl.lam / gamma1:
         raise PairError("slice certificate too weak: l0 > lam / gamma1")
     gamma_val = gamma1 / (sl.lam * sl.w)
-    if not bd.box.contains(vec_scale(-gamma_val, tr.phi_prime)):
+    if not bd.box.contains_scaled(-gamma_val, tr.phi_prime):
         raise PairError("lifted functional misses the box at gamma")
     phibar_raw = _descend(tc, tr.phi_prime)
     ustar = tuple(dot(phibar_raw, row) for row in sl.nbar0.basis)
@@ -451,8 +452,7 @@ def lift_hyperplane(tc, bd, sl, phibar0, gamma1):
         raise PairError("pullback relation u^* H = q H1 fails")
     scale = content(phibar_raw)
     phibar = primitive(phibar_raw)
-    if not bd.box.contains(vec_scale(-gamma_val,
-                                     compose_covector(phibar, tc.pi, n))):
+    if not bd.box.contains_scaled(-gamma_val, compose_covector(phibar, tc.pi, n)):
         raise PairError("primitive descent misses the box")
     return phibar, gamma_val, tr, scale
 
@@ -475,7 +475,7 @@ def _search(tc, bd, t, transcript, depth):
     lo, hi, w = wr.lo, wr.hi, wr.w
     if wr.boundary:
         gamma_here = Fraction(1) / w
-        if not bd.box.contains(vec_scale(-gamma_here, phi_n)):
+        if not bd.box.contains_scaled(-gamma_here, phi_n):
             raise SearchError("boundary functional misses the box at 1/w")
         phibar = _descend(tc, phi_n)
         # at l = 1 the pick is +-sigma0's dual line, recorded as "l1" without w
@@ -571,7 +571,7 @@ def _check_certificate(tc, bd, mld, cert):
     if not is_glc(bd):
         return False, ["pair is not g-lc"]
     phi = compose_covector(phibar, tc.pi, tc.rank)
-    if not bd.box.contains(vec_scale(-gamma_val, phi)):
+    if not bd.box.contains_scaled(-gamma_val, phi):
         reasons.append("-gamma pi^*(phi_bar) is outside the box")
     if mld is None:
         reasons.append("mld over the fiber is not positive")

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import affine_dim
-from toricmld.lattice import content, dot, vec_add
+from toricmld.lattice import content, dot, vec_add, vec_scale
 from toricmld.polyhedra import (
     GeometryError,
     _polar_raw,
@@ -40,6 +40,38 @@ def test_support_value_examples():
     assert support_value(single, (3, 5)) == 1
     with pytest.raises(GeometryError):
         support_value(a, (1, 2, 3))
+
+
+def test_support_value_matches_the_minimum_over_fraction_points():
+    # the kernel cross-multiplies the integer rows (x, q); the reference is min a.e
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        pts = [tuple(F(rng.randint(-60, 60), rng.choice((1, 2, 3, 5, 25))) for _ in range(n))
+               for _ in range(rng.randint(1, 6))]
+        a = make_support(pts)
+        e = tuple(rng.randint(-7, 7) for _ in range(n))
+        value = support_value(a, e)
+        assert value == min(dot(p, e) for p in a.points)
+        assert type(value) is F
+    assert support_value(make_support([(F(-3, 25), F(1, 2))]), (5, -2)) == F(-8, 5)
+
+
+def test_contains_scaled_matches_contains_at_the_scaled_point():
+    rng = random.Random(37)
+    empty = from_inequalities(2, [((1, 0), 1), ((-1, 0), 0)])
+    compact = from_generators(2, [(F(-3, 2), F(1, 3)), (2, -1), (F(1, 5), 2)])
+    unbounded = from_generators(3, [(-1, F(1, 2), 0), (0, -2, F(2, 3))], [(1, 1, 0), (0, 0, 1)])
+    agree = {True: 0, False: 0}
+    for p in (empty, compact, unbounded):
+        for _ in range(300):
+            t = rng.choice((F(rng.randint(-9, 9), rng.randint(1, 7)), rng.randint(-3, 3)))
+            v = tuple(rng.randint(-2, 2) for _ in range(p.dim))
+            inside = p.contains_scaled(t, v)
+            assert inside == p.contains(vec_scale(t, v)), (p.ineqs, t, v)
+            agree[inside] += 1
+    assert not any(empty.contains_scaled(t, (0, 0)) for t in (-1, 0, F(1, 2)))
+    assert agree[True] >= 50 and agree[False] >= 50, agree
 
 
 def test_support_additivity_and_homogeneity():

@@ -7,7 +7,7 @@ import toricmld
 import toricmld.pairs
 import toricmld.polyhedra
 from toricmld.instances import CORPUS, load_corpus
-from toricmld.pairs import analyze, mld_over_fiber
+from toricmld.pairs import analyze, is_glc, make_pair, mld_over_fiber
 
 
 def test_no_assert_statements_in_the_package():
@@ -55,13 +55,15 @@ def test_unused_import_scan_sees_a_planted_import():
 
 
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
-    """analyze runs 5 double descriptions, bd.quotient 1, mld_over_fiber none.
+    """analyze runs 3 double descriptions on a g-lc box, 5 off it; bd.quotient 1, mld none.
 
-    With tc.support cached, analyze converts box_{-K-B-D}, the box and u
-    (one, two and two calls); sigma0 is read off u's rays.  bd.quotient
-    reads up's rows off u's facets and converts them once.  With
-    bd.quotient cached, mld_over_fiber reads the interior of the
-    support's image off up's rows through 0.
+    With tc.support cached, analyze converts box_{-K-B-D} and the box (one
+    and two calls).  Every corpus box contains 0 and is full-dimensional
+    and pointed, so u is read off it; a box without 0 costs two more for
+    u.  sigma0 is read off u's rays.  bd.quotient reads up's rows off u's
+    facets and converts them once.  With bd.quotient cached,
+    mld_over_fiber reads the interior of the support's image off up's
+    rows through 0.
     """
     calls = [0]
     real = toricmld.polyhedra.cone_from_inequalities
@@ -78,7 +80,7 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         assert tc.support
         calls[0] = 0
         bd = analyze(tc, pair)
-        assert calls[0] == 5, name
+        assert calls[0] == 3, name
         if bd.l == 0:
             continue
         calls[0] = 0
@@ -88,6 +90,10 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         scanned += mld_over_fiber(tc, bd) is not None
         assert calls[0] == 0, name
     assert scanned >= 5
+    tc, _pair, _obj = load_corpus("a2_identity")
+    calls[0] = 0
+    bd = analyze(tc, make_pair(tc.fan, (0, 0), [(3, 0), (0, 3)]))
+    assert not is_glc(bd) and calls[0] == 5
 
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
