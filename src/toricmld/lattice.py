@@ -356,9 +356,19 @@ def sublattice_from_vectors(rank, vectors):
 
 
 def saturated_span(rank, vectors):
-    """The saturation of the span of the vectors: span_R(vectors) cap Z^rank."""
-    ann = kernel_basis(tuple(tuple(v) for v in vectors), rank)
-    return sublattice_from_vectors(rank, kernel_basis(tuple(ann), rank))
+    """The saturation of the span of the vectors: span_R(vectors) cap Z^rank.
+
+    One SNF U.M.V = D of the rows M: M = Ui.D.Vi, so the rows of M span
+    the rows d_i * Vi[i] with d_i != 0, and Vi[0..r-1] (r nonzero d_i), a
+    direct summand because Vi is unimodular, is the saturation; its HNF
+    is canonical.
+    """
+    vectors = tuple(tuple(v) for v in vectors)
+    if not vectors:
+        return Sublattice(rank, ())
+    D, _U, _V, _Ui, Vi = snf(vectors, len(vectors), rank)
+    r = sum(1 for i in range(min(len(vectors), rank)) if D[i][i] != 0)
+    return sublattice_from_vectors(rank, Vi[:r])
 
 
 def kernel_sublattice(phi):

@@ -469,6 +469,21 @@ def _fiber_witness(fan):
     return v
 
 
+def _least_gauge(rows, points):
+    """The least gauge pair over points, compared by cross-multiplying; None if none.
+
+    Every point must have a positive gauge, as every candidate of the mld does.
+    """
+    best = None
+    for v in points:
+        g = _gauge_ratio(rows, v)
+        if g is None or g[0] <= 0:
+            raise PairError("a candidate point must have a positive gauge")
+        if best is None or g[0] * best[1] < best[0] * g[1]:
+            best = g
+    return best
+
+
 def mld_over_fiber(tc, bd):
     """Minimal log discrepancy over the fiber through the invariant point.
 
@@ -479,12 +494,18 @@ def mld_over_fiber(tc, bd):
     point then goes through the integer kernel `_gauge_ratio`.  The rows
     of up through 0 are the facets of the image of the support, so with
     none the mld is not positive (0 is interior to up).  The candidates
-    are the lattice points of t_cap * up interior to that cone, t_cap
-    being the gauge of the fiber witness; for an integer normal d of a
-    row through 0 and a lattice point v, d.v > 0 is d.v >= 1, so the
-    interior enters the enumeration as cuts and only the candidates are
-    enumerated.  The running minimum is an integer pair compared by
-    cross-multiplying, and one Fraction is built at the end.
+    are the lattice points v interior to that cone: for an integer normal
+    d of a row through 0, d.v > 0 is d.v >= 1.
+
+    The enumeration bound t_cap is the least gauge over a few candidates
+    at hand: the fiber witness, the primitive direction of each vertex of
+    up, and the sum of each pair of those directions, each kept only if
+    d.v >= 1 on every row through 0.  A kept point is a candidate, so
+    t_cap is attained and the mld is the least gauge over the lattice
+    points of t_cap * up that pass the same cuts.  Those are enumerated
+    once, with the cuts in the enumeration and every row in integers, and
+    the running minimum is an integer pair compared by cross-multiplying;
+    one Fraction is built at the end.
     """
     if tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
@@ -497,18 +518,17 @@ def mld_over_fiber(tc, bd):
     through_zero = rows[1]
     if not through_zero:
         return None
-    witness = _gauge_ratio(rows, apply_hom(proj, _fiber_witness(tc.fan)))
-    if witness is None or witness[0] <= 0:
-        raise PairError("the fiber witness must have a positive gauge")
-    t_cap = Fraction(*witness)
-    cuts = [(a, t_cap * c) for a, c in up.ineqs] + [(d, 1) for d in through_zero]
-    best = None
-    for v in integer_points(bd.l, cuts):
-        g = _gauge_ratio(rows, v)
-        if g is None or g[0] <= 0:
-            raise PairError("an enumerated point must have a positive gauge")
-        if best is None or g[0] * best[1] < best[0] * g[1]:
-            best = g
+    dirs = [primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])]
+    at_hand = itertools.chain([apply_hom(proj, _fiber_witness(tc.fan))], dirs,
+                              itertools.starmap(vec_add, itertools.combinations(dirs, 2)))
+    t_cap = _least_gauge(rows, (v for v in at_hand
+                                if all(dot(d, v) >= 1 for d in through_zero)))
+    if t_cap is None:
+        raise PairError("the fiber witness must lie inside the support")
+    num, den = t_cap   # a.x >= (num / den) * c, times den
+    cuts = ([(tuple(den * x for x in a), num * c) for a, c in up.ineqs]
+            + [(d, 1) for d in through_zero])
+    best = _least_gauge(rows, integer_points(bd.l, cuts))
     if best is None:
         raise PairError("the witness point must be enumerated")
     return Fraction(*best)

@@ -12,6 +12,7 @@ from toricmld.lattice import (
     rational_rank,
 )
 from toricmld.pairs import (
+    fold_general,
     make_contraction,
     make_fan,
     make_pair,
@@ -152,3 +153,26 @@ def strict_interior_contains(p, x):
     if affine_dim(p) != p.dim:
         raise GeometryError("strict interior needs a full-dimensional polyhedron")
     return all(dot(a, x) > c for a, c in p.ineqs)
+
+
+def product_germ(first, second):
+    """X1 x X2 -> Y1 x Y2 from two (germ, pair): rays, pi and sigma_bar are
+    block-diagonal, the maximal cones are the products of the factors', B is
+    concatenated and A is the set of pairs of points of the folded A's."""
+    (tc1, pair1), (tc2, pair2) = first, second
+    n1, n2, k = tc1.rank, tc2.rank, len(tc1.fan.rays)
+    m1, m2 = tc1.base_rank, tc2.base_rank
+
+    def blocks(left, right, w1, w2):
+        return ([tuple(v) + (0,) * w2 for v in left]
+                + [(0,) * w1 + tuple(v) for v in right])
+
+    rays = blocks(tc1.fan.rays, tc2.fan.rays, n1, n2)
+    cones = [c1 + tuple(k + j for j in c2)
+             for c1 in tc1.fan.max_cones for c2 in tc2.fan.max_cones]
+    pi = blocks(tc1.pi, tc2.pi, n1, n2)
+    sigma_bar = blocks(tc1.sigma_bar.generators, tc2.sigma_bar.generators, m1, m2)
+    tc = germ(n1 + n2, rays, cones, pi, sigma_bar)
+    pair1, pair2 = fold_general(tc1.fan, pair1), fold_general(tc2.fan, pair2)
+    points = [a + b for a in pair1.bdiv_a.points for b in pair2.bdiv_a.points]
+    return tc, make_pair(tc.fan, pair1.b_inv + pair2.b_inv, points)

@@ -331,3 +331,39 @@ def test_mld_calls_gauge_once_and_matches_reference(counted_gauge_rows):
         assert got == reference_mld(tc, bd), name
         scanned += got is not None
     assert scanned >= 20
+
+
+# ---------------------------------------------------------------------------
+# the enumeration bound: the least gauge over candidates at hand
+
+
+def test_mld_matches_reference_on_interior_seeds():
+    from test_acceptance import INTERIOR_SEEDS
+
+    # reference_mld scans the box of t_cap * up with t_cap the witness's gauge
+    for name, tc, bd in _generated(INTERIOR_SEEDS):
+        expect = reference_mld(tc, bd)
+        assert expect is not None, name
+        assert mld_over_fiber(tc, bd) == expect, name
+
+
+@pytest.mark.parametrize("seed, points", [(271, 941), (362, 31), (159, 39), (82, 3)])
+def test_mld_bound_cuts_the_interior_seed_enumerations(counted_enumerator, seed, points):
+    # bounded by the witness's gauge alone these were 3643, 3236, 1220 and 416
+    for _name, tc, bd in _generated([seed]):
+        counted_enumerator.clear()   # the generator runs the mld of what it returns
+        mld_over_fiber(tc, bd)
+    assert counted_enumerator == [points]
+
+
+@pytest.mark.parametrize("d", [3, 1000])
+def test_mld_bound_skips_points_that_are_not_candidates(counted_enumerator, a2_germ, d):
+    # B = (1 - 1/d, 0): the vertex direction (1, 0) of up has gauge 1/d, below
+    # the mld 1 + 1/d, but it lies on a facet of the support; the bound comes
+    # from (1, 1), the sum of the two directions, and only it is enumerated
+    bd = analyze(a2_germ, make_pair(a2_germ.fan, (1 - F(1, d), 0), [(0, 0)]))
+    proj, up = bd.quotient
+    rows = _gauge_rows(up)
+    assert _gauge_ratio(rows, apply_hom(proj, (1, 0))) == (1, d)
+    assert mld_over_fiber(a2_germ, bd) == 1 + F(1, d)
+    assert counted_enumerator == [1]

@@ -333,3 +333,76 @@ def test_kernel_basis_saturated():
         # quotient_by_span raises "sublattice not saturated" otherwise
         q = quotient_by_span(nc, sub)
         assert len(q.projection) == nc - sub.rank
+
+
+# ---------------------------------------------------------------------------
+# saturated span: one SNF against the former kernel of the kernel
+
+
+def reference_saturated_span(rank, vectors):
+    """The former saturated_span: the kernel of the kernel, two SNFs and an HNF."""
+    ann = kernel_basis(tuple(tuple(v) for v in vectors), rank)
+    return sublattice_from_vectors(rank, kernel_basis(tuple(ann), rank))
+
+
+def test_saturated_span_matches_kernel_of_kernel_on_random_matrices():
+    rng = random.Random(29)
+    ranks = set()
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        vecs = [rand_matrix(rng, 1, n, 6)[0] for _ in range(rng.randint(0, n + 2))]
+        if vecs and rng.random() < 0.4:
+            # dependent rows: a multiple or a sum of rows already there, and zeros
+            vecs.append(tuple(rng.randint(-3, 3) * x for x in rng.choice(vecs)))
+            vecs.append(tuple(map(sum, zip(*vecs))))
+            vecs.append((0,) * n)
+        sub = saturated_span(n, vecs)
+        assert sub == reference_saturated_span(n, vecs), (n, vecs)
+        ranks.add((n, sub.rank))
+    assert {(n, 0) for n in range(1, 6)} <= ranks and (5, 5) in ranks
+
+
+def test_saturated_span_matches_kernel_of_kernel_on_acceptance_spans(monkeypatch):
+    """Every u.rays that find and verify saturate, over the corpus and the acceptance seeds."""
+    import toricmld.pairs
+    from test_acceptance import INTERIOR_SEEDS, RANDOM_BASE_SEED, RANDOM_COUNT
+    from toricmld.generator import random_instance
+    from toricmld.instances import CORPUS, load_corpus
+    from toricmld.search import find_hyperplane, verify_certificate
+
+    seen = []
+    inner = toricmld.pairs.saturated_span
+
+    def recording(rank, vectors):
+        seen.append((rank, tuple(vectors)))
+        return inner(rank, vectors)
+
+    monkeypatch.setattr(toricmld.pairs, "saturated_span", recording)
+    germs = [load_corpus(name)[:2] for name in CORPUS]
+    seeds = [RANDOM_BASE_SEED + i for i in range(RANDOM_COUNT - len(INTERIOR_SEEDS))]
+    germs += [random_instance(s)[:2] for s in seeds + list(INTERIOR_SEEDS)]
+    for tc, pair in germs:
+        ok, reasons = verify_certificate(tc, pair, find_hyperplane(tc, pair))
+        assert ok, reasons
+    assert len(seen) >= 2 * len(germs)
+    assert any(vectors for _rank, vectors in seen)
+    for rank, vectors in seen:
+        assert inner(rank, vectors) == reference_saturated_span(rank, vectors), vectors
+
+
+def test_saturated_span_takes_one_snf(monkeypatch):
+    import toricmld.lattice
+
+    calls = []
+    real_snf = toricmld.lattice.snf
+
+    def counted(*args):
+        calls.append(args)
+        return real_snf(*args)
+
+    monkeypatch.setattr(toricmld.lattice, "snf", counted)
+    assert saturated_span(3, [(2, 2, 0), (0, 3, 3), (2, 5, 3)]).basis == ((1, 0, -1), (0, 1, 1))
+    assert len(calls) == 1
+    calls.clear()
+    assert saturated_span(3, []) == Sublattice(3, ())
+    assert calls == []

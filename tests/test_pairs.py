@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import a1_pair, germ, wedge25_pair, zero_pair
+from conftest import a1_pair, germ, product_germ, wedge25_pair, zero_pair
+from toricmld.instances import load_corpus
 from toricmld.lattice import dot, identity, rational_rank
 from toricmld.pairs import (
     NotRCartier,
@@ -388,6 +389,43 @@ def test_mld_examples(a1_germ, a2_germ, a3_germ, halfplane_germ, cax4_germ):
     for tc, pair, expected in cases:
         bd = analyze(tc, pair)
         assert mld_over_fiber(tc, bd) == expected
+
+
+def _corpus_germ(name):
+    tc, pair, _obj = load_corpus(name)
+    return tc, pair
+
+
+@pytest.mark.parametrize("first, second, l, mld", [
+    ("wedge25", "wedge25", 4, F(14, 25)),
+    ("a3_identity", "a3_identity", 6, F(6)),
+    ("cax4", "halfplane", 5, F(3)),
+    ("wedge25", "cax4", 5, F(57, 25)),
+    ("cax4", "cax4", 6, F(4)),
+])
+def test_product_mld_is_the_sum(first, second, l, mld):
+    # the box of X1 x X2 is box1 x box2, so a log discrepancy is the sum of
+    # the factors' and the mld over the fiber is additive
+    factors = [_corpus_germ(first), _corpus_germ(second)]
+    tc, pair = product_germ(*factors)
+    bd = analyze(tc, pair)
+    assert (tc.rank, bd.l) == (sum(f[0].rank for f in factors), l)
+    assert is_glc(bd)
+    assert mld_over_fiber(tc, bd) == mld == sum(mld_over_fiber(t, analyze(t, p))
+                                                for t, p in factors)
+
+
+def test_product_is_glc_iff_both_factors_are(a2_germ):
+    not_glc = (a2_germ, make_pair(a2_germ.fan, (0, 0), [(3, 0), (0, 3)]))
+    factors = [not_glc, _corpus_germ("wedge25"), _corpus_germ("halfplane")]
+    seen = set()
+    for first in factors:
+        for second in factors:
+            tc, pair = product_germ(first, second)
+            glc = is_glc(analyze(tc, pair))
+            assert glc == all(is_glc(analyze(t, p)) for t, p in (first, second))
+            seen.add(glc)
+    assert seen == {True, False}
 
 
 def test_mld_rejects_dim_y_zero():
