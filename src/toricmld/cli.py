@@ -13,8 +13,10 @@ Exit codes:
      with its message.  That covers a malformed instance or certificate,
      a pair outside the hypotheses, a bad --phibar, --dim, --mld or
      --count, a gamma value whose numerator or denominator may exceed
-     GAMMA_DIGIT_LIMIT digits, and an output file that cannot be written.
-     argparse exits 2 as well on a missing or malformed option.
+     GAMMA_DIGIT_LIMIT digits, an output file that cannot be written, and
+     a gen seed for which generator.MAX_ATTEMPTS (400) sampled attempts
+     give no valid instance ("no valid instance found for seed N in 400
+     attempts").  argparse exits 2 as well on a missing or malformed option.
 """
 
 from __future__ import annotations

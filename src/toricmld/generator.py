@@ -7,6 +7,12 @@ stellar subdivisions), and pair data sampled with rejection until the
 pair is R-Cartier, f-nef, g-lc and has positive mld over the fiber.
 Everything is drawn from a single random.Random(seed), so a seed pins
 the instance exactly.
+
+A pointed piece of the fan is cut in one double-description step from
+its own extreme rays and facets (`polyhedra._dd_cut`): a covector that
+misses the piece leaves it as it is, and a cut costs one `make_cone` per
+half for the facets.  Only a piece with lines, met while the lineality
+of the support is split away, is converted from its normals.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .pairs import (
 )
 from .polyhedra import (
     GeometryError,
+    _dd_cut,
     cone_from_normals,
     make_cone,
     make_support,
@@ -72,12 +79,24 @@ def _rand_sigma_bar(rng, nbar):
             return c
 
 
-def _split(cone, cov, n):
+def _split(cone, pointed, cov, n):
+    """The full-dimensional halves cov >= 0 and cov <= 0 of a piece, in order, as (piece, pointed).
+
+    `_dd_cut` cuts a pointed piece from its extreme rays and facets: one
+    the covector misses comes back as it is (the other side is a face of
+    it), and a cut costs one `make_cone` per half.  A piece with lines is
+    converted from its normals and the covector.
+    """
+    if pointed:
+        halves = _dd_cut(cone.generators, cone.dual_rays, cov, n)
+        if halves is None:
+            return [(cone, True)]
+        return [(make_cone(n, h), True) for h in halves]
     pieces = []
     for sign in (1, -1):
         piece = cone_from_normals(n, cone.normals + (tuple(sign * x for x in cov),))
         if piece.cone_dim() == n:
-            pieces.append(piece)
+            pieces.append((piece, piece.is_pointed()))
     return pieces
 
 
@@ -106,10 +125,18 @@ def _rand_covector(rng, n):
 
 
 def _build_fan(rng, support, n):
-    pieces = [support]
+    """A fan with support the full-dimensional cone `support`, drawn from rng.
+
+    Random covectors split the pieces until every piece is pointed (a
+    covector that vanishes on the lines of the first piece with lines is
+    redrawn), then split them 0-2 more times, and at most one piece is
+    stellarly subdivided.  Each piece carries whether it is pointed,
+    tested once when it is made.
+    """
+    pieces = [(support, support.is_pointed())]
     guard = 0
     while True:
-        bad = next((p for p in pieces if not p.is_pointed()), None)
+        bad = next((p for p, pointed in pieces if not pointed), None)
         if bad is None:
             break
         guard += 1
@@ -120,10 +147,11 @@ def _build_fan(rng, support, n):
         cov = _rand_covector(rng, n)
         if all(dot(cov, l) == 0 for l in lin):
             continue
-        pieces = [q for p in pieces for q in _split(p, cov, n)]
+        pieces = [q for p in pieces for q in _split(*p, cov, n)]
     for _ in range(rng.randint(0, 2)):
         cov = _rand_covector(rng, n)
-        pieces = [q for p in pieces for q in _split(p, cov, n)]
+        pieces = [q for p in pieces for q in _split(*p, cov, n)]
+    pieces = [p for p, _pointed in pieces]
     for _ in range(rng.randint(0, 1)):
         if not pieces:
             break
@@ -210,7 +238,8 @@ def random_instance(seed):
     the last check, run once on the candidate about to be returned.  It
     draws nothing from rng, so where it runs changes neither the random
     stream, nor the instance, nor meta["attempts"]; a contraction it
-    rejects counts as one more rejected sample.
+    rejects counts as one more rejected sample.  After MAX_ATTEMPTS
+    rejected samples it raises PairError naming the seed and the count.
     """
     rng = random.Random(seed)
     for attempt in range(MAX_ATTEMPTS):
@@ -233,4 +262,5 @@ def random_instance(seed):
                               "rank": n, "base_rank": nbar}
         except (PairError, GeometryError, LatticeError):
             continue
-    raise PairError("no valid instance found for seed %r" % seed)
+    raise PairError("no valid instance found for seed %r in %d attempts"
+                    % (seed, MAX_ATTEMPTS))

@@ -17,7 +17,9 @@ rows and lies in no third ray's zero set (the combinatorial adjacency
 test).  The rays come out primitive and sorted, so the result is
 deterministic; that is what lets `_polar_raw` read the polar of a
 full-dimensional pointed polyhedron containing 0 off its stored rows
-with no conversion at all.
+with no conversion at all, and what lets `_dd_cut` cut a pointed
+full-dimensional cone by a hyperplane in one step of the double
+description, from the extreme rays and facets it already holds.
 
 Everything is exact (int and Fraction); there is no floating point anywhere.
 """
@@ -169,6 +171,47 @@ def _dd_from_base(rows, dim, base, rays):
                 kept_masks.append(z | bit)
         rays, masks = kept, kept_masks
     return tuple(sorted(rays))
+
+
+def _dd_cut(rays, facets, a, dim):
+    """One double-description step: a pointed full-dimensional cone cut by a.x = 0.
+
+    Precondition: rays are exactly the cone's extreme rays and facets
+    exactly its facet normals, as `make_cone` stores them for a pointed
+    full-dimensional cone whose generators are its extreme rays.  Each ray
+    then carries its zero set over the facets, and the adjacency test of
+    `_dd_from_base` applies as it stands, so no double description runs.
+
+    Returns None when a.x has one sign on every ray, so the cone lies on
+    one side.  Otherwise returns the extreme rays of the halves a.x >= 0
+    and a.x <= 0 of the cone, in that order: each half keeps the rays on
+    its side, those with a.x = 0 included, plus the primitive combination
+    on a.x = 0 of every adjacent pair of a positive and a negative ray.
+    """
+    pos, neg, zero, masks = [], [], [], []
+    for r in rays:
+        z = sum(1 << i for i, d in enumerate(facets) if not sum(map(mul, d, r)))
+        v = sum(map(mul, a, r))
+        masks.append(z)
+        if v > 0:
+            pos.append((r, z, v))
+        elif v < 0:
+            neg.append((r, z, v))
+        else:
+            zero.append(r)
+    if not pos or not neg:
+        return None
+    # the pair loop of `_dd_from_base`, kept apart: moved into a helper
+    # both call, it made `_dd_from_base` 2-4 % slower on certify and query
+    cut = list(zero)
+    for rp, zp, vp in pos:
+        for rm, zm, vm in neg:
+            z = zp & zm
+            if z.bit_count() < dim - 2 or any(
+                    y & z == z for y in masks if y != zp and y != zm):
+                continue
+            cut.append(primitive(tuple(vp * x - vm * y for x, y in zip(rm, rp))))
+    return [r for r, _z, _v in pos] + cut, [r for r, _z, _v in neg] + cut
 
 
 def cone_from_inequalities(rows, dim):

@@ -421,3 +421,21 @@ def test_gen_reports_a_pair_error_as_invalid_input(tmp_path, monkeypatch, capsys
     rc, out, err = run(capsys, "gen", "--seed", "5", "--out-dir", str(tmp_path), "--json")
     assert rc == 2 and err == "" and json.loads(out) == {"error": "no valid instance found"}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_names_the_seed_and_the_attempts_when_it_gives_up(tmp_path, monkeypatch, capsys):
+    import toricmld.generator
+
+    def refuse(_tc):
+        from toricmld.pairs import PairError
+
+        raise PairError("validation refused")
+
+    monkeypatch.setattr(toricmld.generator, "MAX_ATTEMPTS", 2)
+    monkeypatch.setattr(toricmld.generator, "validate_contraction", refuse)
+    reason = "no valid instance found for seed 5 in 2 attempts"
+    rc, out, err = run(capsys, "gen", "--seed", "5", "--out-dir", str(tmp_path))
+    assert rc == 2 and out == "" and err == "error: %s\n" % reason
+    rc, out, err = run(capsys, "gen", "--seed", "5", "--out-dir", str(tmp_path), "--json")
+    assert rc == 2 and err == "" and json.loads(out) == {"error": reason}
+    assert list(tmp_path.iterdir()) == []

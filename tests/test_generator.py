@@ -9,10 +9,11 @@ from toricmld.generator import (
     _candidate_pair,
     _rand_sigma_bar,
     _rand_unimodular,
+    _split,
     random_instance,
 )
 from toricmld.instances import dumps_canonical, instance_to_obj
-from toricmld.lattice import LatticeError
+from toricmld.lattice import LatticeError, dot, is_zero, kernel_basis, primitive
 from toricmld.pairs import (
     PairError,
     analyze,
@@ -21,7 +22,7 @@ from toricmld.pairs import (
     mld_over_fiber,
     validate_contraction,
 )
-from toricmld.polyhedra import GeometryError, cone_from_normals
+from toricmld.polyhedra import GeometryError, cone_from_normals, make_cone
 
 
 def reference_random_instance(seed):
@@ -52,6 +53,152 @@ def reference_random_instance(seed):
         except (PairError, GeometryError, LatticeError):
             continue
     raise PairError("no valid instance found for seed %r" % seed)
+
+
+def reference_split(cone, cov, n):
+    """`_split` as it was, two conversions per side for every piece: the slow reference."""
+    pieces = []
+    for sign in (1, -1):
+        piece = cone_from_normals(n, cone.normals + (tuple(sign * x for x in cov),))
+        if piece.cone_dim() == n:
+            pieces.append(piece)
+    return pieces
+
+
+def _fields(cone):
+    return cone.generators, cone.dual_rays, cone.dual_lines
+
+
+def _assert_split_matches_reference(cone, pointed, cov, n):
+    got = _split(cone, pointed, cov, n)
+    want = reference_split(cone, cov, n)
+    assert [_fields(c) for c, _pointed in got] == [_fields(c) for c in want], (cone, cov)
+    assert [p for _c, p in got] == [c.is_pointed() for c in want], (cone, cov)
+    return got
+
+
+def _recorded_splits(monkeypatch, seeds):
+    """Every (piece, pointed, covector, rank) that `_build_fan` splits for the seeds."""
+    seen = []
+
+    def recording_split(cone, pointed, cov, n):
+        seen.append((cone, pointed, cov, n))
+        return _split(cone, pointed, cov, n)
+
+    monkeypatch.setattr(generator, "_split", recording_split)
+    for seed in seeds:
+        random_instance(seed)
+    return seen
+
+
+def test_split_matches_reference_on_every_piece_the_generator_cuts(monkeypatch):
+    seen = _recorded_splits(monkeypatch, [*range(120), *range(2000, 2064)])
+    cut = pointed = 0
+    for cone, is_pointed, cov, n in seen:
+        assert is_pointed == cone.is_pointed()
+        halves = _assert_split_matches_reference(cone, is_pointed, cov, n)
+        pointed += is_pointed
+        cut += is_pointed and len(halves) == 2
+    # 2449 splits, 1787 of a pointed piece, 893 of them cut
+    assert len(seen) - pointed >= 600 and pointed >= 1700 and cut >= 800
+
+
+def _rand_pointed_cone(rng, n):
+    """A pointed full-dimensional cone whose generators are its extreme rays."""
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + rng.randint(0, 3))]
+        cone = make_cone(n, gens)
+        if cone.is_full_dim() and cone.is_pointed():
+            return cone_from_normals(n, cone.dual_rays)
+
+
+def _rand_cutting_covector(rng, cone, n):
+    """A covector positive on some ray of the cone and negative on another, or None."""
+    for _ in range(50):
+        cov = tuple(rng.randint(-3, 3) for _ in range(n))
+        values = [dot(cov, r) for r in cone.generators]
+        if min(values) < 0 < max(values):
+            return primitive(cov)
+    return None
+
+
+def _vanishing_covector(rng, ray, n):
+    """A nonzero covector that is 0 on the ray."""
+    basis = kernel_basis((ray,), n)
+    while True:
+        cov = [0] * n
+        for b in basis:
+            c = rng.randint(-2, 2)
+            cov = [x + c * y for x, y in zip(cov, b)]
+        if not is_zero(cov):
+            return primitive(tuple(cov))
+
+
+def _covector_cases(rng, cone, n):
+    """(kind, covector): one that cuts the cone if found, ones that miss it,
+    one that vanishes on a ray, and facet normals of both signs."""
+    interior = tuple(sum(col) for col in zip(*cone.dual_rays))
+    cases = [("miss", interior), ("miss", tuple(-x for x in interior))]
+    for d in cone.dual_rays[:2]:
+        cases += [("facet", d), ("facet", tuple(-x for x in d))]
+    if n > 1:
+        cases.append(("vanish", _vanishing_covector(rng, rng.choice(cone.generators), n)))
+    cov = _rand_cutting_covector(rng, cone, n)
+    if cov is not None:
+        cases.append(("cut", cov))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_matches_reference_on_random_pointed_cones(n):
+    rng = random.Random(7100 + n)
+    kinds = {"cut": 0, "miss": 0, "vanish": 0, "facet": 0}
+    vanish_cut = 0
+    for _ in range(40):
+        cone = _rand_pointed_cone(rng, n)
+        for kind, cov in _covector_cases(rng, cone, n):
+            got = _assert_split_matches_reference(cone, True, cov, n)
+            if kind in ("miss", "facet"):
+                assert len(got) == 1 and got[0][0] is cone
+            elif kind == "cut":
+                assert len(got) == 2
+            else:
+                vanish_cut += len(got) == 2
+            kinds[kind] += 1
+    assert kinds["miss"] == 80 and kinds["facet"] >= 80
+    if n > 1:
+        assert kinds["vanish"] == 40 and kinds["cut"] >= 30
+    if n > 2:
+        assert vanish_cut >= 10
+
+
+def _rand_product_cone(rng):
+    """C1 x C2 in dimension 6 for pointed 3-dimensional cones with at least 4 rays each.
+
+    Below dimension 6 two extreme rays whose common zero set over the
+    facets has dim - 2 members are always adjacent, so only from there on
+    does the third-ray test of the cut decide anything.  Here two rays of
+    C1 that are not adjacent in C1 are zero on all of C2's facets and on
+    none of C1's: at least 4 = dim - 2 members, yet not adjacent.
+    """
+    factors = []
+    while len(factors) < 2:
+        cone = _rand_pointed_cone(rng, 3)
+        if len(cone.generators) >= 4:
+            factors.append(cone)
+    gens = [g + (0, 0, 0) for g in factors[0].generators]
+    gens += [(0, 0, 0) + g for g in factors[1].generators]
+    return make_cone(6, gens)
+
+
+def test_split_matches_reference_on_products_where_the_third_ray_test_decides():
+    rng = random.Random(7106)
+    cut = 0
+    for _ in range(12):
+        cone = _rand_product_cone(rng)
+        for _kind, cov in _covector_cases(rng, cone, 6):
+            cut += len(_assert_split_matches_reference(cone, True, cov, 6)) == 2
+    assert cut >= 12
 
 
 def test_instances_satisfy_hypotheses():

@@ -4,7 +4,9 @@
 certify instance and `bench/golden/generate.json` the canonical instance
 and attempt count of every generator seed.  These tests only read them.
 The acceptance digest pins the certificates of the whole acceptance set,
-which holds instances the certify golden leaves out.
+which holds instances the certify golden leaves out, and the generator
+digest pins the generator's instances and meta over seeds the goldens and
+the acceptance set leave out.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from toricmld.search import find_hyperplane
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 INTERIOR_SEEDS = (5, 27, 82, 93, 119, 159, 271, 362)
 ACCEPTANCE_DIGEST = "5a377269e1b6553bb87b45aa955b8c353a5e3faa22d18466f66e5034f0b621d7"
+GENERATOR_DIGEST = "b489f98872f3f75c7b80bb5497627f87a8282d8c94c022d0d5f1c450096944a3"
 
 
 def _golden(name):
@@ -66,3 +69,17 @@ def test_acceptance_digest():
         digest.update(dumps_canonical(certificate_to_obj(cert)).encode("utf-8"))
     assert len(instances) == 112
     assert digest.hexdigest() == ACCEPTANCE_DIGEST
+
+
+def test_generator_digest():
+    """SHA-256 over the canonical instance and meta of random_instance(s), in order.
+
+    s runs over 0..119, then 2000..2063; each seed adds the canonical form
+    of {"instance": instance_to_obj(tc, pair), "meta": meta}.
+    """
+    digest = hashlib.sha256()
+    for seed in (*range(120), *range(2000, 2064)):
+        tc, pair, meta = random_instance(seed)
+        obj = {"instance": instance_to_obj(tc, pair), "meta": meta}
+        digest.update(dumps_canonical(obj).encode("utf-8"))
+    assert digest.hexdigest() == GENERATOR_DIGEST

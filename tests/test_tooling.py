@@ -6,8 +6,10 @@ import pathlib
 import toricmld
 import toricmld.pairs
 import toricmld.polyhedra
+from toricmld.generator import _split
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.pairs import analyze, is_glc, make_pair, mld_over_fiber
+from toricmld.polyhedra import make_cone
 
 
 def test_no_assert_statements_in_the_package():
@@ -94,6 +96,28 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
     calls[0] = 0
     bd = analyze(tc, make_pair(tc.fan, (0, 0), [(3, 0), (0, 3)]))
     assert not is_glc(bd) and calls[0] == 5
+
+
+def test_split_converts_only_the_halves_of_a_cut_pointed_piece(monkeypatch):
+    """_split runs no double description on a pointed piece the covector
+    misses, and one per half, in make_cone, on a pointed piece it cuts."""
+    calls = [0]
+    real = toricmld.polyhedra.cone_from_inequalities
+
+    def counted(rows, dim):
+        calls[0] += 1
+        return real(rows, dim)
+
+    monkeypatch.setattr(toricmld.polyhedra, "cone_from_inequalities", counted)
+    square = make_cone(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    for cov in [(0, 0, 1), (1, 1, 2), (1, 0, 1), (0, -1, -1)]:
+        calls[0] = 0
+        assert _split(square, True, cov, 3) == [(square, True)]
+        assert calls[0] == 0, cov
+    for cov in [(1, 0, 0), (1, 1, 0), (1, -1, 0), (2, 1, -1)]:
+        calls[0] = 0
+        assert len(_split(square, True, cov, 3)) == 2
+        assert calls[0] == 2, cov
 
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
