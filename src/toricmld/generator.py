@@ -8,11 +8,15 @@ pair is R-Cartier, f-nef, g-lc and has positive mld over the fiber.
 Everything is drawn from a single random.Random(seed), so a seed pins
 the instance exactly.
 
-A pointed piece of the fan is cut in one double-description step from
-its own extreme rays and facets (`polyhedra._dd_cut`): a covector that
-misses the piece leaves it as it is, and a cut costs one `make_cone` per
-half for the facets.  Only a piece with lines, met while the lineality
-of the support is split away, is converted from its normals.
+Every cone the generator builds takes at most one double description.
+The support pi^{-1}(sigma_bar) comes from sigma_bar's pulled-back facets
+(`pairs.pullback_cone`), and the contraction keeps that very cone.  A
+pointed piece of the fan is cut in one double-description step from its
+own extreme rays and facets (`polyhedra._dd_cut`): a covector that misses
+the piece leaves it as it is, and a cut costs one `make_cone` per half
+for the facets.  A piece with lines, met while the lineality of the
+support is split away, knows the facets of both halves, so each half
+costs one double description for its generators (`cone_from_facets`).
 """
 
 from __future__ import annotations
@@ -20,22 +24,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .lattice import (LatticeError, compose_covector, dot, identity, is_zero,
-                      kernel_basis, primitive, vec_add)
+from .lattice import (LatticeError, dot, identity, is_zero, kernel_basis,
+                      primitive, vec_add)
 from .pairs import (
     PairError,
+    ToricContraction,
     analyze,
     fix_mov,
-    make_contraction,
     make_fan,
     make_pair,
     mld_over_fiber,
+    pullback_cone,
     validate_contraction,
 )
 from .polyhedra import (
     GeometryError,
     _dd_cut,
-    cone_from_normals,
+    cone_from_facets,
     make_cone,
     make_support,
     support_scale,
@@ -84,19 +89,26 @@ def _split(cone, pointed, cov, n):
 
     `_dd_cut` cuts a pointed piece from its extreme rays and facets: one
     the covector misses comes back as it is (the other side is a face of
-    it), and a cut costs one `make_cone` per half.  A piece with lines is
-    converted from its normals and the covector.
+    it), and a cut costs one `make_cone` per half.  A piece with lines
+    must have a line on which cov is not 0, as `_build_fan` ensures; each
+    half is then built from its facets, the piece's and -/+cov, in one
+    double description.
     """
     if pointed:
         halves = _dd_cut(cone.generators, cone.dual_rays, cov, n)
         if halves is None:
             return [(cone, True)]
         return [(make_cone(n, h), True) for h in halves]
+    # Every piece with lines has the same lineality space L: each cut
+    # splits every such piece in two, and cuts L down to L cap cov-perp.
+    # `_build_fan` redraws a cov that vanishes on L.  Each facet of the
+    # piece contains L, hence a line on which cov > 0, so it stays a facet
+    # of both halves; cov = 0 meets the interior, so both halves are
+    # full-dimensional and +/-cov is their one new facet.
     pieces = []
     for sign in (1, -1):
-        piece = cone_from_normals(n, cone.normals + (tuple(sign * x for x in cov),))
-        if piece.cone_dim() == n:
-            pieces.append((piece, piece.is_pointed()))
+        piece = cone_from_facets(n, cone.dual_rays + (tuple(sign * x for x in cov),))
+        pieces.append((piece, piece.is_pointed()))
     return pieces
 
 
@@ -249,10 +261,8 @@ def random_instance(seed):
             uni = _rand_unimodular(rng, n)
             pi = tuple(uni[i] for i in range(nbar))
             sigma_bar = _rand_sigma_bar(rng, nbar)
-            normals = [compose_covector(d, pi, n) for d in sigma_bar.dual_rays]
-            support = cone_from_normals(n, normals)
-            fan = _build_fan(rng, support, n)
-            tc = make_contraction(fan, pi, sigma_bar.generators)
+            support = pullback_cone(n, pi, sigma_bar)
+            tc = ToricContraction(_build_fan(rng, support, n), pi, sigma_bar, support)
             pair = _candidate_pair(rng, tc)
             bd = analyze(tc, pair)
             if mld_over_fiber(tc, bd) is None:

@@ -55,6 +55,7 @@ from .polyhedra import (
     _point_row,
     _point_sum,
     _polar_raw,
+    cone_from_facets,
     cone_from_inequalities,
     cone_from_normals,
     integer_points,
@@ -182,11 +183,17 @@ def _check_face_intersection(fan, i, j):
 
 @dataclass(frozen=True)
 class ToricContraction:
-    """Germ f: X -> Y over the invariant point, via pi and sigma_bar."""
+    """Germ f: X -> Y over the invariant point, via pi and sigma_bar.
+
+    `support` is the cone pi^{-1}(sigma_bar), built by `pullback_cone`
+    (or, in the generator, the very cone the fan was cut from); |fan|
+    must equal it, which validate_contraction checks.
+    """
 
     fan: Fan
     pi: tuple          # nbar x n integer matrix (rows may be empty)
     sigma_bar: Cone
+    support: Cone = field(compare=False)
 
     @property
     def rank(self):
@@ -196,11 +203,22 @@ class ToricContraction:
     def base_rank(self):
         return len(self.pi)
 
-    @cached_property
-    def support(self):
-        """|fan| = pi^{-1}(sigma_bar) as a cone."""
-        return cone_from_normals(self.rank, [compose_covector(d, self.pi, self.rank)
-                                             for d in self.sigma_bar.normals])
+
+def pullback_cone(rank, pi, sigma_bar):
+    """pi^{-1}(sigma_bar) as a cone in N = Z^rank.
+
+    When sigma_bar is full-dimensional and pi has full row rank, pi maps
+    R^rank onto the base, so the pulled-back facets of sigma_bar are
+    exactly the facets of the full-dimensional preimage (sigma_bar's
+    normals are then its dual rays), and `cone_from_facets` builds it in
+    one double description.  Otherwise,
+    which only a contraction that validate_contraction rejects reaches,
+    the cone is converted from all pulled-back normals.
+    """
+    normals = [compose_covector(d, pi, rank) for d in sigma_bar.normals]
+    if sigma_bar.is_full_dim() and rational_rank(pi, rank) == len(pi):
+        return cone_from_facets(rank, normals)
+    return cone_from_normals(rank, normals)
 
 
 def make_contraction(fan, pi, sigma_bar_gens=None):
@@ -213,7 +231,7 @@ def make_contraction(fan, pi, sigma_bar_gens=None):
                       for i, g in enumerate(sigma_bar_gens)]
     _check_entries(sigma_bar_gens, nbar, "sigma_bar generator")
     sigma_bar = make_cone(nbar, sigma_bar_gens)
-    return ToricContraction(fan, pi, sigma_bar)
+    return ToricContraction(fan, pi, sigma_bar, pullback_cone(fan.rank, pi, sigma_bar))
 
 
 def validate_contraction(tc):

@@ -17,9 +17,11 @@ rows and lies in no third ray's zero set (the combinatorial adjacency
 test).  The rays come out primitive and sorted, so the result is
 deterministic; that is what lets `_polar_raw` read the polar of a
 full-dimensional pointed polyhedron containing 0 off its stored rows
-with no conversion at all, and what lets `_dd_cut` cut a pointed
+with no conversion at all, what lets `_dd_cut` cut a pointed
 full-dimensional cone by a hyperplane in one step of the double
-description, from the extreme rays and facets it already holds.
+description, from the extreme rays and facets it already holds, and
+what lets `cone_from_facets` take the dual rays of a full-dimensional
+cone with known facets as those facets, with no second conversion.
 
 Everything is exact (int and Fraction); there is no floating point anywhere.
 """
@@ -284,11 +286,29 @@ def make_cone(dim, generators):
     return Cone(dim, tuple(gens), rays, lines)
 
 
+def _generators_of(normals, dim):
+    """Generators of {x : <a, x> >= 0 for a in normals}: its rays, then each line both ways."""
+    rays, lines = cone_from_inequalities(tuple(normals), dim)
+    return list(rays) + list(lines) + [tuple(-a for a in l) for l in lines]
+
+
 def cone_from_normals(dim, normals):
     """Cone {x : <a, x> >= 0 for a in normals}, as generators."""
-    rays, lines = cone_from_inequalities(tuple(normals), dim)
-    gens = list(rays) + list(lines) + [tuple(-a for a in l) for l in lines]
-    return make_cone(dim, gens)
+    return make_cone(dim, _generators_of(normals, dim))
+
+
+def cone_from_facets(dim, facets):
+    """Full-dimensional cone {x : <a, x> >= 0 for a in facets}, in one double description.
+
+    Precondition: the cone is full-dimensional and the rows are exactly
+    its facet normals, none redundant and no two positive multiples of
+    each other.  Its dual cone is then pointed with the rows as extreme
+    rays, so `dual_rays` are the rows made primitive and sorted and
+    `dual_lines` is (), as `make_cone` would find them; only the
+    generators take a double description, fed the rows as given.
+    """
+    gens = sorted({primitive(g) for g in _generators_of(facets, dim)})
+    return Cone(dim, tuple(gens), tuple(sorted(primitive(tuple(a)) for a in facets)), ())
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .pairs import (
     make_fan,
     make_pair,
     mld_over_fiber,
+    pullback_cone,
     validate_contraction,
 )
 from .polyhedra import (
@@ -300,7 +301,7 @@ def make_slice(tc, bd, phi_n, t):
     # the images generate nbar0, so each has coordinates in it
     pi0 = transpose([nbar0.coordinates(img) for img in images], nbar0.rank)
     sigma_bar0 = make_cone(nbar0.rank, [apply_hom(pi0, r) for r in rays0])
-    tc1 = ToricContraction(fan0, pi0, sigma_bar0)
+    tc1 = ToricContraction(fan0, pi0, sigma_bar0, pullback_cone(n - 1, pi0, sigma_bar0))
     validate_contraction(tc1)
 
     # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice;

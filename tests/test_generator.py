@@ -16,6 +16,7 @@ from toricmld.instances import dumps_canonical, instance_to_obj
 from toricmld.lattice import LatticeError, dot, is_zero, kernel_basis, primitive
 from toricmld.pairs import (
     PairError,
+    ToricContraction,
     analyze,
     is_glc,
     make_contraction,
@@ -234,12 +235,12 @@ def test_some_variety():
 def test_validating_last_returns_what_validating_first_did(monkeypatch):
     made = []
 
-    def recording_make_contraction(*args):
-        tc = make_contraction(*args)
+    def recording_contraction(*args):
+        tc = ToricContraction(*args)
         made.append(tc)
         return tc
 
-    monkeypatch.setattr(generator, "make_contraction", recording_make_contraction)
+    monkeypatch.setattr(generator, "ToricContraction", recording_contraction)
     for seed in [*range(64), *range(1000, 1032)]:
         tc, pair, meta = random_instance(seed)
         ref_tc, ref_pair, ref_meta = reference_random_instance(seed)

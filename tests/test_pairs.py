@@ -4,12 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import toricmld.generator as generator
+import toricmld.search as search
 from conftest import a1_pair, germ, product_germ, wedge25_pair, zero_pair
-from toricmld.instances import load_corpus
-from toricmld.lattice import dot, identity, rational_rank
+from toricmld.generator import random_instance
+from toricmld.instances import CORPUS, InstanceError, instance_from_obj, load_corpus
+from toricmld.lattice import compose_covector, dot, identity, rational_rank
 from toricmld.pairs import (
     NotRCartier,
     PairError,
+    ToricContraction,
     _check_face_intersection,
     analyze,
     cartier_psi,
@@ -35,7 +39,7 @@ from toricmld.polyhedra import (
     polyhedra_equal,
     support_value,
 )
-from toricmld.search import subdivide_fan
+from toricmld.search import find_hyperplane, subdivide_fan
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +67,85 @@ def test_contraction_needs_full_dim_base_cone():
     tc = make_contraction(fan, identity(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     with pytest.raises(PairError, match="strongly convex"):
         validate_contraction(tc)
+
+
+def _fields(cone):
+    return cone.generators, cone.dual_rays, cone.dual_lines
+
+
+def reference_support(tc):
+    """pi^-1(sigma_bar) converted from all pulled-back normals: the slow reference."""
+    return cone_from_normals(tc.rank, [compose_covector(d, tc.pi, tc.rank)
+                                       for d in tc.sigma_bar.normals])
+
+
+QUADRANT = {"rank_N": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+
+
+@pytest.mark.parametrize("obj, reason", [
+    ({"rank_N": 1, "rays": [[1]], "max_cones": [[0]], "pi": [[2]]},
+     "pi is not surjective"),
+    (dict(QUADRANT, pi=[[1, 0], [1, 0]], sigma_bar=[[1, 0], [0, 1]]),
+     "pi is not surjective"),
+    ({"rank_N": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "max_cones": [[0, 1], [1, 2]],
+      "pi": [[1, 0], [0, 1]], "sigma_bar": [[0, 1]]},
+     "sigma_bar is not full-dimensional (no invariant point)"),
+    (dict(QUADRANT, pi=[[1, 0], [0, 1]], sigma_bar=[[1, 0], [1, 1]]),
+     "support condition fails: ray 1 leaves pi^-1(sigma_bar)"),
+    (dict(QUADRANT, pi=[[1, 0], [0, 1]], sigma_bar=[[1, 0], [-1, 1]]),
+     "support condition fails: pi^-1(sigma_bar) is not covered"),
+    ({"rank_N": 2, "rays": [[1, 0], [2, 1], [1, 2], [0, 1]], "max_cones": [[0, 1], [2, 3]],
+      "pi": [[1, 0], [0, 1]]},
+     "support condition fails: unmatched interior wall of cone 0"),
+])
+def test_invalid_contraction_names_its_reason(obj, reason):
+    """Not surjective over Z, then with dependent rows; a base cone that is
+    not full-dimensional; then the three support conditions.  The second
+    and third reach `pullback_cone`'s conversion from all normals."""
+    with pytest.raises(InstanceError) as exc:
+        instance_from_obj(obj)
+    assert str(exc.value) == reason
+    tc = make_contraction(make_fan(obj["rank_N"], obj["rays"], obj["max_cones"]),
+                          obj["pi"], obj.get("sigma_bar"))
+    assert _fields(tc.support) == _fields(reference_support(tc))
+
+
+def _recorded_contractions(monkeypatch, module, run):
+    """Every ToricContraction that `module` builds while `run()` runs."""
+    made = []
+
+    def recording(*args):
+        made.append(ToricContraction(*args))
+        return made[-1]
+
+    monkeypatch.setattr(module, "ToricContraction", recording)
+    run()
+    monkeypatch.undo()
+    return made
+
+
+def test_support_matches_the_pulled_back_normals(monkeypatch):
+    """The support as built, from the pulled-back facets in one double
+    description, is field-identical to the reference on the corpus, on
+    every attempt of the acceptance and generator seeds, and on every
+    slice contraction `find_hyperplane` builds on the certify instances."""
+    tcs = [load_corpus(name)[0] for name in CORPUS]
+    seeds = [*range(120), *range(1000, 1096), *range(2000, 2064)]
+    generated = {}
+
+    def generate():
+        for seed in seeds:
+            generated[seed] = random_instance(seed)
+
+    tcs += _recorded_contractions(monkeypatch, generator, generate)
+    certify = [load_corpus(name)[:2] for name in CORPUS]
+    certify += [generated[s][:2] for s in (*range(1000, 1064), 5, 27, 82, 93, 119)]
+    slices = _recorded_contractions(
+        monkeypatch, search, lambda: [find_hyperplane(tc, pair) for tc, pair in certify])
+    assert len(slices) >= 9
+    for tc in tcs + slices:
+        assert _fields(tc.support) == _fields(reference_support(tc))
+    assert len(tcs) >= 1000
 
 
 def test_overlapping_cones_rejected():

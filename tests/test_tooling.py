@@ -4,12 +4,13 @@ import inspect
 import pathlib
 
 import toricmld
+import toricmld.generator
 import toricmld.pairs
 import toricmld.polyhedra
-from toricmld.generator import _split
+from toricmld.generator import _build_fan, _split, random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.pairs import analyze, is_glc, make_pair, mld_over_fiber
-from toricmld.polyhedra import make_cone
+from toricmld.polyhedra import cone_from_normals, make_cone
 
 
 def test_no_assert_statements_in_the_package():
@@ -100,7 +101,8 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
 
 def test_split_converts_only_the_halves_of_a_cut_pointed_piece(monkeypatch):
     """_split runs no double description on a pointed piece the covector
-    misses, and one per half, in make_cone, on a pointed piece it cuts."""
+    misses, and one per half, in make_cone, on a pointed piece it cuts;
+    on a piece with lines, one per half, in cone_from_facets."""
     calls = [0]
     real = toricmld.polyhedra.cone_from_inequalities
 
@@ -118,6 +120,28 @@ def test_split_converts_only_the_halves_of_a_cut_pointed_piece(monkeypatch):
         calls[0] = 0
         assert len(_split(square, True, cov, 3)) == 2
         assert calls[0] == 2, cov
+    wedge = cone_from_normals(3, [(1, 0, 0), (0, 1, 0)])
+    for cov in [(0, 0, 1), (1, -1, 1), (2, 1, -1)]:
+        calls[0] = 0
+        assert [pointed for _half, pointed in _split(wedge, False, cov, 3)] == [True, True]
+        assert calls[0] == 2, cov
+    slab = cone_from_normals(3, [(1, 0, 0)])
+    calls[0] = 0
+    assert [pointed for _half, pointed in _split(slab, False, (0, 1, 1), 3)] == [False, False]
+    assert calls[0] == 2
+
+
+def test_a_generated_contraction_keeps_the_support_its_fan_was_cut_from(monkeypatch):
+    started = []
+
+    def recording_build_fan(rng, support, n):
+        started.append(support)
+        return _build_fan(rng, support, n)
+
+    monkeypatch.setattr(toricmld.generator, "_build_fan", recording_build_fan)
+    for seed in range(2000, 2004):
+        tc, _pair, _meta = random_instance(seed)
+        assert tc.support is started[-1]
 
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
