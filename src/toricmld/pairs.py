@@ -35,6 +35,7 @@ from .lattice import (
     content,
     dot,
     hom_is_surjective,
+    identity,
     is_zero,
     primitive,
     quotient_by_span,
@@ -51,7 +52,6 @@ from .polyhedra import (
     _gauge_ratio,
     _gauge_rows,
     _generators_from_ineqs,
-    _integer_row,
     _point_row,
     _point_sum,
     _polar_raw,
@@ -388,13 +388,17 @@ class BoxData:
     def quotient(self):
         """(projection N -> N / span(sigma0), image up of u), up read off u's facets.
 
-        u's rays span sigma0 = ker(projection), so up is compact.  A facet
-        of up pulls back to a facet of u whose normal vanishes on sigma0,
-        and each such facet (a, c) of u maps onto the facet (a.section, c)
-        of up, primitive because the projection is onto; one double
-        description of those rows gives up's generators.
+        When sigma0 = 0 (u has no rays) this is the quotient by the zero
+        sublattice: the identity, and up is u.  Otherwise u's rays span
+        sigma0 = ker(projection), so up is compact.  A facet of up pulls
+        back to a facet of u whose normal vanishes on sigma0, and each such
+        facet (a, c) of u maps onto the facet (a.section, c) of up,
+        primitive because the projection is onto; one double description
+        of those rows gives up's generators.
         """
         n, l, u = self.tc.rank, self.l, self.u
+        if not u.rays:
+            return identity(n), u
         q = quotient_by_span(n, saturated_span(n, u.rays))
         rows = sorted((compose_covector(a, q.section, l), c) for a, c in u.ineqs
                       if all(dot(a, r) == 0 for r in u.rays))
@@ -402,20 +406,44 @@ class BoxData:
         return q.projection, Polyhedron(l, hpoints, rays, tuple(rows))
 
 
+def _nef_box_generators(tc, psi):
+    """(hpoints, rays) of box_{-K-B-D} = {m : <m, e> >= -r_e}, read off psi and the support.
+
+    Let psi(v) = <psi_sigma, v> for v in sigma, so psi(e) = r_e on the
+    rays.  f-nef (every -psi_sigma in the box) makes psi the max of the
+    psi_sigma on |fan| = tc.support, so the box is {m : <m, v> >= -psi(v)
+    on |fan|} = conv(-psi_sigma) + support^vee, the polyhedron of a nef
+    Cartier divisor on a fan with convex support (Cox-Little-Schenck,
+    Toric Varieties, 6.1 and 7.2).  Each -psi_sigma is a vertex, as the
+    rays of sigma have rank n, and support^vee is pointed with the
+    support's normals as its extreme rays.  Both come out as the double
+    description of the rows would return them: distinct primitive point
+    rows, sorted, and the support's sorted primitive dual rays.  A fan of
+    rank 0 has no maximal cone; its box is M = R^0, the one point ().
+    """
+    if not tc.rank:
+        return ((1,),), ()
+    return tuple(sorted({_point_row(tuple(-x for x in p)) for p in psi})), tc.support.normals
+
+
 def analyze(tc, pair):
     """Fold, solve the Cartier data, test nef, build the box.
 
+    Precondition: |fan| == tc.support, which validate_contraction checks.
     The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
     points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D}, with
     every point as an integer row (A's rows, `SupportSet.rows`, made once
-    per set); BoxData adds its polar u and l = n - dim sigma0, where the
-    recession cone sigma0 of u is spanned by u's rays (cone(u) == support
-    keeps it in the support), so dim sigma0 is their rank.  When the box
+    per set).  `_nef_box_generators` reads the generators of
+    box_{-K-B-D} off the Cartier data and the support, with no double
+    description.  BoxData adds its polar u and l = n - dim sigma0, where
+    the recession cone sigma0 of u is spanned by u's rays (cone(u) ==
+    support keeps it in the support), so dim sigma0 is their rank.  When the box
     contains 0 (the g-lc case) and is full-dimensional and pointed, u is
     read off the box's own rows and generators, byte-identical to the
     computed polar because both homogenized cones are then pointed and
     the double description's canonical rays are the box's stored rows
-    (`_polar_raw`): three double descriptions in all, otherwise five.  Returns the BoxData; its a_eff and psi are the
+    (`_polar_raw`): two double descriptions in all, both for the box,
+    otherwise four.  Returns the BoxData; its a_eff and psi are the
     folded pair's A and the Cartier data.
     """
     fan = tc.fan
@@ -425,10 +453,7 @@ def analyze(tc, pair):
     psi = cartier_psi(tc, r)
     if not is_f_nef(tc, r, psi):
         raise PairError("-(K+B+D) is not f-nef")
-    # box_{-K-B-D} = {m : <m, e> >= -r_e}: only its generators are needed;
-    # f-nef puts every -psi_sigma in it, so it has a point
-    d_points, d_rays = _generators_from_ineqs(
-        [_integer_row(e, -re) for e, re in zip(fan.rays, r)], n)
+    d_points, d_rays = _nef_box_generators(tc, psi)
     box = _from_hpoints(n, [_point_sum(g, h) for g in folded.bdiv_a.rows for h in d_points],
                         d_rays)
     u = _polar_raw(box)

@@ -363,7 +363,13 @@ def test_saturated_span_matches_kernel_of_kernel_on_random_matrices():
 
 
 def test_saturated_span_matches_kernel_of_kernel_on_acceptance_spans(monkeypatch):
-    """Every u.rays that find and verify saturate, over the corpus and the acceptance seeds."""
+    """Every u.rays that find and verify saturate, over the corpus and the acceptance seeds.
+
+    bd.quotient saturates u.rays exactly when they are nonempty: the
+    quotient by sigma0 = 0 is the identity.
+    """
+    from functools import cached_property
+
     import toricmld.pairs
     from test_acceptance import INTERIOR_SEEDS, RANDOM_BASE_SEED, RANDOM_COUNT
     from toricmld.generator import random_instance
@@ -377,14 +383,24 @@ def test_saturated_span_matches_kernel_of_kernel_on_acceptance_spans(monkeypatch
         seen.append((rank, tuple(vectors)))
         return inner(rank, vectors)
 
+    quotient_rays = []
+    inner_quotient = toricmld.pairs.BoxData.quotient.func
+
+    def recording_quotient(bd):
+        quotient_rays.append(bd.u.rays)
+        return inner_quotient(bd)
+
+    quotient = cached_property(recording_quotient)
+    quotient.__set_name__(toricmld.pairs.BoxData, "quotient")
     monkeypatch.setattr(toricmld.pairs, "saturated_span", recording)
+    monkeypatch.setattr(toricmld.pairs.BoxData, "quotient", quotient)
     germs = [load_corpus(name)[:2] for name in CORPUS]
     seeds = [RANDOM_BASE_SEED + i for i in range(RANDOM_COUNT - len(INTERIOR_SEEDS))]
     germs += [random_instance(s)[:2] for s in seeds + list(INTERIOR_SEEDS)]
     for tc, pair in germs:
         ok, reasons = verify_certificate(tc, pair, find_hyperplane(tc, pair))
         assert ok, reasons
-    assert len(seen) >= 2 * len(germs)
+    assert len(seen) == sum(1 for rays in quotient_rays if rays) > 0
     assert any(vectors for _rank, vectors in seen)
     for rank, vectors in seen:
         assert inner(rank, vectors) == reference_saturated_span(rank, vectors), vectors

@@ -1,8 +1,10 @@
 """Behaviour snapshot: the frozen benchmark goldens, reproduced byte for byte.
 
 `bench/golden/certify.json` holds the canonical certificate of every
-certify instance and `bench/golden/generate.json` the canonical instance
-and attempt count of every generator seed.  These tests only read them.
+certify instance, `bench/golden/generate.json` the canonical instance
+and attempt count of every generator seed, and `bench/golden/query.json`
+the exit code and JSON payload of every `check`, `lc` and `lct` call on
+those instances.  These tests only read them.
 The acceptance digest pins the certificates of the whole acceptance set,
 which holds instances the certify golden leaves out, and the generator
 digest pins the generator's instances and meta over seeds the goldens and
@@ -10,9 +12,12 @@ the acceptance set leave out.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
+from toricmld.cli import main
 from toricmld.generator import random_instance
 from toricmld.instances import (
     CORPUS,
@@ -53,6 +58,32 @@ def test_generated_instances_match_golden():
         obj = instance_to_obj(tc, pair, "generated instance, seed %d" % seed)
         assert dumps_canonical(obj) == dumps_canonical(entry["instance"]), seed
         assert meta["attempts"] == entry["attempts"], seed
+
+
+def test_query_payloads_match_golden(tmp_path):
+    """Every golden check / lc / lct call on the certify and generate instances.
+
+    The instance files are the goldens' instances in canonical form, named
+    as the query golden names them; `lct` takes its functional as
+    `--phibar=v`.
+    """
+    paths = {}
+    instances = [(e["name"], e["instance"]) for e in _golden("certify")["instances"]]
+    instances += [("gen_%d" % e["seed"], e["instance"]) for e in _golden("generate")["instances"]]
+    for name, obj in instances:
+        paths[name] = tmp_path / ("%s.json" % name)
+        paths[name].write_text(dumps_canonical(obj), encoding="utf-8")
+    calls = _golden("query")["calls"]
+    assert {c["command"] for c in calls} == {"check", "lc", "lct"}
+    for call in calls:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main([call["command"], str(paths[call["instance"]])] + call["args"]
+                        + ["--json"])
+        label = "%s %s" % (call["command"], call["instance"])
+        assert code == call["exit"], label
+        assert json.loads(out.getvalue()) == call["payload"], label
+    assert len(calls) == 3 * len(paths)
 
 
 def test_acceptance_digest():

@@ -58,15 +58,17 @@ def test_unused_import_scan_sees_a_planted_import():
 
 
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
-    """analyze runs 3 double descriptions on a g-lc box, 5 off it; bd.quotient 1, mld none.
+    """analyze runs 2 double descriptions on a g-lc box, 4 off it; bd.quotient 0 or 1, mld none.
 
-    With tc.support cached, analyze converts box_{-K-B-D} and the box (one
-    and two calls).  Every corpus box contains 0 and is full-dimensional
+    With tc.support cached, analyze reads the generators of box_{-K-B-D}
+    off the Cartier data and the support's normals, and converts only the
+    box (two calls).  Every corpus box contains 0 and is full-dimensional
     and pointed, so u is read off it; a box without 0 costs two more for
-    u.  sigma0 is read off u's rays.  bd.quotient reads up's rows off u's
-    facets and converts them once.  With bd.quotient cached,
-    mld_over_fiber reads the interior of the support's image off up's
-    rows through 0.
+    u.  sigma0 is read off u's rays.  When sigma0 = 0 (every corpus germ)
+    bd.quotient is the identity and u itself; otherwise it reads up's rows
+    off u's facets and converts them once (seed 1025).  With bd.quotient
+    cached, mld_over_fiber reads the interior of the support's image off
+    up's rows through 0.
     """
     calls = [0]
     real = toricmld.polyhedra.cone_from_inequalities
@@ -77,26 +79,29 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
 
     monkeypatch.setattr(toricmld.polyhedra, "cone_from_inequalities", counted)
     monkeypatch.setattr(toricmld.pairs, "cone_from_inequalities", counted)
-    scanned = 0
-    for name in CORPUS:
-        tc, pair, _obj = load_corpus(name)
+    germs = [(name, load_corpus(name)[:2]) for name in CORPUS]
+    germs.append((1025, random_instance(1025)[:2]))
+    scanned = quotients = 0
+    for name, (tc, pair) in germs:
         assert tc.support
         calls[0] = 0
         bd = analyze(tc, pair)
-        assert calls[0] == 3, name
+        assert calls[0] == 2, name
         if bd.l == 0:
             continue
         calls[0] = 0
         assert bd.quotient
-        assert calls[0] == 1, name
+        assert calls[0] == (1 if bd.u.rays else 0), name
+        assert bool(bd.u.rays) == (name == 1025), name
+        quotients += bool(bd.u.rays)
         calls[0] = 0
         scanned += mld_over_fiber(tc, bd) is not None
         assert calls[0] == 0, name
-    assert scanned >= 5
+    assert scanned >= 6 and quotients == 1
     tc, _pair, _obj = load_corpus("a2_identity")
     calls[0] = 0
     bd = analyze(tc, make_pair(tc.fan, (0, 0), [(3, 0), (0, 3)]))
-    assert not is_glc(bd) and calls[0] == 5
+    assert not is_glc(bd) and calls[0] == 4
 
 
 def test_split_converts_only_the_halves_of_a_cut_pointed_piece(monkeypatch):
