@@ -10,13 +10,15 @@ Exit codes:
      the certificate is rejected, the oracle box holds no interior point,
      or gamma's recursion and closed form disagree
   2  invalid input: any InstanceError or PairError from a command exits 2
-     with its message.  That covers a malformed instance or certificate,
-     a pair outside the hypotheses, a bad --phibar, --dim, --mld or
-     --count, a gamma value whose numerator or denominator may exceed
-     GAMMA_DIGIT_LIMIT digits, an output file that cannot be written, and
-     a gen seed for which generator.MAX_ATTEMPTS (400) sampled attempts
-     give no valid instance ("no valid instance found for seed N in 400
-     attempts").  argparse exits 2 as well on a missing or malformed option.
+     with its message.  That covers a malformed instance or certificate
+     (a JSON integer, or a rational's numerator or denominator, of more
+     than instances.DIGIT_LIMIT (4300) digits included), a pair outside
+     the hypotheses, a bad --phibar, --dim, --mld or --count, a gamma
+     value whose numerator or denominator may exceed DIGIT_LIMIT digits,
+     an output file that cannot be written, and a gen seed for which
+     generator.MAX_ATTEMPTS (400) sampled attempts give no valid instance
+     ("no valid instance found for seed N in 400 attempts").  argparse
+     exits 2 as well on a missing or malformed option.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
-from fractions import Fraction
 
 from .generator import random_instance
 from .instances import (
+    DIGIT_LIMIT,
     InstanceError,
+    _sized_fraction,
     frac_str,
     load_certificate,
     load_instance,
@@ -166,13 +168,9 @@ def cmd_oracle_mld(args):
     return 0
 
 
-# Python's default limit on the digits of an int converted to str
-GAMMA_DIGIT_LIMIT = 4300
-
-
 def _gamma_too_long(d, a):
     """True when gamma(d, a) may have a numerator or denominator of more
-    than GAMMA_DIGIT_LIMIT digits.
+    than DIGIT_LIMIT digits.
 
     Bit lengths follow the recursion a -> a^2 / k^2 for k = d, ..., 2 (a
     product has at most the sum of its factors' bits), and stop once past
@@ -181,28 +179,19 @@ def _gamma_too_long(d, a):
     """
     num, den = a.numerator.bit_length(), a.denominator.bit_length()
     k = d
-    while k > 1 and 30103 * max(num, den) // 100000 < GAMMA_DIGIT_LIMIT:
+    while k > 1 and 30103 * max(num, den) // 100000 < DIGIT_LIMIT:
         num, den = 2 * num, 2 * den + 2 * k.bit_length()
         k -= 1
-    return 30103 * max(num, den) // 100000 >= GAMMA_DIGIT_LIMIT
-
-
-# a decimal with an exponent, in the grammar of Fraction()
-_SCIENTIFIC = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
-                         r"(?:\.(\d*|\d+(?:_\d+)*))?E([-+]?\d+(?:_\d+)*)\s*",
-                         re.IGNORECASE)
+    return 30103 * max(num, den) // 100000 >= DIGIT_LIMIT
 
 
 def _gamma_args(dim, mld):
     """(d, a) from the strings of --dim and --mld; InstanceError naming the
     flag and the value unless d is an integer >= 1 and a a positive rational.
 
-    a is None when --mld is a decimal m * 10^e whose value has more than
-    GAMMA_DIGIT_LIMIT digits in its numerator or denominator.  That is
-    decided from the lengths of m and e, because Fraction() computes 10^|e|
-    first: the value is at least 10^(e - f) for f fractional digits, and
-    below 10^(e - f + l) for l digits in all.  Every decimal that reaches
-    Fraction() has |e| <= GAMMA_DIGIT_LIMIT + len(mld).
+    a is None when --mld has more than DIGIT_LIMIT digits in its numerator
+    or denominator, sized by `instances._sized_fraction` without expanding
+    a long exponent; a negative one is refused all the same.
     """
     try:
         d = int(dim)
@@ -210,25 +199,12 @@ def _gamma_args(dim, mld):
         d = 0
     if d < 1:
         raise InstanceError("--dim: expected an integer d >= 1, got %r" % dim)
-    bad_mld = InstanceError("--mld: expected a positive rational such as 2/3, got %r" % mld)
-    match = _SCIENTIFIC.fullmatch(mld)
-    if match is not None:
-        sign, whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
-        try:
-            # the conversions Fraction() makes, with its limit on digits
-            e, zero = int(exp), int(whole or "0") == int(frac or "0") == 0
-        except ValueError:
-            raise bad_mld from None
-        if sign == "-" or zero:
-            raise bad_mld
-        if e - len(frac) > GAMMA_DIGIT_LIMIT or -e - len(whole) > GAMMA_DIGIT_LIMIT:
-            return d, None
     try:
-        a = Fraction(mld)
+        a = _sized_fraction(mld)
     except (ValueError, ZeroDivisionError):
         a = 0
-    if a <= 0:
-        raise bad_mld
+    if (mld.lstrip().startswith("-") if a is None else a <= 0):
+        raise InstanceError("--mld: expected a positive rational such as 2/3, got %r" % mld)
     return d, a
 
 
@@ -237,7 +213,7 @@ def cmd_gamma(args):
     if a is None or _gamma_too_long(d, a):
         # a itself may be too long for frac_str, so the message quotes --mld
         raise InstanceError("gamma(%d, %s) may have more than %d digits"
-                            % (d, args.mld, GAMMA_DIGIT_LIMIT))
+                            % (d, args.mld, DIGIT_LIMIT))
     rec = gamma(d, a)
     closed = gamma_closed(d, a)
     if rec != closed:

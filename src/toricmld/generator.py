@@ -12,10 +12,11 @@ Every cone the generator builds takes at most one double description.
 The support pi^{-1}(sigma_bar) comes from sigma_bar's pulled-back facets
 (`pairs.pullback_cone`), and the contraction keeps that very cone.  A
 pointed piece of the fan is cut in one double-description step from its
-own extreme rays and facets (`polyhedra._dd_cut`): a covector that misses
-the piece leaves it as it is, and a cut costs one `make_cone` per half
-for the facets.  A piece with lines, met while the lineality of the
-support is split away, knows the facets of both halves, so each half
+own extreme rays and facets (`polyhedra._dd_cut`, as in
+`search.subdivide_fan`): a covector that misses the piece leaves it as
+it is, and a cut costs one `make_cone` per half, for the facets and the
+primitive crossing rays.  A piece with lines, met while the lineality of
+the support is split away, knows the facets of both halves, so each half
 costs one double description for its generators (`cone_from_facets`).
 """
 

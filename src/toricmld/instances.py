@@ -8,6 +8,7 @@ corpus file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -25,6 +26,38 @@ class InstanceError(ValueError):
     """Bad instance or certificate file; the message carries the field."""
 
 
+# Python's default limit on the digits of an int converted to str
+DIGIT_LIMIT = 4300
+_TOO_LONG = 10 ** DIGIT_LIMIT    # the least int of more digits
+
+# a decimal m * 10^e in the grammar of Fraction(): the digits of m, then e
+_SCIENTIFIC = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                         r"(?:\.(\d*|\d+(?:_\d+)*))?E([-+]?\d+(?:_\d+)*)\s*", re.I)
+
+
+def _sized_fraction(s):
+    """Fraction(s), or None when its numerator or denominator has more than
+    DIGIT_LIMIT digits; ValueError or ZeroDivisionError as from Fraction().
+
+    Fraction() computes the 10^|e| of a decimal m * 10^e first, so a nonzero
+    one is sized from the lengths of m and e: its value is at least 10^(e - f)
+    for f fractional digits, and below 10^(e - f + l) for l digits in all.
+    """
+    match = _SCIENTIFIC.fullmatch(s)
+    if match is not None:
+        whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
+        # the conversions Fraction() makes, with its limit on digits
+        e = int(exp)
+        if int(whole or "0") == int(frac or "0") == 0:
+            return Fraction(0)
+        if e - len(frac) > DIGIT_LIMIT or -e - len(whole) > DIGIT_LIMIT:
+            return None
+    value = Fraction(s)
+    if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+        return None
+    return value
+
+
 def parse_fraction(s, where="value"):
     if isinstance(s, bool) or isinstance(s, float):
         raise InstanceError("%s: rationals must be strings, not %r" % (where, s))
@@ -33,9 +66,13 @@ def parse_fraction(s, where="value"):
     if not isinstance(s, str):
         raise InstanceError("%s: expected a rational string, got %r" % (where, s))
     try:
-        return Fraction(s)
+        value = _sized_fraction(s)
     except (ValueError, ZeroDivisionError):
         raise InstanceError("%s: cannot parse rational %r" % (where, s))
+    if value is None:
+        raise InstanceError("%s: more than %d digits in numerator or denominator"
+                            % (where, DIGIT_LIMIT))
+    return value
 
 
 def frac_str(f):
@@ -158,7 +195,7 @@ def load_instance(path):
         raise InstanceError("cannot read %s: %s" % (path, exc))
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # also a JSON integer past Python's limit on digits
         raise InstanceError("%s: not valid JSON (%s)" % (path, exc))
     tc, pair = instance_from_obj(obj)
     return tc, pair, obj
@@ -219,7 +256,7 @@ def load_certificate(path):
             obj = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise InstanceError("cannot read %s: %s" % (path, exc))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # also a JSON integer past Python's limit on digits
         raise InstanceError("%s: not valid JSON (%s)" % (path, exc))
     return certificate_from_obj(obj)
 

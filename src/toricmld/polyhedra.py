@@ -19,7 +19,8 @@ deterministic; that is what lets `_polar_raw` read the polar of a
 full-dimensional pointed polyhedron containing 0 off its stored rows
 with no conversion at all, what lets `_dd_cut` cut a pointed
 full-dimensional cone by a hyperplane in one step of the double
-description, from the extreme rays and facets it already holds, and
+description, from the extreme rays and facets it already holds (the
+cut of the generator's fan pieces and of `search.subdivide_fan`), and
 what lets `cone_from_facets` take the dual rays of a full-dimensional
 cone with known facets as those facets, with no second conversion.
 
@@ -185,10 +186,12 @@ def _dd_cut(rays, facets, a, dim):
     `_dd_from_base` applies as it stands, so no double description runs.
 
     Returns None when a.x has one sign on every ray, so the cone lies on
-    one side.  Otherwise returns the extreme rays of the halves a.x >= 0
-    and a.x <= 0 of the cone, in that order: each half keeps the rays on
-    its side, those with a.x = 0 included, plus the primitive combination
-    on a.x = 0 of every adjacent pair of a positive and a negative ray.
+    one side.  Otherwise returns the rays of the halves a.x >= 0 and
+    a.x <= 0 of the cone, in that order: each half keeps the rays on its
+    side, those with a.x = 0 included, plus, for every adjacent pair r+, r-
+    of a positive and a negative ray, the crossing ray a(r+) r- - a(r-) r+
+    as it is: its content is the multiplicity `search.subdivide_fan`
+    reports, and `make_cone` makes it primitive.
     """
     pos, neg, zero, masks = [], [], [], []
     for r in rays:
@@ -212,7 +215,7 @@ def _dd_cut(rays, facets, a, dim):
             if z.bit_count() < dim - 2 or any(
                     y & z == z for y in masks if y != zp and y != zm):
                 continue
-            cut.append(primitive(tuple(vp * x - vm * y for x, y in zip(rm, rp))))
+            cut.append(tuple(vp * x - vm * y for x, y in zip(rm, rp)))
     return [r for r, _z, _v in pos] + cut, [r for r, _z, _v in neg] + cut
 
 

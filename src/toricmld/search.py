@@ -39,13 +39,14 @@ from .pairs import (
     analyze,
     is_glc,
     log_discrepancy,
+    make_contraction,
     make_fan,
     make_pair,
     mld_over_fiber,
-    pullback_cone,
     validate_contraction,
 )
 from .polyhedra import (
+    _dd_cut,
     from_inequalities,
     make_cone,
     interval_image,
@@ -164,59 +165,37 @@ def width_functional(up, t, l):
 # fan subdivision along a functional
 
 
-def _two_face_pairs(cone, n):
-    pairs = []
-    for a, b in itertools.combinations(cone.generators, 2):
-        act = [d for d in cone.dual_rays if dot(d, a) == 0 and dot(d, b) == 0]
-        if rational_rank(act, n) != n - 2:
-            continue
-        members = [g for g in cone.generators
-                   if all(dot(d, g) == 0 for d in act)]
-        if len(members) == 2:
-            pairs.append((a, b))
-    return pairs
-
-
 def subdivide_fan(fan, phi):
     """Split every cone along phi; new rays follow the crossing formula.
 
     Returns (fan', q) where q maps each new primitive ray e' to the
-    positive integer with q(e') * e' = phi(e2) e1 - phi(e1) e2.
+    positive integer with q(e') * e' = phi(e2) e1 - phi(e1) e2, for the
+    rays e1, e2 of a 2-face with phi(e1) < 0 < phi(e2).  The fan must pass
+    validate_fan, so that each cone's generators are its extreme rays and
+    `_dd_cut` cuts it in one step, returning those raw crossing rays.
     """
     if is_zero(phi):
         raise PairError("cannot subdivide along the zero functional")
     n = fan.rank
     newq = {}
+    pieces = []
     for ci in range(len(fan.max_cones)):
         cone = fan.cone(ci)
-        for a, b in _two_face_pairs(cone, n):
-            va, vb = dot(phi, a), dot(phi, b)
-            if va < 0 < vb:
-                e1, e2, v1, v2 = a, b, va, vb
-            elif vb < 0 < va:
-                e1, e2, v1, v2 = b, a, vb, va
-            else:
-                continue
-            w = tuple(v2 * x - v1 * y for x, y in zip(e1, e2))
-            qv = content(w)
-            p = tuple(x // qv for x in w)
-            if newq.get(p, qv) != qv:
+        halves = _dd_cut(cone.generators, cone.dual_rays, phi, n)
+        if halves is None:
+            pieces.append(cone.generators)
+            continue
+        # the rays of a half that are not the cone's are its crossing rays
+        for w in (w for w in halves[0] if w not in cone.generators):
+            p, qv = primitive(w), content(w)
+            if newq.setdefault(p, qv) != qv:
                 raise SearchError("subdivision gives the new ray %r two "
                                   "multiplicities, %d and %d" % (p, newq[p], qv))
-            newq[p] = qv
+        pieces += [[primitive(w) for w in half] for half in halves]
     rays = list(fan.rays) + sorted(set(newq) - set(fan.rays))
-    cones = set()
-    for ci, cidx in enumerate(fan.max_cones):
-        cone = fan.cone(ci)
-        inside = [p for p in newq if cone.contains(p)]
-        for sign in (1, -1):
-            gens = [fan.rays[i] for i in cidx
-                    if sign * dot(phi, fan.rays[i]) >= 0] + inside
-            gens = sorted(set(gens))
-            if rational_rank(gens, n) == n:
-                cones.add(tuple(sorted(rays.index(g) for g in gens)))
-    fan2 = make_fan(n, rays, sorted(cones))
-    return fan2, newq
+    index = {g: i for i, g in enumerate(rays)}
+    cones = {tuple(sorted(index[g] for g in piece)) for piece in pieces}
+    return make_fan(n, rays, sorted(cones)), newq
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +211,6 @@ class SliceData:
     w: Fraction               # the width of phi(U)
     lam: Fraction             # 1 / w
     new_rays: int             # rays the subdivision along phi adds
-    pi0: tuple                # hom N0 -> Nbar0 in the chosen bases
     nbar0: object             # Sublattice pi(N0) inside Nbar
     u0: object                # U cap phi-perp in N0 coordinates
     mld1: Fraction
@@ -268,8 +246,7 @@ def make_slice(tc, bd, phi_n, t):
 
     # maximal cones of the phi-perp fan: the rays with phi = 0 of each cone
     zero = [dot(phi_n, r) == 0 for r in fan2.rays]
-    zero_sets = []
-    low_sets = []
+    zero_sets, low_sets = [], []
     for cidx in fan2.max_cones:
         gens = [fan2.rays[i] for i in cidx if zero[i]]
         if not gens or gens in zero_sets:
@@ -300,14 +277,13 @@ def make_slice(tc, bd, phi_n, t):
         raise PairError("slice base has rank zero")
     # the images generate nbar0, so each has coordinates in it
     pi0 = transpose([nbar0.coordinates(img) for img in images], nbar0.rank)
-    sigma_bar0 = make_cone(nbar0.rank, [apply_hom(pi0, r) for r in rays0])
-    tc1 = ToricContraction(fan0, pi0, sigma_bar0, pullback_cone(n - 1, pi0, sigma_bar0))
+    tc1 = make_contraction(fan0, pi0)
     validate_contraction(tc1)
 
     # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice;
     # make_pair checks that it lies in [0, 1]
     b1 = [1 - lam * disc[g] for g in rays_n]
-    a0 = [tuple(dot(a, b) for b in kern.basis) for a in bd.a_eff.points]
+    a0 = [apply_hom(kern.basis, a) for a in bd.a_eff.points]
     pair1 = make_pair(fan0, b1, [vec_scale(lam, p) for p in a0])
     try:
         bd1 = analyze(tc1, pair1)
@@ -315,8 +291,7 @@ def make_slice(tc, bd, phi_n, t):
         raise PairError("slice anti-log-canonical class is not nef: %s" % exc)
 
     # U(slice) = lam^{-1} (U cap phi-perp), exactly
-    restricted = [(tuple(dot(a, b) for b in kern.basis), c)
-                  for a, c in bd.u.ineqs]
+    restricted = [(apply_hom(kern.basis, a), c) for a, c in bd.u.ineqs]
     u0 = from_inequalities(n - 1, restricted)
     if not polyhedra_equal(bd1.u, scale_polyhedron(u0, w)):
         raise PairError("slice identity fails: U(slice) != lam^-1 (U cap phi-perp)")
@@ -326,7 +301,7 @@ def make_slice(tc, bd, phi_n, t):
         raise PairError("slice mld drops below lam * t")
     if bd1.l != bd.l - 1:
         raise PairError("slice lc-place dimension did not drop by one")
-    return SliceData(tc1, pair1, bd1, phi_n, w, lam, len(newq), pi0, nbar0, u0,
+    return SliceData(tc1, pair1, bd1, phi_n, w, lam, len(newq), nbar0, u0,
                      mld1, max_ray_discrepancy)
 
 
@@ -372,40 +347,28 @@ def extend_functional(gens, c_body, phi, phi0_vals):
     kern = kernel_sublattice(phi)
     if len(phi0_vals) != kern.rank:
         raise PairError("phi0 values do not match ker(phi)")
-    restricted = [(tuple(dot(a, b) for b in kern.basis), c) for a, c in c_body.ineqs]
+    restricted = [(apply_hom(kern.basis, a), c) for a, c in c_body.ineqs]
     c0 = from_inequalities(kern.rank, restricted)
     lo0, l0 = interval_image(tuple(phi0_vals), c0)
     if lo0 != 0 or l0 is None or l0 <= 0:
         raise PairError("extension hypothesis fails: phi0(C0) != [0, l0]")
     phi2 = extend_hom(kern, tuple(phi0_vals))
 
-    if w_minus <= w_plus:
-        cands = [(Fraction(dot(phi2, g), -dot(phi, g)), g)
-                 for g in gens if dot(phi, g) < 0]
-        if not cands:
-            raise PairError("no generator with phi < 0")
-        # the first generator attaining the extremal multiple c
-        _c, g = min(cands, key=lambda x: x[0])
-        q = -dot(phi, g)
-        phi_prime = tuple(dot(phi2, g) * x - dot(phi, g) * y
-                          for x, y in zip(phi, phi2))
-        branch = "w- <= w+"
-    else:
-        cands = [(Fraction(-dot(phi2, g), dot(phi, g)), g)
-                 for g in gens if dot(phi, g) > 0]
-        if not cands:
-            raise PairError("no generator with phi > 0")
-        _c, g = max(cands, key=lambda x: x[0])
-        q = dot(phi, g)
-        phi_prime = tuple(-dot(phi2, g) * x + dot(phi, g) * y
-                          for x, y in zip(phi, phi2))
-        branch = "w+ < w-"
+    # the first generator on the short side of 0 (phi < 0 when w- <= w+) to
+    # attain the extremal multiple c of phi: the least for phi < 0, else the greatest
+    side, branch = (-1, "w- <= w+") if w_minus <= w_plus else (1, "w+ < w-")
+    cands = [(Fraction(-side * dot(phi2, g), side * dot(phi, g)), g)
+             for g in gens if side * dot(phi, g) > 0]
+    if not cands:
+        raise PairError("no generator with phi %s 0" % ("<" if side < 0 else ">"))
+    _c, g = min(cands, key=lambda x: -side * x[0])
+    q = side * dot(phi, g)
+    phi_prime = tuple(-side * dot(phi2, g) * x + q * y for x, y in zip(phi, phi2))
 
     if not 1 <= q < w:
         raise PairError("extension postcondition fails: q = %s not in [1, w)" % q)
-    for b, val in zip(kern.basis, phi0_vals):
-        if dot(phi_prime, b) != q * val:
-            raise PairError("extension postcondition fails: restriction != q phi0")
+    if apply_hom(kern.basis, phi_prime) != tuple(q * val for val in phi0_vals):
+        raise PairError("extension postcondition fails: restriction != q phi0")
     plo, phi_hi = interval_image(phi_prime, c_body)
     if plo is None or phi_hi is None or plo < 0 or phi_hi > w * l0:
         raise PairError("extension postcondition fails: phi'(C) not in [0, w l0]")
@@ -440,7 +403,7 @@ def lift_hyperplane(tc, bd, sl, phibar0, gamma1):
     (its q is that of the pullback relation), and the primitivization scale.
     """
     n = tc.rank
-    phi0 = compose_covector(phibar0, sl.pi0, n - 1)
+    phi0 = compose_covector(phibar0, sl.tc1.pi, n - 1)
     tr = extend_functional(tc.fan.rays, bd.u, sl.phi, phi0)
     if tr.l0 > sl.lam / gamma1:
         raise PairError("slice certificate too weak: l0 > lam / gamma1")
@@ -448,7 +411,7 @@ def lift_hyperplane(tc, bd, sl, phibar0, gamma1):
     if not bd.box.contains_scaled(-gamma_val, tr.phi_prime):
         raise PairError("lifted functional misses the box at gamma")
     phibar_raw = _descend(tc, tr.phi_prime)
-    ustar = tuple(dot(phibar_raw, row) for row in sl.nbar0.basis)
+    ustar = apply_hom(sl.nbar0.basis, phibar_raw)
     if ustar != tuple(tr.q * x for x in phibar0):
         raise PairError("pullback relation u^* H = q H1 fails")
     scale = content(phibar_raw)

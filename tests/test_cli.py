@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -10,6 +11,7 @@ from toricmld.cli import main
 from toricmld.instances import (
     CORPUS,
     InstanceError,
+    _sized_fraction,
     certificate_from_obj,
     certificate_to_obj,
     corpus_bytes,
@@ -326,6 +328,62 @@ def test_instance_rejects_floats():
     obj["B"] = {"0": 0.5}
     with pytest.raises(InstanceError, match="strings"):
         instance_from_obj(obj)
+
+
+def test_check_refuses_a_json_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.loads raises a plain ValueError on an int of more than 4300 digits
+    text = dumps_canonical(json.loads(corpus_bytes("a1_family").decode()))
+    p = tmp_path / "long.json"
+    p.write_text(text.replace('"rays": [\n    [\n      1\n', '"rays": [\n    [\n      1%s\n'
+                              % ("0" * 4999), 1))
+    rc, out, err = run(capsys, "check", str(p))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s: not valid JSON (" % p)
+
+
+def test_verify_refuses_a_json_integer_past_the_digit_limit(corpus_dir, capsys):
+    inst = str(corpus_dir / "wedge25.json")
+    rc, out, _ = run(capsys, "find", inst, "--json")
+    cert_path = json.loads(out)["certificate"]
+    text = open(cert_path).read()
+    open(cert_path, "w").write(text.replace('"phi_bar": [\n    1\n',
+                                            '"phi_bar": [\n    %s\n' % ("1" * 5000), 1))
+    rc, out, err = run(capsys, "verify", inst, cert_path)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s: not valid JSON (" % cert_path)
+
+
+@pytest.mark.parametrize("command, b", [("check", "1e-1000000"), ("mld", "1e-5000"),
+                                        ("mld", "0." + "0" * 4299 + "1")],
+                         ids=["check-1e-1000000", "mld-1e-5000", "mld-4300-decimals"])
+def test_a_rational_past_the_digit_limit_is_refused_with_its_field(tmp_path, capsys,
+                                                                   command, b):
+    # Fraction("1e-1000000") would compute 10^1000000 first; 1e-5000 and the
+    # decimal have denominators of 5001 and 4301 digits, past what frac_str prints
+    obj = json.loads(corpus_bytes("a1_family").decode())
+    obj["B"] = {"0": b}
+    p = tmp_path / "long.json"
+    p.write_text(dumps_canonical(obj))
+    rc, out, err = run(capsys, command, str(p))
+    assert rc == 2 and out == ""
+    assert err == "error: B[0]: more than 4300 digits in numerator or denominator\n"
+
+
+@pytest.mark.parametrize("s, expected", [
+    ("1e-4299", F(1, 10 ** 4299)),
+    ("0.0001e4302", F(10 ** 4298)),
+    ("-0e99999999", F(0)),
+    ("1e4300", None),
+    ("1E-20000000", None),
+])
+def test_sized_fraction_bounds_the_digits_of_its_value(s, expected):
+    assert _sized_fraction(s) == expected
+
+
+def test_sized_fraction_counts_the_digits_of_the_mantissa():
+    # 4000 nines times 10^300 has 4300 digits; times 10^301, 4301
+    assert _sized_fraction("9" * 4000 + "e300") == 10 ** 4300 - 10 ** 300
+    assert _sized_fraction("9" * 4000 + "e301") is None
 
 
 @pytest.mark.parametrize("rank", [2.7, "2", True, -1, None])

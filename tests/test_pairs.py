@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import toricmld.generator as generator
-import toricmld.search as search
+import toricmld.pairs as pairs
 from conftest import a1_pair, germ, product_germ, wedge25_pair, zero_pair
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, InstanceError, instance_from_obj, load_corpus
@@ -140,8 +140,9 @@ def test_support_matches_the_pulled_back_normals(monkeypatch):
     tcs += _recorded_contractions(monkeypatch, generator, generate)
     certify = [load_corpus(name)[:2] for name in CORPUS]
     certify += [generated[s][:2] for s in (*range(1000, 1064), 5, 27, 82, 93, 119)]
+    # make_slice builds each slice contraction with pairs.make_contraction
     slices = _recorded_contractions(
-        monkeypatch, search, lambda: [find_hyperplane(tc, pair) for tc, pair in certify])
+        monkeypatch, pairs, lambda: [find_hyperplane(tc, pair) for tc, pair in certify])
     assert len(slices) >= 9
     for tc in tcs + slices:
         assert _fields(tc.support) == _fields(reference_support(tc))

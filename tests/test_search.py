@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import a1_pair, affine_dim, germ, wedge25_pair, zero_pair
-from toricmld.instances import load_corpus
+from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import (
     content,
     dot,
@@ -262,6 +262,95 @@ def test_subdivide_three_dim():
     assert all(len(c) == 3 for c in fan2.max_cones)
     from toricmld.pairs import validate_fan
     validate_fan(fan2)
+
+
+def _reference_two_face_pairs(cone, n):
+    pairs = []
+    for a, b in itertools.combinations(cone.generators, 2):
+        act = [d for d in cone.dual_rays if dot(d, a) == 0 and dot(d, b) == 0]
+        if rational_rank(act, n) != n - 2:
+            continue
+        members = [g for g in cone.generators
+                   if all(dot(d, g) == 0 for d in act)]
+        if len(members) == 2:
+            pairs.append((a, b))
+    return pairs
+
+
+def reference_subdivide_fan(fan, phi):
+    """subdivide_fan as it was, a rank test per pair of generators for the
+    2-faces and a rank test per half: the slow reference."""
+    n = fan.rank
+    newq = {}
+    for ci in range(len(fan.max_cones)):
+        cone = fan.cone(ci)
+        for a, b in _reference_two_face_pairs(cone, n):
+            va, vb = dot(phi, a), dot(phi, b)
+            if va < 0 < vb:
+                e1, e2, v1, v2 = a, b, va, vb
+            elif vb < 0 < va:
+                e1, e2, v1, v2 = b, a, vb, va
+            else:
+                continue
+            w = tuple(v2 * x - v1 * y for x, y in zip(e1, e2))
+            newq[primitive(w)] = content(w)
+    rays = list(fan.rays) + sorted(set(newq) - set(fan.rays))
+    cones = set()
+    for ci, cidx in enumerate(fan.max_cones):
+        cone = fan.cone(ci)
+        inside = [p for p in newq if cone.contains(p)]
+        for sign in (1, -1):
+            gens = [fan.rays[i] for i in cidx
+                    if sign * dot(phi, fan.rays[i]) >= 0] + inside
+            gens = sorted(set(gens))
+            if rational_rank(gens, n) == n:
+                cones.add(tuple(sorted(rays.index(g) for g in gens)))
+    return make_fan(n, rays, sorted(cones)), newq
+
+
+def _seeded_covectors(rng, fan, count):
+    """count covectors with entries in [-3, 3], then one vanishing on each ray."""
+    n = fan.rank
+    out = [primitive(v) for v in (tuple(rng.randint(-3, 3) for _ in range(n))
+                                  for _ in range(count)) if not is_zero(v)]
+    for r in fan.rays:
+        if n == 2:
+            out.append(primitive((-r[1], r[0])))
+        elif n == 3:
+            v = tuple(rng.randint(-3, 3) for _ in range(3))
+            cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2],
+                     r[0] * v[1] - r[1] * v[0])
+            if not is_zero(cross):
+                out.append(primitive(cross))
+    return out
+
+
+def test_subdivide_fan_matches_the_reference():
+    """Equal (fan', q) on the corpus fans and on generator fans, against
+    seeded covectors and covectors that vanish on a ray."""
+    from toricmld.generator import _build_fan, _rand_sigma_bar, _rand_unimodular
+    from toricmld.pairs import pullback_cone, validate_fan
+
+    rng = random.Random(7)
+    fans = [load_corpus(name)[0].fan for name in CORPUS]
+    for seed in range(60):
+        gen = random.Random(seed)
+        n = gen.choice((2, 3, 3))
+        pi = _rand_unimodular(gen, n)[:gen.randint(1, n)]
+        try:
+            fan = _build_fan(gen, pullback_cone(n, pi, _rand_sigma_bar(gen, len(pi))), n)
+            validate_fan(fan)
+        except PairError:
+            continue
+        fans.append(fan)
+    pairs = new_rays = 0
+    for fan in fans:
+        for phi in _seeded_covectors(rng, fan, 6):
+            fan2, q = subdivide_fan(fan, phi)
+            assert (fan2, q) == reference_subdivide_fan(fan, phi), (fan, phi)
+            pairs += 1
+            new_rays += bool(q)
+    assert len(fans) >= 60 and pairs >= 700 and new_rays >= 400
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,43 @@ def test_unused_import_scan_sees_a_planted_import():
     assert _unused_imports(source, "planted.py") == [(2, "os"), (3, "dot")]
 
 
+def _unread_private_definitions(sources):
+    """(file, line, name) of each _name function or class that no source reads.
+
+    sources maps file names to their text; a name is read where it occurs
+    as an ast.Name or as the attribute of an ast.Attribute in any of them.
+    """
+    defined, read = [], set()
+    for filename, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=filename)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((filename, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [d for d in defined if d[2] not in read]
+
+
+def test_every_private_definition_in_the_package_is_read():
+    """A helper left behind by a deleted caller is dead code."""
+    package = pathlib.Path(toricmld.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unread_private_definitions(sources) == []
+
+
+def test_private_definition_scan_sees_a_leftover_helper():
+    sources = {
+        "search.py": "from .polyhedra import _dd_cut\n"
+                     "def _two_face_pairs(cone, n):\n    return []\n"
+                     "class _Piece:\n    def __init__(self):\n        self._cut = _dd_cut\n"
+                     "def subdivide_fan(fan, phi):\n    return _Piece()._cut(fan, phi)\n",
+        "polyhedra.py": "def _dd_cut(rays, facets, a, dim):\n    return None\n",
+    }
+    assert _unread_private_definitions(sources) == [("search.py", 2, "_two_face_pairs")]
+
+
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
     """analyze runs 2 double descriptions on a g-lc box, 4 off it; bd.quotient 0 or 1, mld none.
 
