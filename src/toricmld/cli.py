@@ -15,6 +15,8 @@ Exit codes:
      than instances.DIGIT_LIMIT (4300) digits included), a pair outside
      the hypotheses, a bad --phibar, --dim, --mld or --count, a gamma
      value whose numerator or denominator may exceed DIGIT_LIMIT digits,
+     any other result (an mld, a certificate's gamma) of more digits than
+     that, which instances.frac_str refuses before a file is opened,
      an output file that cannot be written, and a gen seed for which
      generator.MAX_ATTEMPTS (400) sampled attempts give no valid instance
      ("no valid instance found for seed N in 400 attempts").  argparse

@@ -76,7 +76,12 @@ def parse_fraction(s, where="value"):
 
 
 def frac_str(f):
-    return str(Fraction(f))
+    """The rational f as "p/q"; InstanceError past DIGIT_LIMIT digits in p or q."""
+    f = Fraction(f)
+    if max(abs(f.numerator), f.denominator) >= _TOO_LONG:
+        raise InstanceError("a result has more than %d digits in its numerator or "
+                            "denominator" % DIGIT_LIMIT)
+    return str(f)
 
 
 def _is_int(x):
@@ -202,8 +207,9 @@ def load_instance(path):
 
 
 def save_instance(path, tc, pair, comment=None):
+    text = dumps_canonical(instance_to_obj(tc, pair, comment))   # a failure leaves path as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(instance_to_obj(tc, pair, comment)))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +268,9 @@ def load_certificate(path):
 
 
 def save_certificate(path, cert):
+    text = dumps_canonical(certificate_to_obj(cert))   # a failure leaves path as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(certificate_to_obj(cert)))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

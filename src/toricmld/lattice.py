@@ -8,6 +8,10 @@ tuples paired against vectors with ``dot``.
 
 Empty matrices lose their column count, so the functions that can meet
 them take an explicit ``ncols`` argument.
+
+Elimination over Q is one fraction-free Gauss-Jordan elimination,
+``_gauss_jordan``, on integer rows: ``rational_rank``, ``solve_rational``
+and the start of the double description in ``polyhedra`` all run it.
 """
 
 from __future__ import annotations
@@ -249,26 +253,36 @@ def _cancel(r, b, c):
     return [x // g for x in r] if g > 1 else r
 
 
-def _independent_rows(rows, dim):
-    """Indices of the greedy linearly independent subset of the integer rows.
+def _gauss_jordan(rows, ncols, slots=0):
+    """(base, kept): fraction-free Gauss-Jordan elimination of integer rows.
 
-    A fraction-free integer echelon: each row is reduced by the rows kept
-    so far (cancelled at the pivot of each) and kept, with its first
-    nonzero column as pivot, unless it reduces to 0.
+    Each row in order is reduced by the rows kept so far (`_cancel` at
+    each pivot), dropped if 0 in the first ncols columns, else kept with
+    its first nonzero column there as pivot, cleared from the kept rows;
+    it stops at ncols kept rows.  base indexes the kept rows (the greedy
+    independent subset); kept holds (pivot, row) pairs, the reduced
+    echelon form up to row order and nonzero multiples.  slots > 0 appends
+    slots columns holding the unit vector of each row's slot in base.
     """
-    base, echelon = [], []
+    base, kept = [], []
     for i, r in enumerate(rows):
-        for c, b in echelon:
+        if slots:
+            r = list(r) + [0] * slots
+            r[ncols + len(base)] = 1
+        for c, b in kept:
             if r[c]:
                 r = _cancel(r, b, c)
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is None:
+        for piv in range(ncols):
+            if r[piv]:
+                break
+        else:
             continue
+        kept = [(c, _cancel(b, r, piv) if b[piv] else b) for c, b in kept]
+        kept.append((piv, r))
         base.append(i)
-        echelon.append((piv, r))
-        if len(base) == dim:
+        if len(base) == ncols:
             break
-    return base
+    return base, kept
 
 
 def _as_integers(r):
@@ -280,40 +294,28 @@ def _as_integers(r):
 
 
 def rational_rank(rows, ncols):
-    """Rank over Q of int or Fraction rows: the rows the integer echelon keeps."""
-    return len(_independent_rows([_as_integers(r) for r in rows], ncols))
+    """Rank over Q of int or Fraction rows: the rows `_gauss_jordan` keeps."""
+    return len(_gauss_jordan([_as_integers(r) for r in rows], ncols)[0])
 
 
 def solve_rational(rows, rhs, ncols):
     """One exact solution x of rows.x = rhs, or None if inconsistent.
 
     Free variables are set to 0, so the result is deterministic.  Each
-    row of [rows | rhs] is scaled to integers (`_as_integers`), then one
-    fraction-free Gauss-Jordan elimination (`_cancel`) takes the first
-    row with a nonzero entry in each column as its pivot.  Every row it
-    leaves is a nonzero multiple of the row that elimination over Q
-    leaves, so the pivots are the same and x[c] = rhs_i / pivot_i is the
-    only Fraction built.
+    row of [rows | rhs] is scaled to integers (`_as_integers`), and
+    `_gauss_jordan` pivots over all ncols + 1 columns: a pivot in the rhs
+    column means 0 = nonzero.  Otherwise each kept row with pivot c reads
+    d x[c] + (free variables) = rhs, a nonzero multiple of the row that
+    elimination over Q leaves, so x[c] = rhs / d is the only Fraction
+    built.
     """
-    aug = [list(_as_integers(tuple(r) + (b,))) for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        prow = aug[rank]
-        for i in range(len(aug)):
-            if i != rank and aug[i][c]:
-                aug[i] = _cancel(aug[i], prow, c)
-        pivots.append(c)
-        rank += 1
-    if any(aug[i][ncols] for i in range(rank, len(aug))):
-        return None
+    _base, kept = _gauss_jordan(
+        (_as_integers(tuple(r) + (b,)) for r, b in zip(rows, rhs)), ncols + 1)
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = Fraction(aug[i][ncols], aug[i][c])
+    for c, r in kept:
+        if c == ncols:
+            return None
+        x[c] = Fraction(r[ncols], r[c])
     return tuple(x)
 
 

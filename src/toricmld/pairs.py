@@ -128,11 +128,15 @@ def make_fan(rank, rays, max_cones):
         raise PairError("duplicate fan ray")
     cones = tuple(tuple(sorted(set(_int_vector(c, "maximal cone %d" % i))))
                   for i, c in enumerate(max_cones))
+    for i, c in enumerate(cones):
+        if not c:
+            raise PairError("maximal cone %d is empty" % i)
+        for j in c:
+            if not 0 <= j < len(rays):
+                raise PairError("maximal cone %d has ray index %d, not the index of "
+                                "one of the %d rays" % (i, j, len(rays)))
     if len(set(cones)) != len(cones):
         raise PairError("duplicate maximal cone")
-    for c in cones:
-        if not c or any(i < 0 or i >= len(rays) for i in c):
-            raise PairError("maximal cone with bad ray index")
     used = {i for c in cones for i in c}
     if used != set(range(len(rays))):
         raise PairError("fan ray not used by any maximal cone")

@@ -10,7 +10,8 @@ and a caller's rational point in `_point_row`; the readers compare ratios
 by cross-multiplying, and Fraction points exist only as the `points` view
 of the public API.  Conversion runs through a single primitive, the
 double description of a cone given by homogeneous integer inequalities,
-in integer arithmetic only: one fraction-free Gauss-Jordan elimination
+in integer arithmetic only: `lattice._gauss_jordan`, the fraction-free
+Gauss-Jordan elimination behind `rational_rank` and `solve_rational`,
 picks the start rows and gives the start rays, and two rays are combined
 iff their common zero set over the processed rows has at least dim-2
 rows and lies in no third ray's zero set (the combinatorial adjacency
@@ -38,7 +39,7 @@ from operator import mul
 from .lattice import (
     LatticeError,
     _as_integers,
-    _cancel,
+    _gauss_jordan,
     apply_hom,
     compose_covector,
     content,
@@ -94,29 +95,11 @@ def _integer_row(a, c):
 def _simplicial_start(rows, dim):
     """(base, rays): the greedy independent rows and the start rays of the double description.
 
-    One fraction-free Gauss-Jordan elimination (`_cancel`) runs over the
-    rows in order, each augmented by the unit vector of its slot in the
-    base; a row that reduces to 0 is dropped, a kept row with first nonzero
-    column c clears c from the rows kept before it.  Kept row k then reads
-    M_k B = d_k e_c for the base matrix B, so the rays, the primitive
+    `lattice._gauss_jordan` with a slot per base row: kept row k then
+    reads M_k B = d_k e_c for the base matrix B, so the rays, the primitive
     columns of B^-1, are lcm(d) M_k / d_k at c; rays is None below dim rows.
     """
-    base, kept = [], []
-    for i, r in enumerate(rows):
-        if len(base) == dim:
-            break
-        r = list(r) + [0] * dim
-        r[dim + len(base)] = 1
-        for c, b in kept:
-            if r[c]:
-                r = _cancel(r, b, c)
-        for piv in range(dim):
-            if r[piv]:
-                break
-        else:
-            continue
-        kept = [(c, _cancel(b, r, piv) if b[piv] else b) for c, b in kept] + [(piv, r)]
-        base.append(i)
+    base, kept = _gauss_jordan(rows, dim, dim)
     if len(base) < dim:
         return base, None
     den = lcm(*(b[c] for c, b in kept))

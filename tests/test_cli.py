@@ -312,6 +312,49 @@ def test_find_reports_unwritable_certificate_path(corpus_dir, tmp_path, capsys):
         assert err.startswith("error: cannot write %s: " % cert)
 
 
+def _long_result_instance(tmp_path):
+    """a2_identity with B = (1/(10^2500 + 1), 1/(10^2500 + 3)): every input is
+    within the digit limit, the mld's denominator has about 5000 digits."""
+    obj = json.loads(corpus_bytes("a2_identity").decode())
+    obj["B"] = {"0": "1/%d" % (10 ** 2500 + 1), "1": "1/%d" % (10 ** 2500 + 3)}
+    p = tmp_path / "long.json"
+    p.write_text(dumps_canonical(obj))
+    return p
+
+
+LONG_RESULT = "a result has more than 4300 digits in its numerator or denominator"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("command", [("mld",), ("find",), ("oracle-mld", "--box", "1")],
+                         ids=["mld", "find", "oracle-mld"])
+def test_a_result_past_the_digit_limit_exits_2_with_a_reason(tmp_path, capsys, command,
+                                                             json_flag):
+    p = _long_result_instance(tmp_path)
+    rc, out, err = run(capsys, *command, *json_flag, str(p))
+    assert rc == 2
+    if json_flag:
+        assert json.loads(out) == {"error": LONG_RESULT} and err == ""
+    else:
+        assert out == "" and err == "error: %s\n" % LONG_RESULT
+    assert not (tmp_path / "long.cert.json").exists()
+    # the inputs themselves are fine
+    assert run(capsys, "check", str(p))[0] == 0
+    assert run(capsys, "lct", str(p), "--phibar", "1,0")[0] == 0
+
+
+def test_a_failed_find_leaves_an_existing_certificate_as_it_was(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "kept.cert.json"
+    rc, _out, _err = run(capsys, "find", str(corpus_dir / "a1_family.json"), "--out", str(out))
+    assert rc == 0
+    before = out.read_bytes()
+    rc, _out, err = run(capsys, "find", str(_long_result_instance(tmp_path)), "--out", str(out))
+    assert rc == 2 and LONG_RESULT in err
+    assert out.read_bytes() == before
+    rc, _out, _err = run(capsys, "verify", str(corpus_dir / "a1_family.json"), str(out))
+    assert rc == 0
+
+
 def test_certificate_file_roundtrip(corpus_dir, capsys):
     inst = str(corpus_dir / "wedge25.json")
     rc, out, _ = run(capsys, "find", inst, "--json")

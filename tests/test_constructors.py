@@ -190,6 +190,13 @@ def run(capsys, *argv):
     ("general", [{"b": "1", "A": []}], "general boundary 0 has no points"),
     ("general", [{"b": "1", "A": [[0, 0, 0]]}],
      "general boundary 0 point 0 has 3 entries, not 2"),
+    ("max_cones", [[]], "maximal cone 0 is empty"),
+    ("max_cones", [[0, 1], []], "maximal cone 1 is empty"),
+    ("max_cones", [[], []], "maximal cone 0 is empty"),
+    ("max_cones", [[0, 5]], "maximal cone 0 has ray index 5, not the index of one of the 2 rays"),
+    ("max_cones", [[0, 1], [-1, 0]],
+     "maximal cone 1 has ray index -1, not the index of one of the 2 rays"),
+    ("max_cones", [[0, 1], [1, 0]], "duplicate maximal cone"),
 ])
 def test_check_reports_each_malformed_field(tmp_path, capsys, field, value, message):
     obj = json.loads(corpus_bytes("a2_identity").decode())

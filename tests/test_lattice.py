@@ -321,6 +321,35 @@ def test_solve_rational_matches_the_fraction_elimination(kind):
     assert outcomes == ({"none"} if kind == "inconsistent" else {"solved"})
 
 
+@pytest.mark.parametrize("where", ["last", "second"])
+def test_solve_rational_finds_an_inconsistent_row_among_more_than_ncols_plus_one(where):
+    """Systems of ncols + 2 to ncols + 6 rows, one of them a multiple of another
+    row with its rhs off by 1, placed last or second.  The elimination of
+    [rows | rhs] stops at ncols + 1 kept rows: a last such row is reached
+    only after every other row, a second one is seen before the stop."""
+    rng = random.Random(89)
+    for _ in range(200):
+        nc = rng.randint(1, 4)
+        basis = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(rng.randint(1, nc))]
+        rows = [[sum(rng.randint(-2, 2) * b[k] for b in basis) for k in range(nc)]
+                for _ in range(nc + rng.randint(1, 5))]
+        x0 = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(nc)]
+        rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
+        i, m = rng.randrange(len(rows)), rng.choice((1, -2, 3))
+        at = len(rows) if where == "last" else 1
+        rows.insert(at, [m * x for x in rows[i]])
+        rhs.insert(at, m * rhs[i] + 1)
+        rows = [tuple(r) for r in rows]
+        assert len(rows) > nc + 1
+        assert reference_solve_rational(rows, rhs, nc) is None, (rows, rhs)
+        assert solve_rational(rows, rhs, nc) is None, (rows, rhs)
+        # without the bad row the same system is solved, as over Q
+        rows, rhs = rows[:at] + rows[at + 1:], rhs[:at] + rhs[at + 1:]
+        got = solve_rational(rows, rhs, nc)
+        assert got == reference_solve_rational(rows, rhs, nc), (rows, rhs)
+        assert all(sum(a * b for a, b in zip(r, got)) == b for r, b in zip(rows, rhs))
+
+
 def test_kernel_basis_saturated():
     rng = random.Random(17)
     for _ in range(30):

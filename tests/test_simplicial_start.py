@@ -1,25 +1,51 @@
 """The simplicial start of the double description: one elimination gives base and rays.
 
 `_simplicial_start` picks the greedy independent rows and the columns
-of their inverse in one fraction-free Gauss-Jordan elimination.  These
-tests check its base against the integer echelon of `rational_rank`, its
-rays against the inverse they stand for, and the whole double
-description against the Fraction reference kernel on rows with large
-entries in dimensions 6-10, where the homogenized product germs live.
+of their inverse in one fraction-free Gauss-Jordan elimination,
+`lattice._gauss_jordan`.  These tests check its base against
+`reference_independent_rows`, the integer echelon `rational_rank` ran
+before the elimination was shared, kept here verbatim; `rational_rank`
+against a Fraction elimination; the rays against the inverse they stand
+for; and the whole double description against the Fraction reference
+kernel on rows with large entries in dimensions 6-10, where the
+homogenized product germs live.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from test_double_description import reference_dd_pointed
-from toricmld.lattice import _independent_rows, content, dot
+from test_double_description import reference_dd_pointed, reference_rational_rank
+from toricmld.lattice import _cancel, content, dot, rational_rank
 from toricmld.polyhedra import (
     GeometryError,
     _dd_pointed,
     _simplicial_start,
     cone_from_inequalities,
 )
+
+
+def reference_independent_rows(rows, dim):
+    """Indices of the greedy linearly independent subset of the integer rows.
+
+    A fraction-free integer echelon: each row is reduced by the rows kept
+    so far (cancelled at the pivot of each) and kept, with its first
+    nonzero column as pivot, unless it reduces to 0.
+    """
+    base, echelon = [], []
+    for i, r in enumerate(rows):
+        for c, b in echelon:
+            if r[c]:
+                r = _cancel(r, b, c)
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is None:
+            continue
+        base.append(i)
+        echelon.append((piv, r))
+        if len(base) == dim:
+            break
+    return base
 
 
 def _spanned_rows(rng, dim, rank, lim):
@@ -53,7 +79,7 @@ def test_start_base_is_the_greedy_independent_subset():
     for _ in range(1500):
         rows, dim = _mixed_rows(rng)
         base, rays = _simplicial_start(rows, dim)
-        assert base == _independent_rows(rows, dim), (rows, dim)
+        assert base == reference_independent_rows(rows, dim), (rows, dim)
         if rays is None:
             assert len(base) < dim
             short += 1
@@ -66,6 +92,21 @@ def test_start_base_is_the_greedy_independent_subset():
             values = [dot(rows[i], ray) for i in base]
             assert values[j] > 0 and not any(values[:j] + values[j + 1:]), (rows, dim)
     assert full >= 300 and short >= 300, (full, short)
+
+
+def test_rational_rank_matches_the_fraction_elimination():
+    rng = random.Random(7007)
+    ranks = set()
+    for k in range(1500):
+        rows, dim = _mixed_rows(rng)
+        if k % 3 == 0:
+            # about half the entries divided by 1 to 7, as Fractions
+            rows = [tuple(Fraction(x, rng.randint(1, 7)) if rng.random() < 0.5
+                          else x for x in r) for r in rows]
+        want = reference_rational_rank(rows, dim)
+        assert rational_rank(rows, dim) == want, (rows, dim)
+        ranks.add((want == dim, any(isinstance(x, Fraction) for r in rows for x in r)))
+    assert ranks == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _large_rows(rng, dim):

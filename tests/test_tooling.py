@@ -94,6 +94,40 @@ def test_private_definition_scan_sees_a_leftover_helper():
     assert _unread_private_definitions(sources) == [("search.py", 2, "_two_face_pairs")]
 
 
+def _readers(sources, name):
+    """(file, function) of each top-level definition that reads name, as an
+    ast.Name or an attribute; function is None for a read outside any."""
+    found = set()
+    for filename, source in sources.items():
+        for node in ast.parse(source, filename=filename).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Name) and sub.id == name) or (
+                        isinstance(sub, ast.Attribute) and sub.attr == name):
+                    found.add((filename, owner))
+    return sorted(found, key=lambda f: (f[0], f[1] or ""))
+
+
+def test_one_fraction_free_elimination_in_the_package():
+    """The row cancellation is read only by lattice._gauss_jordan, so the
+    rank, the solver and the double-description start share one elimination."""
+    package = pathlib.Path(toricmld.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _readers(sources, "_cancel") == [("lattice.py", "_gauss_jordan")]
+
+
+def test_reader_scan_sees_a_second_elimination():
+    sources = {
+        "lattice.py": "def _cancel(r, b, c):\n    return r\n"
+                      "def _gauss_jordan(rows):\n    return _cancel(rows, rows, 0)\n",
+        "polyhedra.py": "from . import lattice\nfrom .lattice import _cancel\n"
+                        "def _start(rows):\n    return lattice._cancel(rows, rows, 0)\n"
+                        "STEP = _cancel\n",
+    }
+    assert _readers(sources, "_cancel") == [
+        ("lattice.py", "_gauss_jordan"), ("polyhedra.py", None), ("polyhedra.py", "_start")]
+
+
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
     """analyze runs 2 double descriptions on a g-lc box, 4 off it; bd.quotient 0 or 1, mld none.
 
