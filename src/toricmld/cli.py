@@ -63,24 +63,23 @@ def _fail(args, code, message):
 
 
 def _box(args):
-    """(tc, bd) of the instance file args.instance, loaded and analyzed."""
+    """The BoxData of the instance file args.instance, loaded and analyzed."""
     tc, pair, _obj = load_instance(args.instance)
-    bd = analyze(tc, pair)
-    return tc, bd
+    return analyze(tc, pair)
 
 
 def cmd_check(args):
-    tc, _bd = _box(args)
+    tc = _box(args).tc
     _emit(args, {"valid": True, "rank": tc.rank, "base_rank": tc.base_rank},
           ["valid: rank %d germ over a rank-%d base" % (tc.rank, tc.base_rank)])
     return 0
 
 
 def cmd_mld(args):
-    tc, bd = _box(args)
+    bd = _box(args)
     if not is_glc(bd):
         return _fail(args, 1, "pair is not g-lc")
-    val = mld_over_fiber(tc, bd)
+    val = mld_over_fiber(bd)
     if val is None:
         _emit(args, {"mld": None}, ["not positive"])
         return 1
@@ -89,8 +88,7 @@ def cmd_mld(args):
 
 
 def cmd_lc(args):
-    _tc, bd = _box(args)
-    glc = is_glc(bd)
+    glc = is_glc(_box(args))
     _emit(args, {"glc": glc}, ["g-lc: %s" % ("yes" if glc else "no")])
     return 0 if glc else 1
 
@@ -104,8 +102,7 @@ def _parse_phibar(s):
 
 def cmd_lct(args):
     phibar = _parse_phibar(args.phibar)
-    tc, bd = _box(args)
-    val = lct_pullback(tc, bd, phibar)
+    val = lct_pullback(_box(args), phibar)
     _emit(args, {"lct": frac_str(val)}, [frac_str(val)])
     return 0
 
@@ -150,9 +147,9 @@ def cmd_verify(args):
 
 
 def cmd_oracle_mld(args):
-    tc, bd = _box(args)
-    found = oracle_mld(tc, bd, args.box)
-    algo = mld_over_fiber(tc, bd) if is_glc(bd) else None
+    bd = _box(args)
+    found = oracle_mld(bd, args.box)
+    algo = mld_over_fiber(bd) if is_glc(bd) else None
     if found is None:
         _emit(args, {"oracle_mld": None, "box": args.box},
               ["no interior lattice point within box radius %d" % args.box])

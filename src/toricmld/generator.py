@@ -30,8 +30,8 @@ from .lattice import (LatticeError, dot, identity, is_zero, kernel_basis,
 from .pairs import (
     PairError,
     ToricContraction,
+    _fold,
     analyze,
-    fix_mov,
     make_fan,
     make_pair,
     mld_over_fiber,
@@ -44,8 +44,6 @@ from .polyhedra import (
     cone_from_facets,
     make_cone,
     make_support,
-    support_scale,
-    support_sum,
     support_value,
 )
 
@@ -85,7 +83,7 @@ def _rand_sigma_bar(rng, nbar):
             return c
 
 
-def _split(cone, pointed, cov, n):
+def _split(cone, pointed, cov):
     """The full-dimensional halves cov >= 0 and cov <= 0 of a piece, in order, as (piece, pointed).
 
     `_dd_cut` cuts a pointed piece from its extreme rays and facets: one
@@ -96,10 +94,10 @@ def _split(cone, pointed, cov, n):
     double description.
     """
     if pointed:
-        halves = _dd_cut(cone.generators, cone.dual_rays, cov, n)
+        halves = _dd_cut(cone.generators, cone.dual_rays, cov)
         if halves is None:
             return [(cone, True)]
-        return [(make_cone(n, h), True) for h in halves]
+        return [(make_cone(cone.dim, h), True) for h in halves]
     # Every piece with lines has the same lineality space L: each cut
     # splits every such piece in two, and cuts L down to L cap cov-perp.
     # `_build_fan` redraws a cov that vanishes on L.  Each facet of the
@@ -108,14 +106,14 @@ def _split(cone, pointed, cov, n):
     # full-dimensional and +/-cov is their one new facet.
     pieces = []
     for sign in (1, -1):
-        piece = cone_from_facets(n, cone.dual_rays + (tuple(sign * x for x in cov),))
+        piece = cone_from_facets(cone.dim, cone.dual_rays + (tuple(sign * x for x in cov),))
         pieces.append((piece, piece.is_pointed()))
     return pieces
 
 
-def _stellar(cone, n):
+def _stellar(cone):
     gens = cone.generators
-    v = (0,) * n
+    v = (0,) * cone.dim
     for g in gens:
         v = vec_add(v, g)
     v = primitive(v)
@@ -124,8 +122,8 @@ def _stellar(cone, n):
         fgens = [g for g in gens if dot(d, g) == 0]
         if not fgens:
             continue
-        piece = make_cone(n, list(fgens) + [v])
-        if piece.cone_dim() == n:
+        piece = make_cone(cone.dim, list(fgens) + [v])
+        if piece.cone_dim() == cone.dim:
             out.append(piece)
     return out if len(out) >= 2 else [cone]
 
@@ -137,7 +135,7 @@ def _rand_covector(rng, n):
             return primitive(v)
 
 
-def _build_fan(rng, support, n):
+def _build_fan(rng, support):
     """A fan with support the full-dimensional cone `support`, drawn from rng.
 
     Random covectors split the pieces until every piece is pointed (a
@@ -146,6 +144,7 @@ def _build_fan(rng, support, n):
     stellarly subdivided.  Each piece carries whether it is pointed,
     tested once when it is made.
     """
+    n = support.dim
     pieces = [(support, support.is_pointed())]
     guard = 0
     while True:
@@ -160,16 +159,16 @@ def _build_fan(rng, support, n):
         cov = _rand_covector(rng, n)
         if all(dot(cov, l) == 0 for l in lin):
             continue
-        pieces = [q for p in pieces for q in _split(*p, cov, n)]
+        pieces = [q for p in pieces for q in _split(*p, cov)]
     for _ in range(rng.randint(0, 2)):
         cov = _rand_covector(rng, n)
-        pieces = [q for p in pieces for q in _split(*p, cov, n)]
+        pieces = [q for p in pieces for q in _split(*p, cov)]
     pieces = [p for p, _pointed in pieces]
     for _ in range(rng.randint(0, 1)):
         if not pieces:
             break
         i = rng.randrange(len(pieces))
-        pieces = pieces[:i] + _stellar(pieces[i], n) + pieces[i + 1:]
+        pieces = pieces[:i] + _stellar(pieces[i]) + pieces[i + 1:]
     rays = sorted({g for p in pieces for g in p.generators})
     index = {g: i for i, g in enumerate(rays)}
     cones = sorted({tuple(sorted(index[g] for g in p.generators)) for p in pieces})
@@ -199,9 +198,9 @@ def _rand_general(rng, n):
     return [(bj, pts)]
 
 
-def _rand_psi(rng, support, n):
-    duals = list(support.dual_rays) + [(0,) * n]
-    psi = (Fraction(0),) * n
+def _rand_psi(rng, support):
+    duals = list(support.dual_rays) + [(0,) * support.dim]
+    psi = (Fraction(0),) * support.dim
     for d in duals:
         c = rng.choice((0, 0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1))
         psi = tuple(p + c * x for p, x in zip(psi, d))
@@ -221,16 +220,11 @@ def _candidate_pair(rng, tc):
     n = fan.rank
     a_pts = _rand_a_points(rng, n)
     general = _rand_general(rng, n)
-    a_eff = make_support(a_pts)
-    fixes = [Fraction(0)] * len(fan.rays)
-    for bj, pts in general:
-        s = make_support(pts)
-        a_eff = support_sum(a_eff, support_scale(bj, s))
-        fix = fix_mov(s, fan.rays)
-        fixes = [f + bj * x for f, x in zip(fixes, fix)]
+    fixes, a_eff = _fold(fan.rays, make_support(a_pts),
+                         [(bj, make_support(pts)) for bj, pts in general])
     if rng.random() < 0.55:
         # log Calabi-Yau mode: boundary determined by a single global psi
-        psi = _rand_psi(rng, tc.support, n)
+        psi = _rand_psi(rng, tc.support)
         b = [1 - (dot(psi, e) - support_value(a_eff, e)) - fx
              for e, fx in zip(fan.rays, fixes)]
     else:
@@ -263,10 +257,10 @@ def random_instance(seed):
             pi = tuple(uni[i] for i in range(nbar))
             sigma_bar = _rand_sigma_bar(rng, nbar)
             support = pullback_cone(n, pi, sigma_bar)
-            tc = ToricContraction(_build_fan(rng, support, n), pi, sigma_bar, support)
+            tc = ToricContraction(_build_fan(rng, support), pi, sigma_bar, support)
             pair = _candidate_pair(rng, tc)
             bd = analyze(tc, pair)
-            if mld_over_fiber(tc, bd) is None:
+            if mld_over_fiber(bd) is None:
                 raise PairError("sampled pair has non-positive mld")
             validate_contraction(tc)
             return tc, pair, {"seed": seed, "attempts": attempt + 1,

@@ -330,21 +330,29 @@ def fix_mov(a_set, rays):
     return tuple(support_value(a_set, e) for e in rays)
 
 
+def _fold(rays, a_set, general):
+    """(fixed parts, folded A) of the general boundaries (b_j, A_j) on rays.
+
+    The fixed part on a ray e is sum_j b_j * min_{a in A_j} <a, e>; the
+    folded b-divisor set is a_set + sum_j b_j * A_j.
+    """
+    fixes = [Fraction(0)] * len(rays)
+    for bj, aj in general:
+        fixes = [f + bj * x for f, x in zip(fixes, fix_mov(aj, rays))]
+        a_set = support_sum(a_set, support_scale(bj, aj))
+    return fixes, a_set
+
+
 def fold_general(fan, pair):
     """Replace general boundaries by generalized ones.
 
-    b_inv gains the fixed parts b_j * min_a <a, e>; the b-divisor set
-    becomes A + sum_j b_j * A_j; toric g-log discrepancies are unchanged.
+    b_inv gains the fixed parts (`_fold`); the b-divisor set becomes
+    A + sum_j b_j * A_j; toric g-log discrepancies are unchanged.
     """
     if pair.folded:
         return pair
-    b = list(pair.b_inv)
-    a_set = pair.bdiv_a
-    for bj, aj in pair.general:
-        fix = fix_mov(aj, fan.rays)
-        b = [x + bj * f for x, f in zip(b, fix)]
-        a_set = support_sum(a_set, support_scale(bj, aj))
-    return make_pair(fan, b, a_set.points, ())
+    fixes, a_set = _fold(fan.rays, pair.bdiv_a, pair.general)
+    return make_pair(fan, [x + f for x, f in zip(pair.b_inv, fixes)], a_set.points, ())
 
 
 def nef_values(fan, pair):
@@ -531,8 +539,8 @@ def _least_gauge(rows, points):
     return best
 
 
-def mld_over_fiber(tc, bd):
-    """Minimal log discrepancy over the fiber through the invariant point.
+def mld_over_fiber(bd):
+    """Minimal log discrepancy over the fiber through the invariant point of bd.tc.
 
     Returns the exact positive rational, or None when the mld is not
     positive.  Works in the quotient by the span of sigma0, where the
@@ -554,7 +562,7 @@ def mld_over_fiber(tc, bd):
     the running minimum is an integer pair compared by cross-multiplying;
     one Fraction is built at the end.
     """
-    if tc.base_rank == 0:
+    if bd.tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
     if not is_glc(bd):
         raise PairError("pair is not g-lc")
@@ -566,7 +574,7 @@ def mld_over_fiber(tc, bd):
     if not through_zero:
         return None
     dirs = [primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])]
-    at_hand = itertools.chain([apply_hom(proj, _fiber_witness(tc.fan))], dirs,
+    at_hand = itertools.chain([apply_hom(proj, _fiber_witness(bd.tc.fan))], dirs,
                               itertools.starmap(vec_add, itertools.combinations(dirs, 2)))
     t_cap = _least_gauge(rows, (v for v in at_hand
                                 if all(dot(d, v) >= 1 for d in through_zero)))
@@ -581,8 +589,9 @@ def mld_over_fiber(tc, bd):
     return Fraction(*best)
 
 
-def lct_pullback(tc, bd, phibar):
-    """sup{g >= 0 : -g * pi^*(phibar) in box}, exact."""
+def lct_pullback(bd, phibar):
+    """sup{g >= 0 : -g * pi^*(phibar) in box}, exact, with pi that of bd.tc."""
+    tc = bd.tc
     phibar = _int_vector(phibar, "functional")
     if len(phibar) != tc.base_rank:
         raise PairError("functional has %d entries but the base has rank %d"
@@ -609,7 +618,7 @@ def lct_pullback(tc, bd, phibar):
 ORACLE_BOX_LIMIT = 10 ** 6
 
 
-def oracle_mld(tc, bd, radius):
+def oracle_mld(bd, radius):
     """Brute-force scan: min log discrepancy over primitive points in a box.
 
     Scans [-radius, radius]^n intersected with the strict interior of the
@@ -620,7 +629,7 @@ def oracle_mld(tc, bd, radius):
     """
     if radius < 1:
         raise PairError("oracle box radius must be positive")
-    n = tc.rank
+    n = bd.tc.rank
     size = (2 * radius + 1) ** n
     if size > ORACLE_BOX_LIMIT:
         raise PairError("oracle box of %d points exceeds the limit of %d points"
@@ -629,7 +638,7 @@ def oracle_mld(tc, bd, radius):
     for v in itertools.product(range(-radius, radius + 1), repeat=n):
         if is_zero(v) or content(v) != 1:
             continue
-        if not tc.support.interior_contains(v):
+        if not bd.tc.support.interior_contains(v):
             continue
         a = log_discrepancy(bd, v)
         if best is None or a < best[0] or (a == best[0] and v < best[1]):

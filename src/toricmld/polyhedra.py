@@ -159,13 +159,13 @@ def _dd_from_base(rows, dim, base, rays):
     return tuple(sorted(rays))
 
 
-def _dd_cut(rays, facets, a, dim):
+def _dd_cut(rays, facets, a):
     """One double-description step: a pointed full-dimensional cone cut by a.x = 0.
 
-    Precondition: rays are exactly the cone's extreme rays and facets
-    exactly its facet normals, as `make_cone` stores them for a pointed
-    full-dimensional cone whose generators are its extreme rays.  Each ray
-    then carries its zero set over the facets, and the adjacency test of
+    Precondition: rays and facets are exactly the extreme rays and facet
+    normals of a pointed full-dimensional cone in R^len(a), as `make_cone`
+    stores them when its generators are its extreme rays.  Each ray then
+    carries its zero set over the facets, and the adjacency test of
     `_dd_from_base` applies as it stands, so no double description runs.
 
     Returns None when a.x has one sign on every ray, so the cone lies on
@@ -195,7 +195,7 @@ def _dd_cut(rays, facets, a, dim):
     for rp, zp, vp in pos:
         for rm, zm, vm in neg:
             z = zp & zm
-            if z.bit_count() < dim - 2 or any(
+            if z.bit_count() < len(a) - 2 or any(
                     y & z == z for y in masks if y != zp and y != zm):
                 continue
             cut.append(tuple(vp * x - vm * y for x, y in zip(rm, rp)))

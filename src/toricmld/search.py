@@ -34,7 +34,6 @@ from .pairs import (
     BoxData,
     GPair,
     PairError,
-    ToricContraction,
     _int_vector,
     analyze,
     is_glc,
@@ -66,11 +65,10 @@ class SearchError(PairError):
 
 
 def gamma(d, a):
-    """gamma(1, a) = a, gamma(d, a) = gamma(d-1, a^2/d^2)."""
-    d = int(d)
-    a = Fraction(a)
-    if d < 1:
-        raise ValueError("gamma needs d >= 1")
+    """gamma(1, a) = a, gamma(d, a) = gamma(d-1, a^2/d^2), for an integer d >= 1."""
+    if d < 1 or d % 1:
+        raise ValueError("gamma needs an integer d >= 1")
+    d, a = int(d), Fraction(a)
     if a <= 0:
         raise ValueError("gamma needs a > 0")
     while d > 1:
@@ -81,10 +79,10 @@ def gamma(d, a):
 
 def gamma_closed(d, a):
     """Closed form a^(2^(d-1)) / prod_i i^(2^(i-1))."""
-    d = int(d)
     a = Fraction(a)
-    if d < 1 or a <= 0:
-        raise ValueError("gamma_closed needs d >= 1 and a > 0")
+    if d < 1 or d % 1 or a <= 0:
+        raise ValueError("gamma_closed needs an integer d >= 1 and a > 0")
+    d = int(d)
     num = a ** (2 ** (d - 1))
     den = Fraction(1)
     for i in range(1, d + 1):
@@ -129,8 +127,8 @@ def _width_result(phi, lo, hi):
     return WidthResult(phi, lo, hi, hi - lo)
 
 
-def width_functional(up, t, l):
-    """First usable functional of length <= l^2/t over up.
+def width_functional(up, t):
+    """First usable functional of length <= l^2/t over up, with l = up.dim.
 
     Candidates are enumerated by increasing sup-norm and, within a level,
     by colexicographic order on a sign-canonical representative.  At each
@@ -142,8 +140,8 @@ def width_functional(up, t, l):
     """
     if up.empty or not up.is_compact():
         raise PairError("width search needs a compact nonempty polyhedron")
-    bound = Fraction(l * l) / Fraction(t)
-    need = gamma(l, t)
+    bound = Fraction(up.dim ** 2) / Fraction(t)
+    need = gamma(up.dim, t)
     for k in range(1, WIDTH_NORM_CAP + 1):
         interior = None
         for phi in _covector_level(up.dim, k):
@@ -174,14 +172,16 @@ def subdivide_fan(fan, phi):
     validate_fan, so that each cone's generators are its extreme rays and
     `_dd_cut` cuts it in one step, returning those raw crossing rays.
     """
+    if len(phi) != fan.rank:
+        raise PairError("functional has %d entries but the fan has rank %d"
+                        % (len(phi), fan.rank))
     if is_zero(phi):
         raise PairError("cannot subdivide along the zero functional")
-    n = fan.rank
     newq = {}
     pieces = []
     for ci in range(len(fan.max_cones)):
         cone = fan.cone(ci)
-        halves = _dd_cut(cone.generators, cone.dual_rays, phi, n)
+        halves = _dd_cut(cone.generators, cone.dual_rays, phi)
         if halves is None:
             pieces.append(cone.generators)
             continue
@@ -195,7 +195,7 @@ def subdivide_fan(fan, phi):
     rays = list(fan.rays) + sorted(set(newq) - set(fan.rays))
     index = {g: i for i, g in enumerate(rays)}
     cones = {tuple(sorted(index[g] for g in piece)) for piece in pieces}
-    return make_fan(n, rays, sorted(cones)), newq
+    return make_fan(fan.rank, rays, sorted(cones)), newq
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +204,8 @@ def subdivide_fan(fan, phi):
 
 @dataclass(frozen=True)
 class SliceData:
-    tc1: ToricContraction
     pair1: GPair
-    bd1: BoxData
+    bd1: BoxData              # bd1.tc is the slice contraction
     phi: tuple                # the width functional on N
     w: Fraction               # the width of phi(U)
     lam: Fraction             # 1 / w
@@ -217,8 +216,8 @@ class SliceData:
     max_ray_discrepancy: Fraction
 
 
-def make_slice(tc, bd, phi_n, t):
-    """Build the codimension-one germ cut out by ker(phi) and validate it.
+def make_slice(bd, phi_n, t):
+    """Build the codimension-one germ of bd.tc cut out by ker(phi) and validate it.
 
     With w the width of phi(U) and lam = 1/w, the slice fan is read off
     the fan subdivided along phi.  Validations, each raising with the
@@ -229,7 +228,7 @@ def make_slice(tc, bd, phi_n, t):
     the boundary coefficients of the rescaled pair lie in [0, 1]; its
     message numbers the rays of the slice fan.
     """
-    n = tc.rank
+    n = bd.tc.rank
     lo, hi = interval_image(phi_n, bd.u)
     if lo is None or hi is None or not lo < 0 < hi:
         raise PairError("slice needs 0 interior to phi(U)")
@@ -237,7 +236,7 @@ def make_slice(tc, bd, phi_n, t):
     if not w > 1:
         raise SearchError("interior width must exceed 1")
     lam = 1 / w
-    fan2, newq = subdivide_fan(tc.fan, phi_n)
+    fan2, newq = subdivide_fan(bd.tc.fan, phi_n)
     disc = {e: log_discrepancy(bd, e) for e in fan2.rays}
     max_ray_discrepancy = max(disc.values())
     if max_ray_discrepancy > w:
@@ -271,8 +270,8 @@ def make_slice(tc, bd, phi_n, t):
             raise PairError("slice fan does not cover phi-perp")
 
     # contraction of the slice: pi restricted to ker(phi), onto its image
-    images = [apply_hom(tc.pi, b) for b in kern.basis]
-    nbar0 = sublattice_from_vectors(tc.base_rank, images)
+    images = [apply_hom(bd.tc.pi, b) for b in kern.basis]
+    nbar0 = sublattice_from_vectors(bd.tc.base_rank, images)
     if nbar0.rank == 0:
         raise PairError("slice base has rank zero")
     # the images generate nbar0, so each has coordinates in it
@@ -296,12 +295,12 @@ def make_slice(tc, bd, phi_n, t):
     if not polyhedra_equal(bd1.u, scale_polyhedron(u0, w)):
         raise PairError("slice identity fails: U(slice) != lam^-1 (U cap phi-perp)")
 
-    mld1 = mld_over_fiber(tc1, bd1)
+    mld1 = mld_over_fiber(bd1)
     if mld1 is None or mld1 < lam * t:
         raise PairError("slice mld drops below lam * t")
     if bd1.l != bd.l - 1:
         raise PairError("slice lc-place dimension did not drop by one")
-    return SliceData(tc1, pair1, bd1, phi_n, w, lam, len(newq), nbar0, u0,
+    return SliceData(pair1, bd1, phi_n, w, lam, len(newq), nbar0, u0,
                      mld1, max_ray_discrepancy)
 
 
@@ -394,16 +393,16 @@ def _descend(tc, phi):
     return phibar
 
 
-def lift_hyperplane(tc, bd, sl, phibar0, gamma1):
-    """Lift a slice certificate (phibar0, gamma1) through the slice's functional.
+def lift_hyperplane(bd, sl, phibar0, gamma1):
+    """Lift a slice certificate (phibar0, gamma1) of bd's slice sl through its functional.
 
     Applies the nonnegative-functional extension with C = u and the fan rays as
     generators, descends the result along pi, and returns the primitive
     phi_bar together with gamma = gamma1 / (lam w), the extension trace
     (its q is that of the pullback relation), and the primitivization scale.
     """
-    n = tc.rank
-    phi0 = compose_covector(phibar0, sl.tc1.pi, n - 1)
+    tc = bd.tc
+    phi0 = compose_covector(phibar0, sl.bd1.tc.pi, tc.rank - 1)
     tr = extend_functional(tc.fan.rays, bd.u, sl.phi, phi0)
     if tr.l0 > sl.lam / gamma1:
         raise PairError("slice certificate too weak: l0 > lam / gamma1")
@@ -416,7 +415,7 @@ def lift_hyperplane(tc, bd, sl, phibar0, gamma1):
         raise PairError("pullback relation u^* H = q H1 fails")
     scale = content(phibar_raw)
     phibar = primitive(phibar_raw)
-    if not bd.box.contains_scaled(-gamma_val, compose_covector(phibar, tc.pi, n)):
+    if not bd.box.contains_scaled(-gamma_val, compose_covector(phibar, tc.pi, tc.rank)):
         raise PairError("primitive descent misses the box")
     return phibar, gamma_val, tr, scale
 
@@ -430,18 +429,18 @@ class HyperplaneCertificate:
     transcript: tuple
 
 
-def _search(tc, bd, t, transcript, depth):
+def _search(bd, t, transcript, depth):
     """(phi_bar, gamma) for bd, whose mld t over the fiber is positive (so l >= 1)."""
     l = bd.l
     proj, up = bd.quotient
-    wr = width_functional(up, t, l)
-    phi_n = compose_covector(wr.phi, proj, tc.rank)
+    wr = width_functional(up, t)
+    phi_n = compose_covector(wr.phi, proj, bd.tc.rank)
     lo, hi, w = wr.lo, wr.hi, wr.w
     if wr.boundary:
         gamma_here = Fraction(1) / w
         if not bd.box.contains_scaled(-gamma_here, phi_n):
             raise SearchError("boundary functional misses the box at 1/w")
-        phibar = _descend(tc, phi_n)
+        phibar = _descend(bd.tc, phi_n)
         # at l = 1 the pick is +-sigma0's dual line, recorded as "l1" without w
         rec = dict(depth=depth, l=l, case="l1", t=t, phi=phi_n, interval=(lo, hi))
         if l > 1:
@@ -450,7 +449,7 @@ def _search(tc, bd, t, transcript, depth):
         transcript.append(rec)
         return phibar, gamma_here
     # interior: slice and recurse
-    sl = make_slice(tc, bd, phi_n, t)
+    sl = make_slice(bd, phi_n, t)
     rec = dict(depth=depth, l=l, case="interior", t=t, phi=phi_n,
                interval=(lo, hi), w=w, w_minus=-lo,
                w_plus=hi, lam=sl.lam, new_rays=sl.new_rays,
@@ -458,8 +457,8 @@ def _search(tc, bd, t, transcript, depth):
                slice_mld=sl.mld1, width_gt_one=bool(w > 1),
                slice_u_ok=True, invariant_point_ok=True)
     transcript.append(rec)
-    phibar0, gamma1 = _search(sl.tc1, sl.bd1, t * sl.lam, transcript, depth + 1)
-    phibar, gamma_here, tr, scale = lift_hyperplane(tc, bd, sl, phibar0, gamma1)
+    phibar0, gamma1 = _search(sl.bd1, t * sl.lam, transcript, depth + 1)
+    phibar, gamma_here, tr, scale = lift_hyperplane(bd, sl, phibar0, gamma1)
     rec.update(q=tr.q, branch=tr.branch, descent_scale=scale,
                gamma=gamma_here, phibar=phibar)
     return phibar, gamma_here
@@ -473,14 +472,14 @@ def find_hyperplane(tc, pair):
     verify_certificate and satisfy gamma >= gamma(d, mld).
     """
     bd = analyze(tc, pair)
-    a = mld_over_fiber(tc, bd)
+    a = mld_over_fiber(bd)
     if a is None:
         raise PairError("mld over the fiber is not positive")
     transcript = []
-    phibar, gamma_val = _search(tc, bd, a, transcript, 0)
+    phibar, gamma_val = _search(bd, a, transcript, 0)
     cert = HyperplaneCertificate(phibar, gamma_val, a, tc.rank,
                                  tuple(transcript))
-    ok, reasons = _check_certificate(tc, bd, a, cert)
+    ok, reasons = _check_certificate(bd, a, cert)
     if not ok:
         raise SearchError("internal: produced certificate fails verification: %s"
                           % "; ".join(reasons))
@@ -501,11 +500,11 @@ def verify_certificate(tc, pair, cert):
     mld = None
     # mld_over_fiber refuses dim Y = 0, where every phi_bar is zero
     if tc.base_rank > 0 and is_glc(bd):
-        mld = mld_over_fiber(tc, bd)
-    return _check_certificate(tc, bd, mld, cert)
+        mld = mld_over_fiber(bd)
+    return _check_certificate(bd, mld, cert)
 
 
-def _check_certificate(tc, bd, mld, cert):
+def _check_certificate(bd, mld, cert):
     """Check a certificate against the box data bd and the mld of the pair.
 
     Returns (ok, reasons).  Checks: phi_bar is an integer vector of the
@@ -514,6 +513,7 @@ def _check_certificate(tc, bd, mld, cert):
     the mld is positive and gamma >= gamma(d, mld); the stored mld and
     dimension match.
     """
+    tc = bd.tc
     reasons = []
     try:
         phibar = _int_vector(cert.phi_bar, "phi_bar")

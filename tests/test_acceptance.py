@@ -85,15 +85,15 @@ def test_criterion_2_worked_germs(a1_germ, a2_germ, a3_germ, cax4_germ):
     checks = []
     for tc, d in ((a1_germ, 1), (a2_germ, 2), (a3_germ, 3)):
         bd = analyze(tc, zero_pair(tc))
-        assert mld_over_fiber(tc, bd) == d
+        assert mld_over_fiber(bd) == d
         checks.append("mld(A^%d) = %d" % (d, d))
     for a in (F(1, 3), F(1, 2), F(2, 3)):
         bd = analyze(a1_germ, a1_pair(a1_germ, a))
-        assert mld_over_fiber(a1_germ, bd) == a
-        assert lct_pullback(a1_germ, bd, (1,)) == a
+        assert mld_over_fiber(bd) == a
+        assert lct_pullback(bd, (1,)) == a
     checks.append("A^1 family: mld = lct = a for a in {1/3, 1/2, 2/3}")
     bdc = analyze(cax4_germ, zero_pair(cax4_germ))
-    assert mld_over_fiber(cax4_germ, bdc) == 2
+    assert mld_over_fiber(bdc) == 2
     checks.append("mld(z4^2 = z1 z2 z3) = 2")
     _ok(2, "; ".join(checks))
 
@@ -127,7 +127,7 @@ def test_criterion_3_end_to_end(end_to_end):
     interior_levels = 0
     for name, tc, pair, bd, cert in end_to_end:
         assert cert.gamma >= gamma(tc.rank, cert.mld), name
-        assert lct_pullback(tc, bd, cert.phi_bar) >= cert.gamma, name
+        assert lct_pullback(bd, cert.phi_bar) >= cert.gamma, name
         assert content(cert.phi_bar) == 1
         interior_levels += sum(1 for r in cert.transcript
                                if r["case"] == "interior")
@@ -158,8 +158,8 @@ def test_criterion_4_oracle_equivalence():
     for name in CORPUS:
         tc, pair, _obj = load_corpus(name)
         bd = analyze(tc, pair)
-        value, witness = oracle_mld(tc, bd, ORACLE_RADII[name])
-        assert mld_over_fiber(tc, bd) == value, name
+        value, witness = oracle_mld(bd, ORACLE_RADII[name])
+        assert mld_over_fiber(bd) == value, name
         assert log_discrepancy(bd, witness) == value
     _ok(4, "mld equals the brute-force oracle on all %d corpus instances "
            "(radii %s)" % (len(CORPUS), sorted(set(ORACLE_RADII.values()))))
@@ -271,7 +271,7 @@ def test_criterion_7_duality_suite(end_to_end):
             if not is_zero(phibar):
                 functionals.add(phibar)
         for phibar in functionals:
-            assert a >= lct_pullback(tc, bd, phibar), (name, phibar)
+            assert a >= lct_pullback(bd, phibar), (name, phibar)
             tested += 1
     _ok(7, "double polar fixed point (40 cases), support additivity "
            "(60 cases), and mld >= lct on %d functionals across all "

@@ -180,7 +180,7 @@ def test_mld_matches_reference_on_corpus_and_acceptance_seeds():
     positive = 0
     for name, tc, bd in cases:
         expect = reference_mld(tc, bd)
-        assert mld_over_fiber(tc, bd) == expect, name
+        assert mld_over_fiber(bd) == expect, name
         positive += expect is not None
     assert positive >= 20
 
@@ -189,7 +189,7 @@ def test_mld_matches_reference_on_corpus_and_acceptance_seeds():
 @given(st.integers(min_value=2000, max_value=2149))
 def test_mld_matches_reference_on_drawn_generator_seeds(seed):
     for name, tc, bd in _generated([seed]):
-        assert mld_over_fiber(tc, bd) == reference_mld(tc, bd), name
+        assert mld_over_fiber(bd) == reference_mld(tc, bd), name
 
 
 @pytest.fixture()
@@ -214,7 +214,7 @@ def test_near_boundary_a3_enumerates_one_point(counted_enumerator, d):
     tc = germ(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)], identity(3))
     pair = make_pair(tc.fan, (1 - F(1, d), 1 - F(1, d), 0), [(0, 0, 0)])
     bd = analyze(tc, pair)
-    assert mld_over_fiber(tc, bd) == 1 + F(2, d)
+    assert mld_over_fiber(bd) == 1 + F(2, d)
     assert counted_enumerator == [1]
 
 
@@ -222,7 +222,7 @@ def test_mld_needs_the_witness_point(monkeypatch, a2_germ):
     bd = analyze(a2_germ, zero_pair(a2_germ))
     monkeypatch.setattr(toricmld.pairs, "integer_points", lambda dim, ineqs: iter(()))
     with pytest.raises(toricmld.pairs.PairError, match="witness point must be enumerated"):
-        mld_over_fiber(a2_germ, bd)
+        mld_over_fiber(bd)
 
 
 def random_polytopes_with_origin(rng, count):
@@ -326,7 +326,7 @@ def test_mld_calls_gauge_once_and_matches_reference(counted_gauge_rows):
     scanned = 0
     for name, tc, bd in cases:
         counted_gauge_rows[0] = 0
-        got = mld_over_fiber(tc, bd)
+        got = mld_over_fiber(bd)
         assert counted_gauge_rows[0] == (bd.l > 0), name
         assert got == reference_mld(tc, bd), name
         scanned += got is not None
@@ -344,7 +344,7 @@ def test_mld_matches_reference_on_interior_seeds():
     for name, tc, bd in _generated(INTERIOR_SEEDS):
         expect = reference_mld(tc, bd)
         assert expect is not None, name
-        assert mld_over_fiber(tc, bd) == expect, name
+        assert mld_over_fiber(bd) == expect, name
 
 
 @pytest.mark.parametrize("seed, points", [(271, 941), (362, 31), (159, 39), (82, 3)])
@@ -352,7 +352,7 @@ def test_mld_bound_cuts_the_interior_seed_enumerations(counted_enumerator, seed,
     # bounded by the witness's gauge alone these were 3643, 3236, 1220 and 416
     for _name, tc, bd in _generated([seed]):
         counted_enumerator.clear()   # the generator runs the mld of what it returns
-        mld_over_fiber(tc, bd)
+        mld_over_fiber(bd)
     assert counted_enumerator == [points]
 
 
@@ -365,5 +365,5 @@ def test_mld_bound_skips_points_that_are_not_candidates(counted_enumerator, a2_g
     proj, up = bd.quotient
     rows = _gauge_rows(up)
     assert _gauge_ratio(rows, apply_hom(proj, (1, 0))) == (1, d)
-    assert mld_over_fiber(a2_germ, bd) == 1 + F(1, d)
+    assert mld_over_fiber(bd) == 1 + F(1, d)
     assert counted_enumerator == [1]

@@ -40,14 +40,14 @@ def reference_random_instance(seed):
             normals = [tuple(sum(d[i] * pi[i][j] for i in range(nbar))
                              for j in range(n)) for d in sigma_bar.dual_rays]
             support = cone_from_normals(n, normals)
-            fan = _build_fan(rng, support, n)
+            fan = _build_fan(rng, support)
             tc = make_contraction(fan, pi, sigma_bar.generators)
             validate_contraction(tc)
             pair = _candidate_pair(rng, tc)
             bd = analyze(tc, pair)
             if not is_glc(bd):
                 raise PairError("sampled pair not g-lc")
-            if mld_over_fiber(tc, bd) is None:
+            if mld_over_fiber(bd) is None:
                 raise PairError("sampled pair has non-positive mld")
             return tc, pair, {"seed": seed, "attempts": attempt + 1,
                               "rank": n, "base_rank": nbar}
@@ -71,7 +71,7 @@ def _fields(cone):
 
 
 def _assert_split_matches_reference(cone, pointed, cov, n):
-    got = _split(cone, pointed, cov, n)
+    got = _split(cone, pointed, cov)
     want = reference_split(cone, cov, n)
     assert [_fields(c) for c, _pointed in got] == [_fields(c) for c in want], (cone, cov)
     assert [p for _c, p in got] == [c.is_pointed() for c in want], (cone, cov)
@@ -82,9 +82,9 @@ def _recorded_splits(monkeypatch, seeds):
     """Every (piece, pointed, covector, rank) that `_build_fan` splits for the seeds."""
     seen = []
 
-    def recording_split(cone, pointed, cov, n):
-        seen.append((cone, pointed, cov, n))
-        return _split(cone, pointed, cov, n)
+    def recording_split(cone, pointed, cov):
+        seen.append((cone, pointed, cov, cone.dim))
+        return _split(cone, pointed, cov)
 
     monkeypatch.setattr(generator, "_split", recording_split)
     for seed in seeds:
@@ -207,7 +207,7 @@ def test_instances_satisfy_hypotheses():
         validate_contraction(tc)
         bd = analyze(tc, pair)
         assert is_glc(bd)
-        assert mld_over_fiber(tc, bd) is not None
+        assert mld_over_fiber(bd) is not None
         assert 1 <= tc.rank <= 3 and 1 <= tc.base_rank <= tc.rank
 
 

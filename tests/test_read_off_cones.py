@@ -82,9 +82,9 @@ def test_read_off_cones_and_the_l1_width_pick_match_the_former_derivations(monke
     real_search = toricmld.search._search
     searched = []
 
-    def recording(tc, bd, t, transcript, depth):
-        out = real_search(tc, bd, t, transcript, depth)
-        searched.append((tc, bd, t, depth, transcript[-1] if bd.l == 1 else None, out))
+    def recording(bd, t, transcript, depth):
+        out = real_search(bd, t, transcript, depth)
+        searched.append((bd.tc, bd, t, depth, transcript[-1] if bd.l == 1 else None, out))
         return out
 
     monkeypatch.setattr(toricmld.search, "_search", recording)
@@ -93,7 +93,7 @@ def test_read_off_cones_and_the_l1_width_pick_match_the_former_derivations(monke
         bd = analyze(tc, pair)
         assert_read_off_matches_reference(tc, bd, name)
         cases += 1
-        if mld_over_fiber(tc, bd) is None:
+        if mld_over_fiber(bd) is None:
             continue
         searched.clear()
         find_hyperplane(tc, pair)

@@ -58,6 +58,19 @@ def test_gamma_values():
     assert gamma(1, F(7, 5)) == F(7, 5)
 
 
+@pytest.mark.parametrize("d", [2.5, F(5, 2), 2.9, F(3, 2), 0, -1.0, float("inf"), float("nan")])
+def test_gamma_refuses_a_dimension_that_is_not_an_integer_at_least_one(d):
+    with pytest.raises(ValueError, match="gamma needs an integer d >= 1"):
+        gamma(d, 1)
+    with pytest.raises(ValueError, match="gamma_closed needs an integer d >= 1"):
+        gamma_closed(d, 1)
+
+
+def test_gamma_accepts_a_dimension_equal_to_an_integer():
+    assert gamma(2.0, 1) == gamma_closed(2.0, 1) == gamma(F(2), 1) == F(1, 4)
+    assert gamma(3.0, 1) == gamma_closed(3.0, 1) == F(1, 324)
+
+
 def test_gamma_recursion_matches_closed_form():
     rng = random.Random(61)
     for d in range(1, 7):
@@ -114,13 +127,13 @@ def test_lc_places(a1_germ, a2_germ, halfplane_germ):
 
 def test_width_example_prefers_boundary():
     up = from_generators(2, [(0, 0), (1, -1), (0, 1), (-1, 1)])
-    wr = width_functional(up, 1, 2)
+    wr = width_functional(up, 1)
     assert wr.phi == (1, 1) and (wr.lo, wr.hi) == (0, 1) and wr.w == 1
 
 
 def test_width_example_tiebreak():
     up = from_generators(2, [(0, 0), (1, 0), (0, 1)])
-    wr = width_functional(up, 2, 2)
+    wr = width_functional(up, 2)
     assert wr.phi in ((1, 0), (0, 1))
     assert wr.phi == (1, 0)  # colex tie-break
     assert wr.w == 1
@@ -129,14 +142,14 @@ def test_width_example_tiebreak():
 def test_width_rank_one():
     for a in (F(1, 2), F(2, 3)):
         up = from_generators(1, [(0,), (1 / a,)])
-        wr = width_functional(up, a, 1)
+        wr = width_functional(up, a)
         assert wr.phi == (1,) and wr.w == 1 / a
 
 
 def test_width_skips_boundary_functional_below_gamma():
     # (1, 0) is a boundary functional on [0, 2], but 1/2 < gamma(2, 3/2) = 9/16
     up = from_generators(2, [(0, 0), (2, 0), (0, 1), (0, -1)])
-    wr = width_functional(up, F(3, 2), 2)
+    wr = width_functional(up, F(3, 2))
     assert wr.phi == (0, 1) and (wr.lo, wr.hi) == (-1, 1)
     assert not wr.boundary
 
@@ -144,7 +157,7 @@ def test_width_skips_boundary_functional_below_gamma():
 def test_width_bound_violated():
     up = from_generators(2, [(0, 0), (9, 0), (0, 9)])
     with pytest.raises(SearchError, match="width bound"):
-        width_functional(up, 40, 2)
+        width_functional(up, 40)
 
 
 def _whole_level_pick(up, t, l):
@@ -193,9 +206,9 @@ def test_width_pick_that_stops_early_matches_the_whole_level_pick(l):
         ref, interior_first = _whole_level_pick(up, t, l)
         if ref is None:
             with pytest.raises(SearchError, match="width bound"):
-                width_functional(up, t, l)
+                width_functional(up, t)
             continue
-        assert width_functional(up, t, l) == ref, (pts, t)
+        assert width_functional(up, t) == ref, (pts, t)
         kinds.add("boundary" if ref.boundary else "interior")
         if interior_first:
             kinds.add("boundary after interior")
@@ -232,7 +245,7 @@ def test_covector_level_matches_the_sorted_set(l):
 def test_width_satisfiers_reject_unbounded_polyhedron():
     halfline = from_generators(1, [(F(0),)], [(1,)])
     with pytest.raises(PairError, match="compact nonempty"):
-        width_functional(halfline, 1, 1)
+        width_functional(halfline, 1)
 
 
 def test_subdivide_quadrant():
@@ -253,6 +266,14 @@ def test_subdivide_no_crossing():
     fan = make_fan(2, [(0, 1), (1, 0)], [(0, 1)])
     fan2, q = subdivide_fan(fan, (1, 1))
     assert q == {} and fan2.rays == fan.rays and fan2.max_cones == fan.max_cones
+
+
+@pytest.mark.parametrize("phi", [(1, -1, 7), (1,)])
+def test_subdivide_refuses_a_functional_of_the_wrong_length(phi):
+    fan = load_corpus("a2_identity")[0].fan
+    with pytest.raises(PairError, match="functional has %d entries but the fan has rank 2"
+                       % len(phi)):
+        subdivide_fan(fan, phi)
 
 
 def test_subdivide_three_dim():
@@ -338,7 +359,7 @@ def test_subdivide_fan_matches_the_reference():
         n = gen.choice((2, 3, 3))
         pi = _rand_unimodular(gen, n)[:gen.randint(1, n)]
         try:
-            fan = _build_fan(gen, pullback_cone(n, pi, _rand_sigma_bar(gen, len(pi))), n)
+            fan = _build_fan(gen, pullback_cone(n, pi, _rand_sigma_bar(gen, len(pi))))
             validate_fan(fan)
         except PairError:
             continue
@@ -443,8 +464,8 @@ def test_slice_wedge25(wedge25_germ):
     tc = wedge25_germ
     pair = wedge25_pair(tc)
     bd = analyze(tc, pair)
-    assert mld_over_fiber(tc, bd) == F(7, 25)
-    sl = make_slice(tc, bd, (1, 0), F(7, 25))
+    assert mld_over_fiber(bd) == F(7, 25)
+    sl = make_slice(bd, (1, 0), F(7, 25))
     assert sl.lam == F(1, 8) and sl.w == 8
     assert sl.mld1 == F(1, 25)
     assert sl.pair1.b_inv == (F(24, 25),)
@@ -460,7 +481,7 @@ def test_slice_rejects_a_functional_without_0_interior(wedge25_germ):
     bd = analyze(tc, wedge25_pair(tc))
     with pytest.raises(PairError, match="interior"):
         # the halfplane support direction has 0 on the boundary of phi(U)
-        make_slice(tc, bd, (0, 1), F(7, 25))
+        make_slice(bd, (0, 1), F(7, 25))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +534,7 @@ def test_find_wedge25_interior_recursion(wedge25_germ):
     # gamma = gamma1 / (lam w) with lam = 1/w collapses to gamma1
     assert cert.gamma == cert.transcript[1]["gamma"]
     bd = analyze(wedge25_germ, pair)
-    assert lct_pullback(wedge25_germ, bd, cert.phi_bar) >= cert.gamma
+    assert lct_pullback(bd, cert.phi_bar) >= cert.gamma
 
 
 def test_find_rejects_bad_inputs(a2_germ):
@@ -571,7 +592,7 @@ def test_certificate_never_overclaims(a1_germ, a2_germ, halfplane_germ,
     for tc, pair in cases:
         cert = find_hyperplane(tc, pair)
         bd = analyze(tc, pair)
-        assert lct_pullback(tc, bd, cert.phi_bar) >= cert.gamma
+        assert lct_pullback(bd, cert.phi_bar) >= cert.gamma
         assert content(cert.phi_bar) == 1
         assert all(dot(cert.phi_bar, g) >= 0 for g in tc.sigma_bar.generators)
 
@@ -585,9 +606,9 @@ def test_find_analyzes_the_germ_once(monkeypatch, wedge25_germ):
         calls.append(("analyze", tc, pair))
         return real_analyze(tc, pair)
 
-    def counted_mld(tc, bd):
-        calls.append(("mld", tc, bd))
-        return real_mld(tc, bd)
+    def counted_mld(bd):
+        calls.append(("mld", bd.tc, bd))
+        return real_mld(bd)
 
     monkeypatch.setattr(toricmld.search, "analyze", counted_analyze)
     monkeypatch.setattr(toricmld.search, "mld_over_fiber", counted_mld)
@@ -604,8 +625,8 @@ def test_find_analyzes_the_germ_once(monkeypatch, wedge25_germ):
 def test_find_keeps_its_internal_certificate_check(monkeypatch, a1_germ):
     real_search = toricmld.search._search
 
-    def weak_search(tc, bd, t, transcript, depth):
-        phibar, gamma_val = real_search(tc, bd, t, transcript, depth)
+    def weak_search(bd, t, transcript, depth):
+        phibar, gamma_val = real_search(bd, t, transcript, depth)
         return phibar, gamma_val / 10 ** 6
 
     monkeypatch.setattr(toricmld.search, "_search", weak_search)

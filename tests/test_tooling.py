@@ -89,7 +89,7 @@ def test_private_definition_scan_sees_a_leftover_helper():
                      "def _two_face_pairs(cone, n):\n    return []\n"
                      "class _Piece:\n    def __init__(self):\n        self._cut = _dd_cut\n"
                      "def subdivide_fan(fan, phi):\n    return _Piece()._cut(fan, phi)\n",
-        "polyhedra.py": "def _dd_cut(rays, facets, a, dim):\n    return None\n",
+        "polyhedra.py": "def _dd_cut(rays, facets, a):\n    return None\n",
     }
     assert _unread_private_definitions(sources) == [("search.py", 2, "_two_face_pairs")]
 
@@ -126,6 +126,35 @@ def test_reader_scan_sees_a_second_elimination():
     }
     assert _readers(sources, "_cancel") == [
         ("lattice.py", "_gauss_jordan"), ("polyhedra.py", None), ("polyhedra.py", "_start")]
+
+
+def _tc_and_bd_parameters(source, filename):
+    """(line, name) of each function or method with both a tc and a bd parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if {"tc", "bd"} <= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_no_function_takes_both_a_contraction_and_box_data():
+    """bd.tc is the contraction bd was analyzed on; a second tc beside it could differ."""
+    package = pathlib.Path(toricmld.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for line, name in _tc_and_bd_parameters(path.read_text(), str(path))]
+    assert found == []
+
+
+def test_tc_and_bd_scan_sees_planted_functions():
+    source = "def lct_pullback(tc, bd, phibar):\n    return phibar\n" \
+             "class Slice:\n    def lift(self, bd, *, tc=None):\n        return bd\n" \
+             "def mld_over_fiber(bd):\n    return bd.tc\n" \
+             "def analyze(tc, pair):\n    def inner(bd):\n        return tc\n    return inner\n"
+    assert _tc_and_bd_parameters(source, "planted.py") == [(1, "lct_pullback"), (4, "lift")]
 
 
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
@@ -166,7 +195,7 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         assert bool(bd.u.rays) == (name == 1025), name
         quotients += bool(bd.u.rays)
         calls[0] = 0
-        scanned += mld_over_fiber(tc, bd) is not None
+        scanned += mld_over_fiber(bd) is not None
         assert calls[0] == 0, name
     assert scanned >= 6 and quotients == 1
     tc, _pair, _obj = load_corpus("a2_identity")
@@ -190,29 +219,29 @@ def test_split_converts_only_the_halves_of_a_cut_pointed_piece(monkeypatch):
     square = make_cone(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
     for cov in [(0, 0, 1), (1, 1, 2), (1, 0, 1), (0, -1, -1)]:
         calls[0] = 0
-        assert _split(square, True, cov, 3) == [(square, True)]
+        assert _split(square, True, cov) == [(square, True)]
         assert calls[0] == 0, cov
     for cov in [(1, 0, 0), (1, 1, 0), (1, -1, 0), (2, 1, -1)]:
         calls[0] = 0
-        assert len(_split(square, True, cov, 3)) == 2
+        assert len(_split(square, True, cov)) == 2
         assert calls[0] == 2, cov
     wedge = cone_from_normals(3, [(1, 0, 0), (0, 1, 0)])
     for cov in [(0, 0, 1), (1, -1, 1), (2, 1, -1)]:
         calls[0] = 0
-        assert [pointed for _half, pointed in _split(wedge, False, cov, 3)] == [True, True]
+        assert [pointed for _half, pointed in _split(wedge, False, cov)] == [True, True]
         assert calls[0] == 2, cov
     slab = cone_from_normals(3, [(1, 0, 0)])
     calls[0] = 0
-    assert [pointed for _half, pointed in _split(slab, False, (0, 1, 1), 3)] == [False, False]
+    assert [pointed for _half, pointed in _split(slab, False, (0, 1, 1))] == [False, False]
     assert calls[0] == 2
 
 
 def test_a_generated_contraction_keeps_the_support_its_fan_was_cut_from(monkeypatch):
     started = []
 
-    def recording_build_fan(rng, support, n):
+    def recording_build_fan(rng, support):
         started.append(support)
-        return _build_fan(rng, support, n)
+        return _build_fan(rng, support)
 
     monkeypatch.setattr(toricmld.generator, "_build_fan", recording_build_fan)
     for seed in range(2000, 2004):
