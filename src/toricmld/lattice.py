@@ -12,6 +12,16 @@ them take an explicit ``ncols`` argument.
 Elimination over Q is one fraction-free Gauss-Jordan elimination,
 ``_gauss_jordan``, on integer rows: ``rational_rank``, ``solve_rational``
 and the start of the double description in ``polyhedra`` all run it.
+
+The leaf kernels, called about 10^4 times per pass of the certify
+benchmark, run in C-level builtins with no generator frame per entry:
+``is_zero`` is ``not any``, ``primitive`` and ``_cancel`` take one
+``gcd`` (``primitive`` returns the vector as a tuple when the gcd is 1), and
+``_as_integers`` scans for a non-int in an early-exit loop.  Their
+contract is ints in: ``_as_integers`` is where a Fraction row becomes an
+integer one, and ``gcd`` refuses Fractions in the others.  A kernel that
+compares lengths (``dot``, the membership tests in ``polyhedra``) does
+so once per call.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ def vec_scale(c, v):
 
 
 def is_zero(v):
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def identity(n):
@@ -83,7 +93,9 @@ def content(v):
 
 def primitive(v):
     """v divided by the gcd of its coordinates.  v must be nonzero."""
-    g = content(v)
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise LatticeError("primitive() of the zero vector")
     return tuple(a // g for a in v)
@@ -249,7 +261,7 @@ def _cancel(r, b, c):
     """b[c] r - r[c] b, which is 0 at column c, divided by its content."""
     p, q = b[c], r[c]
     r = [p * x - q * y for x, y in zip(r, b)]
-    g = content(r)
+    g = gcd(*r)
     return [x // g for x in r] if g > 1 else r
 
 
@@ -287,7 +299,10 @@ def _gauss_jordan(rows, ncols, slots=0):
 
 def _as_integers(r):
     """An int row as it is; a row with a Fraction entry times the lcm of its denominators."""
-    if all(isinstance(x, int) for x in r):
+    for x in r:
+        if not isinstance(x, int):
+            break
+    else:
         return r
     den = lcm(*(x.denominator for x in r))
     return [x.numerator * (den // x.denominator) for x in r]

@@ -378,13 +378,18 @@ def cartier_psi(tc, r):
 
 
 def is_f_nef(tc, r, psi):
-    """Toric relative nef test: each -psi_sigma lies in the section box.
+    """Toric relative nef test: each -psi_sigma lies in the section box."""
+    return _rows_f_nef(tc, r, map(_point_row, psi))
 
-    At the point row (x, q) of psi_sigma and r_e = n / d, the test
-    <psi_sigma, e> <= r_e reads x.e * d <= n * q, in integers.
+
+def _rows_f_nef(tc, r, psi_rows):
+    """`is_f_nef` on the point rows (x, q) of the psi_sigma.
+
+    At r_e = n / d, the test <psi_sigma, e> <= r_e reads x.e * d <= n * q,
+    in integers.
     """
     return all(dot(x[:-1], e) * re.denominator <= re.numerator * x[-1]
-               for x in map(_point_row, psi) for e, re in zip(tc.fan.rays, r))
+               for x in psi_rows for e, re in zip(tc.fan.rays, r))
 
 
 @dataclass(frozen=True)
@@ -418,7 +423,7 @@ class BoxData:
         return q.projection, Polyhedron(l, hpoints, rays, tuple(rows))
 
 
-def _nef_box_generators(tc, psi):
+def _nef_box_generators(tc, psi_rows):
     """(hpoints, rays) of box_{-K-B-D} = {m : <m, e> >= -r_e}, read off psi and the support.
 
     Let psi(v) = <psi_sigma, v> for v in sigma, so psi(e) = r_e on the
@@ -430,12 +435,15 @@ def _nef_box_generators(tc, psi):
     rays of sigma have rank n, and support^vee is pointed with the
     support's normals as its extreme rays.  Both come out as the double
     description of the rows would return them: distinct primitive point
-    rows, sorted, and the support's sorted primitive dual rays.  A fan of
-    rank 0 has no maximal cone; its box is M = R^0, the one point ().
+    rows, sorted, and the support's sorted primitive dual rays.  psi_rows
+    are the point rows (x, q) of the psi_sigma; the row of -psi_sigma is
+    (-x, q), primitive as (x, q) is.  A fan of rank 0 has no maximal cone;
+    its box is M = R^0, the one point ().
     """
     if not tc.rank:
         return ((1,),), ()
-    return tuple(sorted({_point_row(tuple(-x for x in p)) for p in psi})), tc.support.normals
+    return (tuple(sorted({tuple(-a for a in x[:-1]) + x[-1:] for x in psi_rows})),
+            tc.support.normals)
 
 
 def analyze(tc, pair):
@@ -447,7 +455,8 @@ def analyze(tc, pair):
     every point as an integer row (A's rows, `SupportSet.rows`, made once
     per set).  `_nef_box_generators` reads the generators of
     box_{-K-B-D} off the Cartier data and the support, with no double
-    description.  BoxData adds its polar u and l = n - dim sigma0, where
+    description; each psi_sigma becomes its point row once, for it and for
+    the f-nef test.  BoxData adds its polar u and l = n - dim sigma0, where
     the recession cone sigma0 of u is spanned by u's rays (cone(u) ==
     support keeps it in the support), so dim sigma0 is their rank.  When the box
     contains 0 (the g-lc case) and is full-dimensional and pointed, u is
@@ -463,9 +472,10 @@ def analyze(tc, pair):
     folded = fold_general(fan, pair)
     r = nef_values(fan, folded)
     psi = cartier_psi(tc, r)
-    if not is_f_nef(tc, r, psi):
+    psi_rows = tuple(map(_point_row, psi))
+    if not _rows_f_nef(tc, r, psi_rows):
         raise PairError("-(K+B+D) is not f-nef")
-    d_points, d_rays = _nef_box_generators(tc, psi)
+    d_points, d_rays = _nef_box_generators(tc, psi_rows)
     box = _from_hpoints(n, [_point_sum(g, h) for g in folded.bdiv_a.rows for h in d_points],
                         d_rays)
     u = _polar_raw(box)

@@ -25,6 +25,13 @@ cut of the generator's fan pieces and of `search.subdivide_fan`), and
 what lets `cone_from_facets` take the dual rays of a full-dimensional
 cone with known facets as those facets, with no second conversion.
 
+The membership tests (`Cone.contains`, `Cone.interior_contains`,
+`Polyhedron.contains`, `Polyhedron.contains_scaled`) are kernels with one
+contract: the stored rows are ints, the length of the vector is checked
+once per call with `dot`'s LatticeError (`_check_length`, also when the
+object has no rows), and a short-circuit loop then evaluates
+`sum(map(mul, a, x))` per row.
+
 Everything is exact (int and Fraction); there is no floating point anywhere.
 """
 
@@ -57,6 +64,12 @@ from .lattice import (
 
 class GeometryError(ValueError):
     pass
+
+
+def _check_length(dim, v):
+    """The membership kernels' one length check per call, with `dot`'s error."""
+    if len(v) != dim:
+        raise LatticeError("dimension mismatch: %d vs %d" % (dim, len(v)))
 
 
 def _integer_direction(v):
@@ -242,13 +255,23 @@ class Cone:
                                       for s in (l, tuple(-x for x in l)))
 
     def contains(self, v):
-        return (all(dot(d, v) >= 0 for d in self.dual_rays)
-                and all(dot(d, v) == 0 for d in self.dual_lines))
+        _check_length(self.dim, v)
+        for d in self.dual_rays:
+            if sum(map(mul, d, v)) < 0:
+                return False
+        for d in self.dual_lines:
+            if sum(map(mul, d, v)):
+                return False
+        return True
 
     def interior_contains(self, v):
         if not self.is_full_dim():
             raise GeometryError("interior test needs a full-dimensional cone")
-        return all(dot(d, v) > 0 for d in self.dual_rays)
+        _check_length(self.dim, v)
+        for d in self.dual_rays:
+            if sum(map(mul, d, v)) <= 0:
+                return False
+        return True
 
     def cone_dim(self):
         return self.dim - len(self.dual_lines)
@@ -324,9 +347,13 @@ class Polyhedron:
         return not self.hpoints
 
     def contains(self, x):
+        _check_length(self.dim, x)
         if self.empty:
             return False
-        return all(dot(a, x) >= c for a, c in self.ineqs)
+        for a, c in self.ineqs:
+            if sum(map(mul, a, x)) < c:
+                return False
+        return True
 
     def contains_scaled(self, t, v):
         """contains(t * v) for a rational t, in integers when v is integral.
@@ -334,10 +361,14 @@ class Polyhedron:
         With t = n / d and d > 0, a.(t v) >= c reads n (a.v) >= c d, so
         no Fraction point is built.
         """
+        _check_length(self.dim, v)
         if self.empty:
             return False
         n, d = t.numerator, t.denominator
-        return all(n * dot(a, v) >= c * d for a, c in self.ineqs)
+        for a, c in self.ineqs:
+            if n * sum(map(mul, a, v)) < c * d:
+                return False
+        return True
 
     def is_compact(self):
         return not self.rays
@@ -601,8 +632,7 @@ def gauge(p, x):
     compare lengths, so the dimension of x is checked here.
     """
     rows = _gauge_rows(p)
-    if len(x) != p.dim:
-        raise LatticeError("dimension mismatch: %d vs %d" % (p.dim, len(x)))
+    _check_length(p.dim, x)
     ratio = _gauge_ratio(rows, x)
     return None if ratio is None else Fraction(*ratio)
 

@@ -25,7 +25,7 @@ from toricmld.pairs import (
     nef_values,
     validate_contraction,
 )
-from toricmld.polyhedra import Polyhedron, _generators_from_ineqs, _integer_row
+from toricmld.polyhedra import Polyhedron, _generators_from_ineqs, _integer_row, _point_row
 
 ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + (5, 27, 82, 93, 119, 159, 271, 362)
 
@@ -85,7 +85,8 @@ def test_box_generators_and_the_quotient_by_zero_match_the_conversions():
     ranks = set()
     for name, (tc, pair) in _cases():
         bd = analyze(tc, pair)
-        assert _nef_box_generators(tc, bd.psi) == reference_nef_box_generators(tc, pair), name
+        psi_rows = tuple(map(_point_row, bd.psi))
+        assert _nef_box_generators(tc, psi_rows) == reference_nef_box_generators(tc, pair), name
         checked += 1
         ranks.add(tc.rank)
         if bd.l == 0:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import affine_dim
-from toricmld.lattice import content, dot, vec_add, vec_scale
+from toricmld.lattice import LatticeError, content, dot, vec_add, vec_scale
 from toricmld.polyhedra import (
     GeometryError,
     _polar_raw,
@@ -384,3 +384,58 @@ def test_cone_duality_basics():
     line = cone_from_normals(2, [(0, 1), (0, -1)])
     assert line.contains((7, 0)) and line.contains((-7, 0))
     assert not line.contains((0, 1))
+
+
+# ---------------------------------------------------------------------------
+# membership tests check the length once per call, with or without rows
+
+PLANE_GENERATORS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+def _raises_mismatch(dim, v):
+    return pytest.raises(LatticeError, match="dimension mismatch: %d vs %d" % (dim, len(v)))
+
+
+def test_cone_contains_refuses_a_wrong_length_without_rows():
+    plane = make_cone(2, PLANE_GENERATORS)
+    assert not plane.dual_rays and not plane.dual_lines
+    quad = make_cone(2, [(1, 0), (0, 1)])
+    for cone in (plane, quad):
+        for v in ((), (1,), (1, 2, 3)):
+            with _raises_mismatch(2, v):
+                cone.contains(v)
+    assert plane.contains((-3, 4)) and not quad.contains((-3, 4))
+
+
+def test_cone_interior_contains_refuses_a_wrong_length_without_rows():
+    plane = make_cone(2, PLANE_GENERATORS)
+    quad = make_cone(2, [(1, 0), (0, 1)])
+    for cone in (plane, quad):
+        for v in ((), (1, 2, 3)):
+            with _raises_mismatch(2, v):
+                cone.interior_contains(v)
+    assert plane.interior_contains((0, 0)) and not quad.interior_contains((0, 1))
+
+
+def test_polyhedron_contains_refuses_a_wrong_length_without_rows():
+    plane = from_inequalities(2, [])
+    assert not plane.ineqs and not plane.empty
+    empty = from_inequalities(2, [((0, 0), 1)])
+    square = from_generators(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    for p in (plane, empty, square):
+        for v in ((), (1, 2, 3)):
+            with _raises_mismatch(2, v):
+                p.contains(v)
+    assert plane.contains((7, -7)) and not empty.contains((0, 0)) and square.contains((1, 1))
+
+
+def test_polyhedron_contains_scaled_refuses_a_wrong_length_without_rows():
+    plane = from_inequalities(2, [])
+    empty = from_inequalities(2, [((0, 0), 1)])
+    square = from_generators(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    for p in (plane, empty, square):
+        for v in ((), (1, 2, 3)):
+            with _raises_mismatch(2, v):
+                p.contains_scaled(F(1, 2), v)
+    assert plane.contains_scaled(F(-3), (1, 1)) and square.contains_scaled(F(1, 2), (2, 2))
+    assert not empty.contains_scaled(F(1), (0, 0))
