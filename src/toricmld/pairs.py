@@ -377,14 +377,10 @@ def cartier_psi(tc, r):
     return tuple(psis)
 
 
-def is_f_nef(tc, r, psi):
-    """Toric relative nef test: each -psi_sigma lies in the section box."""
-    return _rows_f_nef(tc, r, map(_point_row, psi))
+def is_f_nef(tc, r, psi_rows):
+    """Toric relative nef test: each -psi_sigma lies in the section box.
 
-
-def _rows_f_nef(tc, r, psi_rows):
-    """`is_f_nef` on the point rows (x, q) of the psi_sigma.
-
+    psi_rows are the point rows (x, q) of the psi_sigma (`_point_row`).
     At r_e = n / d, the test <psi_sigma, e> <= r_e reads x.e * d <= n * q,
     in integers.
     """
@@ -473,7 +469,7 @@ def analyze(tc, pair):
     r = nef_values(fan, folded)
     psi = cartier_psi(tc, r)
     psi_rows = tuple(map(_point_row, psi))
-    if not _rows_f_nef(tc, r, psi_rows):
+    if not is_f_nef(tc, r, psi_rows):
         raise PairError("-(K+B+D) is not f-nef")
     d_points, d_rays = _nef_box_generators(tc, psi_rows)
     box = _from_hpoints(n, [_point_sum(g, h) for g in folded.bdiv_a.rows for h in d_points],

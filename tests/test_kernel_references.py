@@ -7,7 +7,10 @@ must give the same value, or raise the same error, on random int,
 Fraction, bool and list vectors, and the membership tests must agree on
 every fan ray and box point of the acceptance set.  The one intended
 difference, a wrong-length vector on an object with no rows, is tested
-in `test_polyhedra.py`.
+in `test_polyhedra.py`.  `_cancel` only inlines the `gcd` that
+`content` took; the elimination references in `test_lattice.py` and
+`test_simplicial_start.py` check it through `solve_rational` and
+`rational_rank`.
 """
 
 import random
@@ -18,7 +21,7 @@ import pytest
 
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
-from toricmld.lattice import LatticeError, _as_integers, _cancel, dot, is_zero, primitive
+from toricmld.lattice import LatticeError, _as_integers, dot, is_zero, primitive
 from toricmld.pairs import analyze
 from toricmld.polyhedra import GeometryError
 
@@ -42,13 +45,6 @@ def reference_as_integers(r):
         return r
     den = lcm(*(x.denominator for x in r))
     return [x.numerator * (den // x.denominator) for x in r]
-
-
-def reference_cancel(r, b, c):
-    p, q = b[c], r[c]
-    r = [p * x - q * y for x, y in zip(r, b)]
-    g = gcd(*r)
-    return [x // g for x in r] if g > 1 else r
 
 
 def reference_cone_contains(cone, v):
@@ -129,19 +125,6 @@ def test_primitive_of_the_zero_vector_raises_the_same_error():
     for zero in ((0, 0), [0], (False, False), ()):
         with pytest.raises(LatticeError, match="primitive\\(\\) of the zero vector"):
             primitive(zero)
-
-
-def test_cancel_matches_its_reference():
-    rng = random.Random(26)
-    for _ in range(2000):
-        n = rng.randint(1, 7)
-        scale = rng.choice((1, 1, 3, 10**12))
-        r = [rng.randint(-9, 9) * scale for _ in range(n)]
-        b = [rng.randint(-9, 9) * rng.choice((1, 2)) for _ in range(n)]
-        c = rng.randrange(n)
-        if not b[c]:
-            b[c] = rng.choice((-2, -1, 1, 3))
-        assert _cancel(list(r), b, c) == reference_cancel(list(r), b, c), (r, b, c)
 
 
 def _acceptance_set():

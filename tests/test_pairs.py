@@ -32,6 +32,7 @@ from toricmld.pairs import (
     validate_contraction,
 )
 from toricmld.polyhedra import (
+    _point_row,
     cone_from_normals,
     from_generators,
     make_cone,
@@ -363,10 +364,10 @@ def test_nef_failure_deterministic():
               [(1, 0), (0, 1)])
     good = nef_values(tc.fan, make_pair(tc.fan, (0, F(1, 2), 0), [(0, 0)]))
     psi = cartier_psi(tc, good)
-    assert is_f_nef(tc, good, psi)
+    assert is_f_nef(tc, good, map(_point_row, psi))
     bad = nef_values(tc.fan, make_pair(tc.fan, (1, F(1, 2), 1), [(0, 0)]))
     psib = cartier_psi(tc, bad)
-    assert not is_f_nef(tc, bad, psib)
+    assert not is_f_nef(tc, bad, map(_point_row, psib))
 
 
 def test_nef_failure_randomized_search():
@@ -379,7 +380,7 @@ def test_nef_failure_randomized_search():
         pair = make_pair(tc.fan, tuple(rng.choice(pool) for _ in range(3)),
                          [(0, 0)])
         r = nef_values(tc.fan, pair)
-        if not is_f_nef(tc, r, cartier_psi(tc, r)):
+        if not is_f_nef(tc, r, map(_point_row, cartier_psi(tc, r))):
             hits += 1
     assert hits > 0
 
@@ -391,7 +392,7 @@ def test_single_cone_always_nef(a3_germ):
         pair = make_pair(a3_germ.fan, tuple(rng.choice(pool) for _ in range(3)),
                          [(0, 0, 0)])
         r = nef_values(a3_germ.fan, pair)
-        assert is_f_nef(a3_germ, r, cartier_psi(a3_germ, r))
+        assert is_f_nef(a3_germ, r, map(_point_row, cartier_psi(a3_germ, r)))
 
 
 # ---------------------------------------------------------------------------

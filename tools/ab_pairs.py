@@ -3,9 +3,9 @@
     python3 tools/ab_pairs.py PARENT CHANGE --pairs 10 --seconds 20 --workload certify
 
 PARENT and CHANGE are two checkouts of this repository.  Each one runs
-its own `bench/run.py`, unchanged, with `--trace 0`.  Pair i runs the
-parent first when i is even and the change first when i is odd, so a
-drift of the machine's speed lands on both sides alike.
+its own `bench/run.py`, unchanged, with `--seed 1 --trace 0`.  Pair i
+runs the parent first when i is even and the change first when i is
+odd, so a drift of the machine's speed lands on both sides alike.
 
 Before any timing, the bytecode of both checkouts is levelled: each side
 gets its own `PYTHONPYCACHEPREFIX` in a temporary directory, its sources
@@ -17,11 +17,10 @@ when `PYTHONDONTWRITEBYTECODE` is set, which shows in `peak_rss_mb` and
 
 For each workload the script prints, per end-to-end metric of
 `BENCHMARK.json` (read from CHANGE): both medians and quartiles, the
-change of the median against its bound, and the wins of the change.  For
-the claimed metric (`--claim`, default `ops_per_s`) it also prints the
-claim rule: at least 9 wins in 10 pairs (`claim_holds`), and a median
-gap in the better direction wider than the parent's interquartile
-range.  Standard library only.
+change of the median against its bound, the wins of the change, and the
+claim rule in the metric's better direction: at least 9 wins in 10
+pairs, and a median gap wider than the parent's interquartile range
+(`claim_holds`).  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ import tempfile
 
 WIN_SHARE = 0.9
 MIN_PAIRS = 10
+SEED = 1
 
 
 def quartiles(values):
@@ -87,10 +87,10 @@ def _side_env(prefix):
     return env
 
 
-def run_bench(checkout, env, workload, seed, seconds):
+def run_bench(checkout, env, workload, seconds):
     """The metrics {name: value} of one `bench/run.py` run; raises on a failed run."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -102,16 +102,16 @@ def run_bench(checkout, env, workload, seed, seconds):
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
-def level_bytecode(checkout, env, workloads, seed):
+def level_bytecode(checkout, env, workloads):
     """Compile the checkout's sources under its prefix, then warm up every workload once."""
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
                    cwd=checkout, env=env, check=True)
     for w in workloads:
-        run_bench(checkout, env, w, seed, 0)
+        run_bench(checkout, env, w, 0)
 
 
-def report(workload, metrics, runs, claim):
-    """Print one workload's table, with the claim rule under the claimed metric."""
+def report(workload, metrics, runs):
+    """Print one workload's table, with the claim rule under each metric."""
     print("== %s: %d pairs" % (workload, len(runs["parent"])))
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -125,11 +125,10 @@ def report(workload, metrics, runs, claim):
               % (name, pq[1], pq[0], pq[2], cq[1], cq[0], cq[2], 100 * rel,
                  100 * m["bound"], ", WORSE" if worse > m["bound"] else "",
                  wins(parent, change, higher), len(parent)))
-        if name == claim:
-            holds, won, gap, iqr = claim_holds(parent, change, higher)
-            print("  claim %s: %d/%d wins (need %d of >= %d), median gap %.4g vs parent IQR "
-                  "%.4g: %s" % (name, won, len(parent), math.ceil(WIN_SHARE * len(parent)),
-                                MIN_PAIRS, gap, iqr, "holds" if holds else "does not hold"))
+        holds, won, gap, iqr = claim_holds(parent, change, higher)
+        print("    claim: %d/%d wins (need %d of >= %d), median gap %.4g vs parent IQR "
+              "%.4g: %s" % (won, len(parent), math.ceil(WIN_SHARE * len(parent)),
+                            MIN_PAIRS, gap, iqr, "holds" if holds else "does not hold"))
 
 
 def main(argv=None):
@@ -140,8 +139,6 @@ def main(argv=None):
                    help="workload to run (repeatable; default: every one in BENCHMARK.json)")
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--seconds", type=float, default=20)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--claim", default="ops_per_s", help="the metric the change claims to improve")
     p.add_argument("--out", help="write every run's metrics to this JSON file")
     args = p.parse_args(argv)
 
@@ -153,17 +150,16 @@ def main(argv=None):
     try:
         envs = {side: _side_env(os.path.join(tmp, side)) for side in sides}
         for side, checkout in sides.items():
-            level_bytecode(checkout, envs[side], workloads, args.seed)
+            level_bytecode(checkout, envs[side], workloads)
         record = {}
         for w in workloads:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_bench(sides[side], envs[side], w, args.seed,
-                                                args.seconds))
+                    runs[side].append(run_bench(sides[side], envs[side], w, args.seconds))
             record[w] = runs
-            report(w, bench["end_to_end"], runs, args.claim)
+            report(w, bench["end_to_end"], runs)
             if args.out:
                 with open(args.out, "w") as f:
                     json.dump({"args": vars(args), "runs": record}, f, indent=1)
