@@ -9,9 +9,15 @@ tuples paired against vectors with ``dot``.
 Empty matrices lose their column count, so the functions that can meet
 them take an explicit ``ncols`` argument.
 
-Elimination over Q is one fraction-free Gauss-Jordan elimination,
-``_gauss_jordan``, on integer rows: ``rational_rank``, ``solve_rational``
-and the start of the double description in ``polyhedra`` all run it.
+Elimination over Q picks the greedy independent rows of integer rows in
+one of two ways, chosen by the number n of columns.  For n <= 3, where
+nearly every call of the pipeline falls (germs of rank <= 3),
+``_small_base`` finds them by 2x2 minors, cross products and
+determinants, and returns the base's adjugate and determinant.  From
+n = 4 on, one fraction-free Gauss-Jordan elimination, ``_gauss_jordan``,
+runs.  ``rational_rank``, ``solve_rational`` (square systems only on the
+closed form; singular and non-square ones always eliminate) and the
+start of the double description in ``polyhedra`` all take this choice.
 
 The leaf kernels, called about 10^4 times per pass of the certify
 benchmark, run in C-level builtins with no generator frame per entry:
@@ -308,24 +314,88 @@ def _as_integers(r):
     return [x.numerator * (den // x.denominator) for x in r]
 
 
+def _small_base(rows, n):
+    """(base, adj, det) for n <= 3: the base `_gauss_jordan` keeps, in closed form.
+
+    base indexes the greedy independent rows over the first n columns:
+    the first nonzero row, then the first whose 2x2 minor (n = 2) or cross
+    product (n = 3) with it is nonzero, then the first whose determinant
+    with those two is nonzero.  Once n rows are kept, adj lists the
+    columns of their adjugate, column j zero on every base row but the
+    j-th, where it is det != 0; below n rows adj is None and det 0.
+    """
+    if n == 0:
+        return [], (), 1
+    it = enumerate(rows)
+    if n == 1:
+        for i, a in it:
+            if a[0]:
+                return [i], ((1,),), a[0]
+        return [], None, 0
+    if n == 2:
+        for i, a in it:
+            a0, a1 = a[0], a[1]
+            if a0 or a1:
+                for j, b in it:
+                    b0, b1 = b[0], b[1]
+                    d = a0 * b1 - a1 * b0
+                    if d:
+                        return [i, j], ((b1, -b0), (-a1, a0)), d
+                return [i], None, 0
+        return [], None, 0
+    for i, a in it:
+        a0, a1, a2 = a[0], a[1], a[2]
+        if a0 or a1 or a2:
+            for j, b in it:
+                b0, b1, b2 = b[0], b[1], b[2]
+                w = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+                if any(w):
+                    for k, c in it:
+                        c0, c1, c2 = c[0], c[1], c[2]
+                        d = c0 * w[0] + c1 * w[1] + c2 * w[2]
+                        if d:
+                            return [i, j, k], (
+                                (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
+                                (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0),
+                                w), d
+                    return [i, j], None, 0
+            return [i], None, 0
+    return [], None, 0
+
+
 def rational_rank(rows, ncols):
-    """Rank over Q of int or Fraction rows: the rows `_gauss_jordan` keeps."""
-    return len(_gauss_jordan([_as_integers(r) for r in rows], ncols)[0])
+    """Rank over Q of int or Fraction rows, scaled to integers by `_as_integers`.
+
+    The number of rows in the base: `_small_base` for ncols <= 3, the
+    rows `_gauss_jordan` keeps from ncols = 4 on.
+    """
+    rows = map(_as_integers, rows)
+    if ncols <= 3:
+        return len(_small_base(rows, ncols)[0])
+    return len(_gauss_jordan(rows, ncols)[0])
 
 
 def solve_rational(rows, rhs, ncols):
     """One exact solution x of rows.x = rhs, or None if inconsistent.
 
     Free variables are set to 0, so the result is deterministic.  Each
-    row of [rows | rhs] is scaled to integers (`_as_integers`), and
-    `_gauss_jordan` pivots over all ncols + 1 columns: a pivot in the rhs
-    column means 0 = nonzero.  Otherwise each kept row with pivot c reads
+    row of [rows | rhs] is scaled to integers (`_as_integers`).  A square
+    system of ncols <= 3 unknowns whose `_small_base` is full has the one
+    solution adj.rhs / det, one Fraction per coordinate.  Any other
+    system (singular, not square, or ncols >= 4) goes to `_gauss_jordan`,
+    which pivots over all ncols + 1 columns: a pivot in the rhs column
+    means 0 = nonzero.  Otherwise each kept row with pivot c reads
     d x[c] + (free variables) = rhs, a nonzero multiple of the row that
     elimination over Q leaves, so x[c] = rhs / d is the only Fraction
     built.
     """
-    _base, kept = _gauss_jordan(
-        (_as_integers(tuple(r) + (b,)) for r, b in zip(rows, rhs)), ncols + 1)
+    aug = [_as_integers(tuple(r) + (b,)) for r, b in zip(rows, rhs)]
+    if ncols <= 3 and len(aug) == ncols:
+        _base, adj, det = _small_base(aug, ncols)
+        if adj is not None:
+            return tuple(Fraction(sum(col[i] * r[ncols] for col, r in zip(adj, aug)), det)
+                         for i in range(ncols))
+    _base, kept = _gauss_jordan(aug, ncols + 1)
     x = [Fraction(0)] * ncols
     for c, r in kept:
         if c == ncols:

@@ -10,12 +10,13 @@ and a caller's rational point in `_point_row`; the readers compare ratios
 by cross-multiplying, and Fraction points exist only as the `points` view
 of the public API.  Conversion runs through a single primitive, the
 double description of a cone given by homogeneous integer inequalities,
-in integer arithmetic only: `lattice._gauss_jordan`, the fraction-free
-Gauss-Jordan elimination behind `rational_rank` and `solve_rational`,
-picks the start rows and gives the start rays, and two rays are combined
-iff their common zero set over the processed rows has at least dim-2
-rows and lies in no third ray's zero set (the combinatorial adjacency
-test).  The rays come out primitive and sorted, so the result is
+in integer arithmetic only: the kernel behind `rational_rank` and
+`solve_rational` picks the start rows and gives the start rays (the
+closed form `lattice._small_base` in dimension <= 3, the fraction-free
+Gauss-Jordan elimination `lattice._gauss_jordan` from dimension 4 on),
+and two rays are combined iff their common zero set over the processed
+rows has at least dim-2 rows and lies in no third ray's zero set (the
+combinatorial adjacency test).  The rays come out primitive and sorted, so the result is
 deterministic; that is what lets `_polar_raw` read the polar of a
 full-dimensional pointed polyhedron containing 0 off its stored rows
 with no conversion at all, what lets `_dd_cut` cut a pointed
@@ -47,6 +48,7 @@ from .lattice import (
     LatticeError,
     _as_integers,
     _gauss_jordan,
+    _small_base,
     apply_hom,
     compose_covector,
     content,
@@ -108,10 +110,21 @@ def _integer_row(a, c):
 def _simplicial_start(rows, dim):
     """(base, rays): the greedy independent rows and the start rays of the double description.
 
-    `lattice._gauss_jordan` with a slot per base row: kept row k then
-    reads M_k B = d_k e_c for the base matrix B, so the rays, the primitive
-    columns of B^-1, are lcm(d) M_k / d_k at c; rays is None below dim rows.
+    The rays are the primitive columns of B^-1 for the base matrix B, so
+    ray j is zero on every base row but the j-th; rays is None below dim
+    rows.  For dim <= 3, `lattice._small_base` gives B's adjugate and
+    determinant in closed form, and the rays are the primitive columns of
+    sign(det) adj.  From dim = 4 on, `lattice._gauss_jordan` runs with a
+    slot per base row: kept row k then reads M_k B = d_k e_c, so the rays
+    are the primitive columns of lcm(d) M_k / d_k at c.
     """
+    if dim <= 3:
+        base, adj, det = _small_base(rows, dim)
+        if adj is None:
+            return base, None
+        if det < 0:
+            adj = [tuple(-x for x in col) for col in adj]
+        return base, [primitive(col) for col in adj]
     base, kept = _gauss_jordan(rows, dim, dim)
     if len(base) < dim:
         return base, None
@@ -283,9 +296,16 @@ class Cone:
         return rational_rank(self.dual_rays + self.dual_lines, self.dim) == self.dim
 
     def __eq__(self, other):
+        if not isinstance(other, Cone):
+            return NotImplemented
         return (self.dim == other.dim
                 and all(self.contains(g) for g in other.generators)
                 and all(other.contains(g) for g in self.generators))
+
+    def __hash__(self):
+        # `==` is set equality, so only what equal cones share may be hashed,
+        # not the stored generators
+        return hash((self.dim, self.cone_dim()))
 
 
 def make_cone(dim, generators):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import toricmld.lattice
 from toricmld.lattice import (
     LatticeError,
     Sublattice,
@@ -304,21 +305,64 @@ def _random_system(rng, kind):
     return [tuple(rows[i]) for i in order], [rhs[i] for i in order], nc
 
 
-@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient", "fraction"])
-def test_solve_rational_matches_the_fraction_elimination(kind):
+def _square_system(rng):
+    """A seeded system of 1-3 equations in as many unknowns: int entries up to
+    10^12 or Fractions, singular about half the time, with a rhs off the
+    row space now and then."""
+    nc = rng.randint(1, 3)
+    lim = rng.choice((4, 10 ** 12))
+    fraction = rng.random() < 0.3
+
+    def entry():
+        x = rng.randint(-lim, lim)
+        return F(x, rng.randint(1, 5)) if fraction else x
+
+    rows = [[entry() for _ in range(nc)] for _ in range(nc)]
+    if rng.random() < 0.5:
+        # one row a combination of the others (0 when nc = 1)
+        rows[-1] = [sum(rng.randint(-2, 2) * r[k] for r in rows[:-1]) for k in range(nc)]
+    x0 = [entry() for _ in range(nc)]
+    rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
+    if rng.random() < 0.3:
+        rhs[-1] += 1
+    order = list(range(nc))
+    rng.shuffle(order)
+    return [tuple(rows[i]) for i in order], [rhs[i] for i in order], nc
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient", "fraction",
+                                  "square"])
+def test_solve_rational_matches_the_fraction_elimination(kind, monkeypatch):
+    """A square system of at most 3 unknowns is solved in closed form when it
+    is nonsingular and by `_gauss_jordan` when it is singular."""
+    eliminations = [0]
+    real = toricmld.lattice._gauss_jordan
+
+    def counted(*args):
+        eliminations[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(toricmld.lattice, "_gauss_jordan", counted)
     rng = random.Random(83)
-    outcomes = set()
+    outcomes, paths = set(), set()
     for _ in range(150):
-        rows, rhs, nc = _random_system(rng, kind)
+        rows, rhs, nc = _square_system(rng) if kind == "square" else _random_system(rng, kind)
+        eliminations[0] = 0
         got = solve_rational(rows, rhs, nc)
         assert got == reference_solve_rational(rows, rhs, nc), (rows, rhs)
+        if kind == "square":
+            assert eliminations[0] == (det(rows) == 0), (rows, rhs)
+            paths.add(eliminations[0])
         if got is None:
             outcomes.add("none")
             continue
         assert all(type(x) is F for x in got)
         assert all(sum(a * b for a, b in zip(r, got)) == b for r, b in zip(rows, rhs))
         outcomes.add("solved")
-    assert outcomes == ({"none"} if kind == "inconsistent" else {"solved"})
+    if kind == "square":
+        assert outcomes == {"none", "solved"} and paths == {0, 1}
+    else:
+        assert outcomes == ({"none"} if kind == "inconsistent" else {"solved"})
 
 
 @pytest.mark.parametrize("where", ["last", "second"])

@@ -386,6 +386,23 @@ def test_cone_duality_basics():
     assert not line.contains((0, 1))
 
 
+def test_equal_cones_with_different_generators_hash_alike():
+    a = make_cone(2, [(1, 0), (0, 1)])
+    b = make_cone(2, [(1, 0), (0, 1), (1, 1)])
+    assert a.generators != b.generators
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({a, make_cone(2, [(1, 0), (1, 1)])}) == 2
+
+
+def test_cone_compared_with_a_non_cone_is_unequal():
+    quad = make_cone(2, [(1, 0), (0, 1)])
+    assert quad != None  # noqa: E711
+    assert not (quad == None)  # noqa: E711
+    assert quad != ((0, 1), (1, 0)) and quad != "quad"
+    assert quad not in [None, 0, quad.generators]
+
+
 # ---------------------------------------------------------------------------
 # membership tests check the length once per call, with or without rows
 

@@ -1,8 +1,9 @@
 """The simplicial start of the double description: one elimination gives base and rays.
 
 `_simplicial_start` picks the greedy independent rows and the columns
-of their inverse in one fraction-free Gauss-Jordan elimination,
-`lattice._gauss_jordan`.  These tests check its base against
+of their inverse: in closed form in dimension <= 3 (`lattice._small_base`),
+in one fraction-free Gauss-Jordan elimination, `lattice._gauss_jordan`,
+from dimension 4 on.  These tests check its base against
 `reference_independent_rows`, the integer echelon `rational_rank` ran
 before the elimination was shared, kept here verbatim; `rational_rank`
 against a Fraction elimination; the rays against the inverse they stand
@@ -76,10 +77,12 @@ def _mixed_rows(rng):
 def test_start_base_is_the_greedy_independent_subset():
     rng = random.Random(8008)
     full = short = 0
+    reached = set()
     for _ in range(1500):
         rows, dim = _mixed_rows(rng)
         base, rays = _simplicial_start(rows, dim)
         assert base == reference_independent_rows(rows, dim), (rows, dim)
+        reached.add((dim, rays is not None))
         if rays is None:
             assert len(base) < dim
             short += 1
@@ -92,6 +95,8 @@ def test_start_base_is_the_greedy_independent_subset():
             values = [dot(rows[i], ray) for i in base]
             assert values[j] > 0 and not any(values[:j] + values[j + 1:]), (rows, dim)
     assert full >= 300 and short >= 300, (full, short)
+    # the closed form of dimensions 1-3 meets full and deficient bases alike
+    assert {(d, f) for d in (1, 2, 3) for f in (True, False)} <= reached
 
 
 def test_rational_rank_matches_the_fraction_elimination():

@@ -2,15 +2,18 @@ import ast
 import importlib
 import inspect
 import pathlib
+import sys
 
 import toricmld
 import toricmld.generator
+import toricmld.lattice
 import toricmld.pairs
 import toricmld.polyhedra
 from toricmld.generator import _build_fan, _split, random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.pairs import analyze, is_glc, make_pair, mld_over_fiber
 from toricmld.polyhedra import cone_from_normals, make_cone
+from toricmld.search import find_hyperplane, verify_certificate
 
 
 def test_no_assert_statements_in_the_package():
@@ -110,7 +113,8 @@ def _readers(sources, name):
 
 def test_one_fraction_free_elimination_in_the_package():
     """The row cancellation is read only by lattice._gauss_jordan, so the
-    rank, the solver and the double-description start share one elimination."""
+    rank, the solver and the double-description start share one elimination
+    wherever they do not take the closed form of dimension <= 3."""
     package = pathlib.Path(toricmld.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert _readers(sources, "_cancel") == [("lattice.py", "_gauss_jordan")]
@@ -126,6 +130,37 @@ def test_reader_scan_sees_a_second_elimination():
     }
     assert _readers(sources, "_cancel") == [
         ("lattice.py", "_gauss_jordan"), ("polyhedra.py", None), ("polyhedra.py", "_start")]
+
+
+def test_dimension_at_most_3_takes_the_closed_form(monkeypatch):
+    """Over find + verify of the corpus, `lattice._gauss_jordan` sees no start
+    or rank in <= 3 columns and no square solve of <= 3 unknowns: those take
+    `lattice._small_base` (the corpus has no singular square solve, which
+    would eliminate).  The dimension-4 starts of the rank-3 germs' boxes
+    still eliminate, and only theirs."""
+    real = toricmld.lattice._gauss_jordan
+    calls = []
+
+    def counted(rows, ncols, slots=0):
+        rows = list(rows)
+        calls.append((sys._getframe(1).f_code.co_name, ncols, len(rows)))
+        return real(rows, ncols, slots)
+
+    monkeypatch.setattr(toricmld.lattice, "_gauss_jordan", counted)
+    monkeypatch.setattr(toricmld.polyhedra, "_gauss_jordan", counted)
+    ranks = set()
+    for name in CORPUS:
+        tc, pair, _obj = load_corpus(name)
+        calls.clear()
+        verify_certificate(tc, pair, find_hyperplane(tc, pair))
+        small = [(caller, ncols, nrows) for caller, ncols, nrows in calls
+                 if (caller in ("_simplicial_start", "rational_rank") and ncols <= 3)
+                 or (caller == "solve_rational" and nrows == ncols - 1 <= 3)]
+        assert small == [], name
+        starts = [ncols for caller, ncols, _nrows in calls if caller == "_simplicial_start"]
+        assert bool(starts) == (tc.rank == 3) and set(starts) <= {4}, (name, starts)
+        ranks.add(tc.rank)
+    assert ranks == {1, 2, 3}
 
 
 def _tc_and_bd_parameters(source, filename):
