@@ -17,7 +17,14 @@ own extreme rays and facets (`polyhedra._dd_cut`, as in
 it is, and a cut costs one `make_cone` per half, for the facets and the
 primitive crossing rays.  A piece with lines, met while the lineality of
 the support is split away, knows the facets of both halves, so each half
-costs one double description for its generators (`cone_from_facets`).
+is built from them (`cone_from_facets`) with no double description: its
+generators are converted when first read, which a half with lines never
+is (it is only split again and tested for being pointed), and a pointed
+half is, once, when it is cut again or the fan is assembled.  The
+support is built the same way, and an attempt rejected before anything
+reads its generators never converts it.  A covector is redrawn when it
+vanishes on the lines of the piece, tested as a rank over the piece's
+normals, with no kernel.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .lattice import (LatticeError, dot, identity, is_zero, kernel_basis,
-                      primitive, vec_add)
+from .lattice import (LatticeError, dot, identity, is_zero, primitive,
+                      rational_rank, vec_add)
 from .pairs import (
     PairError,
     ToricContraction,
@@ -90,8 +97,9 @@ def _split(cone, pointed, cov):
     the covector misses comes back as it is (the other side is a face of
     it), and a cut costs one `make_cone` per half.  A piece with lines
     must have a line on which cov is not 0, as `_build_fan` ensures; each
-    half is then built from its facets, the piece's and -/+cov, in one
-    double description.
+    half is then built from its facets, the piece's and -/+cov, by
+    `cone_from_facets`, which converts its generators only on their first
+    read: there is no double description here.
     """
     if pointed:
         halves = _dd_cut(cone.generators, cone.dual_rays, cov)
@@ -135,6 +143,11 @@ def _rand_covector(rng, n):
             return primitive(v)
 
 
+def _vanishes_on_lines(normals, cov, n):
+    """Whether cov vanishes on {x : a.x = 0 for a in normals}, i.e. lies in the normals' rational span."""
+    return rational_rank(normals + (cov,), n) == rational_rank(normals, n)
+
+
 def _build_fan(rng, support):
     """A fan with support the full-dimensional cone `support`, drawn from rng.
 
@@ -142,7 +155,10 @@ def _build_fan(rng, support):
     covector that vanishes on the lines of the first piece with lines is
     redrawn), then split them 0-2 more times, and at most one piece is
     stellarly subdivided.  Each piece carries whether it is pointed,
-    tested once when it is made.
+    tested once when it is made.  The lines of a piece are the common
+    kernel of its normals, so a covector vanishes on them exactly when it
+    lies in the normals' rational span: when adding it leaves their rank
+    as it is (`_vanishes_on_lines`).
     """
     n = support.dim
     pieces = [(support, support.is_pointed())]
@@ -154,10 +170,8 @@ def _build_fan(rng, support):
         guard += 1
         if guard > 60:
             raise PairError("fan generation stalled on a lineality split")
-        lines = list(bad.dual_lines)
-        lin = kernel_basis(tuple(list(bad.dual_rays) + lines), n)
         cov = _rand_covector(rng, n)
-        if all(dot(cov, l) == 0 for l in lin):
+        if _vanishes_on_lines(bad.dual_rays + bad.dual_lines, cov, n):
             continue
         pieces = [q for p in pieces for q in _split(*p, cov)]
     for _ in range(rng.randint(0, 2)):

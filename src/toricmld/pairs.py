@@ -214,8 +214,10 @@ def pullback_cone(rank, pi, sigma_bar):
     When sigma_bar is full-dimensional and pi has full row rank, pi maps
     R^rank onto the base, so the pulled-back facets of sigma_bar are
     exactly the facets of the full-dimensional preimage (sigma_bar's
-    normals are then its dual rays), and `cone_from_facets` builds it in
-    one double description.  Otherwise,
+    normals are then its dual rays), and `cone_from_facets` builds it
+    with no conversion: its generators take one double description on
+    their first read, which an attempt of the generator rejected before
+    `_cone_over_is` or validate_contraction never makes.  Otherwise,
     which only a contraction that validate_contraction rejects reaches,
     the cone is converted from all pulled-back normals.
     """

@@ -25,6 +25,8 @@ description, from the extreme rays and facets it already holds (the
 cut of the generator's fan pieces and of `search.subdivide_fan`), and
 what lets `cone_from_facets` take the dual rays of a full-dimensional
 cone with known facets as those facets, with no second conversion.
+Such a cone converts its generators only when they are first read, and
+then keeps them; `make_cone` stores them when it builds the cone.
 
 The membership tests (`Cone.contains`, `Cone.interior_contains`,
 `Polyhedron.contains`, `Polyhedron.contains_scaled`) are kernels with one
@@ -253,7 +255,10 @@ class Cone:
     """Rational polyhedral cone, generators plus cached dual generators.
 
     Built by make_cone, so dual_lines is an integer basis of the
-    orthogonal complement of the generators' span.
+    orthogonal complement of the generators' span, and the generators
+    are stored when the cone is built.  `cone_from_facets` builds one
+    from its facets instead, and converts its generators on their first
+    read (`_FacetCone`).
     """
 
     dim: int
@@ -326,18 +331,55 @@ def cone_from_normals(dim, normals):
     return make_cone(dim, _generators_of(normals, dim))
 
 
+class _ConvertedOnFirstRead:
+    """`_FacetCone.generators`: the first read converts the facets, once.
+
+    A descriptor with no __set__, so the value the first read stores on
+    the instance hides it from then on and a later read is a plain
+    attribute lookup.  It is stored by object.__setattr__, not through
+    `__dict__` as `cached_property` does: asking CPython for an object's
+    `__dict__` builds it, and reads of every attribute of that object
+    (`dual_rays` in `contains` among them) then take a slower path.
+    """
+
+    def __get__(self, cone, owner=None):
+        if cone is None:
+            return self
+        gens = tuple(sorted({primitive(g) for g in _generators_of(cone._facets, cone.dim)}))
+        object.__setattr__(cone, "generators", gens)
+        return gens
+
+
+class _FacetCone(Cone):
+    """A Cone built from its facets, whose generators are converted on their first read.
+
+    The conversion is the one double description of the rows as given.
+    """
+
+    generators = _ConvertedOnFirstRead()
+
+    def __init__(self, dim, facets):
+        # the fields a frozen dataclass's __init__ sets, all but `generators`
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dual_rays", tuple(sorted(primitive(tuple(a)) for a in facets)))
+        object.__setattr__(self, "dual_lines", ())
+        object.__setattr__(self, "_facets", tuple(facets))
+
+
 def cone_from_facets(dim, facets):
-    """Full-dimensional cone {x : <a, x> >= 0 for a in facets}, in one double description.
+    """Full-dimensional cone {x : <a, x> >= 0 for a in facets}, its generators built on first read.
 
     Precondition: the cone is full-dimensional and the rows are exactly
     its facet normals, none redundant and no two positive multiples of
     each other.  Its dual cone is then pointed with the rows as extreme
     rays, so `dual_rays` are the rows made primitive and sorted and
-    `dual_lines` is (), as `make_cone` would find them; only the
-    generators take a double description, fed the rows as given.
+    `dual_lines` is (), as `make_cone` would find them, with no
+    conversion.  Only the generators take a double description, fed the
+    rows as given, and only when they are first read: `contains`,
+    `is_pointed` and a cut by `_split` need none, and a cone whose
+    generators nothing reads is never converted.
     """
-    gens = sorted({primitive(g) for g in _generators_of(facets, dim)})
-    return Cone(dim, tuple(gens), tuple(sorted(primitive(tuple(a)) for a in facets)), ())
+    return _FacetCone(dim, facets)
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,38 @@ def test_lower_is_better_flips_wins_and_gap():
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         ab_pairs.claim_holds(PARENT, PARENT[:9], True)
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_refused_before_any_run(monkeypatch, capsys, pairs):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(ab_pairs, "run_bench", no_run)
+    monkeypatch.setattr(ab_pairs, "level_bytecode", no_run)
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main(["parent", "change", "--pairs", pairs])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+PER_LAYER = [{"name": "lattice.snf_calls", "unit": "count"},
+             {"name": "polyhedra.dd_s", "unit": "s"},
+             {"name": "generator.accept_ratio", "unit": "ratio"},
+             {"name": "search.slice_calls", "unit": "count"}]
+
+
+def test_layer_medians_take_the_median_and_flag_only_unequal_counts():
+    runs = [{"lattice.snf_calls": 56, "polyhedra.dd_s": 0.020, "generator.accept_ratio": 0.2},
+            {"lattice.snf_calls": 56, "polyhedra.dd_s": 0.031, "generator.accept_ratio": 0.2},
+            {"lattice.snf_calls": 56, "polyhedra.dd_s": 0.018, "generator.accept_ratio": 0.2}]
+    assert ab_pairs.layer_medians(runs, PER_LAYER) == {
+        "lattice.snf_calls": (56, False),
+        "polyhedra.dd_s": (0.020, False),
+        "generator.accept_ratio": (0.2, False),
+    }
+    runs[1]["lattice.snf_calls"] = 57
+    runs[2]["generator.accept_ratio"] = 0.25
+    medians = ab_pairs.layer_medians(runs, PER_LAYER)
+    assert medians["lattice.snf_calls"] == (56, True)
+    assert medians["generator.accept_ratio"] == (0.2, False)

@@ -241,8 +241,11 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
 
 def test_split_converts_only_the_halves_of_a_cut_pointed_piece(monkeypatch):
     """_split runs no double description on a pointed piece the covector
-    misses, and one per half, in make_cone, on a pointed piece it cuts;
-    on a piece with lines, one per half, in cone_from_facets."""
+    misses, and one per half, in make_cone, on a pointed piece it cuts.
+    On a piece with lines it runs none: each half comes from its facets
+    (cone_from_facets) and converts its generators once, on their first
+    read, whether it is pointed or has lines; testing it for being
+    pointed, membership and splitting it again read no generators."""
     calls = [0]
     real = toricmld.polyhedra.cone_from_inequalities
 
@@ -263,12 +266,24 @@ def test_split_converts_only_the_halves_of_a_cut_pointed_piece(monkeypatch):
     wedge = cone_from_normals(3, [(1, 0, 0), (0, 1, 0)])
     for cov in [(0, 0, 1), (1, -1, 1), (2, 1, -1)]:
         calls[0] = 0
-        assert [pointed for _half, pointed in _split(wedge, False, cov)] == [True, True]
-        assert calls[0] == 2, cov
+        halves = _split(wedge, False, cov)
+        assert [pointed for _half, pointed in halves] == [True, True]
+        assert calls[0] == 0, cov
+        for half, _pointed in halves:
+            assert half.generators and calls[0] == 1, cov
+            assert half.generators and calls[0] == 1, cov
+            calls[0] = 0
     slab = cone_from_normals(3, [(1, 0, 0)])
     calls[0] = 0
-    assert [pointed for _half, pointed in _split(slab, False, (0, 1, 1))] == [False, False]
-    assert calls[0] == 2
+    halves = _split(slab, False, (0, 1, 1))
+    assert [pointed for _half, pointed in halves] == [False, False]
+    for half, _pointed in halves:
+        assert half.contains((1, 1, 1)) != half.contains((1, -1, -1))
+        assert len(_split(half, False, (0, 1, -1))) == 2
+    assert calls[0] == 0
+    for half, _pointed in halves:
+        assert half.generators and calls[0] == 1
+        calls[0] = 0
 
 
 def test_a_generated_contraction_keeps_the_support_its_fan_was_cut_from(monkeypatch):

@@ -1,6 +1,7 @@
 """Alternating A/B pairs of `bench/run.py` runs in two checkouts.
 
     python3 tools/ab_pairs.py PARENT CHANGE --pairs 10 --seconds 20 --workload certify
+    python3 tools/ab_pairs.py PARENT CHANGE --pairs 5 --trace --workload generate
 
 PARENT and CHANGE are two checkouts of this repository.  Each one runs
 its own `bench/run.py`, unchanged, with `--seed 1 --trace 0`.  Pair i
@@ -20,7 +21,16 @@ For each workload the script prints, per end-to-end metric of
 change of the median against its bound, the wins of the change, and the
 claim rule in the metric's better direction: at least 9 wins in 10
 pairs, and a median gap wider than the parent's interquartile range
-(`claim_holds`).  Standard library only.
+(`claim_holds`).
+
+With `--trace` each pair is instead one `bench/run.py --seconds 0
+--trace 1` run per side, alternating as above, and the script prints,
+per per-layer metric of `BENCHMARK.json`, each side's median over its
+runs and the change of the median (`layer_medians`).  One traced pass
+is too noisy to resolve a change in a layer's time, so its medians are
+the figures to quote; a count is the same in every run of one checkout,
+and a count metric that is not is flagged `UNEQUAL`.  `--pairs` must be
+at least 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -87,10 +97,25 @@ def _side_env(prefix):
     return env
 
 
-def run_bench(checkout, env, workload, seconds):
+def layer_medians(runs, per_layer):
+    """{name: (median, unequal)} of one side's traced runs, per per-layer metric they report.
+
+    unequal is True for a metric of unit "count" whose runs do not all
+    agree, which no change of the machine's speed explains.
+    """
+    out = {}
+    for m in per_layer:
+        values = [r[m["name"]] for r in runs if m["name"] in r]
+        if values:
+            out[m["name"]] = (statistics.median(values),
+                              m["unit"] == "count" and len(set(values)) > 1)
+    return out
+
+
+def run_bench(checkout, env, workload, seconds, trace=0):
     """The metrics {name: value} of one `bench/run.py` run; raises on a failed run."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -131,6 +156,20 @@ def report(workload, metrics, runs):
                             MIN_PAIRS, gap, iqr, "holds" if holds else "does not hold"))
 
 
+def report_layers(workload, per_layer, runs):
+    """Print one workload's per-layer medians of both sides, flagging unequal counts."""
+    print("== %s: %d traced runs a side" % (workload, len(runs["parent"])))
+    parent = layer_medians(runs["parent"], per_layer)
+    change = layer_medians(runs["change"], per_layer)
+    for name in (n for n in parent if n in change):
+        (pm, punequal), (cm, cunequal) = parent[name], change[name]
+        flags = "".join("  UNEQUAL in %s" % side
+                        for side, unequal in (("parent", punequal), ("change", cunequal))
+                        if unequal)
+        rel = "%+7.1f%%" % (100 * (cm - pm) / pm) if pm else "        "
+        print("  %-30s parent %12.6g  change %12.6g  %s%s" % (name, pm, cm, rel, flags))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
@@ -139,8 +178,12 @@ def main(argv=None):
                    help="workload to run (repeatable; default: every one in BENCHMARK.json)")
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--trace", action="store_true",
+                   help="compare the per-layer metrics of traced runs (--seconds is not used)")
     p.add_argument("--out", help="write every run's metrics to this JSON file")
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1, not %d" % args.pairs)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -157,9 +200,14 @@ def main(argv=None):
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_bench(sides[side], envs[side], w, args.seconds))
+                    runs[side].append(run_bench(sides[side], envs[side], w,
+                                                0 if args.trace else args.seconds,
+                                                int(args.trace)))
             record[w] = runs
-            report(w, bench["end_to_end"], runs)
+            if args.trace:
+                report_layers(w, bench["per_layer"], runs)
+            else:
+                report(w, bench["end_to_end"], runs)
             if args.out:
                 with open(args.out, "w") as f:
                     json.dump({"args": vars(args), "runs": record}, f, indent=1)
