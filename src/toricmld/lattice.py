@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -245,12 +246,42 @@ def snf(m, nrows=None, ncols=None):
 
 
 def hom_is_surjective(mat, ncols):
-    """True iff the map Z^ncols -> Z^nrows given by mat is onto."""
+    """True iff the map Z^ncols -> Z^nrows given by mat is onto.
+
+    With nrows <= ncols the map is onto iff its invariant factors are all
+    1, i.e. iff the gcd of its nrows x nrows minors, their product, is 1.
+    For 1 to 3 rows the minors are taken in closed form, stopping at the
+    first gcd of 1; from 4 rows on the SNF gives the invariant factors.
+    More rows than columns are never onto.
+    """
     nr = len(mat)
     if nr == 0:
         return True
+    if nr > ncols:
+        return False
+    if nr == 1:
+        return gcd(*mat[0]) == 1
+    if nr == 2:
+        return _minors_gcd_is_one(
+            a0 * b1 - a1 * b0
+            for (a0, b0), (a1, b1) in combinations(zip(*mat), 2))
+    if nr == 3:
+        return _minors_gcd_is_one(
+            a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+            for (a0, b0, c0), (a1, b1, c1), (a2, b2, c2)
+            in combinations(zip(*mat), 3))
     D, *_ = snf(mat, nr, ncols)
-    return all(D[i][i] == 1 for i in range(nr)) if nr <= ncols else False
+    return all(D[i][i] == 1 for i in range(nr))
+
+
+def _minors_gcd_is_one(minors):
+    """gcd(minors) == 1, stopping at the first running gcd of 1."""
+    g = 0
+    for m in minors:
+        g = gcd(g, m)
+        if g == 1:
+            return True
+    return False
 
 
 def kernel_basis(mat, ncols):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .lattice import (
     apply_hom,
@@ -49,9 +48,11 @@ from .polyhedra import (
     Polyhedron,
     SupportSet,
     _from_hpoints,
+    _from_vertices,
     _gauge_ratio,
     _gauge_rows,
     _generators_from_ineqs,
+    _on_first_read,
     _point_row,
     _point_sum,
     _polar_raw,
@@ -91,7 +92,7 @@ class Fan:
     def cone(self, i):
         return self._cones[i]
 
-    @cached_property
+    @_on_first_read
     def _cones(self):
         return tuple(make_cone(self.rank, [self.rays[j] for j in c])
                      for c in self.max_cones)
@@ -167,22 +168,51 @@ def _is_extremal_ray(cone, v):
 
 
 def _check_face_intersection(fan, i, j):
-    """One double description of a cap b; each side's smallest face over it.
+    """Generators of a cap b, then each side's smallest face over it.
 
-    The smallest face of a cone containing the intersection is cut out by
-    the facets vanishing on it and generated by the cone's generators on
-    which all those facets vanish.  It contains the intersection, so the
-    two are equal exactly when those generators lie in the other cone.
+    The generators are read off a separating facet when one settles the
+    intersection (`_intersection_on_a_facet`); otherwise one double
+    description of a cap b gives them.  The smallest face of a cone
+    containing the intersection is cut out by the facets vanishing on it
+    and generated by the cone's generators on which all those facets
+    vanish.  It contains the intersection, so the two are equal exactly
+    when those generators lie in the other cone.
     """
     a, b = fan.cone(i), fan.cone(j)
-    rays, lines = cone_from_inequalities(a.normals + b.normals, fan.rank)
-    gens = rays + lines
+    gens = _intersection_on_a_facet(a, b)
+    if gens is None:
+        rays, lines = cone_from_inequalities(a.normals + b.normals, fan.rank)
+        gens = rays + lines
     for cone, other in ((a, b), (b, a)):
         sel = [d for d in cone.dual_rays if all(dot(d, g) == 0 for g in gens)]
         face = [g for g in cone.generators if all(dot(d, g) == 0 for d in sel)]
         if not all(other.contains(g) for g in face):
             raise PairError(
                 "cones %d and %d do not intersect in a common face" % (i, j))
+
+
+def _intersection_on_a_facet(a, b):
+    """Generators of a cap b read off a facet that separates the cones, or None.
+
+    Let d be a facet normal of one cone, say a, with d <= 0 on every
+    generator of the other.  Then a lies in d >= 0 and b in d <= 0, so
+    a cap b lies in d's hyperplane and equals F_a cap F_b, where F_a and
+    F_b are the faces the hyperplane cuts out of a and b, each generated
+    by its cone's generators on it.  If every generator of F_b lies in a,
+    then a cap b = F_b ({0} with no generator on the hyperplane), and
+    symmetrically for F_a.  None when no facet settles it so.
+    """
+    for c, other in ((a, b), (b, a)):
+        for d in c.dual_rays:
+            if any(dot(d, g) > 0 for g in other.generators):
+                continue
+            f_other = [g for g in other.generators if not dot(d, g)]
+            if all(c.contains(g) for g in f_other):
+                return f_other
+            f_c = [g for g in c.generators if not dot(d, g)]
+            if all(other.contains(g) for g in f_c):
+                return f_c
+    return None
 
 
 @dataclass(frozen=True)
@@ -399,7 +429,7 @@ class BoxData:
     psi: tuple = field(compare=False)
     tc: ToricContraction = field(compare=False)
 
-    @cached_property
+    @_on_first_read
     def quotient(self):
         """(projection N -> N / span(sigma0), image up of u), up read off u's facets.
 
@@ -431,12 +461,14 @@ def _nef_box_generators(tc, psi_rows):
     Cartier divisor on a fan with convex support (Cox-Little-Schenck,
     Toric Varieties, 6.1 and 7.2).  Each -psi_sigma is a vertex, as the
     rays of sigma have rank n, and support^vee is pointed with the
-    support's normals as its extreme rays.  Both come out as the double
-    description of the rows would return them: distinct primitive point
-    rows, sorted, and the support's sorted primitive dual rays.  psi_rows
-    are the point rows (x, q) of the psi_sigma; the row of -psi_sigma is
-    (-x, q), primitive as (x, q) is.  A fan of rank 0 has no maximal cone;
-    its box is M = R^0, the one point ().
+    support's normals as its extreme rays when the support is
+    full-dimensional.  Both come out as the double description of the
+    rows would return them: distinct primitive point rows, sorted, and
+    the support's sorted primitive dual rays, so they are the box's
+    vertices and extreme rays, which `analyze` translates when A is one
+    point.  psi_rows are the point rows (x, q) of the psi_sigma; the row
+    of -psi_sigma is (-x, q), primitive as (x, q) is.  A fan of rank 0 has
+    no maximal cone; its box is M = R^0, the one point ().
     """
     if not tc.rank:
         return ((1,),), ()
@@ -451,19 +483,25 @@ def analyze(tc, pair):
     The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
     points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D}, with
     every point as an integer row (A's rows, `SupportSet.rows`, made once
-    per set).  `_nef_box_generators` reads the generators of
-    box_{-K-B-D} off the Cartier data and the support, with no double
+    per set).  `_nef_box_generators` reads the vertices and extreme rays
+    of box_{-K-B-D} off the Cartier data and the support, with no double
     description; each psi_sigma becomes its point row once, for it and for
-    the f-nef test.  BoxData adds its polar u and l = n - dim sigma0, where
-    the recession cone sigma0 of u is spanned by u's rays (cone(u) ==
-    support keeps it in the support), so dim sigma0 is their rank.  When the box
-    contains 0 (the g-lc case) and is full-dimensional and pointed, u is
-    read off the box's own rows and generators, byte-identical to the
-    computed polar because both homogenized cones are then pointed and
-    the double description's canonical rays are the box's stored rows
-    (`_polar_raw`): two double descriptions in all, both for the box,
-    otherwise four.  Returns the BoxData; its a_eff and psi are the
-    folded pair's A and the Cartier data.
+    the f-nef test.  When the folded A is one point a (and the rank is
+    positive and the support full-dimensional), the box is a +
+    box_{-K-B-D}, whose vertices are the distinct translated points and
+    whose extreme rays are the same, so one double description gives its
+    rows and none converts them back (`_from_vertices`); otherwise
+    `_from_hpoints` converts both ways.  BoxData adds its polar u and
+    l = n - dim sigma0, where the recession cone sigma0 of u is spanned by
+    u's rays (cone(u) == support keeps it in the support), so dim sigma0
+    is their rank.  When the box contains 0 (the g-lc case) and is
+    full-dimensional and pointed, u is read off the box's own rows and
+    generators, byte-identical to the computed polar because both
+    homogenized cones are then pointed and the double description's
+    canonical rays are the box's stored rows (`_polar_raw`): on a g-lc
+    pair one double description in all for a one-point A and two for more
+    points, both for the box; two more off g-lc.  Returns the BoxData; its
+    a_eff and psi are the folded pair's A and the Cartier data.
     """
     fan = tc.fan
     n = fan.rank
@@ -474,8 +512,12 @@ def analyze(tc, pair):
     if not is_f_nef(tc, r, psi_rows):
         raise PairError("-(K+B+D) is not f-nef")
     d_points, d_rays = _nef_box_generators(tc, psi_rows)
-    box = _from_hpoints(n, [_point_sum(g, h) for g in folded.bdiv_a.rows for h in d_points],
-                        d_rays)
+    a_rows = folded.bdiv_a.rows
+    if n and len(a_rows) == 1 and not tc.support.dual_lines:
+        # box = a + box_{-K-B-D}: its vertices and rays are box_{-K-B-D}'s, translated
+        box = _from_vertices(n, sorted({_point_sum(a_rows[0], h) for h in d_points}), d_rays)
+    else:
+        box = _from_hpoints(n, [_point_sum(g, h) for g in a_rows for h in d_points], d_rays)
     u = _polar_raw(box)
     l = n - rational_rank(u.rays, n)
     if not _cone_over_is(u, tc.support):

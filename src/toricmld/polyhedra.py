@@ -22,11 +22,14 @@ full-dimensional pointed polyhedron containing 0 off its stored rows
 with no conversion at all, what lets `_dd_cut` cut a pointed
 full-dimensional cone by a hyperplane in one step of the double
 description, from the extreme rays and facets it already holds (the
-cut of the generator's fan pieces and of `search.subdivide_fan`), and
-what lets `cone_from_facets` take the dual rays of a full-dimensional
-cone with known facets as those facets, with no second conversion.
-Such a cone converts its generators only when they are first read, and
-then keeps them; `make_cone` stores them when it builds the cone.
+cut of the generator's fan pieces and of `search.subdivide_fan`), what
+lets `cone_from_facets` take the dual rays of a full-dimensional cone
+with known facets as those facets, with no second conversion, and what
+lets `_from_vertices` keep a pointed polyhedron's vertices and extreme
+rays as its generators, converting only its rows.  A cone built by
+`cone_from_facets` converts its generators only when they are first
+read, and then keeps them; `make_cone` stores them when it builds the
+cone.
 
 The membership tests (`Cone.contains`, `Cone.interior_contains`,
 `Polyhedron.contains`, `Polyhedron.contains_scaled`) are kernels with one
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -103,6 +105,31 @@ def _integer_row(a, c):
     """
     w = _integer_direction(tuple(a) + (-c,))
     return w[:-1], -w[-1]
+
+
+class _on_first_read:
+    """A method whose value is computed on the first read and kept on the instance.
+
+    `functools.cached_property` without its cost: a descriptor with no
+    __set__, so the value the first read stores on the instance hides it
+    from then on and a later read is a plain attribute lookup.  It is
+    stored by object.__setattr__, which also passes a frozen dataclass,
+    not through `__dict__`: asking CPython for an object's `__dict__`
+    builds it, and reads of every attribute of that object then take a
+    slower path.  `func` is the method, as on `cached_property`.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -331,32 +358,11 @@ def cone_from_normals(dim, normals):
     return make_cone(dim, _generators_of(normals, dim))
 
 
-class _ConvertedOnFirstRead:
-    """`_FacetCone.generators`: the first read converts the facets, once.
-
-    A descriptor with no __set__, so the value the first read stores on
-    the instance hides it from then on and a later read is a plain
-    attribute lookup.  It is stored by object.__setattr__, not through
-    `__dict__` as `cached_property` does: asking CPython for an object's
-    `__dict__` builds it, and reads of every attribute of that object
-    (`dual_rays` in `contains` among them) then take a slower path.
-    """
-
-    def __get__(self, cone, owner=None):
-        if cone is None:
-            return self
-        gens = tuple(sorted({primitive(g) for g in _generators_of(cone._facets, cone.dim)}))
-        object.__setattr__(cone, "generators", gens)
-        return gens
-
-
 class _FacetCone(Cone):
     """A Cone built from its facets, whose generators are converted on their first read.
 
     The conversion is the one double description of the rows as given.
     """
-
-    generators = _ConvertedOnFirstRead()
 
     def __init__(self, dim, facets):
         # the fields a frozen dataclass's __init__ sets, all but `generators`
@@ -364,6 +370,10 @@ class _FacetCone(Cone):
         object.__setattr__(self, "dual_rays", tuple(sorted(primitive(tuple(a)) for a in facets)))
         object.__setattr__(self, "dual_lines", ())
         object.__setattr__(self, "_facets", tuple(facets))
+
+    @_on_first_read
+    def generators(self):
+        return tuple(sorted({primitive(g) for g in _generators_of(self._facets, self.dim)}))
 
 
 def cone_from_facets(dim, facets):
@@ -398,7 +408,7 @@ class Polyhedron:
     rays: tuple     # tuple of primitive integer tuples (lineality as +/- pairs)
     ineqs: tuple    # sorted rows (a, c) of <a,x> >= c: int a, int c, (a, -c) primitive
 
-    @cached_property
+    @_on_first_read
     def points(self):
         """The points x / q of hpoints as sorted Fraction tuples."""
         return tuple(sorted(tuple(Fraction(x, h[-1]) for x in h[:-1])
@@ -489,6 +499,21 @@ def _from_hpoints(dim, hpoints, rays):
     return Polyhedron(dim, hpts, rrays, ineqs)
 
 
+def _from_vertices(dim, hpoints, rays):
+    """`_from_hpoints` for a pointed polyhedron given by its vertices and extreme rays.
+
+    Precondition: the polyhedron is pointed, hpoints are the distinct
+    point rows of its vertices, sorted, and rays its distinct primitive
+    extreme rays, sorted.  The homogenized cone is then pointed with
+    these rows as its extreme rays, which its double description returns
+    primitive and sorted, so `_from_hpoints`' second conversion, rows back
+    to generators, would return hpoints and rays as given: only the one
+    for the rows runs.
+    """
+    drays, dlines = cone_from_inequalities(_homogenize_generators(hpoints, rays), dim + 1)
+    return Polyhedron(dim, tuple(hpoints), tuple(rays), _ineqs_from_dual(drays, dlines, dim))
+
+
 def from_inequalities(dim, ineqs):
     """Polyhedron {x : <a, x> >= c for (a, c) in ineqs}, rational rows allowed."""
     return _from_rows(dim, [_integer_row(a, c) for a, c in ineqs
@@ -561,7 +586,7 @@ class SupportSet:
     def dim(self):
         return len(self.points[0])
 
-    @cached_property
+    @_on_first_read
     def rows(self):
         """Each point x / q as its integer row (x, q), as in `Polyhedron.hpoints`."""
         return tuple(_point_row(p) for p in self.points)

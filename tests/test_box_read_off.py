@@ -1,12 +1,14 @@
 """The generators of box_{-K-B-D} and the quotient by sigma0 = 0, read off.
 
 `analyze` takes the generators of box_{-K-B-D} = {m : <m, e> >= -r_e}
-from the Cartier data and the support (`_nef_box_generators`), and
+from the Cartier data and the support (`_nef_box_generators`), converts
+only the rows of the box when the folded A is one point, and
 `BoxData.quotient` returns the identity and u itself when u has no rays.
 The references are the conversions they replaced: the double description
-of the rows (e, -r_e), and up read off u's facets by one double
-description.  Both must agree field by field, not only as sets: the
-certificates hash the box's and up's stored rows.
+of the rows (e, -r_e), `_from_hpoints` of the box's generators, and up
+read off u's facets by one double description.  Each must agree field by
+field, not only as sets: the certificates hash the box's and up's stored
+rows.
 """
 
 from fractions import Fraction as F
@@ -25,7 +27,14 @@ from toricmld.pairs import (
     nef_values,
     validate_contraction,
 )
-from toricmld.polyhedra import Polyhedron, _generators_from_ineqs, _integer_row, _point_row
+from toricmld.polyhedra import (
+    Polyhedron,
+    _from_hpoints,
+    _generators_from_ineqs,
+    _integer_row,
+    _point_row,
+    _point_sum,
+)
 
 ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + (5, 27, 82, 93, 119, 159, 271, 362)
 
@@ -100,3 +109,20 @@ def test_box_generators_and_the_quotient_by_zero_match_the_conversions():
     assert checked == 8 + 104 + 120 + 3 + 6 + 1
     assert ranks == {0, 1, 2, 3, 4, 6}
     assert (quotients, identities) == (241, 207)
+
+
+def test_the_box_matches_both_conversions_of_its_generators():
+    """The box analyze builds is `_from_hpoints` of its generators, field by field,
+    whether the folded A is one point (one conversion, its generators
+    translated) or more (both conversions)."""
+    one_point = more = 0
+    for name, (tc, pair) in _cases():
+        bd = analyze(tc, pair)
+        d_points, d_rays = _nef_box_generators(tc, tuple(map(_point_row, bd.psi)))
+        hpoints = [_point_sum(g, h) for g in bd.a_eff.rows for h in d_points]
+        assert bd.box == _from_hpoints(tc.rank, hpoints, d_rays), name
+        if len(bd.a_eff.rows) == 1:
+            one_point += 1
+        else:
+            more += 1
+    assert (one_point, more) == (93, 149)

@@ -7,10 +7,11 @@ must give the same value, or raise the same error, on random int,
 Fraction, bool and list vectors, and the membership tests must agree on
 every fan ray and box point of the acceptance set.  The one intended
 difference, a wrong-length vector on an object with no rows, is tested
-in `test_polyhedra.py`.  `_cancel` only inlines the `gcd` that
-`content` took; the elimination references in `test_lattice.py` and
-`test_simplicial_start.py` check it through `solve_rational` and
-`rational_rank`.
+in `test_polyhedra.py`.  `hom_is_surjective` reads the gcd of the
+maximal minors for 1 to 3 rows where it took an SNF.  `_cancel` only
+inlines the `gcd` that `content` took; the elimination references in
+`test_lattice.py` and `test_simplicial_start.py` check it through
+`solve_rational` and `rational_rank`.
 """
 
 import random
@@ -21,7 +22,15 @@ import pytest
 
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
-from toricmld.lattice import LatticeError, _as_integers, dot, is_zero, primitive
+from toricmld.lattice import (
+    LatticeError,
+    _as_integers,
+    dot,
+    hom_is_surjective,
+    is_zero,
+    primitive,
+    snf,
+)
 from toricmld.pairs import analyze
 from toricmld.polyhedra import GeometryError
 
@@ -45,6 +54,14 @@ def reference_as_integers(r):
         return r
     den = lcm(*(x.denominator for x in r))
     return [x.numerator * (den // x.denominator) for x in r]
+
+
+def reference_hom_is_surjective(mat, ncols):
+    nr = len(mat)
+    if nr == 0:
+        return True
+    D, *_ = snf(mat, nr, ncols)
+    return all(D[i][i] == 1 for i in range(nr)) if nr <= ncols else False
 
 
 def reference_cone_contains(cone, v):
@@ -160,3 +177,30 @@ def test_membership_kernels_match_their_references_on_the_acceptance_set():
                         == reference_contains_scaled(bd.box, t, v))
     assert checked > 800
     assert seen == {(kind, inside) for kind in ("cone", "polyhedron") for inside in (True, False)}
+
+
+def _matrices(rng):
+    """Seeded int matrices of 0 to 4 rows and 0 to 5 columns, some with a zero or a repeated row."""
+    for trial in range(3000):
+        nr, ncols = 1 + trial % 3, rng.randint(0, 5)
+        if trial % 50 == 0:
+            nr = rng.choice((0, 4))
+        span = rng.choice((1, 2, 6))
+        mat = [tuple(rng.randint(-span, span) for _ in range(ncols)) for _ in range(nr)]
+        if nr and trial % 7 == 0:
+            mat[rng.randrange(nr)] = (0,) * ncols
+        elif nr > 1 and trial % 7 == 1:
+            mat[-1] = mat[0]
+        yield tuple(mat), ncols
+
+
+def test_hom_is_surjective_matches_the_snf_on_seeded_matrices():
+    rng = random.Random(28)
+    seen = set()
+    for mat, ncols in _matrices(rng):
+        onto = reference_hom_is_surjective(mat, ncols)
+        assert hom_is_surjective(mat, ncols) == onto, (mat, ncols)
+        seen.add((len(mat), len(mat) <= ncols, onto))
+    assert {(nr, True, onto) for nr in (1, 2, 3) for onto in (True, False)} <= seen
+    assert {(nr, False, False) for nr in (1, 2, 3)} <= seen
+    assert (0, True, True) in seen and (4, True, True) in seen

@@ -250,6 +250,43 @@ def test_face_intersection_matches_reference_on_generator_fans(monkeypatch):
     assert checked.count(True) > 0
 
 
+def test_face_intersection_on_a_facet_gives_the_verdict_of_the_double_description(
+        monkeypatch):
+    """Every pair the corpus and generator seeds 2000-2063 test, both ways.
+
+    Where a separating facet settles a pair, its generators span the
+    intersection the double description gives; either way the verdict with
+    the facet path switched off (every pair then runs the double
+    description) is the verdict with it on.  Each of these pairs meets in
+    a common face; the random fans above reach the rejections.
+    """
+    real = pairs._check_face_intersection
+    tested = []
+
+    def recording(fan, i, j):
+        tested.append((fan, i, j))
+        return real(fan, i, j)
+
+    monkeypatch.setattr(pairs, "_check_face_intersection", recording)
+    for name in CORPUS:
+        load_corpus(name)
+    for seed in range(2000, 2064):
+        random_instance(seed)
+    monkeypatch.undo()
+    on_facet = []
+    for fan, i, j in tested:
+        a, b = fan.cone(i), fan.cone(j)
+        gens = pairs._intersection_on_a_facet(a, b)
+        if gens is not None:
+            assert make_cone(fan.rank, gens) == cone_from_normals(
+                fan.rank, a.normals + b.normals), (fan, i, j)
+        on_facet.append(gens is not None)
+    verdicts = [_fast_face_intersection(fan, i, j) for fan, i, j in tested]
+    monkeypatch.setattr(pairs, "_intersection_on_a_facet", lambda a, b: None)
+    assert [_fast_face_intersection(fan, i, j) for fan, i, j in tested] == verdicts
+    assert on_facet.count(True) > 0 and on_facet.count(False) > 0
+
+
 def test_pair_coefficient_range():
     fan = make_fan(1, [(1,)], [(0,)])
     with pytest.raises(PairError, match="outside"):

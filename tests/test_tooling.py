@@ -60,6 +60,35 @@ def test_unused_import_scan_sees_a_planted_import():
     assert _unused_imports(source, "planted.py") == [(2, "os"), (3, "dot")]
 
 
+def _cached_properties(source, filename):
+    """Lines that name cached_property: in an import, as a name or as an attribute."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source, filename=filename))
+                   if isinstance(node, ast.Name) and node.id == "cached_property"
+                   or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                   or isinstance(node, ast.alias) and node.name == "cached_property"})
+
+
+def test_no_cached_property_in_the_package():
+    """functools.cached_property stores through `__dict__`, and once CPython has
+    built an instance's dict every attribute read of it is slower; the
+    package's one first-read descriptor, `polyhedra._on_first_read`, stores
+    without it."""
+    package = pathlib.Path(toricmld.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += ["%s:%d" % (path.name, line)
+                  for line in _cached_properties(path.read_text(), str(path))]
+    assert found == []
+
+
+def test_cached_property_scan_sees_planted_uses():
+    source = "import functools\nfrom functools import cached_property as cp, wraps\n" \
+             "class Fan:\n    @functools.cached_property\n    def cones(self):\n" \
+             "        return ()\n    rows = cached_property(len)\n" \
+             "# a comment on cached_property is no use\n"
+    assert _cached_properties(source, "planted.py") == [2, 4, 7]
+
+
 def _unread_private_definitions(sources):
     """(file, line, name) of each _name function or class that no source reads.
 
@@ -193,17 +222,21 @@ def test_tc_and_bd_scan_sees_planted_functions():
 
 
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
-    """analyze runs 2 double descriptions on a g-lc box, 4 off it; bd.quotient 0 or 1, mld none.
+    """analyze runs 1 double description on a g-lc box of a one-point A, 2 on one of
+    more points, 4 off g-lc; bd.quotient 0 or 1, mld none.
 
     With tc.support cached, analyze reads the generators of box_{-K-B-D}
-    off the Cartier data and the support's normals, and converts only the
-    box (two calls).  Every corpus box contains 0 and is full-dimensional
-    and pointed, so u is read off it; a box without 0 costs two more for
-    u.  sigma0 is read off u's rays.  When sigma0 = 0 (every corpus germ)
-    bd.quotient is the identity and u itself; otherwise it reads up's rows
-    off u's facets and converts them once (seed 1025).  With bd.quotient
-    cached, mld_over_fiber reads the interior of the support's image off
-    up's rows through 0.
+    off the Cartier data and the support's normals.  When the folded A is
+    one point a, the box is a + box_{-K-B-D}, so its generators are those
+    translated and only its rows are converted (one call: seven corpus
+    germs and seed 1025); otherwise the box is converted both ways (two
+    calls: wedge25, whose A has two points).  Every corpus box contains 0
+    and is full-dimensional and pointed, so u is read off it; a box
+    without 0 costs two more for u.  sigma0 is read off u's rays.  When
+    sigma0 = 0 (every corpus germ) bd.quotient is the identity and u
+    itself; otherwise it reads up's rows off u's facets and converts them
+    once (seed 1025).  With bd.quotient cached, mld_over_fiber reads the
+    interior of the support's image off up's rows through 0.
     """
     calls = [0]
     real = toricmld.polyhedra.cone_from_inequalities
@@ -217,11 +250,16 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
     germs = [(name, load_corpus(name)[:2]) for name in CORPUS]
     germs.append((1025, random_instance(1025)[:2]))
     scanned = quotients = 0
+    one_point = []
     for name, (tc, pair) in germs:
         assert tc.support
         calls[0] = 0
         bd = analyze(tc, pair)
-        assert calls[0] == 2, name
+        if len(bd.a_eff.points) == 1:
+            one_point.append(name)
+            assert calls[0] == 1, name
+        else:
+            assert calls[0] == 2, name
         if bd.l == 0:
             continue
         calls[0] = 0
@@ -233,6 +271,7 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         scanned += mld_over_fiber(bd) is not None
         assert calls[0] == 0, name
     assert scanned >= 6 and quotients == 1
+    assert one_point == [name for name in CORPUS if name != "wedge25"] + [1025]
     tc, _pair, _obj = load_corpus("a2_identity")
     calls[0] = 0
     bd = analyze(tc, make_pair(tc.fan, (0, 0), [(3, 0), (0, 3)]))
