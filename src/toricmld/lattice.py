@@ -18,6 +18,8 @@ n = 4 on, one fraction-free Gauss-Jordan elimination, ``_gauss_jordan``,
 runs.  ``rational_rank``, ``solve_rational`` (square systems only on the
 closed form; singular and non-square ones always eliminate) and the
 start of the double description in ``polyhedra`` all take this choice.
+``hom_is_surjective`` takes each n x n minor of an n-row map, n <= 3,
+as the determinant ``_small_base`` returns for its columns.
 
 The leaf kernels, called about 10^4 times per pass of the certify
 benchmark, run in C-level builtins with no generator frame per entry:
@@ -74,14 +76,10 @@ def apply_hom(mat, v):
     return tuple(dot(row, v) for row in mat)
 
 
-def compose_covector(f, mat, ncols=None):
+def compose_covector(f, mat, ncols):
     """The covector f . mat, i.e. the pullback of f along mat."""
     if len(f) != len(mat):
         raise LatticeError("covector/hom mismatch")
-    if ncols is None:
-        if not mat:
-            raise LatticeError("compose_covector with empty hom needs ncols")
-        ncols = len(mat[0])
     return tuple(sum(f[i] * mat[i][j] for i in range(len(mat))) for j in range(ncols))
 
 
@@ -250,26 +248,18 @@ def hom_is_surjective(mat, ncols):
 
     With nrows <= ncols the map is onto iff its invariant factors are all
     1, i.e. iff the gcd of its nrows x nrows minors, their product, is 1.
-    For 1 to 3 rows the minors are taken in closed form, stopping at the
-    first gcd of 1; from 4 rows on the SNF gives the invariant factors.
-    More rows than columns are never onto.
+    For 1 to 3 rows each minor is the determinant `_small_base` returns for
+    its columns, stopping at the first gcd of 1; from 4 rows on the SNF gives
+    the invariant factors.  More rows than columns are never onto.
     """
     nr = len(mat)
     if nr == 0:
         return True
     if nr > ncols:
         return False
-    if nr == 1:
-        return gcd(*mat[0]) == 1
-    if nr == 2:
+    if nr <= 3:
         return _minors_gcd_is_one(
-            a0 * b1 - a1 * b0
-            for (a0, b0), (a1, b1) in combinations(zip(*mat), 2))
-    if nr == 3:
-        return _minors_gcd_is_one(
-            a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
-            for (a0, b0, c0), (a1, b1, c1), (a2, b2, c2)
-            in combinations(zip(*mat), 3))
+            _small_base(cols, nr)[2] for cols in combinations(zip(*mat), nr))
     D, *_ = snf(mat, nr, ncols)
     return all(D[i][i] == 1 for i in range(nr))
 

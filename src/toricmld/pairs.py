@@ -147,7 +147,14 @@ def make_fan(rank, rays, max_cones):
 
 
 def validate_fan(fan):
-    """Cones pointed and full-dimensional, pairwise intersections faces."""
+    """Cones pointed and full-dimensional, pairwise intersections faces.
+
+    A cone with fewer rays than the rank is refused before any cone is
+    built, since converting it costs an SNF cubic in the rank.
+    """
+    for i, c in enumerate(fan.max_cones):
+        if len(c) < fan.rank:
+            raise PairError("maximal cone %d is not full-dimensional" % i)
     for i, c in enumerate(fan.max_cones):
         cone = fan.cone(i)
         if not cone.is_pointed():
@@ -168,51 +175,22 @@ def _is_extremal_ray(cone, v):
 
 
 def _check_face_intersection(fan, i, j):
-    """Generators of a cap b, then each side's smallest face over it.
+    """One double description of a cap b; each side's smallest face over it.
 
-    The generators are read off a separating facet when one settles the
-    intersection (`_intersection_on_a_facet`); otherwise one double
-    description of a cap b gives them.  The smallest face of a cone
-    containing the intersection is cut out by the facets vanishing on it
-    and generated by the cone's generators on which all those facets
-    vanish.  It contains the intersection, so the two are equal exactly
-    when those generators lie in the other cone.
+    The smallest face of a cone containing the intersection is cut out by
+    the facets vanishing on it and generated by the cone's generators on
+    which all those facets vanish.  It contains the intersection, so the
+    two are equal exactly when those generators lie in the other cone.
     """
     a, b = fan.cone(i), fan.cone(j)
-    gens = _intersection_on_a_facet(a, b)
-    if gens is None:
-        rays, lines = cone_from_inequalities(a.normals + b.normals, fan.rank)
-        gens = rays + lines
+    rays, lines = cone_from_inequalities(a.normals + b.normals, fan.rank)
+    gens = rays + lines
     for cone, other in ((a, b), (b, a)):
         sel = [d for d in cone.dual_rays if all(dot(d, g) == 0 for g in gens)]
         face = [g for g in cone.generators if all(dot(d, g) == 0 for d in sel)]
         if not all(other.contains(g) for g in face):
             raise PairError(
                 "cones %d and %d do not intersect in a common face" % (i, j))
-
-
-def _intersection_on_a_facet(a, b):
-    """Generators of a cap b read off a facet that separates the cones, or None.
-
-    Let d be a facet normal of one cone, say a, with d <= 0 on every
-    generator of the other.  Then a lies in d >= 0 and b in d <= 0, so
-    a cap b lies in d's hyperplane and equals F_a cap F_b, where F_a and
-    F_b are the faces the hyperplane cuts out of a and b, each generated
-    by its cone's generators on it.  If every generator of F_b lies in a,
-    then a cap b = F_b ({0} with no generator on the hyperplane), and
-    symmetrically for F_a.  None when no facet settles it so.
-    """
-    for c, other in ((a, b), (b, a)):
-        for d in c.dual_rays:
-            if any(dot(d, g) > 0 for g in other.generators):
-                continue
-            f_other = [g for g in other.generators if not dot(d, g)]
-            if all(c.contains(g) for g in f_other):
-                return f_other
-            f_c = [g for g in c.generators if not dot(d, g)]
-            if all(other.contains(g) for g in f_c):
-                return f_c
-    return None
 
 
 @dataclass(frozen=True)

@@ -87,3 +87,30 @@ def test_layer_medians_take_the_median_and_flag_only_unequal_counts():
     medians = ab_pairs.layer_medians(runs, PER_LAYER)
     assert medians["lattice.snf_calls"] == (56, True)
     assert medians["generator.accept_ratio"] == (0.2, False)
+
+
+def test_times_with_overlapping_iqrs_are_unresolved_and_counts_keep_unequal(capsys):
+    def runs(snf_calls, dd_s):
+        # search.slice_s reads 0 on both sides: a layer that did not run
+        return [{"lattice.snf_calls": c, "polyhedra.dd_s": t, "search.slice_s": 0.0}
+                for c, t in zip(snf_calls, dd_s)]
+
+    per_layer = PER_LAYER + [{"name": "search.slice_s", "unit": "s"}]
+    parent = runs([56] * 5, (0.020, 0.021, 0.022, 0.023, 0.024))
+    apart = runs([40] * 5, (0.010, 0.011, 0.012, 0.013, 0.014))
+    overlapping = runs([40, 41, 40, 41, 40], (0.016, 0.018, 0.021, 0.026, 0.030))
+    assert not ab_pairs.iqrs_overlap([r["polyhedra.dd_s"] for r in parent],
+                                     [r["polyhedra.dd_s"] for r in apart])
+    assert ab_pairs.iqrs_overlap([r["polyhedra.dd_s"] for r in parent],
+                                 [r["polyhedra.dd_s"] for r in overlapping])
+
+    def lines(change):
+        ab_pairs.report_layers("generate", per_layer, {"parent": parent, "change": change})
+        return {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+
+    out = lines(apart)
+    assert not any("UNRESOLVED" in line or "UNEQUAL" in line for line in out.values())
+    out = lines(overlapping)
+    assert out["polyhedra.dd_s"].endswith("UNRESOLVED")
+    assert out["lattice.snf_calls"].endswith("UNEQUAL in change")
+    assert "UNRESOLVED" not in out["search.slice_s"]

@@ -28,9 +28,12 @@ With `--trace` each pair is instead one `bench/run.py --seconds 0
 per per-layer metric of `BENCHMARK.json`, each side's median over its
 runs and the change of the median (`layer_medians`).  One traced pass
 is too noisy to resolve a change in a layer's time, so its medians are
-the figures to quote; a count is the same in every run of one checkout,
-and a count metric that is not is flagged `UNEQUAL`.  `--pairs` must be
-at least 1.  Standard library only.
+the figures to quote, and a time metric (unit `s`) whose two sides'
+interquartile ranges overlap is flagged `UNRESOLVED` (`iqrs_overlap`;
+a layer that reads 0 on both sides did not run and is not flagged);
+a count is the same in every run of one checkout, and a count metric
+that is not is flagged `UNEQUAL`.  `--pairs` must be at least 1.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -112,6 +115,13 @@ def layer_medians(runs, per_layer):
     return out
 
 
+def iqrs_overlap(parent, change):
+    """True when the interquartile ranges of the two sides' values overlap."""
+    p1, _pm, p3 = quartiles(parent)
+    c1, _cm, c3 = quartiles(change)
+    return p1 <= c3 and c1 <= p3
+
+
 def run_bench(checkout, env, workload, seconds, trace=0):
     """The metrics {name: value} of one `bench/run.py` run; raises on a failed run."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
@@ -157,15 +167,22 @@ def report(workload, metrics, runs):
 
 
 def report_layers(workload, per_layer, runs):
-    """Print one workload's per-layer medians of both sides, flagging unequal counts."""
+    """Print one workload's per-layer medians of both sides, flagging unequal
+    counts and unresolved times."""
     print("== %s: %d traced runs a side" % (workload, len(runs["parent"])))
     parent = layer_medians(runs["parent"], per_layer)
     change = layer_medians(runs["change"], per_layer)
+    units = {m["name"]: m["unit"] for m in per_layer}
     for name in (n for n in parent if n in change):
         (pm, punequal), (cm, cunequal) = parent[name], change[name]
         flags = "".join("  UNEQUAL in %s" % side
                         for side, unequal in (("parent", punequal), ("change", cunequal))
                         if unequal)
+        if units[name] == "s" and (pm or cm):
+            parent_s, change_s = ([r[name] for r in runs[side] if name in r]
+                                  for side in ("parent", "change"))
+            if iqrs_overlap(parent_s, change_s):
+                flags += "  UNRESOLVED"
         rel = "%+7.1f%%" % (100 * (cm - pm) / pm) if pm else "        "
         print("  %-30s parent %12.6g  change %12.6g  %s%s" % (name, pm, cm, rel, flags))
 
