@@ -179,8 +179,6 @@ def _build_fan(rng, support):
         pieces = [q for p in pieces for q in _split(*p, cov)]
     pieces = [p for p, _pointed in pieces]
     for _ in range(rng.randint(0, 1)):
-        if not pieces:
-            break
         i = rng.randrange(len(pieces))
         pieces = pieces[:i] + _stellar(pieces[i]) + pieces[i + 1:]
     rays = sorted({g for p in pieces for g in p.generators})

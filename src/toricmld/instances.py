@@ -110,8 +110,10 @@ def instance_from_obj(obj):
 
     Checks here: JSON types, rank_N >= 0, unknown fields, and that each
     key of B names a ray.  Other shapes and ranges are make_fan's,
-    make_contraction's and make_pair's, the geometry is
-    validate_contraction's; their PairError keeps its message.
+    make_contraction's and make_pair's; make_contraction also checks pi
+    onto and sigma_bar pointed and full-dimensional before it builds the
+    support.  The geometry of the fan and |fan| = pi^{-1}(sigma_bar) are
+    validate_contraction's; each PairError keeps its message.
     """
     if not isinstance(obj, dict):
         raise InstanceError("instance: expected a JSON object")

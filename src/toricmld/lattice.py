@@ -496,15 +496,20 @@ class QuotientPresentation:
     section: tuple     # n x (n-r) integer matrix, right inverse
 
 
+def _saturated_snf(sub, n):
+    """(U, V, Uinv) of the SNF of the matrix with columns sub.basis; raises unless saturated."""
+    D, U, V, Ui, _Vi = snf(transpose(sub.basis), n, sub.rank)
+    if any(D[i][i] != 1 for i in range(sub.rank)):
+        raise LatticeError("sublattice not saturated")
+    return U, V, Ui
+
+
 def quotient_by_span(rank, sub):
     """Quotient of Z^rank by a saturated sublattice, with a splitting."""
     r = sub.rank
     if r == 0:
         return QuotientPresentation(identity(rank), identity(rank))
-    G = transpose(sub.basis)  # columns are the basis vectors
-    D, U, _V, Ui, _Vi = snf(G, rank, r)
-    if any(D[i][i] != 1 for i in range(r)):
-        raise LatticeError("sublattice not saturated")
+    U, _V, Ui = _saturated_snf(sub, rank)
     projection = tuple(U[i] for i in range(r, rank))
     section = tuple(tuple(Ui[i][j] for j in range(r, rank)) for i in range(rank))
     return QuotientPresentation(projection, section)
@@ -523,10 +528,7 @@ def extend_hom(sub, values):
         return (0,) * n
     if len(values) != r:
         raise LatticeError("value count does not match the basis")
-    G = transpose(sub.basis)
-    D, U, V, _Ui, _Vi = snf(G, n, r)
-    if any(D[i][i] != 1 for i in range(r)):
-        raise LatticeError("sublattice not saturated")
+    U, V, _Ui = _saturated_snf(sub, n)
     vv = tuple(sum(values[i] * V[i][j] for i in range(r)) for j in range(r))
     g = vv + (0,) * (n - r)
     f = tuple(sum(g[i] * U[i][j] for i in range(n)) for j in range(n))

@@ -16,10 +16,11 @@ central fiber, and lct of pulled-back invariant hyperplanes).
 Each check lives in one place and raises PairError.  The constructors
 own shapes and ranges: make_fan the rank, the integer rays (entry counts,
 nonzero, primitive, distinct) and cone indices, make_contraction the
-integer pi and sigma_bar and their entry counts, make_pair the boundary
-coefficients, nonempty A and A_j, their points' entry counts and integral A_j.
-validate_fan and validate_contraction own the geometry of the germ,
-analyze the Cartier and nef conditions of the pair.
+integer pi and sigma_bar, their entry counts, pi onto and sigma_bar pointed
+and full-dimensional, make_pair the boundary coefficients, nonempty A and
+A_j, their points' entry counts and integral A_j.  validate_fan and
+validate_contraction own the fan and |fan| = pi^{-1}(sigma_bar), analyze
+the Cartier and nef conditions of the pair.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .polyhedra import (
     _polar_raw,
     cone_from_facets,
     cone_from_inequalities,
-    cone_from_normals,
     integer_points,
     interval_image,
     make_cone,
@@ -217,46 +217,41 @@ class ToricContraction:
 
 
 def pullback_cone(rank, pi, sigma_bar):
-    """pi^{-1}(sigma_bar) as a cone in N = Z^rank.
+    """pi^{-1}(sigma_bar) as a cone in N = Z^rank, built from its facets.
 
-    When sigma_bar is full-dimensional and pi has full row rank, pi maps
-    R^rank onto the base, so the pulled-back facets of sigma_bar are
-    exactly the facets of the full-dimensional preimage (sigma_bar's
-    normals are then its dual rays), and `cone_from_facets` builds it
-    with no conversion: its generators take one double description on
-    their first read, which an attempt of the generator rejected before
-    `_cone_over_is` or validate_contraction never makes.  Otherwise,
-    which only a contraction that validate_contraction rejects reaches,
-    the cone is converted from all pulled-back normals.
+    Precondition: pi is onto and sigma_bar is pointed and full-dimensional,
+    which make_contraction checks.  pi then maps R^rank onto the base, so
+    the pulled-back facets of sigma_bar are exactly the facets of the
+    full-dimensional preimage, and `cone_from_facets` builds it with no
+    conversion: its generators take one double description on their first
+    read, which an attempt of the generator rejected before `_cone_over_is`
+    or validate_contraction never makes.
     """
-    normals = [compose_covector(d, pi, rank) for d in sigma_bar.normals]
-    if sigma_bar.is_full_dim() and rational_rank(pi, rank) == len(pi):
-        return cone_from_facets(rank, normals)
-    return cone_from_normals(rank, normals)
+    return cone_from_facets(rank, [compose_covector(d, pi, rank) for d in sigma_bar.dual_rays])
 
 
 def make_contraction(fan, pi, sigma_bar_gens=None):
     pi = tuple(_int_vector(row, "pi row %d" % i) for i, row in enumerate(pi))
     nbar = len(pi)
     _check_entries(pi, fan.rank, "pi row")
+    if not hom_is_surjective(pi, fan.rank):
+        raise PairError("pi is not surjective")
     if sigma_bar_gens is None:
         sigma_bar_gens = [apply_hom(pi, r) for r in fan.rays]   # make_cone drops zeros
     sigma_bar_gens = [_int_vector(g, "sigma_bar generator %d" % i)
                       for i, g in enumerate(sigma_bar_gens)]
     _check_entries(sigma_bar_gens, nbar, "sigma_bar generator")
     sigma_bar = make_cone(nbar, sigma_bar_gens)
+    # the zero cone of a rank-0 base is pointed and full-dimensional
+    if not sigma_bar.is_pointed():
+        raise PairError("sigma_bar is not strongly convex")
+    if not sigma_bar.is_full_dim():
+        raise PairError("sigma_bar is not full-dimensional (no invariant point)")
     return ToricContraction(fan, pi, sigma_bar, pullback_cone(fan.rank, pi, sigma_bar))
 
 
 def validate_contraction(tc):
     validate_fan(tc.fan)
-    if not hom_is_surjective(tc.pi, tc.rank):
-        raise PairError("pi is not surjective")
-    # the zero cone of a rank-0 base is pointed and full-dimensional
-    if not tc.sigma_bar.is_pointed():
-        raise PairError("sigma_bar is not strongly convex")
-    if not tc.sigma_bar.is_full_dim():
-        raise PairError("sigma_bar is not full-dimensional (no invariant point)")
     sup = tc.support
     for i, r in enumerate(tc.fan.rays):
         if not sup.contains(r):
@@ -439,14 +434,13 @@ def _nef_box_generators(tc, psi_rows):
     Cartier divisor on a fan with convex support (Cox-Little-Schenck,
     Toric Varieties, 6.1 and 7.2).  Each -psi_sigma is a vertex, as the
     rays of sigma have rank n, and support^vee is pointed with the
-    support's normals as its extreme rays when the support is
-    full-dimensional.  Both come out as the double description of the
-    rows would return them: distinct primitive point rows, sorted, and
-    the support's sorted primitive dual rays, so they are the box's
-    vertices and extreme rays, which `analyze` translates when A is one
-    point.  psi_rows are the point rows (x, q) of the psi_sigma; the row
-    of -psi_sigma is (-x, q), primitive as (x, q) is.  A fan of rank 0 has
-    no maximal cone; its box is M = R^0, the one point ().
+    support's normals as its extreme rays.  Both come out as the double
+    description of the rows would return them: distinct primitive point
+    rows, sorted, and the support's sorted primitive dual rays, so they are
+    the box's vertices and extreme rays, which `analyze` translates when A
+    is one point.  psi_rows are the point rows (x, q) of the psi_sigma; the
+    row of -psi_sigma is (-x, q), primitive as (x, q) is.  A fan of rank 0
+    has no maximal cone; its box is M = R^0, the one point ().
     """
     if not tc.rank:
         return ((1,),), ()
@@ -465,21 +459,20 @@ def analyze(tc, pair):
     of box_{-K-B-D} off the Cartier data and the support, with no double
     description; each psi_sigma becomes its point row once, for it and for
     the f-nef test.  When the folded A is one point a (and the rank is
-    positive and the support full-dimensional), the box is a +
-    box_{-K-B-D}, whose vertices are the distinct translated points and
-    whose extreme rays are the same, so one double description gives its
-    rows and none converts them back (`_from_vertices`); otherwise
-    `_from_hpoints` converts both ways.  BoxData adds its polar u and
-    l = n - dim sigma0, where the recession cone sigma0 of u is spanned by
-    u's rays (cone(u) == support keeps it in the support), so dim sigma0
-    is their rank.  When the box contains 0 (the g-lc case) and is
-    full-dimensional and pointed, u is read off the box's own rows and
-    generators, byte-identical to the computed polar because both
-    homogenized cones are then pointed and the double description's
-    canonical rays are the box's stored rows (`_polar_raw`): on a g-lc
-    pair one double description in all for a one-point A and two for more
-    points, both for the box; two more off g-lc.  Returns the BoxData; its
-    a_eff and psi are the folded pair's A and the Cartier data.
+    positive), the box is a + box_{-K-B-D}, whose vertices are the
+    distinct translated points and whose extreme rays are the same, so one
+    double description gives its rows and none converts them back
+    (`_from_vertices`); otherwise `_from_hpoints` converts both ways.
+    BoxData adds its polar u and l = n - dim sigma0, where the recession
+    cone sigma0 of u is spanned by u's rays (cone(u) == support keeps it in
+    the support), so dim sigma0 is their rank.  When the box contains 0
+    (the g-lc case) and is full-dimensional and pointed, u is read off the
+    box's own rows and generators, byte-identical to the computed polar
+    because both homogenized cones are then pointed and the double
+    description's canonical rays are the box's stored rows (`_polar_raw`):
+    on a g-lc pair one double description in all for a one-point A and two
+    for more points, both for the box; two more off g-lc.  Returns the
+    BoxData; its a_eff and psi are the folded pair's A and the Cartier data.
     """
     fan = tc.fan
     n = fan.rank
@@ -491,7 +484,7 @@ def analyze(tc, pair):
         raise PairError("-(K+B+D) is not f-nef")
     d_points, d_rays = _nef_box_generators(tc, psi_rows)
     a_rows = folded.bdiv_a.rows
-    if n and len(a_rows) == 1 and not tc.support.dual_lines:
+    if n and len(a_rows) == 1:
         # box = a + box_{-K-B-D}: its vertices and rays are box_{-K-B-D}'s, translated
         box = _from_vertices(n, sorted({_point_sum(a_rows[0], h) for h in d_points}), d_rays)
     else:

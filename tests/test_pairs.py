@@ -66,9 +66,8 @@ def test_contraction_support_mismatch():
 def test_contraction_needs_full_dim_base_cone():
     fan = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
                    [(0, 1), (1, 2), (2, 3), (3, 0)])
-    tc = make_contraction(fan, identity(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     with pytest.raises(PairError, match="strongly convex"):
-        validate_contraction(tc)
+        make_contraction(fan, identity(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def _fields(cone):
@@ -99,16 +98,35 @@ QUADRANT = {"rank_N": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
     ({"rank_N": 2, "rays": [[1, 0], [2, 1], [1, 2], [0, 1]], "max_cones": [[0, 1], [2, 3]],
       "pi": [[1, 0], [0, 1]]},
      "support condition fails: unmatched interior wall of cone 0"),
+    ({"rank_N": 1, "rays": [[1]], "max_cones": [[0]], "pi": [[1]] * 200},
+     "pi is not surjective"),
 ])
-def test_invalid_contraction_names_its_reason(obj, reason):
+def test_invalid_contraction_names_its_reason(monkeypatch, obj, reason):
     """Not surjective over Z, then with dependent rows; a base cone that is
-    not full-dimensional; then the three support conditions.  The second
-    and third reach `pullback_cone`'s conversion from all normals."""
+    not full-dimensional; the three support conditions; 200 rows of pi on
+    a rank-1 fan.  make_contraction refuses pi and sigma_bar before it
+    builds the support: a bad pi before any conversion, a bad sigma_bar
+    after sigma_bar's own.  The support of a contraction it builds is the
+    reference's."""
     with pytest.raises(InstanceError) as exc:
         instance_from_obj(obj)
     assert str(exc.value) == reason
-    tc = make_contraction(make_fan(obj["rank_N"], obj["rays"], obj["max_cones"]),
-                          obj["pi"], obj.get("sigma_bar"))
+    fan = make_fan(obj["rank_N"], obj["rays"], obj["max_cones"])
+    if not reason.startswith("support condition fails"):
+        calls = []
+        real = polyhedra.cone_from_inequalities
+
+        def counted(rows, dim):
+            calls.append(dim)
+            return real(rows, dim)
+
+        monkeypatch.setattr(polyhedra, "cone_from_inequalities", counted)
+        with pytest.raises(PairError) as exc:
+            make_contraction(fan, obj["pi"], obj.get("sigma_bar"))
+        assert str(exc.value) == reason
+        assert calls == ([] if reason == "pi is not surjective" else [len(obj["pi"])])
+        return
+    tc = make_contraction(fan, obj["pi"], obj.get("sigma_bar"))
     assert _fields(tc.support) == _fields(reference_support(tc))
 
 

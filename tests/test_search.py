@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import a1_pair, affine_dim, germ, wedge25_pair, zero_pair
+from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import (
     content,
@@ -482,6 +483,48 @@ def test_slice_rejects_a_functional_without_0_interior(wedge25_germ):
     with pytest.raises(PairError, match="interior"):
         # the halfplane support direction has 0 on the boundary of phi(U)
         make_slice(bd, (0, 1), F(7, 25))
+
+
+def _seed_1003_slice_input():
+    """random_instance(1003) analyzed, and phi = (1, 2, 0): one cone of the
+    subdivided fan meets phi-perp in the ray (-2, 1, -1) only."""
+    tc, pair, _meta = random_instance(1003)
+    bd = analyze(tc, pair)
+    return bd, (1, 2, 0), mld_over_fiber(bd)
+
+
+def _low_faces(fan, phi):
+    faces = [[fan.rays[i] for i in c if dot(phi, fan.rays[i]) == 0] for c in fan.max_cones]
+    return [f for f in faces if f and rational_rank(f, fan.rank) < fan.rank - 1]
+
+
+def test_slice_covers_a_lower_dimensional_face_of_phi_perp():
+    bd, phi, t = _seed_1003_slice_input()
+    assert t == F(5, 24)
+    assert _low_faces(subdivide_fan(bd.tc.fan, phi)[0], phi) == [[(-2, 1, -1)]]
+    sl = make_slice(bd, phi, t)
+    assert sl.w == 14 and sl.lam == F(1, 14) and sl.mld1 == F(3, 112)
+    assert sl.bd1.tc.fan.rays == ((-1, -1), (-1, 0), (-1, 3))
+    assert sl.bd1.tc.fan.max_cones == ((0, 1), (1, 2))
+
+
+def test_slice_refuses_a_lower_dimensional_face_it_does_not_cover(monkeypatch):
+    """Drop the two subdivided cones over the slice cone that holds the
+    ray (-2, 1, -1): the face that ray spans is then covered by no slice cone."""
+    bd, phi, t = _seed_1003_slice_input()
+    real = toricmld.search.subdivide_fan
+
+    def without_the_covering_cones(fan, phi_n):
+        fan2, newq = real(fan, phi_n)
+        face = {(-2, 1, -1), (-2, 1, 0)}
+        kept = [c for c in fan2.max_cones
+                if {fan2.rays[i] for i in c if dot(phi_n, fan2.rays[i]) == 0} != face]
+        assert len(kept) == len(fan2.max_cones) - 2
+        return make_fan(fan2.rank, fan2.rays, kept), newq
+
+    monkeypatch.setattr(toricmld.search, "subdivide_fan", without_the_covering_cones)
+    with pytest.raises(PairError, match="^slice fan does not cover phi-perp$"):
+        make_slice(bd, phi, t)
 
 
 # ---------------------------------------------------------------------------
