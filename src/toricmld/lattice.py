@@ -18,8 +18,8 @@ n = 4 on, one fraction-free Gauss-Jordan elimination, ``_gauss_jordan``,
 runs.  ``rational_rank``, ``solve_rational`` (square systems only on the
 closed form; singular and non-square ones always eliminate) and the
 start of the double description in ``polyhedra`` all take this choice.
-``hom_is_surjective`` takes each n x n minor of an n-row map, n <= 3,
-as the determinant ``_small_base`` returns for its columns.
+``hom_is_surjective`` takes each maximal minor of a map with n <= 3
+columns (at most three) as the determinant ``_small_base`` returns.
 
 The leaf kernels, called about 10^4 times per pass of the certify
 benchmark, run in C-level builtins with no generator frame per entry:
@@ -248,16 +248,17 @@ def hom_is_surjective(mat, ncols):
 
     With nrows <= ncols the map is onto iff its invariant factors are all
     1, i.e. iff the gcd of its nrows x nrows minors, their product, is 1.
-    For 1 to 3 rows each minor is the determinant `_small_base` returns for
-    its columns, stopping at the first gcd of 1; from 4 rows on the SNF gives
-    the invariant factors.  More rows than columns are never onto.
+    Up to 3 columns (at most three minors) each minor is the determinant
+    `_small_base` returns for its columns, stopping at the first gcd of 1;
+    from 4 columns on one SNF, not C(ncols, nrows) minors, gives the
+    invariant factors.  More rows than columns are never onto.
     """
     nr = len(mat)
     if nr == 0:
         return True
     if nr > ncols:
         return False
-    if nr <= 3:
+    if ncols <= 3:
         return _minors_gcd_is_one(
             _small_base(cols, nr)[2] for cols in combinations(zip(*mat), nr))
     D, *_ = snf(mat, nr, ncols)

@@ -339,12 +339,17 @@ def _fold(rays, a_set, general):
     """(fixed parts, folded A) of the general boundaries (b_j, A_j) on rays.
 
     The fixed part on a ray e is sum_j b_j * min_{a in A_j} <a, e>; the
-    folded b-divisor set is a_set + sum_j b_j * A_j.
+    folded b-divisor set is a_set + sum_j b_j * A_j.  h_A reads only its
+    vertices, which each partial sum keeps from the second boundary on
+    (k boundaries make O(k^(rank-1)) points, not 2^k); the first sum, the
+    generator's only one, is kept whole, as hulling it slowed generation.
     """
     fixes = [Fraction(0)] * len(rays)
-    for bj, aj in general:
+    for j, (bj, aj) in enumerate(general):
         fixes = [f + bj * x for f, x in zip(fixes, fix_mov(aj, rays))]
         a_set = support_sum(a_set, support_scale(bj, aj))
+        if j:
+            a_set = make_support(_from_hpoints(a_set.dim, a_set.rows, ()).points)
     return fixes, a_set
 
 
@@ -352,7 +357,8 @@ def fold_general(fan, pair):
     """Replace general boundaries by generalized ones.
 
     b_inv gains the fixed parts (`_fold`); the b-divisor set becomes
-    A + sum_j b_j * A_j; toric g-log discrepancies are unchanged.
+    A + sum_j b_j * A_j, kept as its vertices from the second boundary
+    on; toric g-log discrepancies are unchanged.
     """
     if pair.folded:
         return pair

@@ -14,10 +14,9 @@ in integer arithmetic only: the kernel behind `rational_rank` and
 `solve_rational` picks the start rows and gives the start rays (the
 closed form `lattice._small_base` in dimension <= 3, the fraction-free
 Gauss-Jordan elimination `lattice._gauss_jordan` from dimension 4 on),
-and two rays are combined iff their common zero set over the processed
-rows has at least dim-2 rows and lies in no third ray's zero set (the
-combinatorial adjacency test).  The rays come out primitive and sorted, so the result is
-deterministic; that is what lets `_polar_raw` read the polar of a
+and two rays are combined iff `_crossings` finds them adjacent.  The
+rays come out primitive and sorted, so the result is deterministic;
+that is what lets `_polar_raw` read the polar of a
 full-dimensional pointed polyhedron containing 0 off its stored rows
 with no conversion at all, what lets `_dd_cut` cut a pointed
 full-dimensional cone by a hyperplane in one step of the double
@@ -170,16 +169,35 @@ def _dd_pointed(rows, dim):
     return _dd_from_base(rows, dim, base, rays)
 
 
+def _crossings(pos, neg, masks, dim):
+    """(crossing ray, common zero set) of each adjacent pair of a positive and a negative ray.
+
+    pos and neg hold (r, z, a.r) for the rays r off the added row a, z the
+    zero set of r over the processed rows as a bitmask (bit i for row i);
+    masks holds every ray's.  r+ and r- are adjacent iff z = z+ & z- has
+    at least dim - 2 bits and no third ray's zero set contains z (the
+    combinatorial test of Fukuda-Prodon).  The crossing ray
+    a(r+) r- - a(r-) r+ lies on a.x = 0; it is not made primitive.
+    """
+    out = []
+    for rp, zp, vp in pos:
+        for rm, zm, vm in neg:
+            z = zp & zm
+            # distinct extreme rays have distinct zero sets, so comparing masks
+            # by value leaves out exactly r+ and r-
+            if z.bit_count() < dim - 2 or any(
+                    y & z == z for y in masks if y != zp and y != zm):
+                continue
+            out.append((tuple(vp * x - vm * y for x, y in zip(rm, rp)), z))
+    return out
+
+
 def _dd_from_base(rows, dim, base, rays):
     """Double description of {x : rows.x >= 0} from `_simplicial_start`.
 
-    Start ray j is zero on every base row but the j-th.  Each ray carries
-    its zero set over the processed rows as a bitmask (bit i for row i).
-    Adding a row keeps the rays on its nonnegative side and combines each
-    positive ray r+ with each negative ray r- that is adjacent to it:
-    z = zero(r+) & zero(r-) has at least dim - 2 bits and no third ray's
-    zero set contains z (the combinatorial test of Fukuda-Prodon).  The
-    new ray's zero set is z plus the added row.
+    Start ray j is zero on every base row but the j-th.  Adding a row
+    keeps the rays on its nonnegative side and adds each crossing ray of
+    `_crossings`, made primitive, with the added row in its zero set.
     """
     full = sum(1 << i for i in base)
     masks = [full & ~(1 << i) for i in base]
@@ -200,15 +218,9 @@ def _dd_from_base(rows, dim, base, rays):
                 z |= bit
             kept.append(r)
             kept_masks.append(z)
-        # distinct extreme rays have distinct zero sets, so comparing masks
-        # by value leaves out exactly r+ and r-
-        for rp, zp, vp in pos:
-            for rm, zm, vm in neg:
-                z = zp & zm
-                if z.bit_count() < dim - 2 or any(
-                        y & z == z for y in masks if y != zp and y != zm):
-                    continue
-                kept.append(primitive(tuple(vp * x - vm * y for x, y in zip(rm, rp))))
+        if pos and neg:
+            for r, z in _crossings(pos, neg, masks, dim):
+                kept.append(primitive(r))
                 kept_masks.append(z | bit)
         rays, masks = kept, kept_masks
     return tuple(sorted(rays))
@@ -219,17 +231,15 @@ def _dd_cut(rays, facets, a):
 
     Precondition: rays and facets are exactly the extreme rays and facet
     normals of a pointed full-dimensional cone in R^len(a), as `make_cone`
-    stores them when its generators are its extreme rays.  Each ray then
-    carries its zero set over the facets, and the adjacency test of
-    `_dd_from_base` applies as it stands, so no double description runs.
+    stores them when its generators are its extreme rays, so `_crossings`
+    applies to their zero sets over the facets with no double description.
 
     Returns None when a.x has one sign on every ray, so the cone lies on
     one side.  Otherwise returns the rays of the halves a.x >= 0 and
     a.x <= 0 of the cone, in that order: each half keeps the rays on its
-    side, those with a.x = 0 included, plus, for every adjacent pair r+, r-
-    of a positive and a negative ray, the crossing ray a(r+) r- - a(r-) r+
-    as it is: its content is the multiplicity `search.subdivide_fan`
-    reports, and `make_cone` makes it primitive.
+    side, those with a.x = 0 included, plus the crossing rays as
+    `_crossings` returns them: their content is the multiplicity
+    `search.subdivide_fan` reports, and `make_cone` makes them primitive.
     """
     pos, neg, zero, masks = [], [], [], []
     for r in rays:
@@ -244,16 +254,7 @@ def _dd_cut(rays, facets, a):
             zero.append(r)
     if not pos or not neg:
         return None
-    # the pair loop of `_dd_from_base`, kept apart: moved into a helper
-    # both call, it made `_dd_from_base` 2-4 % slower on certify and query
-    cut = list(zero)
-    for rp, zp, vp in pos:
-        for rm, zm, vm in neg:
-            z = zp & zm
-            if z.bit_count() < len(a) - 2 or any(
-                    y & z == z for y in masks if y != zp and y != zm):
-                continue
-            cut.append(tuple(vp * x - vm * y for x, y in zip(rm, rp)))
+    cut = zero + [r for r, _z in _crossings(pos, neg, masks, len(a))]
     return [r for r, _z, _v in pos] + cut, [r for r, _z, _v in neg] + cut
 
 
@@ -351,11 +352,6 @@ def _generators_of(normals, dim):
     """Generators of {x : <a, x> >= 0 for a in normals}: its rays, then each line both ways."""
     rays, lines = cone_from_inequalities(tuple(normals), dim)
     return list(rays) + list(lines) + [tuple(-a for a in l) for l in lines]
-
-
-def cone_from_normals(dim, normals):
-    """Cone {x : <a, x> >= 0 for a in normals}, as generators."""
-    return make_cone(dim, _generators_of(normals, dim))
 
 
 class _FacetCone(Cone):
@@ -456,9 +452,10 @@ def _homogenize_generators(hpoints, rays):
     return list(hpoints) + [tuple(r) + (0,) for r in rays]
 
 
-def _ineqs_from_dual(rays, lines, dim):
-    """Rows (a, c) of the homogenized dual rays (a, -c) and of both signs of its lines."""
-    gens = list(rays) + list(lines) + [tuple(-x for x in l) for l in lines]
+def _rows_of(dim, hpoints, rays):
+    """Sorted rows (a, c) of conv(hpoints) + cone(rays): its homogenized dual rays and lines."""
+    drays, dlines = cone_from_inequalities(_homogenize_generators(hpoints, rays), dim + 1)
+    gens = list(drays) + list(dlines) + [tuple(-x for x in l) for l in dlines]
     return tuple(sorted({(g[:dim], -g[dim]) for g in gens if not is_zero(g[:dim])}))
 
 
@@ -493,10 +490,8 @@ def _from_hpoints(dim, hpoints, rays):
     rays = [primitive(tuple(r)) for r in rays if not is_zero(tuple(r))]
     if not hpoints:
         return _empty(dim)
-    drays, dlines = cone_from_inequalities(_homogenize_generators(hpoints, rays), dim + 1)
-    ineqs = _ineqs_from_dual(drays, dlines, dim)
-    hpts, rrays = _generators_from_ineqs(ineqs, dim)
-    return Polyhedron(dim, hpts, rrays, ineqs)
+    ineqs = _rows_of(dim, hpoints, rays)
+    return Polyhedron(dim, *_generators_from_ineqs(ineqs, dim), ineqs)
 
 
 def _from_vertices(dim, hpoints, rays):
@@ -510,8 +505,7 @@ def _from_vertices(dim, hpoints, rays):
     to generators, would return hpoints and rays as given: only the one
     for the rows runs.
     """
-    drays, dlines = cone_from_inequalities(_homogenize_generators(hpoints, rays), dim + 1)
-    return Polyhedron(dim, tuple(hpoints), tuple(rays), _ineqs_from_dual(drays, dlines, dim))
+    return Polyhedron(dim, tuple(hpoints), tuple(rays), _rows_of(dim, hpoints, rays))
 
 
 def from_inequalities(dim, ineqs):
@@ -527,8 +521,7 @@ def _from_rows(dim, rows):
     hpts, rrays = _generators_from_ineqs(rows, dim)
     if not hpts:
         return _empty(dim)
-    drays, dlines = cone_from_inequalities(_homogenize_generators(hpts, rrays), dim + 1)
-    return Polyhedron(dim, hpts, rrays, _ineqs_from_dual(drays, dlines, dim))
+    return Polyhedron(dim, hpts, rrays, _rows_of(dim, hpts, rrays))
 
 
 def _generators_within(p, q):

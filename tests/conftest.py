@@ -20,12 +20,20 @@ from toricmld.pairs import (
 )
 from toricmld.polyhedra import (
     GeometryError,
+    _generators_of,
     _homogenize_generators,
     from_generators,
     from_inequalities,
     interval_image,
     make_cone,
 )
+
+# the acceptance set's seeded instances: random_instance(s) for s = 1000..1095,
+# then the seeds whose searches are known to take the slice-and-lift path, two
+# of them through two nested slices; they keep the acceptance suite's
+# criterion 6 well-exercised
+INTERIOR_SEEDS = (5, 27, 82, 93, 119, 159, 271, 362)
+ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + INTERIOR_SEEDS
 
 
 def germ(rank, rays, cones, pi, sigma_bar=None):
@@ -146,6 +154,11 @@ def affine_dim(p):
     if p.empty:
         return -1
     return rational_rank(_homogenize_generators(p.hpoints, p.rays), p.dim + 1) - 1
+
+
+def cone_from_normals(dim, normals):
+    """Cone {x : <a, x> >= 0 for a in normals}, as generators."""
+    return make_cone(dim, _generators_of(normals, dim))
 
 
 def strict_interior_contains(p, x):

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    ACCEPTANCE_SEEDS,
     a1_pair,
     extension_posts_hold,
     random_extension_input,
@@ -44,12 +45,6 @@ from toricmld.search import (
     gamma_closed,
     verify_certificate,
 )
-
-RANDOM_COUNT = 104
-RANDOM_BASE_SEED = 1000
-# seeds whose searches are known to take the slice-and-lift path, two of
-# them through two nested slices; they keep criterion 6 well-exercised
-INTERIOR_SEEDS = (5, 27, 82, 93, 119, 159, 271, 362)
 
 
 def _ok(n, text):
@@ -108,9 +103,7 @@ def end_to_end():
     for name in CORPUS:
         tc, pair, _obj = load_corpus(name)
         records.append((name, tc, pair))
-    seeds = [RANDOM_BASE_SEED + i for i in range(RANDOM_COUNT - len(INTERIOR_SEEDS))]
-    seeds += list(INTERIOR_SEEDS)
-    for s in seeds:
+    for s in ACCEPTANCE_SEEDS:
         tc, pair, meta = random_instance(s)
         records.append(("seed%d" % meta["seed"], tc, pair))
     out = []
@@ -134,7 +127,7 @@ def test_criterion_3_end_to_end(end_to_end):
     _ok(3, "find+verify on %d instances (%d corpus, %d random); "
            "gamma >= gamma(d, mld) and lct(phi_bar) >= gamma everywhere; "
            "%d interior recursion levels exercised"
-           % (len(end_to_end), len(CORPUS), RANDOM_COUNT, interior_levels))
+           % (len(end_to_end), len(CORPUS), len(ACCEPTANCE_SEEDS), interior_levels))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ rows.
 
 from fractions import Fraction as F
 
-from conftest import germ, product_germ
+from conftest import ACCEPTANCE_SEEDS, germ, product_germ
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import compose_covector, dot, identity, quotient_by_span, saturated_span
@@ -35,8 +35,6 @@ from toricmld.polyhedra import (
     _point_row,
     _point_sum,
 )
-
-ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + (5, 27, 82, 93, 119, 159, 271, 362)
 
 
 def reference_nef_box_generators(tc, pair):

@@ -20,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricmld.pairs
-from conftest import affine_dim, germ, strict_interior_contains, zero_pair
+from conftest import (
+    INTERIOR_SEEDS,
+    affine_dim,
+    germ,
+    strict_interior_contains,
+    zero_pair,
+)
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import LatticeError, apply_hom, dot, identity, is_zero
@@ -338,8 +344,6 @@ def test_mld_calls_gauge_once_and_matches_reference(counted_gauge_rows):
 
 
 def test_mld_matches_reference_on_interior_seeds():
-    from test_acceptance import INTERIOR_SEEDS
-
     # reference_mld scans the box of t_cap * up with t_cap the witness's gauge
     for name, tc, bd in _generated(INTERIOR_SEEDS):
         expect = reference_mld(tc, bd)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import toricmld.generator as generator
+from conftest import cone_from_normals
 from toricmld.generator import (
     MAX_ATTEMPTS,
     _build_fan,
@@ -23,7 +24,7 @@ from toricmld.pairs import (
     mld_over_fiber,
     validate_contraction,
 )
-from toricmld.polyhedra import GeometryError, cone_from_normals, make_cone
+from toricmld.polyhedra import GeometryError, make_cone
 
 
 def reference_random_instance(seed):

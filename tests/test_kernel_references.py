@@ -8,7 +8,7 @@ Fraction, bool and list vectors, and the membership tests must agree on
 every fan ray and box point of the acceptance set.  The one intended
 difference, a wrong-length vector on an object with no rows, is tested
 in `test_polyhedra.py`.  `hom_is_surjective` reads the gcd of the
-maximal minors for 1 to 3 rows where it took an SNF.  `_cancel` only
+maximal minors up to 3 columns where it took an SNF.  `_cancel` only
 inlines the `gcd` that `content` took; the elimination references in
 `test_lattice.py` and `test_simplicial_start.py` check it through
 `solve_rational` and `rational_rank`.
@@ -20,6 +20,8 @@ from math import gcd, lcm
 
 import pytest
 
+import toricmld.lattice
+from conftest import ACCEPTANCE_SEEDS
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import (
@@ -34,7 +36,6 @@ from toricmld.lattice import (
 from toricmld.pairs import analyze
 from toricmld.polyhedra import GeometryError
 
-ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + (5, 27, 82, 93, 119, 159, 271, 362)
 SCALES = (F(-1), F(-1, 2), F(1, 3), F(2))
 
 
@@ -194,13 +195,41 @@ def _matrices(rng):
         yield tuple(mat), ncols
 
 
-def test_hom_is_surjective_matches_the_snf_on_seeded_matrices():
+def _wide_matrices(rng):
+    """Seeded 3-row int matrices of 20 to 60 columns, every other one with an all-even row.
+
+    With an all-even row every 3x3 minor is even, so a gcd of the minors
+    would never reach 1 early.
+    """
+    for trial in range(12):
+        ncols = rng.randint(20, 60)
+        mat = [tuple(rng.randint(-6, 6) for _ in range(ncols)) for _ in range(3)]
+        if trial % 2 == 0:
+            mat[rng.randrange(3)] = tuple(2 * rng.randint(1, 3) for _ in range(ncols))
+        yield tuple(mat), ncols
+
+
+def test_hom_is_surjective_matches_the_snf_on_seeded_matrices(monkeypatch):
+    calls = []
+    inner = toricmld.lattice._small_base
+
+    def counting(rows, n):
+        calls.append(n)
+        return inner(rows, n)
+
+    monkeypatch.setattr(toricmld.lattice, "_small_base", counting)
     rng = random.Random(28)
-    seen = set()
-    for mat, ncols in _matrices(rng):
+    seen, wide = set(), set()
+    for mat, ncols in [*_matrices(rng), *_wide_matrices(rng)]:
         onto = reference_hom_is_surjective(mat, ncols)
+        calls.clear()
         assert hom_is_surjective(mat, ncols) == onto, (mat, ncols)
+        # minors only up to 3 columns, where a map has at most three of them
+        assert len(calls) <= 3, (len(mat), ncols)
         seen.add((len(mat), len(mat) <= ncols, onto))
+        if ncols >= 20:
+            wide.add(onto)
     assert {(nr, True, onto) for nr in (1, 2, 3) for onto in (True, False)} <= seen
     assert {(nr, False, False) for nr in (1, 2, 3)} <= seen
     assert (0, True, True) in seen and (4, True, True) in seen
+    assert wide == {True, False}

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import toricmld.lattice
+from conftest import ACCEPTANCE_SEEDS
 from toricmld.lattice import (
     LatticeError,
     Sublattice,
@@ -444,7 +445,6 @@ def test_saturated_span_matches_kernel_of_kernel_on_acceptance_spans(monkeypatch
     from functools import cached_property
 
     import toricmld.pairs
-    from test_acceptance import INTERIOR_SEEDS, RANDOM_BASE_SEED, RANDOM_COUNT
     from toricmld.generator import random_instance
     from toricmld.instances import CORPUS, load_corpus
     from toricmld.search import find_hyperplane, verify_certificate
@@ -468,8 +468,7 @@ def test_saturated_span_matches_kernel_of_kernel_on_acceptance_spans(monkeypatch
     monkeypatch.setattr(toricmld.pairs, "saturated_span", recording)
     monkeypatch.setattr(toricmld.pairs.BoxData, "quotient", quotient)
     germs = [load_corpus(name)[:2] for name in CORPUS]
-    seeds = [RANDOM_BASE_SEED + i for i in range(RANDOM_COUNT - len(INTERIOR_SEEDS))]
-    germs += [random_instance(s)[:2] for s in seeds + list(INTERIOR_SEEDS)]
+    germs += [random_instance(s)[:2] for s in ACCEPTANCE_SEEDS]
     for tc, pair in germs:
         ok, reasons = verify_certificate(tc, pair, find_hyperplane(tc, pair))
         assert ok, reasons

@@ -7,7 +7,14 @@ import pytest
 import toricmld.generator as generator
 import toricmld.pairs as pairs
 import toricmld.polyhedra as polyhedra
-from conftest import a1_pair, germ, product_germ, wedge25_pair, zero_pair
+from conftest import (
+    a1_pair,
+    cone_from_normals,
+    germ,
+    product_germ,
+    wedge25_pair,
+    zero_pair,
+)
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, InstanceError, instance_from_obj, load_corpus
 from toricmld.lattice import compose_covector, dot, identity, rational_rank
@@ -34,11 +41,12 @@ from toricmld.pairs import (
 )
 from toricmld.polyhedra import (
     _point_row,
-    cone_from_normals,
     from_generators,
     make_cone,
     make_support,
     polyhedra_equal,
+    support_scale,
+    support_sum,
     support_value,
 )
 from toricmld.search import find_hyperplane, subdivide_fan
@@ -364,6 +372,35 @@ def test_fold_preserves_log_discrepancies(a2_germ):
     psi = cartier_psi(a2_germ, nef_values(a2_germ.fan, folded))[0]
     for e in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 3)]:
         assert log_discrepancy(bd, e) == dot(psi, e) - support_value(a_eff, e)
+
+
+def _segment_boundaries(fan, k):
+    """The quadrant's pair with general boundaries A_j = {(0,0), (1,2^j)}, b_j = 1/64, j < k."""
+    return make_pair(fan, (0, 0), [(0, 0)],
+                     [(F(1, 64), [(0, 0), (1, 2 ** j)]) for j in range(k)])
+
+
+def unhulled_fold(fan, pair):
+    """fold_general keeping every point of each Minkowski sum: 2^k points for k segments."""
+    fixes, a_set = [F(0)] * len(fan.rays), pair.bdiv_a
+    for bj, aj in pair.general:
+        fixes = [f + bj * x for f, x in zip(fixes, fix_mov(aj, fan.rays))]
+        a_set = support_sum(a_set, support_scale(bj, aj))
+    return make_pair(fan, [x + f for x, f in zip(pair.b_inv, fixes)], a_set.points)
+
+
+def test_fold_keeps_the_vertices_of_each_sum(a2_germ):
+    # the sum of k segments in distinct directions is a 2k-gon
+    for k in (3, 6, 10, 14):
+        folded = fold_general(a2_germ.fan, _segment_boundaries(a2_germ.fan, k))
+        assert len(folded.bdiv_a.points) == 2 * k
+    for k in (3, 6, 10):
+        pair = _segment_boundaries(a2_germ.fan, k)
+        bd = analyze(a2_germ, pair)
+        ref = analyze(a2_germ, unhulled_fold(a2_germ.fan, pair))
+        assert len(ref.a_eff.points) == 2 ** k
+        assert (bd.box, bd.psi) == (ref.box, ref.psi)
+        assert mld_over_fiber(bd) == mld_over_fiber(ref)
 
 
 # ---------------------------------------------------------------------------

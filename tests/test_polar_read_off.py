@@ -12,14 +12,12 @@ from collections import Counter
 from fractions import Fraction as F
 
 import toricmld.pairs
+from conftest import ACCEPTANCE_SEEDS
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import is_zero
 from toricmld.polyhedra import _from_rows, _polar_raw, _reads_off_polar, from_generators
 from toricmld.search import find_hyperplane, verify_certificate
-
-# the acceptance set: seeds 1000-1095 and the seeds that take the slice path
-ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + (5, 27, 82, 93, 119, 159, 271, 362)
 
 
 def reference_polar(p):

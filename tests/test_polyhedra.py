@@ -3,12 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import affine_dim
+from conftest import affine_dim, cone_from_normals
 from toricmld.lattice import LatticeError, content, dot, vec_add, vec_scale
 from toricmld.polyhedra import (
     GeometryError,
     _polar_raw,
-    cone_from_normals,
     from_generators,
     from_inequalities,
     gauge,

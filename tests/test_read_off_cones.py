@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import toricmld.search
-from conftest import germ, strict_interior_contains
+from conftest import ACCEPTANCE_SEEDS, germ, strict_interior_contains
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, instance_from_obj, load_corpus
 from toricmld.lattice import (
@@ -128,7 +128,6 @@ def reference_quotient(bd):
     return proj, map_polyhedron(proj, bd.u, bd.l)
 
 
-ACCEPTANCE_SEEDS = tuple(range(1000, 1096)) + (5, 27, 82, 93, 119, 159, 271, 362)
 # both near-boundary ladders of the bench, and d = 10^9
 NEAR_BOUNDARY_D = (2, 3, 4, 6, 8, 10, 11, 16, 23, 32, 45, 100, 316, 1000, 3162, 10 ** 9)
 

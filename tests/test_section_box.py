@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import germ
+from conftest import cone_from_normals, germ
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import identity, vec_add
@@ -29,7 +29,6 @@ from toricmld.pairs import (
 )
 from toricmld.polyhedra import (
     GeometryError,
-    cone_from_normals,
     from_generators,
     from_inequalities,
     make_cone,

@@ -17,6 +17,7 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from conftest import ACCEPTANCE_SEEDS
 from toricmld.cli import main
 from toricmld.generator import random_instance
 from toricmld.instances import (
@@ -30,7 +31,6 @@ from toricmld.instances import (
 from toricmld.search import find_hyperplane
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
-INTERIOR_SEEDS = (5, 27, 82, 93, 119, 159, 271, 362)
 ACCEPTANCE_DIGEST = "5a377269e1b6553bb87b45aa955b8c353a5e3faa22d18466f66e5034f0b621d7"
 GENERATOR_DIGEST = "b489f98872f3f75c7b80bb5497627f87a8282d8c94c022d0d5f1c450096944a3"
 
@@ -93,7 +93,7 @@ def test_acceptance_digest():
     then the interior seeds.
     """
     instances = [load_corpus(name)[:2] for name in CORPUS]
-    instances += [random_instance(s)[:2] for s in (*range(1000, 1096), *INTERIOR_SEEDS)]
+    instances += [random_instance(s)[:2] for s in ACCEPTANCE_SEEDS]
     digest = hashlib.sha256()
     for tc, pair in instances:
         cert = find_hyperplane(tc, pair)

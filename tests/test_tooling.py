@@ -9,10 +9,11 @@ import toricmld.generator
 import toricmld.lattice
 import toricmld.pairs
 import toricmld.polyhedra
+from conftest import cone_from_normals
 from toricmld.generator import _build_fan, _split, random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.pairs import analyze, is_glc, make_pair, mld_over_fiber
-from toricmld.polyhedra import cone_from_normals, make_cone
+from toricmld.polyhedra import make_cone
 from toricmld.search import find_hyperplane, verify_certificate
 
 
