@@ -28,8 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .lattice import (
+    _small_base,
     apply_hom,
     compose_covector,
     content,
@@ -57,6 +59,7 @@ from .polyhedra import (
     _point_row,
     _point_sum,
     _polar_raw,
+    _support_ratio,
     cone_from_facets,
     cone_from_inequalities,
     integer_points,
@@ -367,36 +370,53 @@ def fold_general(fan, pair):
 
 
 def nef_values(fan, pair):
-    """r_e = 1 - b_e + h_A(e): the coefficients of -(K + B + D_X)."""
+    """r_e = 1 - b_e + h_A(e), the coefficients of -(K + B + D_X), as pairs (n, d), d > 0.
+
+    At b_e = u / v and h_A(e) = s / q (`_support_ratio` of A's rows) the pair
+    is ((v - u) q + s v, v q), not reduced, as in `_gauge_ratio`.
+    """
     if not pair.folded:
         raise PairError("nef_values needs a folded pair")
-    return tuple(1 - b + support_value(pair.bdiv_a, e)
-                 for e, b in zip(fan.rays, pair.b_inv))
+    rows = pair.bdiv_a.rows
+    return tuple(((b.denominator - b.numerator) * q + s * b.denominator, b.denominator * q)
+                 for b, (s, q) in zip(pair.b_inv, [_support_ratio(rows, e) for e in fan.rays]))
 
 
 def cartier_psi(tc, r):
-    """Per-cone solutions psi with <psi,e> = r_e on the rays (r from nef_values)."""
-    fan = tc.fan
+    """Per-cone psi_sigma with <psi_sigma, e> = r_e (`nef_values`) on its rays, as point rows.
+
+    A simplicial cone of rank <= 3 has psi_sigma = adj.(den r) / (det den),
+    in integers, with adj and det from `lattice._small_base` of its rays and
+    den the lcm of its r_e's denominators.  Any other cone (not simplicial,
+    rank >= 4 or singular) goes to `solve_rational`; NotRCartier if unsolvable.
+    """
+    n = tc.rank
     psis = []
-    for ci, cone_rays in enumerate(fan.max_cones):
-        rows = [fan.rays[i] for i in cone_rays]
-        rhs = [r[i] for i in cone_rays]
-        sol = solve_rational(rows, rhs, fan.rank)
-        if sol is None:
-            raise NotRCartier(ci)
-        psis.append(sol)
+    for ci, c in enumerate(tc.fan.max_cones):
+        rays = [tc.fan.rays[i] for i in c]
+        _base, adj, det = _small_base(rays, n) if n <= 3 and len(c) == n else ((), None, 0)
+        if adj is None:
+            sol = solve_rational(rays, [Fraction(*r[i]) for i in c], n)
+            if sol is None:
+                raise NotRCartier(ci)
+            psis.append(_point_row(sol))
+        else:
+            den = lcm(*(r[i][1] for i in c))
+            rhs = [r[i][0] * (den // r[i][1]) for i in c]     # den * r_e, integers
+            x = [sum(col[k] * b for col, b in zip(adj, rhs)) for k in range(n)] + [det * den]
+            psis.append(primitive(x if det > 0 else [-v for v in x]))
     return tuple(psis)
 
 
 def is_f_nef(tc, r, psi_rows):
     """Toric relative nef test: each -psi_sigma lies in the section box.
 
-    psi_rows are the point rows (x, q) of the psi_sigma (`_point_row`).
-    At r_e = n / d, the test <psi_sigma, e> <= r_e reads x.e * d <= n * q,
-    in integers.
+    psi_rows are the point rows (x, q) of the psi_sigma (`cartier_psi`).
+    At r_e = (n, d) (`nef_values`), the test <psi_sigma, e> <= n / d reads
+    x.e * d <= n * q, in integers.
     """
-    return all(dot(x[:-1], e) * re.denominator <= re.numerator * x[-1]
-               for x in psi_rows for e, re in zip(tc.fan.rays, r))
+    return all(dot(x[:-1], e) * d <= rn * x[-1]
+               for x in psi_rows for e, (rn, d) in zip(tc.fan.rays, r))
 
 
 @dataclass(frozen=True)
@@ -463,8 +483,8 @@ def analyze(tc, pair):
     every point as an integer row (A's rows, `SupportSet.rows`, made once
     per set).  `_nef_box_generators` reads the vertices and extreme rays
     of box_{-K-B-D} off the Cartier data and the support, with no double
-    description; each psi_sigma becomes its point row once, for it and for
-    the f-nef test.  When the folded A is one point a (and the rank is
+    description; `cartier_psi` gives the psi_sigma as point rows, for it and
+    for the f-nef test.  When the folded A is one point a (and the rank is
     positive), the box is a + box_{-K-B-D}, whose vertices are the
     distinct translated points and whose extreme rays are the same, so one
     double description gives its rows and none converts them back
@@ -478,17 +498,16 @@ def analyze(tc, pair):
     description's canonical rays are the box's stored rows (`_polar_raw`):
     on a g-lc pair one double description in all for a one-point A and two
     for more points, both for the box; two more off g-lc.  Returns the
-    BoxData; its a_eff and psi are the folded pair's A and the Cartier data.
+    BoxData; its a_eff and psi are the folded pair's A and the Cartier rows.
     """
     fan = tc.fan
     n = fan.rank
     folded = fold_general(fan, pair)
     r = nef_values(fan, folded)
     psi = cartier_psi(tc, r)
-    psi_rows = tuple(map(_point_row, psi))
-    if not is_f_nef(tc, r, psi_rows):
+    if not is_f_nef(tc, r, psi):
         raise PairError("-(K+B+D) is not f-nef")
-    d_points, d_rays = _nef_box_generators(tc, psi_rows)
+    d_points, d_rays = _nef_box_generators(tc, psi)
     a_rows = folded.bdiv_a.rows
     if n and len(a_rows) == 1:
         # box = a + box_{-K-B-D}: its vertices and rays are box_{-K-B-D}'s, translated
@@ -526,12 +545,12 @@ def log_discrepancy(bd, e):
     if lo is None:
         raise PairError("h_box must be finite on the support")
     val = -lo
-    # cross-check against the per-cone formula <psi_sigma, e> - h_A(e)
+    # cross-check in integers against the per-cone <psi_sigma, e> - h_A(e) = x.e / q - s / m
     fan = bd.tc.fan
     for ci in range(len(fan.max_cones)):
         if fan.cone(ci).contains(e):
-            alt = dot(bd.psi[ci], e) - support_value(bd.a_eff, e)
-            if alt != val:
+            x, (s, m) = bd.psi[ci], _support_ratio(bd.a_eff.rows, e)
+            if (dot(x[:-1], e) * m - s * x[-1]) * val.denominator != val.numerator * x[-1] * m:
                 raise PairError("box and per-cone log discrepancies disagree")
             break
     return val
@@ -631,15 +650,14 @@ def lct_pullback(bd, phibar):
         raise PairError("lct_pullback needs a g-lc pair")
     phi = compose_covector(phibar, tc.pi, tc.rank)
     best = None
-    # g-lc puts 0 in the box, so every c <= 0 and every candidate is >= 0
+    # g-lc puts 0 in the box, so every c <= 0; the least -c / s >= 0 is kept as a pair
     for a, c in bd.box.ineqs:
         s = dot(a, phi)
-        if s > 0:
-            cand = Fraction(-c, s)
-            best = cand if best is None else min(best, cand)
+        if s > 0 and (best is None or -c * best[1] < best[0] * s):
+            best = (-c, s)
     if best is None:
         raise PairError("unbounded lct: functional is trivial on the box")
-    return best
+    return Fraction(*best)
 
 
 ORACLE_BOX_LIMIT = 10 ** 6

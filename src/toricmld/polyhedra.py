@@ -591,22 +591,25 @@ def make_support(points):
 
 
 def support_value(a_set, e):
-    """h_A(e) = min over the finite set A of <a, e>.
-
-    At the row (x, q) of a point the value is s / q with s = x.e; the
-    running minimum is kept as such a pair and compared by
-    cross-multiplying, and one Fraction is built at the end.
-    """
+    """h_A(e) = min over the finite set A of <a, e>: one Fraction of `_support_ratio`."""
     if len(e) != a_set.dim:
         raise GeometryError("dimension mismatch in support_value")
-    first, *rest = a_set.rows
+    return Fraction(*_support_ratio(a_set.rows, e))
+
+
+def _support_ratio(rows, e):
+    """h_A(e) as a pair (s, q), q > 0, from the rows (x, q) of A (`SupportSet.rows`).
+
+    Each row gives s / q with s = x.e, compared by cross-multiplying.
+    """
+    first, *rest = rows
     # map(mul, e, h) stops after the dim entries of e, so it sums x.e
     ms, mq = sum(map(mul, e, first)), first[-1]
     for h in rest:
         s, q = sum(map(mul, e, h)), h[-1]
         if s * mq < ms * q:
             ms, mq = s, q
-    return Fraction(ms, mq)
+    return ms, mq
 
 
 def support_sum(a_set, b_set):
@@ -718,11 +721,17 @@ def gauge(p, x):
 
 
 def interval_image(phi, p):
-    """Exact (min, max) of a functional over p; None encodes an infinite end.
+    """Exact (min, max) of a functional over p: the Fractions of `_interval_ends`."""
+    lo, hi = _interval_ends(phi, p)
+    return (None if lo is None else Fraction(*lo),
+            None if hi is None else Fraction(*hi))
 
-    The point row (x, q) gives the value s / q with s = phi.x.  The ends
-    are kept as pairs (s, q) and compared by cross-multiplying, and one
-    Fraction is built per finite end.
+
+def _interval_ends(phi, p):
+    """(min, max) of a functional over p as pairs (s, q), q > 0; None encodes an infinite end.
+
+    The point row (x, q) gives the value s / q with s = phi.x, compared by
+    cross-multiplying.
     """
     if p.empty:
         raise GeometryError("interval over the empty polyhedron")
@@ -745,8 +754,7 @@ def interval_image(phi, p):
             hi = None
         elif v < 0:
             lo = None
-    return (None if lo is None else Fraction(*lo),
-            None if hi is None else Fraction(*hi))
+    return lo, hi
 
 
 def lattice_points(p):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .lattice import (
     apply_hom,
@@ -46,6 +47,7 @@ from .pairs import (
 )
 from .polyhedra import (
     _dd_cut,
+    _interval_ends,
     from_inequalities,
     make_cone,
     interval_image,
@@ -65,16 +67,21 @@ class SearchError(PairError):
 
 
 def gamma(d, a):
-    """gamma(1, a) = a, gamma(d, a) = gamma(d-1, a^2/d^2), for an integer d >= 1."""
+    """gamma(1, a) = a, gamma(d, a) = gamma(d-1, a^2/d^2), for an integer d >= 1.
+
+    a = n / m stays reduced by small gcds, as gcd(n, m) = 1 makes gcd(n^2,
+    m^2 k^2) = gcd(n, k)^2 at level k; one Fraction is built at the end.
+    """
     if d < 1 or d % 1:
         raise ValueError("gamma needs an integer d >= 1")
     d, a = int(d), Fraction(a)
     if a <= 0:
         raise ValueError("gamma needs a > 0")
-    while d > 1:
-        a = a * a / (d * d)
-        d -= 1
-    return a
+    n, m = a.numerator, a.denominator
+    for k in range(d, 1, -1):
+        g = gcd(n, k)
+        n, m = (n // g) ** 2, (m * (k // g)) ** 2
+    return Fraction(n, m)
 
 
 def gamma_closed(d, a):
@@ -121,7 +128,8 @@ def _covector_level(l, k):
 
 
 def _width_result(phi, lo, hi):
-    """The pick oriented so that [0, w] is its interval when 0 is an end."""
+    """The pick from its end pairs, oriented so that [0, w] is its interval when 0 is an end."""
+    lo, hi = Fraction(*lo), Fraction(*hi)
     if hi == 0:
         phi, lo, hi = tuple(-x for x in phi), -hi, -lo
     return WidthResult(phi, lo, hi, hi - lo)
@@ -136,27 +144,33 @@ def width_functional(up, t):
     1/w >= gamma(l, t) wins, oriented to [0, w], and the walk stops there;
     failing that, the first functional with 0 interior to its interval,
     kept while the level is walked, wins at its end.  The search stops
-    after sup-norm WIDTH_NORM_CAP.
+    after sup-norm WIDTH_NORM_CAP.  up is compact and full-dimensional
+    (`BoxData.quotient`), so each width w = hs/hq - ls/lq from the end
+    pairs (`_interval_ends`) is positive: w <= l^2/t and 1/w >= gamma(l, t)
+    are compared by cross-multiplying, with Fractions only for the result.
     """
     if up.empty or not up.is_compact():
         raise PairError("width search needs a compact nonempty polyhedron")
-    bound = Fraction(up.dim ** 2) / Fraction(t)
-    need = gamma(up.dim, t)
+    l, t = up.dim, Fraction(t)
+    bn, bd = l * l * t.denominator, t.numerator      # the bound l^2 / t
+    need = gamma(l, t)
+    gn, gd = need.numerator, need.denominator
     for k in range(1, WIDTH_NORM_CAP + 1):
         interior = None
-        for phi in _covector_level(up.dim, k):
-            lo, hi = interval_image(phi, up)
-            if hi - lo > bound:
+        for phi in _covector_level(l, k):
+            (ls, lq), (hs, hq) = ends = _interval_ends(phi, up)
+            wn, wd = hs * lq - ls * hq, hq * lq       # w = wn / wd
+            if wn * bd > bn * wd:
                 continue
-            if lo == 0 or hi == 0:
-                if Fraction(1) / (hi - lo) >= need:
-                    return _width_result(phi, lo, hi)
-            elif interior is None and lo < 0 < hi:
-                interior = (phi, lo, hi)
+            if ls == 0 or hs == 0:
+                if wd * gd >= gn * wn:
+                    return _width_result(phi, *ends)
+            elif interior is None and ls < 0 < hs:
+                interior = (phi, *ends)
         if interior is not None:
             return _width_result(*interior)
     raise SearchError("width bound violated: no functional of length <= %s "
-                      "with sup-norm <= %d" % (bound, WIDTH_NORM_CAP))
+                      "with sup-norm <= %d" % (Fraction(bn, bd), WIDTH_NORM_CAP))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ from toricmld.lattice import (
     kernel_sublattice,
     primitive,
     rational_rank,
+    solve_rational,
 )
 from toricmld.pairs import (
+    NotRCartier,
+    PairError,
     fold_general,
     make_contraction,
     make_fan,
@@ -22,10 +25,18 @@ from toricmld.polyhedra import (
     GeometryError,
     _generators_of,
     _homogenize_generators,
+    _point_row,
     from_generators,
     from_inequalities,
     interval_image,
     make_cone,
+    support_value,
+)
+from toricmld.search import (
+    WIDTH_NORM_CAP,
+    SearchError,
+    WidthResult,
+    _covector_level,
 )
 
 # the acceptance set's seeded instances: random_instance(s) for s = 1000..1095,
@@ -189,3 +200,68 @@ def product_germ(first, second):
     pair1, pair2 = fold_general(tc1.fan, pair1), fold_general(tc2.fan, pair2)
     points = [a + b for a in pair1.bdiv_a.points for b in pair2.bdiv_a.points]
     return tc, make_pair(tc.fan, pair1.b_inv + pair2.b_inv, points)
+
+
+# ---------------------------------------------------------------------------
+# reference forms in Fractions: the former bodies of the Cartier data, the
+# width search and gamma, which now run in integer pairs
+
+
+def reference_nef_values(fan, pair):
+    """The former `pairs.nef_values`: r_e = 1 - b_e + h_A(e) as Fractions."""
+    return tuple(1 - b + support_value(pair.bdiv_a, e) for e, b in zip(fan.rays, pair.b_inv))
+
+
+def reference_cartier_rows(tc, r):
+    """The former `pairs.cartier_psi` then `_point_row`: one `solve_rational` per
+    maximal cone over the Fractions of the pairs r, each solution as its point row."""
+    rows = []
+    for ci, c in enumerate(tc.fan.max_cones):
+        sol = solve_rational([tc.fan.rays[i] for i in c], [F(*r[i]) for i in c], tc.rank)
+        if sol is None:
+            raise NotRCartier(ci)
+        rows.append(_point_row(sol))
+    return tuple(rows)
+
+
+def reference_width_functional(up, t):
+    """The former `search.width_functional`: Fraction ends, width and 1/w per candidate."""
+    if up.empty or not up.is_compact():
+        raise PairError("width search needs a compact nonempty polyhedron")
+    bound = F(up.dim ** 2) / F(t)
+    need = reference_gamma(up.dim, t)
+    for k in range(1, WIDTH_NORM_CAP + 1):
+        interior = None
+        for phi in _covector_level(up.dim, k):
+            lo, hi = interval_image(phi, up)
+            if hi - lo > bound:
+                continue
+            if lo == 0 or hi == 0:
+                if F(1) / (hi - lo) >= need:
+                    return _reference_width_result(phi, lo, hi)
+            elif interior is None and lo < 0 < hi:
+                interior = (phi, lo, hi)
+        if interior is not None:
+            return _reference_width_result(*interior)
+    raise SearchError("width bound violated: no functional of length <= %s "
+                      "with sup-norm <= %d" % (bound, WIDTH_NORM_CAP))
+
+
+def _reference_width_result(phi, lo, hi):
+    """The former `search._width_result`: the pick oriented to [0, w] when 0 is an end."""
+    if hi == 0:
+        phi, lo, hi = tuple(-x for x in phi), -hi, -lo
+    return WidthResult(phi, lo, hi, hi - lo)
+
+
+def reference_gamma(d, a):
+    """The former `search.gamma`: a Fraction reduced at every level."""
+    if d < 1 or d % 1:
+        raise ValueError("gamma needs an integer d >= 1")
+    d, a = int(d), F(a)
+    if a <= 0:
+        raise ValueError("gamma needs a > 0")
+    while d > 1:
+        a = a * a / (d * d)
+        d -= 1
+    return a

@@ -61,7 +61,7 @@ def reference_section(tc, pair):
     n = fan.rank
     folded = fold_general(fan, pair)
     r = nef_values(fan, folded)
-    box_d = from_inequalities(n, [(e, -re) for e, re in zip(fan.rays, r)])
+    box_d = from_inequalities(n, [(e, -F(*re)) for e, re in zip(fan.rays, r)])
     if box_d.empty:
         raise PairError("empty section box")
     conv_a = from_generators(n, folded.bdiv_a.points)

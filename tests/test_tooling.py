@@ -12,7 +12,7 @@ import toricmld.polyhedra
 from conftest import cone_from_normals
 from toricmld.generator import _build_fan, _split, random_instance
 from toricmld.instances import CORPUS, load_corpus
-from toricmld.pairs import analyze, is_glc, make_pair, mld_over_fiber
+from toricmld.pairs import analyze, is_glc, make_contraction, make_fan, make_pair, mld_over_fiber
 from toricmld.polyhedra import make_cone
 from toricmld.search import find_hyperplane, verify_certificate
 
@@ -191,6 +191,50 @@ def test_dimension_at_most_3_takes_the_closed_form(monkeypatch):
         assert bool(starts) == (tc.rank == 3) and set(starts) <= {4}, (name, starts)
         ranks.add(tc.rank)
     assert ranks == {1, 2, 3}
+
+
+def test_width_search_and_cartier_data_run_in_integer_pairs(monkeypatch):
+    """Over find + verify of the corpus, `search.width_functional` reads its
+    candidates' ends as pairs (`polyhedra._interval_ends`) and never calls
+    `interval_image`, and `pairs.cartier_psi` calls `solve_rational` only
+    for a cone that is not simplicial or has rank >= 4: a simplicial cone
+    of rank <= 3 takes the closed form of `lattice._small_base`.  The
+    cone over a quadrilateral is not simplicial and takes the solver."""
+    callers = {"interval_image": [], "solve_rational": []}
+
+    def recording(name, real):
+        def wrapper(*args):
+            callers[name].append((sys._getframe(1).f_code.co_name, args))
+            return real(*args)
+        return wrapper
+
+    for module in (toricmld.search, toricmld.pairs):
+        monkeypatch.setattr(module, "interval_image",
+                            recording("interval_image", toricmld.polyhedra.interval_image))
+    monkeypatch.setattr(toricmld.pairs, "solve_rational",
+                        recording("solve_rational", toricmld.lattice.solve_rational))
+    widths = [0]
+    real_width = toricmld.search.width_functional
+
+    def counted_width(up, t):
+        widths[0] += 1
+        return real_width(up, t)
+
+    monkeypatch.setattr(toricmld.search, "width_functional", counted_width)
+    for name in CORPUS:
+        tc, pair, _obj = load_corpus(name)
+        verify_certificate(tc, pair, find_hyperplane(tc, pair))
+    assert widths[0] >= len(CORPUS)
+    assert [c for c, _args in callers["interval_image"] if c == "width_functional"] == []
+    assert callers["interval_image"]    # log_discrepancy and the slices still call it
+    psi_solves = [args for c, args in callers["solve_rational"] if c == "cartier_psi"]
+    assert [(len(rows), ncols) for rows, _rhs, ncols in psi_solves
+            if len(rows) == ncols <= 3] == []
+    square = make_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)])
+    tc = make_contraction(square, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    callers["solve_rational"].clear()
+    analyze(tc, make_pair(square, (0, 0, 0, 0), [(0, 0, 0)]))
+    assert [(c, len(args[0])) for c, args in callers["solve_rational"]] == [("cartier_psi", 4)]
 
 
 def _tc_and_bd_parameters(source, filename):
