@@ -185,7 +185,7 @@ def instance_to_obj(tc, pair, comment=None):
     obj["sigma_bar"] = [list(g) for g in tc.sigma_bar.generators]
     obj["B"] = {str(i): frac_str(x) for i, x in enumerate(pair.b_inv)}
     obj["bdiv_A"] = [[frac_str(x) for x in p] for p in pair.bdiv_a.points]
-    obj["general"] = [{"b": frac_str(bj), "A": [[int(x) for x in p] for p in aj.points]}
+    obj["general"] = [{"b": frac_str(bj), "A": [[int(x) for x in h[:-1]] for h in aj.rows]}
                       for bj, aj in pair.general]
     return obj
 

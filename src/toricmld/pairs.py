@@ -318,7 +318,7 @@ def make_pair(fan, b_inv, bdiv_points, general=()):
             raise PairError("general boundary %d coefficient %s must be nonnegative"
                             % (j, bj))
         s = _support_of(fan, pts, "general boundary %d" % j)
-        if any(x.denominator != 1 for p in s.points for x in p):
+        if any(h[-1] != 1 for h in s.rows):
             raise PairError("general boundary support sets must be integral")
         gen.append((bj, s))
     return GPair(b, a_set, tuple(gen))
@@ -352,7 +352,7 @@ def _fold(rays, a_set, general):
         fixes = [f + bj * x for f, x in zip(fixes, fix_mov(aj, rays))]
         a_set = support_sum(a_set, support_scale(bj, aj))
         if j:
-            a_set = make_support(_from_hpoints(a_set.dim, a_set.rows, ()).points)
+            a_set = SupportSet(_from_hpoints(a_set.dim, a_set.rows, ()).hpoints)
     return fixes, a_set
 
 
@@ -480,8 +480,8 @@ def analyze(tc, pair):
     Precondition: |fan| == tc.support, which validate_contraction checks.
     The box is Conv(A) + box_{-K-B-D}, generated by the sums of the
     points of A and of box_{-K-B-D} and by the rays of box_{-K-B-D}, with
-    every point as an integer row (A's rows, `SupportSet.rows`, made once
-    per set).  `_nef_box_generators` reads the vertices and extreme rays
+    every point as an integer row (A's stored `SupportSet.rows`).
+    `_nef_box_generators` reads the vertices and extreme rays
     of box_{-K-B-D} off the Cartier data and the support, with no double
     description; `cartier_psi` gives the psi_sigma as point rows, for it and
     for the f-nef test.  When the folded A is one point a (and the rank is

@@ -5,30 +5,27 @@ Both descriptions are kept on every object, in integers: generators
 (a, c) of integers with (a, -c) primitive in Z^(n+1), the homogenized row
 a.x - c t >= 0, and each point x / q is a primitive row (x, q) with q > 0,
 the homogenized ray; both exactly as the double description returns them.
-A caller's rational row becomes this form in one place, `_integer_row`,
-and a caller's rational point in `_point_row`; the readers compare ratios
-by cross-multiplying, and Fraction points exist only as the `points` view
-of the public API.  Conversion runs through a single primitive, the
-double description of a cone given by homogeneous integer inequalities,
-in integer arithmetic only: the kernel behind `rational_rank` and
-`solve_rational` picks the start rows and gives the start rays (the
-closed form `lattice._small_base` in dimension <= 3, the fraction-free
-Gauss-Jordan elimination `lattice._gauss_jordan` from dimension 4 on),
-and two rays are combined iff `_crossings` finds them adjacent.  The
-rays come out primitive and sorted, so the result is deterministic;
-that is what lets `_polar_raw` read the polar of a
-full-dimensional pointed polyhedron containing 0 off its stored rows
-with no conversion at all, what lets `_dd_cut` cut a pointed
-full-dimensional cone by a hyperplane in one step of the double
-description, from the extreme rays and facets it already holds (the
-cut of the generator's fan pieces and of `search.subdivide_fan`), what
-lets `cone_from_facets` take the dual rays of a full-dimensional cone
-with known facets as those facets, with no second conversion, and what
-lets `_from_vertices` keep a pointed polyhedron's vertices and extreme
-rays as its generators, converting only its rows.  A cone built by
-`cone_from_facets` converts its generators only when they are first
-read, and then keeps them; `make_cone` stores them when it builds the
-cone.
+A `SupportSet` stores its points as the same sorted rows, and its sums
+and scalings work on them.  A caller's rational row becomes this form in
+one place, `_integer_row`, and a caller's rational point in `_point_row`;
+the readers compare ratios by cross-multiplying, and Fraction points exist
+only as the `points` view of the public API (`_fraction_points`).
+
+Conversion runs through a single primitive, the double description of a
+cone given by homogeneous integer inequalities, in integer arithmetic
+only: the kernel behind `rational_rank` and `solve_rational` picks the
+start rows and gives the start rays (the closed form `lattice._small_base`
+in dimension <= 3, the fraction-free Gauss-Jordan elimination
+`lattice._gauss_jordan` from dimension 4 on), and two rays are combined
+iff `_crossings` finds them adjacent.  The rays come out primitive and
+sorted, so the result is deterministic.  That lets `_polar_raw` read the
+polar of a full-dimensional pointed polyhedron containing 0 off its
+stored rows; `_dd_cut` cut a pointed full-dimensional cone by a
+hyperplane in one step, from the extreme rays and facets it holds (the
+cut of the generator's fan pieces and of `search.subdivide_fan`);
+`cone_from_facets` take a full-dimensional cone's dual rays as its known
+facets; and `_from_vertices` keep a pointed polyhedron's vertices and
+extreme rays as its generators, converting only its rows.
 
 The membership tests (`Cone.contains`, `Cone.interior_contains`,
 `Polyhedron.contains`, `Polyhedron.contains_scaled`) are kernels with one
@@ -62,8 +59,6 @@ from .lattice import (
     quotient_by_span,
     rational_rank,
     sublattice_from_vectors,
-    vec_add,
-    vec_scale,
 )
 
 
@@ -87,6 +82,11 @@ def _integer_direction(v):
 def _point_row(p):
     """The rational point p as its integer row (x, q): primitive, q > 0, p = x / q."""
     return _integer_direction(tuple(p) + (1,))
+
+
+def _fraction_points(hpoints):
+    """The points x / q of the point rows (x, q) as Fraction tuples, sorted by value."""
+    return tuple(sorted(tuple(Fraction(x, h[-1]) for x in h[:-1]) for h in hpoints))
 
 
 def _point_sum(g, h):
@@ -407,8 +407,7 @@ class Polyhedron:
     @_on_first_read
     def points(self):
         """The points x / q of hpoints as sorted Fraction tuples."""
-        return tuple(sorted(tuple(Fraction(x, h[-1]) for x in h[:-1])
-                            for h in self.hpoints))
+        return _fraction_points(self.hpoints)
 
     @property
     def empty(self):
@@ -538,7 +537,7 @@ def polyhedra_equal(p, q):
 
 
 def _rescaled(row, s, t):
-    """The primitive row of (s * row[:-1], t * row[-1]) for positive ints s, t."""
+    """The primitive row of (s * row[:-1], t * row[-1]) for ints s >= 0, t > 0; (0, 1) at s = 0."""
     return primitive(tuple(s * x for x in row[:-1]) + (t * row[-1],))
 
 
@@ -567,27 +566,31 @@ def scale_polyhedron(p, t):
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Finite nonempty set of rational points of M, inducing h_A."""
+    """Finite nonempty set A of rational points of M, inducing h_A; `make_support` takes points."""
 
-    points: tuple
+    rows: tuple  # sorted distinct rows (x, q) of the points x / q, as in `Polyhedron.hpoints`
 
     def __post_init__(self):
-        if not self.points:
+        if not self.rows:
             raise GeometryError("support set must be nonempty")
 
     @property
     def dim(self):
-        return len(self.points[0])
+        return len(self.rows[0]) - 1
 
     @_on_first_read
-    def rows(self):
-        """Each point x / q as its integer row (x, q), as in `Polyhedron.hpoints`."""
-        return tuple(_point_row(p) for p in self.points)
+    def points(self):
+        """The points x / q of rows as Fraction tuples, sorted by value."""
+        return _fraction_points(self.rows)
+
+
+def _exact(a):
+    """An int or Fraction as it is; anything else `Fraction()` reads (0.5, "1/2") as a Fraction."""
+    return a if isinstance(a, (int, Fraction)) else Fraction(a)
 
 
 def make_support(points):
-    pts = sorted({tuple(Fraction(a) for a in p) for p in points})
-    return SupportSet(tuple(pts))
+    return SupportSet(tuple(sorted({_point_row([_exact(a) for a in p]) for p in points})))
 
 
 def support_value(a_set, e):
@@ -613,16 +616,14 @@ def _support_ratio(rows, e):
 
 
 def support_sum(a_set, b_set):
-    return make_support([vec_add(a, b) for a in a_set.points for b in b_set.points])
+    return SupportSet(tuple(sorted({_point_sum(g, h) for g in a_set.rows for h in b_set.rows})))
 
 
 def support_scale(t, a_set):
-    t = Fraction(t)
+    t = _exact(t)
     if t < 0:
         raise GeometryError("support sets scale by nonnegative rationals")
-    if t == 0:
-        return make_support([(Fraction(0),) * a_set.dim])
-    return make_support([vec_scale(t, p) for p in a_set.points])
+    return SupportSet(tuple(sorted({_rescaled(h, t.numerator, t.denominator) for h in a_set.rows})))
 
 
 def _polar_raw(p):

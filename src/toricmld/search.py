@@ -296,8 +296,7 @@ def make_slice(bd, phi_n, t):
     # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice;
     # make_pair checks that it lies in [0, 1]
     b1 = [1 - lam * disc[g] for g in rays_n]
-    a0 = [apply_hom(kern.basis, a) for a in bd.a_eff.points]
-    pair1 = make_pair(fan0, b1, [vec_scale(lam, p) for p in a0])
+    pair1 = make_pair(fan0, b1, [vec_scale(lam, apply_hom(kern.basis, a)) for a in bd.a_eff.points])
     try:
         bd1 = analyze(tc1, pair1)
     except PairError as exc:
@@ -412,16 +411,15 @@ def lift_hyperplane(bd, sl, phibar0, gamma1):
 
     Applies the nonnegative-functional extension with C = u and the fan rays as
     generators, descends the result along pi, and returns the primitive
-    phi_bar together with gamma = gamma1 / (lam w), the extension trace
-    (its q is that of the pullback relation), and the primitivization scale.
+    phi_bar, gamma = gamma1 / (lam w) = gamma1 (as lam = 1 / w), the extension
+    trace (its q is that of the pullback relation), and the primitivization scale.
     """
     tc = bd.tc
     phi0 = compose_covector(phibar0, sl.bd1.tc.pi, tc.rank - 1)
     tr = extend_functional(tc.fan.rays, bd.u, sl.phi, phi0)
     if tr.l0 > sl.lam / gamma1:
         raise PairError("slice certificate too weak: l0 > lam / gamma1")
-    gamma_val = gamma1 / (sl.lam * sl.w)
-    if not bd.box.contains_scaled(-gamma_val, tr.phi_prime):
+    if not bd.box.contains_scaled(-gamma1, tr.phi_prime):
         raise PairError("lifted functional misses the box at gamma")
     phibar_raw = _descend(tc, tr.phi_prime)
     ustar = apply_hom(sl.nbar0.basis, phibar_raw)
@@ -429,9 +427,9 @@ def lift_hyperplane(bd, sl, phibar0, gamma1):
         raise PairError("pullback relation u^* H = q H1 fails")
     scale = content(phibar_raw)
     phibar = primitive(phibar_raw)
-    if not bd.box.contains_scaled(-gamma_val, compose_covector(phibar, tc.pi, tc.rank)):
+    if not bd.box.contains_scaled(-gamma1, compose_covector(phibar, tc.pi, tc.rank)):
         raise PairError("primitive descent misses the box")
-    return phibar, gamma_val, tr, scale
+    return phibar, gamma1, tr, scale
 
 
 @dataclass(frozen=True)

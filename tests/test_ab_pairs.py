@@ -114,3 +114,33 @@ def test_times_with_overlapping_iqrs_are_unresolved_and_counts_keep_unequal(caps
     assert out["polyhedra.dd_s"].endswith("UNRESOLVED")
     assert out["lattice.snf_calls"].endswith("UNEQUAL in change")
     assert "UNRESOLVED" not in out["search.slice_s"]
+
+
+def test_peak_rss_line_carries_each_sides_median_operations_attempted(capsys):
+    metrics = [{"name": "ops_per_s", "better": "higher", "bound": 0.2},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+    def runs(ops, rss, attempted):
+        return [{"ops_per_s": o, "peak_rss_mb": r, "attempted": a}
+                for o, r, a in zip(ops, rss, attempted)]
+
+    ab_pairs.report("generate", metrics, {
+        "parent": runs((200, 205, 210), (18.0, 18.1, 18.2), (4000, 4100, 4050)),
+        "change": runs((240, 245, 250), (18.4, 18.5, 18.6), (4800, 4900, 4850)),
+    })
+    lines = capsys.readouterr().out.splitlines()
+    rss = [line for line in lines if line.split()[0] == "peak_rss_mb"]
+    assert len(rss) == 1 and rss[0].endswith("attempted parent 4050 change 4850")
+    assert sum("attempted" in line for line in lines) == 1
+
+
+def test_run_bench_keeps_the_runs_attempted_count(monkeypatch):
+    line = ('{"correct": true, "attempted": 4321, "failed": 0, '
+            '"metrics": {"peak_rss_mb": {"value": 18.5}}}')
+
+    class Done:
+        returncode, stdout, stderr = 0, "harness log\n" + line + "\n", ""
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", lambda *args, **kwargs: Done)
+    assert ab_pairs.run_bench(".", {}, "generate", 0) == {"peak_rss_mb": 18.5,
+                                                           "attempted": 4321}

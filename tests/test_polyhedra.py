@@ -86,6 +86,49 @@ def test_support_additivity_and_homogeneity():
         assert support_value(support_scale(t, a), e) == t * support_value(a, e)
 
 
+def _mixed_points(rng, n):
+    """Points with int and Fraction entries, some equal points given in other forms."""
+    pts = [tuple(rng.choice((rng.randint(-3, 3), F(rng.randint(-6, 6), rng.choice((2, 3, 4)))))
+                 for _ in range(n)) for _ in range(rng.randint(1, 5))]
+    # the same value again: an int as F(2k, 2), a Fraction as its unreduced double
+    pts += [tuple(F(2 * x.numerator, 2 * x.denominator) if isinstance(x, F) else F(2 * x, 2)
+                  for x in rng.choice(pts)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(pts)
+    return pts
+
+
+def test_support_sets_store_sorted_distinct_primitive_rows():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        pts, other = _mixed_points(rng, n), _mixed_points(rng, n)
+        a, b = make_support(pts), make_support(other)
+        assert a.points == tuple(sorted({tuple(F(x) for x in p) for p in pts}))
+        assert all(type(x) is F for p in a.points for x in p) and a.dim == n
+        t = F(rng.randint(1, 7), rng.choice((1, 2, 3)))
+        for s in (a, support_sum(a, b), support_scale(t, a)):
+            assert list(s.rows) == sorted(set(s.rows))
+            assert all(h[-1] > 0 and content(h) == 1 and len(h) == n + 1 for h in s.rows)
+        assert support_sum(a, b).points == tuple(sorted({vec_add(x, y)
+                                                         for x in a.points for y in b.points}))
+        assert support_scale(t, a).points == tuple(sorted({vec_scale(t, p) for p in a.points}))
+        assert support_scale(0, a).rows == ((0,) * n + (1,),)
+        assert support_scale(F(0), a).points == ((F(0),) * n,)
+    assert make_support([(F(1, 2), F(2, 4)), (F(2, 4), F(1, 2))]).rows == ((1, 1, 2),)
+    with pytest.raises(GeometryError, match="nonempty"):
+        make_support([])
+
+
+def test_support_sets_read_any_exact_rational_entry():
+    half = make_support([(F(1, 2), 1)])
+    assert make_support([(0.5, 1)]) == make_support([("1/2", 1.0)]) == half
+    assert half.points == ((F(1, 2), F(1)),) and half.rows == ((1, 2, 2),)
+    quarter = make_support([(F(1, 4), F(1, 2))])
+    assert support_scale(0.5, half) == support_scale("1/2", half) == quarter
+    with pytest.raises(ValueError):
+        make_support([("one half", 1)])
+
+
 # ---------------------------------------------------------------------------
 # polar duality
 

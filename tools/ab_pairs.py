@@ -21,7 +21,10 @@ For each workload the script prints, per end-to-end metric of
 change of the median against its bound, the wins of the change, and the
 claim rule in the metric's better direction: at least 9 wins in 10
 pairs, and a median gap wider than the parent's interquartile range
-(`claim_holds`).
+(`claim_holds`).  Beside `peak_rss_mb` it prints each side's median
+number of operations attempted: the harness keeps a sample per
+operation, so a run that makes more operations in its time reads a
+higher peak with no memory cost of the program's own.
 
 With `--trace` each pair is instead one `bench/run.py --seconds 0
 --trace 1` run per side, alternating as above, and the script prints,
@@ -123,7 +126,10 @@ def iqrs_overlap(parent, change):
 
 
 def run_bench(checkout, env, workload, seconds, trace=0):
-    """The metrics {name: value} of one `bench/run.py` run; raises on a failed run."""
+    """The metrics {name: value} of one `bench/run.py` run, and its "attempted" count.
+
+    Raises on a failed run.
+    """
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -134,7 +140,9 @@ def run_bench(checkout, env, workload, seconds, trace=0):
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError("%s in %s: %d failed" % (workload, checkout, result["failed"]))
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics["attempted"] = result["attempted"]
+    return metrics
 
 
 def level_bytecode(checkout, env, workloads):
@@ -146,7 +154,10 @@ def level_bytecode(checkout, env, workloads):
 
 
 def report(workload, metrics, runs):
-    """Print one workload's table, with the claim rule under each metric."""
+    """Print one workload's table, with the claim rule under each metric.
+
+    The `peak_rss_mb` line ends with each side's median operations attempted.
+    """
     print("== %s: %d pairs" % (workload, len(runs["parent"])))
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -155,11 +166,16 @@ def report(workload, metrics, runs):
         pq, cq = quartiles(parent), quartiles(change)
         rel = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
         worse = -rel if higher else rel
+        attempted = ""
+        if name == "peak_rss_mb":
+            attempted = "  attempted parent %g change %g" % tuple(
+                statistics.median(r["attempted"] for r in runs[side])
+                for side in ("parent", "change"))
         print("  %-12s parent %10.4g [%.4g, %.4g]  change %10.4g [%.4g, %.4g]  "
-              "%+6.1f%% (bound %g%%%s)  wins %d/%d"
+              "%+6.1f%% (bound %g%%%s)  wins %d/%d%s"
               % (name, pq[1], pq[0], pq[2], cq[1], cq[0], cq[2], 100 * rel,
                  100 * m["bound"], ", WORSE" if worse > m["bound"] else "",
-                 wins(parent, change, higher), len(parent)))
+                 wins(parent, change, higher), len(parent), attempted))
         holds, won, gap, iqr = claim_holds(parent, change, higher)
         print("    claim: %d/%d wins (need %d of >= %d), median gap %.4g vs parent IQR "
               "%.4g: %s" % (won, len(parent), math.ceil(WIN_SHARE * len(parent)),
