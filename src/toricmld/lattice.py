@@ -15,9 +15,12 @@ nearly every call of the pipeline falls (germs of rank <= 3),
 ``_small_base`` finds them by 2x2 minors, cross products and
 determinants, and returns the base's adjugate and determinant.  From
 n = 4 on, one fraction-free Gauss-Jordan elimination, ``_gauss_jordan``,
-runs.  ``rational_rank``, ``solve_rational`` (square systems only on the
+runs.  ``rational_rank``, ``_solve_row`` (square systems only on the
 closed form; singular and non-square ones always eliminate) and the
 start of the double description in ``polyhedra`` all take this choice.
+``_solve_row`` is the one exact solver (Cartier data, descent along pi,
+sublattice coordinates): integer rows and pairs in, a point row (x, q)
+out, no Fraction; ``solve_rational`` is its Fraction view.
 ``hom_is_surjective`` takes each maximal minor of a map with n <= 3
 columns (at most three) as the determinant ``_small_base`` returns.
 
@@ -397,33 +400,44 @@ def rational_rank(rows, ncols):
     return len(_gauss_jordan(rows, ncols)[0])
 
 
-def solve_rational(rows, rhs, ncols):
-    """One exact solution x of rows.x = rhs, or None if inconsistent.
+def _solve_row(rows, rhs, ncols):
+    """The point row (x, q) of one solution x / q of rows.x = rhs, or None if inconsistent.
 
-    Free variables are set to 0, so the result is deterministic.  Each
-    row of [rows | rhs] is scaled to integers (`_as_integers`).  A square
-    system of ncols <= 3 unknowns whose `_small_base` is full has the one
-    solution adj.rhs / det, one Fraction per coordinate.  Any other
-    system (singular, not square, or ncols >= 4) goes to `_gauss_jordan`,
-    which pivots over all ncols + 1 columns: a pivot in the rhs column
-    means 0 = nonzero.  Otherwise each kept row with pivot c reads
-    d x[c] + (free variables) = rhs, a nonzero multiple of the row that
-    elimination over Q leaves, so x[c] = rhs / d is the only Fraction
-    built.
+    rows are integer rows, rhs integer pairs (n, d), d > 0; free variables
+    are 0, so the result is deterministic, and (x, q) is primitive, q > 0.
+    A square system of ncols <= 3 unknowns with a full `_small_base` has
+    the one solution adj.(den rhs) / (det den), den the lcm of the d's.
+    Any other system runs `_gauss_jordan` on the rows (d a | n) over
+    ncols + 1 columns: a pivot in the rhs column means 0 = nonzero, else
+    each kept row with pivot c reads p x[c] + (free variables) = m, so
+    x[c] = m / p and q is the lcm of the pivots p.  No Fraction is built.
+    """
+    if ncols <= 3 and len(rows) == ncols:
+        _base, adj, det = _small_base(rows, ncols)
+        if adj is not None:
+            den = lcm(*(d for _n, d in rhs))
+            b = [n * (den // d) for n, d in rhs]
+            x = [sum(col[k] * v for col, v in zip(adj, b)) for k in range(ncols)] + [det * den]
+            return primitive(x if det > 0 else [-v for v in x])
+    _base, kept = _gauss_jordan([[d * a for a in r] + [n] for r, (n, d) in zip(rows, rhs)],
+                                ncols + 1)
+    if any(c == ncols for c, _r in kept):
+        return None
+    q = lcm(*(r[c] for c, r in kept))
+    x = [0] * ncols + [q]
+    for c, r in kept:
+        x[c] = r[ncols] * (q // r[c])
+    return primitive(x)
+
+
+def solve_rational(rows, rhs, ncols):
+    """Fraction view of `_solve_row`: x with rows.x = rhs, or None if inconsistent.
+
+    Each row of [rows | rhs] is scaled to integers (`_as_integers`).
     """
     aug = [_as_integers(tuple(r) + (b,)) for r, b in zip(rows, rhs)]
-    if ncols <= 3 and len(aug) == ncols:
-        _base, adj, det = _small_base(aug, ncols)
-        if adj is not None:
-            return tuple(Fraction(sum(col[i] * r[ncols] for col, r in zip(adj, aug)), det)
-                         for i in range(ncols))
-    _base, kept = _gauss_jordan(aug, ncols + 1)
-    x = [Fraction(0)] * ncols
-    for c, r in kept:
-        if c == ncols:
-            return None
-        x[c] = Fraction(r[ncols], r[c])
-    return tuple(x)
+    row = _solve_row([r[:ncols] for r in aug], [(r[ncols], 1) for r in aug], ncols)
+    return None if row is None else tuple(Fraction(x, row[-1]) for x in row[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +456,9 @@ class Sublattice:
         return len(self.basis)
 
     def coordinates(self, v):
-        """Integer coordinates of v in the basis, or None."""
-        v = list(v)
-        coords = [0] * len(self.basis)
-        for i, row in enumerate(self.basis):
-            p = next(j for j in range(self.ambient_rank) if row[j] != 0)
-            if v[p] % row[p] != 0:
-                return None
-            c = v[p] // row[p]
-            coords[i] = c
-            v = [a - c * b for a, b in zip(v, row)]
-        return tuple(coords) if all(a == 0 for a in v) else None
+        """Integer coordinates of v in the basis, or None: the point row of `_solve_row`."""
+        row = _solve_row(transpose(self.basis, self.ambient_rank), [(x, 1) for x in v], self.rank)
+        return row[:-1] if row is not None and row[-1] == 1 else None
 
 
 def sublattice_from_vectors(rank, vectors):

@@ -28,10 +28,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .lattice import (
-    _small_base,
+    _solve_row,
     apply_hom,
     compose_covector,
     content,
@@ -43,7 +42,6 @@ from .lattice import (
     quotient_by_span,
     rational_rank,
     saturated_span,
-    solve_rational,
     vec_add,
 )
 from .polyhedra import (
@@ -56,7 +54,6 @@ from .polyhedra import (
     _gauge_rows,
     _generators_from_ineqs,
     _on_first_read,
-    _point_row,
     _point_sum,
     _polar_raw,
     _support_ratio,
@@ -385,26 +382,16 @@ def nef_values(fan, pair):
 def cartier_psi(tc, r):
     """Per-cone psi_sigma with <psi_sigma, e> = r_e (`nef_values`) on its rays, as point rows.
 
-    A simplicial cone of rank <= 3 has psi_sigma = adj.(den r) / (det den),
-    in integers, with adj and det from `lattice._small_base` of its rays and
-    den the lcm of its r_e's denominators.  Any other cone (not simplicial,
-    rank >= 4 or singular) goes to `solve_rational`; NotRCartier if unsolvable.
+    One `lattice._solve_row` per maximal cone, on its rays and r_e's
+    integer pairs (the adjugate closed form for a simplicial cone of rank
+    <= 3); NotRCartier if a cone's system is unsolvable.
     """
-    n = tc.rank
     psis = []
     for ci, c in enumerate(tc.fan.max_cones):
-        rays = [tc.fan.rays[i] for i in c]
-        _base, adj, det = _small_base(rays, n) if n <= 3 and len(c) == n else ((), None, 0)
-        if adj is None:
-            sol = solve_rational(rays, [Fraction(*r[i]) for i in c], n)
-            if sol is None:
-                raise NotRCartier(ci)
-            psis.append(_point_row(sol))
-        else:
-            den = lcm(*(r[i][1] for i in c))
-            rhs = [r[i][0] * (den // r[i][1]) for i in c]     # den * r_e, integers
-            x = [sum(col[k] * b for col, b in zip(adj, rhs)) for k in range(n)] + [det * den]
-            psis.append(primitive(x if det > 0 else [-v for v in x]))
+        row = _solve_row([tc.fan.rays[i] for i in c], [r[i] for i in c], tc.rank)
+        if row is None:
+            raise NotRCartier(ci)
+        psis.append(row)
     return tuple(psis)
 
 
@@ -541,9 +528,8 @@ def log_discrepancy(bd, e):
         raise PairError("log discrepancy of the zero vector")
     if not bd.tc.support.contains(e):
         raise PairError("vector outside the support of the fan")
+    # the box's rays generate support^dual, so e.r >= 0 on each and lo is finite
     lo, _hi = interval_image(e, bd.box)
-    if lo is None:
-        raise PairError("h_box must be finite on the support")
     val = -lo
     # cross-check in integers against the per-cone <psi_sigma, e> - h_A(e) = x.e / q - s / m
     fan = bd.tc.fan
@@ -650,13 +636,13 @@ def lct_pullback(bd, phibar):
         raise PairError("lct_pullback needs a g-lc pair")
     phi = compose_covector(phibar, tc.pi, tc.rank)
     best = None
-    # g-lc puts 0 in the box, so every c <= 0; the least -c / s >= 0 is kept as a pair
+    # g-lc puts 0 in the box, so every c <= 0; the least -c / s >= 0 is kept as a pair.
+    # phi != 0 (pi is onto) lies in support^dual, the box's recession cone, which is
+    # pointed, so -phi does not: some row has s > 0 and best is set
     for a, c in bd.box.ineqs:
         s = dot(a, phi)
         if s > 0 and (best is None or -c * best[1] < best[0] * s):
             best = (-c, s)
-    if best is None:
-        raise PairError("unbounded lct: functional is trivial on the box")
     return Fraction(*best)
 
 

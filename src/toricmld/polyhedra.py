@@ -13,7 +13,7 @@ only as the `points` view of the public API (`_fraction_points`).
 
 Conversion runs through a single primitive, the double description of a
 cone given by homogeneous integer inequalities, in integer arithmetic
-only: the kernel behind `rational_rank` and `solve_rational` picks the
+only: the kernel behind `rational_rank` and `_solve_row` picks the
 start rows and gives the start rays (the closed form `lattice._small_base`
 in dimension <= 3, the fraction-free Gauss-Jordan elimination
 `lattice._gauss_jordan` from dimension 4 on), and two rays are combined

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .lattice import (
+    _solve_row,
     apply_hom,
     compose_covector,
     content,
@@ -26,7 +27,6 @@ from .lattice import (
     kernel_sublattice,
     primitive,
     rational_rank,
-    solve_rational,
     sublattice_from_vectors,
     transpose,
     vec_scale,
@@ -392,13 +392,17 @@ def extend_functional(gens, c_body, phi, phi0_vals):
 
 
 def _descend(tc, phi):
-    """phi_bar with pi^*(phi_bar) = phi, for phi vanishing on ker(pi)."""
-    sol = solve_rational(transpose(tc.pi, tc.rank), phi, tc.base_rank)
-    if sol is None:
+    """phi_bar with pi^*(phi_bar) = phi, for phi vanishing on ker(pi).
+
+    The point row (x, q) of `lattice._solve_row` is integral iff q == 1,
+    and then phi_bar = x.
+    """
+    row = _solve_row(transpose(tc.pi, tc.rank), [(x, 1) for x in phi], tc.base_rank)
+    if row is None:
         raise PairError("descent failed: functional is not pulled back from the base")
-    if any(x.denominator != 1 for x in sol):
+    if row[-1] != 1:
         raise PairError("descent failed: non-integral solution")
-    phibar = tuple(int(x) for x in sol)
+    phibar = row[:-1]
     if is_zero(phibar):
         raise PairError("descent failed: zero functional")
     if not all(dot(phibar, g) >= 0 for g in tc.sigma_bar.generators):

@@ -123,6 +123,20 @@ def test_lct_rejects_wrong_length_functional(corpus_dir, capsys):
     assert rc == 2 and "base has rank 1" in err
 
 
+@pytest.mark.parametrize("bdiv_a, phibar, reason", [
+    ([["0", "0"]], "--phibar=1,-1", "functional is not in the dual of sigma_bar"),
+    ([["3", "0"], ["0", "3"]], "--phibar=1,0", "lct_pullback needs a g-lc pair"),
+])
+def test_lct_refuses_a_functional_off_the_dual_and_a_pair_off_g_lc(tmp_path, capsys,
+                                                                   bdiv_a, phibar, reason):
+    obj = json.loads(corpus_bytes("a2_identity").decode())
+    obj["bdiv_A"] = bdiv_a
+    p = tmp_path / "a2.json"
+    p.write_text(dumps_canonical(obj))
+    rc, _out, err = run(capsys, "lct", str(p), phibar)
+    assert rc == 2 and reason in err
+
+
 def test_find_verify_cycle(corpus_dir, capsys):
     for name, phibar, gam in [("a2_identity", [1, 0], "1"),
                               ("halfplane", [1], "1"),
@@ -145,6 +159,18 @@ def test_verify_rejects_tampered(corpus_dir, capsys):
     open(cert_path, "w").write(dumps_canonical(obj))
     rc, out, _ = run(capsys, "verify", inst, cert_path)
     assert rc == 1 and "REJECTED" in out
+
+
+def test_verify_rejects_a_certificate_where_the_mld_is_not_positive(corpus_dir, capsys):
+    inst = str(corpus_dir / "a2_identity.json")
+    rc, out, _ = run(capsys, "find", inst, "--json")
+    cert_path = json.loads(out)["certificate"]
+    obj = json.loads(corpus_bytes("a2_identity").decode())
+    obj["B"] = {"0": "1", "1": "1"}
+    p = corpus_dir / "sigma.json"
+    p.write_text(dumps_canonical(obj))
+    rc, out, _ = run(capsys, "verify", str(p), cert_path)
+    assert rc == 1 and "REJECTED" in out and "mld over the fiber is not positive" in out
 
 
 def test_find_rejects_bad_hypotheses(tmp_path, capsys):

@@ -197,6 +197,7 @@ def run(capsys, *argv):
     ("max_cones", [[0, 1], [-1, 0]],
      "maximal cone 1 has ray index -1, not the index of one of the 2 rays"),
     ("max_cones", [[0, 1], [1, 0]], "duplicate maximal cone"),
+    ("rays", [[1, 0], [1, 0]], "duplicate fan ray"),
 ])
 def test_check_reports_each_malformed_field(tmp_path, capsys, field, value, message):
     obj = json.loads(corpus_bytes("a2_identity").decode())

@@ -91,6 +91,23 @@ QUADRANT = {"rank_N": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
 
 
 @pytest.mark.parametrize("obj, reason", [
+    ({"rank_N": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "max_cones": [[0, 1, 2]], "pi": [[0, 1]]},
+     "maximal cone 0 is not strongly convex"),
+    ({"rank_N": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 0]], "max_cones": [[0, 1, 2]],
+      "pi": [[0, 0, 1]], "sigma_bar": [[1]]},
+     "maximal cone 0 is not full-dimensional"),
+    (dict(QUADRANT, rays=[[1, 0], [1, 1], [0, 1]], max_cones=[[0, 1, 2]], pi=[[1, 0], [0, 1]]),
+     "ray 1 is not extremal in maximal cone 0"),
+])
+def test_invalid_fan_names_its_reason(obj, reason):
+    """A cone holding a line; rank-many coplanar rays, so the ray count
+    passes; a ray inside the cone over the other two."""
+    with pytest.raises(InstanceError) as exc:
+        instance_from_obj(obj)
+    assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("obj, reason", [
     ({"rank_N": 1, "rays": [[1]], "max_cones": [[0]], "pi": [[2]]},
      "pi is not surjective"),
     (dict(QUADRANT, pi=[[1, 0], [1, 0]], sigma_bar=[[1, 0], [0, 1]]),

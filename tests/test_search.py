@@ -611,6 +611,26 @@ def test_verify_tampering(a2_germ, wedge25_germ):
     assert not ok and any("bound" in r for r in reasons)
 
 
+def test_verify_names_each_rejection_of_the_pair_and_the_certificate(a2_germ):
+    pair = zero_pair(a2_germ)
+    cert = find_hyperplane(a2_germ, pair)
+    for change, reason in [(dict(phi_bar=(1, 0, 0)), "phi_bar has the wrong dimension"),
+                           (dict(phi_bar=(2, 0)), "phi_bar is not primitive"),
+                           (dict(phi_bar=(1, -1)), "phi_bar is not in the dual of sigma_bar"),
+                           (dict(gamma=F(0)), "gamma is not positive")]:
+        assert verify_certificate(a2_germ, pair, replace(cert, **change)) == (False, [reason])
+    not_glc = make_pair(a2_germ.fan, (0, 0), [(3, 0), (0, 3)])
+    assert verify_certificate(a2_germ, not_glc, cert) == (False, ["pair is not g-lc"])
+    sigma = make_pair(a2_germ.fan, (1, 1), [(0, 0)])
+    ok, reasons = verify_certificate(a2_germ, sigma, cert)
+    assert not ok and "mld over the fiber is not positive" in reasons
+    # the cone over a quadrilateral with incompatible heights is not R-Cartier
+    fan = make_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 2)], [(0, 1, 2, 3)])
+    tc = make_contraction(fan, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert verify_certificate(tc, zero_pair(tc), replace(cert, phi_bar=(0, 0, 1), d=3)) == (
+        False, ["pair data invalid: not R-Cartier on maximal cone 0"])
+
+
 def test_verify_refuses_entries_that_are_not_integers():
     # int() truncated both, and the certificate passed
     tc, pair, _obj = load_corpus("a1_family_1_2")

@@ -150,6 +150,17 @@ def test_one_fraction_free_elimination_in_the_package():
     assert _readers(sources, "_cancel") == [("lattice.py", "_gauss_jordan")]
 
 
+def test_one_closed_form_solve_in_the_package():
+    """The adjugate closed form of dimension <= 3 is read only by the one
+    exact solver, the surjectivity test, the rank and the double-description
+    start, so every exact solve of the package goes through lattice._solve_row."""
+    package = pathlib.Path(toricmld.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _readers(sources, "_small_base") == [
+        ("lattice.py", "_solve_row"), ("lattice.py", "hom_is_surjective"),
+        ("lattice.py", "rational_rank"), ("polyhedra.py", "_simplicial_start")]
+
+
 def test_reader_scan_sees_a_second_elimination():
     sources = {
         "lattice.py": "def _cancel(r, b, c):\n    return r\n"
@@ -185,7 +196,7 @@ def test_dimension_at_most_3_takes_the_closed_form(monkeypatch):
         verify_certificate(tc, pair, find_hyperplane(tc, pair))
         small = [(caller, ncols, nrows) for caller, ncols, nrows in calls
                  if (caller in ("_simplicial_start", "rational_rank") and ncols <= 3)
-                 or (caller == "solve_rational" and nrows == ncols - 1 <= 3)]
+                 or (caller == "_solve_row" and nrows == ncols - 1 <= 3)]
         assert small == [], name
         starts = [ncols for caller, ncols, _nrows in calls if caller == "_simplicial_start"]
         assert bool(starts) == (tc.rank == 3) and set(starts) <= {4}, (name, starts)
@@ -196,11 +207,12 @@ def test_dimension_at_most_3_takes_the_closed_form(monkeypatch):
 def test_width_search_and_cartier_data_run_in_integer_pairs(monkeypatch):
     """Over find + verify of the corpus, `search.width_functional` reads its
     candidates' ends as pairs (`polyhedra._interval_ends`) and never calls
-    `interval_image`, and `pairs.cartier_psi` calls `solve_rational` only
-    for a cone that is not simplicial or has rank >= 4: a simplicial cone
-    of rank <= 3 takes the closed form of `lattice._small_base`.  The
-    cone over a quadrilateral is not simplicial and takes the solver."""
-    callers = {"interval_image": [], "solve_rational": []}
+    `interval_image`, and `pairs.cartier_psi` reaches `_gauss_jordan`
+    through `lattice._solve_row` only for a cone that is not simplicial or
+    has rank >= 4: a simplicial cone of rank <= 3 takes the closed form of
+    `lattice._small_base`.  The cone over a quadrilateral is not simplicial
+    and eliminates."""
+    callers = {"interval_image": []}
 
     def recording(name, real):
         def wrapper(*args):
@@ -211,8 +223,16 @@ def test_width_search_and_cartier_data_run_in_integer_pairs(monkeypatch):
     for module in (toricmld.search, toricmld.pairs):
         monkeypatch.setattr(module, "interval_image",
                             recording("interval_image", toricmld.polyhedra.interval_image))
-    monkeypatch.setattr(toricmld.pairs, "solve_rational",
-                        recording("solve_rational", toricmld.lattice.solve_rational))
+    psi_solves = []    # (rows, unknowns): _solve_row eliminates them and the rhs column
+    real_gauss_jordan = toricmld.lattice._gauss_jordan
+
+    def eliminating(rows, ncols, slots=0):
+        rows, caller = list(rows), sys._getframe(1)
+        if (caller.f_code.co_name, caller.f_back.f_code.co_name) == ("_solve_row", "cartier_psi"):
+            psi_solves.append((len(rows), ncols - 1))
+        return real_gauss_jordan(rows, ncols, slots)
+
+    monkeypatch.setattr(toricmld.lattice, "_gauss_jordan", eliminating)
     widths = [0]
     real_width = toricmld.search.width_functional
 
@@ -227,14 +247,12 @@ def test_width_search_and_cartier_data_run_in_integer_pairs(monkeypatch):
     assert widths[0] >= len(CORPUS)
     assert [c for c, _args in callers["interval_image"] if c == "width_functional"] == []
     assert callers["interval_image"]    # log_discrepancy and the slices still call it
-    psi_solves = [args for c, args in callers["solve_rational"] if c == "cartier_psi"]
-    assert [(len(rows), ncols) for rows, _rhs, ncols in psi_solves
-            if len(rows) == ncols <= 3] == []
+    assert [(nrows, n) for nrows, n in psi_solves if nrows == n <= 3] == []
     square = make_fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)])
     tc = make_contraction(square, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    callers["solve_rational"].clear()
+    psi_solves.clear()
     analyze(tc, make_pair(square, (0, 0, 0, 0), [(0, 0, 0)]))
-    assert [(c, len(args[0])) for c, args in callers["solve_rational"]] == [("cartier_psi", 4)]
+    assert psi_solves == [(4, 3)]
 
 
 def _tc_and_bd_parameters(source, filename):
