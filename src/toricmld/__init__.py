@@ -25,7 +25,6 @@ from .pairs import (
     ToricContraction,
     analyze,
     cartier_psi,
-    fix_mov,
     fold_general,
     is_f_nef,
     is_glc,
@@ -50,7 +49,6 @@ from .polyhedra import (
     lattice_points,
     make_cone,
     make_support,
-    support_value,
 )
 from .search import (
     ExtensionTrace,

@@ -14,10 +14,12 @@ The support pi^{-1}(sigma_bar) comes from sigma_bar's pulled-back facets
 pointed piece of the fan is cut in one double-description step from its
 own extreme rays and facets (`polyhedra._dd_cut`, as in
 `search.subdivide_fan`): a covector that misses the piece leaves it as
-it is, and a cut costs one `make_cone` per half, for the facets and the
-primitive crossing rays.  A piece with lines, met while the lineality of
-the support is split away, knows the facets of both halves, so each half
-is built from them (`cone_from_facets`) with no double description: its
+it is, and each half of a cut is read off the piece with no double
+description (`polyhedra._cut_cone`): its primitive crossing rays and
+the rays on its side, and the piece's facets that stay on its side plus
+the covector.  A piece with lines, met while the lineality of the
+support is split away, knows the facets of both halves, so each half is
+built from them (`cone_from_facets`) with no double description: its
 generators are converted when first read, which a half with lines never
 is (it is only split again and tested for being pointed), and a pointed
 half is, once, when it is cut again or the fan is assembled.  The
@@ -25,6 +27,11 @@ support is built the same way, and an attempt rejected before anything
 reads its generators never converts it.  A covector is redrawn when it
 vanishes on the lines of the piece, tested as a rank over the piece's
 normals, with no kernel.
+
+The boundary coefficients are computed in integers: psi as 6 psi
+(`_rand_psi`), the fixed parts of the general boundaries and h_A as
+integer pairs (`pairs._fold`, `polyhedra._support_ratio`), and each
+coefficient becomes one Fraction, handed to `make_pair`.
 """
 
 from __future__ import annotations
@@ -47,11 +54,11 @@ from .pairs import (
 )
 from .polyhedra import (
     GeometryError,
-    _dd_cut,
+    _cut_cone,
+    _support_ratio,
     cone_from_facets,
     make_cone,
     make_support,
-    support_value,
 )
 
 MAX_ATTEMPTS = 400
@@ -93,19 +100,20 @@ def _rand_sigma_bar(rng, nbar):
 def _split(cone, pointed, cov):
     """The full-dimensional halves cov >= 0 and cov <= 0 of a piece, in order, as (piece, pointed).
 
-    `_dd_cut` cuts a pointed piece from its extreme rays and facets: one
+    `_cut_cone` cuts a pointed piece from its extreme rays and facets: one
     the covector misses comes back as it is (the other side is a face of
-    it), and a cut costs one `make_cone` per half.  A piece with lines
+    it), and each half of a cut is read off the piece with no double
+    description, as `make_cone` would build it.  A piece with lines
     must have a line on which cov is not 0, as `_build_fan` ensures; each
     half is then built from its facets, the piece's and -/+cov, by
     `cone_from_facets`, which converts its generators only on their first
     read: there is no double description here.
     """
     if pointed:
-        halves = _dd_cut(cone.generators, cone.dual_rays, cov)
+        halves = _cut_cone(cone, cov)
         if halves is None:
             return [(cone, True)]
-        return [(make_cone(cone.dim, h), True) for h in halves]
+        return [(half, True) for half in halves]
     # Every piece with lines has the same lineality space L: each cut
     # splits every such piece in two, and cuts L down to L cap cov-perp.
     # `_build_fan` redraws a cov that vanishes on L.  Each facet of the
@@ -211,23 +219,33 @@ def _rand_general(rng, n):
 
 
 def _rand_psi(rng, support):
+    """6 psi for a random psi in (1/6) Z^n: a sum of the support's dual rays
+    with coefficients in {0, 1/3, 1/2, 2/3, 1}, plus a shift by a vector
+    in {-1, 0, 1}^n / den, den in {2, 3}, with probability 0.3."""
     duals = list(support.dual_rays) + [(0,) * support.dim]
-    psi = (Fraction(0),) * support.dim
+    psi = (0,) * support.dim
     for d in duals:
-        c = rng.choice((0, 0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1))
+        c = rng.choice((0, 0, 2, 3, 4, 6))
         psi = tuple(p + c * x for p, x in zip(psi, d))
     if rng.random() < 0.3:
-        den = rng.choice((2, 3))
-        psi = tuple(p + Fraction(rng.randint(-1, 1), den) for p in psi)
+        step = 6 // rng.choice((2, 3))
+        psi = tuple(p + rng.randint(-1, 1) * step for p in psi)
     return psi
 
 
-_B_POOL = (Fraction(0), Fraction(0), Fraction(1, 4), Fraction(1, 3),
-           Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1))
+# the free mode's coefficients (0, 0, 1/4, 1/3, 1/2, 2/3, 3/4, 1), times 12
+_B_POOL = (0, 0, 3, 4, 6, 8, 9, 12)
 
 
 def _candidate_pair(rng, tc):
-    """One sampled pair; raises PairError when the sample is invalid."""
+    """One sampled pair; raises PairError when the sample is invalid.
+
+    Each coefficient is one integer pair over the fixed part (fn, fd) of
+    its ray (`_fold`) and becomes one Fraction: in the log Calabi-Yau
+    mode 1 - psi.e + h_A(e) - fn / fd with psi = P / 6 (`_rand_psi`) and
+    h_A(e) = s / q (`_support_ratio` of the folded rows), in the free
+    mode c / 12 - fn / fd for c in `_B_POOL`.
+    """
     fan = tc.fan
     n = fan.rank
     a_pts = _rand_a_points(rng, n)
@@ -237,11 +255,14 @@ def _candidate_pair(rng, tc):
     if rng.random() < 0.55:
         # log Calabi-Yau mode: boundary determined by a single global psi
         psi = _rand_psi(rng, tc.support)
-        b = [1 - (dot(psi, e) - support_value(a_eff, e)) - fx
-             for e, fx in zip(fan.rays, fixes)]
+        rows = a_eff.rows
+        b = []
+        for e, (fn, fd) in zip(fan.rays, fixes):
+            s, q = _support_ratio(rows, e)
+            b.append(Fraction(((6 - dot(psi, e)) * q + 6 * s) * fd - 6 * q * fn, 6 * q * fd))
     else:
         # free mode: random coefficients, relies on the nef rejection test
-        b = [rng.choice(_B_POOL) - fx for e, fx in zip(fan.rays, fixes)]
+        b = [Fraction(rng.choice(_B_POOL) * fd - 12 * fn, 12 * fd) for fn, fd in fixes]
     return make_pair(fan, b, a_pts, general)
 
 

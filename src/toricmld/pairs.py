@@ -65,7 +65,6 @@ from .polyhedra import (
     make_support,
     support_scale,
     support_sum,
-    support_value,
 )
 
 
@@ -330,23 +329,23 @@ def _support_of(fan, points, what):
     return make_support(points)
 
 
-def fix_mov(a_set, rays):
-    """Fixed part of the system of A: min_{a in A} <a, e> on each ray e."""
-    return tuple(support_value(a_set, e) for e in rays)
-
-
 def _fold(rays, a_set, general):
     """(fixed parts, folded A) of the general boundaries (b_j, A_j) on rays.
 
-    The fixed part on a ray e is sum_j b_j * min_{a in A_j} <a, e>; the
-    folded b-divisor set is a_set + sum_j b_j * A_j.  h_A reads only its
-    vertices, which each partial sum keeps from the second boundary on
-    (k boundaries make O(k^(rank-1)) points, not 2^k); the first sum, the
-    generator's only one, is kept whole, as hulling it slowed generation.
+    The fixed part on a ray e is sum_j b_j * min_{a in A_j} <a, e>, an
+    integer pair (n, d), d > 0, not reduced: b_j = u / v adds
+    u s / (v q) for h_{A_j}(e) = s / q (`_support_ratio` of A_j's rows).
+    The folded b-divisor set is a_set + sum_j b_j * A_j.  h_A reads only
+    its vertices, which each partial sum keeps from the second boundary
+    on (k boundaries make O(k^(rank-1)) points, not 2^k); the first sum,
+    the generator's only one, is kept whole, as hulling it slowed
+    generation.
     """
-    fixes = [Fraction(0)] * len(rays)
+    fixes = [(0, 1)] * len(rays)
     for j, (bj, aj) in enumerate(general):
-        fixes = [f + bj * x for f, x in zip(fixes, fix_mov(aj, rays))]
+        u, v = bj.numerator, bj.denominator
+        fixes = [(n * v * q + u * s * d, d * v * q)
+                 for (n, d), (s, q) in zip(fixes, [_support_ratio(aj.rows, e) for e in rays])]
         a_set = support_sum(a_set, support_scale(bj, aj))
         if j:
             a_set = SupportSet(_from_hpoints(a_set.dim, a_set.rows, ()).hpoints)
@@ -356,14 +355,15 @@ def _fold(rays, a_set, general):
 def fold_general(fan, pair):
     """Replace general boundaries by generalized ones.
 
-    b_inv gains the fixed parts (`_fold`); the b-divisor set becomes
-    A + sum_j b_j * A_j, kept as its vertices from the second boundary
-    on; toric g-log discrepancies are unchanged.
+    b_inv gains the fixed parts (`_fold`), one Fraction per ray; the
+    b-divisor set becomes A + sum_j b_j * A_j, kept as its vertices from
+    the second boundary on; toric g-log discrepancies are unchanged.
     """
     if pair.folded:
         return pair
     fixes, a_set = _fold(fan.rays, pair.bdiv_a, pair.general)
-    return make_pair(fan, [x + f for x, f in zip(pair.b_inv, fixes)], a_set.points, ())
+    return make_pair(fan, [Fraction(x.numerator * d + n * x.denominator, x.denominator * d)
+                           for x, (n, d) in zip(pair.b_inv, fixes)], a_set.points, ())
 
 
 def nef_values(fan, pair):

@@ -22,7 +22,8 @@ sorted, so the result is deterministic.  That lets `_polar_raw` read the
 polar of a full-dimensional pointed polyhedron containing 0 off its
 stored rows; `_dd_cut` cut a pointed full-dimensional cone by a
 hyperplane in one step, from the extreme rays and facets it holds (the
-cut of the generator's fan pieces and of `search.subdivide_fan`);
+cut of the generator's fan pieces and of `search.subdivide_fan`), and
+`_cut_cone` read both halves off it, facets included;
 `cone_from_facets` take a full-dimensional cone's dual rays as its known
 facets; and `_from_vertices` keep a pointed polyhedron's vertices and
 extreme rays as its generators, converting only its rows.
@@ -235,27 +236,70 @@ def _dd_cut(rays, facets, a):
     applies to their zero sets over the facets with no double description.
 
     Returns None when a.x has one sign on every ray, so the cone lies on
-    one side.  Otherwise returns the rays of the halves a.x >= 0 and
-    a.x <= 0 of the cone, in that order: each half keeps the rays on its
-    side, those with a.x = 0 included, plus the crossing rays as
-    `_crossings` returns them: their content is the multiplicity
-    `search.subdivide_fan` reports, and `make_cone` makes them primitive.
+    one side.  Otherwise returns the halves a.x >= 0 and a.x <= 0 of the
+    cone, in that order, each as (rays, kept facets).  A half's rays are
+    the rays on its side, those with a.x = 0 included, plus the crossing
+    rays as `_crossings` returns them: their content is the multiplicity
+    `search.subdivide_fan` reports, and `_cut_cone` makes them primitive.
+    A half's kept facets are the facets of the cone that stay facets of
+    the half, the rule `_cut_cone` states: facet i stays on a side iff a
+    ray strictly on that side has bit i in its zero set.
     """
     pos, neg, zero, masks = [], [], [], []
+    pos_bits = neg_bits = 0
     for r in rays:
         z = sum(1 << i for i, d in enumerate(facets) if not sum(map(mul, d, r)))
         v = sum(map(mul, a, r))
         masks.append(z)
         if v > 0:
             pos.append((r, z, v))
+            pos_bits |= z
         elif v < 0:
             neg.append((r, z, v))
+            neg_bits |= z
         else:
             zero.append(r)
     if not pos or not neg:
         return None
     cut = zero + [r for r, _z in _crossings(pos, neg, masks, len(a))]
-    return [r for r, _z, _v in pos] + cut, [r for r, _z, _v in neg] + cut
+    return tuple(([r for r, _z, _v in side] + cut,
+                  [d for i, d in enumerate(facets) if bits >> i & 1])
+                 for side, bits in ((pos, pos_bits), (neg, neg_bits)))
+
+
+def _cut_cone(cone, a):
+    """The halves a.x >= 0 and a.x <= 0 of a pointed full-dimensional cone, with no double description.
+
+    Precondition: `cone` stores its extreme rays as generators and its
+    facets as dual rays (as `make_cone` does for such a cone), and a is
+    primitive.  Returns None when a misses the cone (`_dd_cut`);
+    otherwise two Cones, field for field what `make_cone` returns for
+    each half's rays.  A half's generators are `_dd_cut`'s rays, made
+    primitive and sorted; they are its extreme rays.  Its facets are the
+    cone's facets that `_dd_cut` keeps on its side, plus +/-a.
+
+    Why: let C = {x : d.x >= 0 for its facets d} and H = C cap {a.x >= 0},
+    where a takes both signs on the rays of C, so a.x = 0 meets the
+    interior of C and H is full-dimensional.  H is cut out by C's facets
+    and a, so each facet of H lies in a facet F of C or in a.x = 0.  The
+    latter is a facet of H: it meets the interior of C, and a is
+    primitive, so +a is H's primitive normal.  For a facet F of C with
+    normal d, H cap {d.x = 0} = F cap {a.x >= 0}.  If an extreme ray of F
+    has a.x > 0, then so does a relatively open subset of F, and
+    F cap {a.x >= 0} has dimension n - 1: a facet of H.  If not, F is
+    generated by its extreme rays (C is pointed), so a.x <= 0 on all of
+    F and F cap {a.x >= 0} = F cap {a.x = 0}, which has dimension at
+    most n - 2, as F does not lie in a.x = 0 (its normal d would then be
+    +/-a, which has one sign on C).  So facet F stays iff one of its
+    extreme rays, an extreme ray of C on F, has a.x > 0: a ray with bit
+    F in its zero set.  The same holds for a.x <= 0 with -a.
+    """
+    halves = _dd_cut(cone.generators, cone.dual_rays, a)
+    if halves is None:
+        return None
+    return [Cone(cone.dim, tuple(sorted({primitive(r) for r in rays})),
+                 tuple(sorted(kept + [tuple(sign * x for x in a)])), ())
+            for (rays, kept), sign in zip(halves, (1, -1))]
 
 
 def cone_from_inequalities(rows, dim):
@@ -591,13 +635,6 @@ def _exact(a):
 
 def make_support(points):
     return SupportSet(tuple(sorted({_point_row([_exact(a) for a in p]) for p in points})))
-
-
-def support_value(a_set, e):
-    """h_A(e) = min over the finite set A of <a, e>: one Fraction of `_support_ratio`."""
-    if len(e) != a_set.dim:
-        raise GeometryError("dimension mismatch in support_value")
-    return Fraction(*_support_ratio(a_set.rows, e))
 
 
 def _support_ratio(rows, e):

@@ -200,12 +200,12 @@ def subdivide_fan(fan, phi):
             pieces.append(cone.generators)
             continue
         # the rays of a half that are not the cone's are its crossing rays
-        for w in (w for w in halves[0] if w not in cone.generators):
+        for w in (w for w in halves[0][0] if w not in cone.generators):
             p, qv = primitive(w), content(w)
             if newq.setdefault(p, qv) != qv:
                 raise SearchError("subdivision gives the new ray %r two "
                                   "multiplicities, %d and %d" % (p, newq[p], qv))
-        pieces += [[primitive(w) for w in half] for half in halves]
+        pieces += [[primitive(w) for w in half] for half, _kept in halves]
     rays = list(fan.rays) + sorted(set(newq) - set(fan.rays))
     index = {g: i for i, g in enumerate(rays)}
     cones = {tuple(sorted(index[g] for g in piece)) for piece in pieces}

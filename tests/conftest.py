@@ -26,11 +26,11 @@ from toricmld.polyhedra import (
     _generators_of,
     _homogenize_generators,
     _point_row,
+    _support_ratio,
     from_generators,
     from_inequalities,
     interval_image,
     make_cone,
-    support_value,
 )
 from toricmld.search import (
     WIDTH_NORM_CAP,
@@ -204,7 +204,21 @@ def product_germ(first, second):
 
 # ---------------------------------------------------------------------------
 # reference forms in Fractions: the former bodies of the Cartier data, the
-# width search and gamma, which now run in integer pairs
+# width search, gamma and the fixed parts, which now run in integer pairs
+
+
+def support_value(a_set, e):
+    """The former `polyhedra.support_value`: h_A(e) = min over A of <a, e>,
+    one Fraction of `_support_ratio`."""
+    if len(e) != a_set.dim:
+        raise GeometryError("dimension mismatch in support_value")
+    return F(*_support_ratio(a_set.rows, e))
+
+
+def fix_mov(a_set, rays):
+    """The former `pairs.fix_mov`: the fixed part min_{a in A} <a, e> of the
+    system of A on each ray e, as Fractions."""
+    return tuple(support_value(a_set, e) for e in rays)
 
 
 def reference_nef_values(fan, pair):

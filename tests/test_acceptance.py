@@ -17,6 +17,7 @@ from conftest import (
     a1_pair,
     extension_posts_hold,
     random_extension_input,
+    support_value,
     wedge25_pair,
     zero_pair,
 )
@@ -36,7 +37,6 @@ from toricmld.polyhedra import (
     make_support,
     polyhedra_equal,
     support_sum,
-    support_value,
 )
 from toricmld.search import (
     extend_functional,

@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
 import toricmld.generator as generator
-from conftest import cone_from_normals
+from conftest import cone_from_normals, fix_mov, support_value
 from toricmld.generator import (
     MAX_ATTEMPTS,
     _build_fan,
     _candidate_pair,
+    _rand_a_points,
+    _rand_general,
+    _rand_psi,
     _rand_sigma_bar,
     _rand_unimodular,
     _split,
@@ -24,7 +28,13 @@ from toricmld.pairs import (
     mld_over_fiber,
     validate_contraction,
 )
-from toricmld.polyhedra import GeometryError, make_cone
+from toricmld.polyhedra import (
+    GeometryError,
+    make_cone,
+    make_support,
+    support_scale,
+    support_sum,
+)
 
 
 def reference_random_instance(seed):
@@ -302,3 +312,87 @@ def test_redraw_by_rank_matches_the_kernel_on_every_covector_the_generator_tests
     redrawn = sum(redraw for *_test, redraw in seen)
     # 625 tests, 89 of them redrawn (87 and 16 over seeds 2000-2015)
     assert redrawn >= 80 and len(seen) - redrawn >= 500
+
+
+# ---------------------------------------------------------------------------
+# the sampler in integer pairs against its former Fractions
+
+
+def reference_rand_psi(rng, support):
+    """`_rand_psi` as it was, psi itself in Fractions: the reference for 6 psi."""
+    duals = list(support.dual_rays) + [(0,) * support.dim]
+    psi = (F(0),) * support.dim
+    for d in duals:
+        c = rng.choice((0, 0, F(1, 3), F(1, 2), F(2, 3), 1))
+        psi = tuple(p + c * x for p, x in zip(psi, d))
+    if rng.random() < 0.3:
+        den = rng.choice((2, 3))
+        psi = tuple(p + F(rng.randint(-1, 1), den) for p in psi)
+    return psi
+
+
+REFERENCE_B_POOL = (F(0), F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1))
+
+
+def reference_candidate_pair(rng, tc):
+    """`_candidate_pair` as it was, in Fractions: the fixed parts by `fix_mov`,
+    h_A by `support_value` over the unhulled sum, psi by `reference_rand_psi`."""
+    fan = tc.fan
+    a_pts = _rand_a_points(rng, fan.rank)
+    general = _rand_general(rng, fan.rank)
+    fixes, a_eff = [F(0)] * len(fan.rays), make_support(a_pts)
+    for bj, pts in general:
+        aj = make_support(pts)
+        fixes = [f + bj * x for f, x in zip(fixes, fix_mov(aj, fan.rays))]
+        a_eff = support_sum(a_eff, support_scale(bj, aj))
+    if rng.random() < 0.55:
+        psi = reference_rand_psi(rng, tc.support)
+        b = [1 - (dot(psi, e) - support_value(a_eff, e)) - fx
+             for e, fx in zip(fan.rays, fixes)]
+    else:
+        b = [rng.choice(REFERENCE_B_POOL) - fx for fx in fixes]
+    return generator.make_pair(fan, b, a_pts, general)
+
+
+def _sample(candidate, rng, tc):
+    try:
+        return candidate(rng, tc)
+    except PairError as exc:
+        return str(exc)
+
+
+def test_integer_psi_is_six_times_the_fraction_reference():
+    supports = [random_instance(seed)[0].support for seed in range(2000, 2008)]
+    assert {s.dim for s in supports} == {1, 2, 3}
+    assert any(not s.is_pointed() for s in supports)
+    values = set()
+    for seed in range(400):
+        support = supports[seed % len(supports)]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = _rand_psi(rng, support)
+        want = reference_rand_psi(ref_rng, support)
+        assert all(type(x) is int for x in got), got
+        assert got == tuple(6 * x for x in want), (seed, got, want)
+        # the same draws: the rng streams end in the same state
+        assert rng.getstate() == ref_rng.getstate(), seed
+        values.update(x % 6 for x in got)
+    # thirds and halves, from the pool and from the shift
+    assert values == {0, 1, 2, 3, 4, 5}
+
+
+def test_candidate_pairs_match_the_fraction_reference():
+    outcomes = {"pair": 0, "refused": 0}
+    general = 0
+    for seed in range(2000, 2016):
+        tc = random_instance(seed)[0]
+        for k in range(25):
+            rng, ref_rng = random.Random(k), random.Random(k)
+            got = _sample(_candidate_pair, rng, tc)
+            want = _sample(reference_candidate_pair, ref_rng, tc)
+            assert got == want, (seed, k)
+            assert rng.getstate() == ref_rng.getstate(), (seed, k)
+            outcomes["refused" if isinstance(got, str) else "pair"] += 1
+            general += not isinstance(got, str) and bool(got.general)
+    # 275 pairs, 44 of them with a general boundary, and 125 refusals
+    assert outcomes["pair"] >= 250 and outcomes["refused"] >= 100, outcomes
+    assert general >= 40

@@ -10,22 +10,24 @@ import toricmld.polyhedra as polyhedra
 from conftest import (
     a1_pair,
     cone_from_normals,
+    fix_mov,
     germ,
     product_germ,
+    support_value,
     wedge25_pair,
     zero_pair,
 )
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, InstanceError, instance_from_obj, load_corpus
-from toricmld.lattice import compose_covector, dot, identity, rational_rank
+from toricmld.lattice import compose_covector, dot, identity, primitive, rational_rank
 from toricmld.pairs import (
     NotRCartier,
     PairError,
     ToricContraction,
     _check_face_intersection,
+    _fold,
     analyze,
     cartier_psi,
-    fix_mov,
     fold_general,
     is_f_nef,
     is_glc,
@@ -46,7 +48,6 @@ from toricmld.polyhedra import (
     polyhedra_equal,
     support_scale,
     support_sum,
-    support_value,
 )
 from toricmld.search import find_hyperplane, subdivide_fan
 
@@ -332,6 +333,7 @@ def test_fix_mov_fixed_system():
     a = make_support([(2, 3)])
     fix = fix_mov(a, rays)
     assert fix == (2, 3)  # the system of a single character is its own fixed part
+    assert _fold(rays, make_support([(0, 0)]), [(F(1), a)])[0] == [(2, 1), (3, 1)]
 
 
 def test_fix_mov_basepoint_free():
@@ -339,6 +341,39 @@ def test_fix_mov_basepoint_free():
     a = make_support([(0, 0), (1, 1)])
     fix = fix_mov(a, rays)
     assert fix == (0, 0)
+    assert _fold(rays, make_support([(0, 0)]), [(F(1), a)])[0] == [(0, 1), (0, 1)]
+
+
+def test_fold_fixed_parts_match_the_fraction_reference():
+    """_fold's integer fixed parts are sum_j b_j * fix_mov(A_j, rays), for
+    k = 1, 2, 3 general boundaries, so also past the hull of the partial
+    sums from the second boundary on, whose h_A is the unhulled sum's."""
+    rng = random.Random(53)
+    seen = set()
+    for trial in range(180):
+        n, k = rng.randint(1, 3), 1 + trial % 3
+        rays = [primitive(v) for v in
+                (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5)))
+                if any(v)]
+        a_set = make_support([tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n))
+                              for _ in range(rng.randint(1, 3))])
+        general = [(rng.choice((F(1, 2), F(1), F(3, 2), F(2, 7))),
+                    make_support([tuple(rng.randint(-2, 2) for _ in range(n))
+                                  for _ in range(rng.randint(1, 4))]))
+                   for _ in range(k)]
+        fixes, folded = _fold(rays, a_set, general)
+        want = [F(0)] * len(rays)
+        unhulled = a_set
+        for bj, aj in general:
+            want = [f + bj * x for f, x in zip(want, fix_mov(aj, rays))]
+            unhulled = support_sum(unhulled, support_scale(bj, aj))
+        assert all(type(x) is int and type(d) is int and d > 0 for x, d in fixes)
+        assert [F(x, d) for x, d in fixes] == want, (rays, general)
+        for e in rays:
+            assert support_value(folded, e) == support_value(unhulled, e)
+        seen.add((k, len(folded.rows) < len(unhulled.rows)))
+    # every k, and the hull dropping points from the second boundary on
+    assert {1, 2, 3} <= {k for k, _dropped in seen} and (3, True) in seen
 
 
 def test_fix_additivity_random():

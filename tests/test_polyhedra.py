@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import affine_dim, cone_from_normals
+from conftest import affine_dim, cone_from_normals, support_value
 from toricmld.lattice import LatticeError, content, dot, vec_add, vec_scale
 from toricmld.polyhedra import (
     GeometryError,
@@ -19,7 +19,6 @@ from toricmld.polyhedra import (
     scale_polyhedron,
     support_scale,
     support_sum,
-    support_value,
 )
 
 
