@@ -26,12 +26,18 @@ half is, once, when it is cut again or the fan is assembled.  The
 support is built the same way, and an attempt rejected before anything
 reads its generators never converts it.  A covector is redrawn when it
 vanishes on the lines of the piece, tested as a rank over the piece's
-normals, with no kernel.
+normals, with no kernel.  A stellar subdivision takes no double
+description either: each of its pieces is a sorted generator tuple, a
+facet's generators and the interior ray (`_stellar`), from which
+`_build_fan` reads the rays and cones of the fan.
 
-The boundary coefficients are computed in integers: psi as 6 psi
-(`_rand_psi`), the fixed parts of the general boundaries and h_A as
-integer pairs (`pairs._fold`, `polyhedra._support_ratio`), and each
-coefficient becomes one Fraction, handed to `make_pair`.
+The pair data is drawn in integers too.  A and A_j are drawn as their
+integer point rows (x, q) and built once as a `SupportSet` each
+(`_rand_a_points`, `_rand_general`), which `pairs._fold` and
+`make_pair` take as they are.  psi is drawn as 6 psi (`_rand_psi`), the
+fixed parts of the general boundaries and h_A are integer pairs
+(`pairs._fold`, `polyhedra._support_ratio`), and each coefficient
+becomes one Fraction, which `make_pair` keeps.
 """
 
 from __future__ import annotations
@@ -54,11 +60,11 @@ from .pairs import (
 )
 from .polyhedra import (
     GeometryError,
+    SupportSet,
     _cut_cone,
     _support_ratio,
     cone_from_facets,
     make_cone,
-    make_support,
 )
 
 MAX_ATTEMPTS = 400
@@ -128,6 +134,19 @@ def _split(cone, pointed, cov):
 
 
 def _stellar(cone):
+    """The stellar subdivision of a pointed full-dimensional piece at v, the
+    primitive sum of its generators: one piece per facet d of the cone, as
+    its sorted generator tuple sorted(fgens + [v]), fgens the generators on
+    d, with no double description.
+
+    Each piece is full-dimensional.  v is a positive sum of generators that
+    span R^dim, so it is interior: d.v > 0 on every facet d, and v is not in
+    fgens.  The generators on a facet include its extreme rays (the cone is
+    pointed), which span d-perp.  So fgens + [v] spans R^dim at every rank
+    >= 2, and no piece needs a double description to test its dimension.
+    At rank 1 no facet holds a generator, so the cone stays whole, as its
+    own generator tuple.
+    """
     gens = cone.generators
     v = (0,) * cone.dim
     for g in gens:
@@ -136,12 +155,9 @@ def _stellar(cone):
     out = []
     for d in cone.dual_rays:
         fgens = [g for g in gens if dot(d, g) == 0]
-        if not fgens:
-            continue
-        piece = make_cone(cone.dim, list(fgens) + [v])
-        if piece.cone_dim() == cone.dim:
-            out.append(piece)
-    return out if len(out) >= 2 else [cone]
+        if fgens:
+            out.append(tuple(sorted(fgens + [v])))
+    return out if len(out) >= 2 else [gens]
 
 
 def _rand_covector(rng, n):
@@ -185,37 +201,59 @@ def _build_fan(rng, support):
     for _ in range(rng.randint(0, 2)):
         cov = _rand_covector(rng, n)
         pieces = [q for p in pieces for q in _split(*p, cov)]
-    pieces = [p for p, _pointed in pieces]
-    for _ in range(rng.randint(0, 1)):
+    gens = [p.generators for p, _pointed in pieces]
+    if rng.randint(0, 1):
         i = rng.randrange(len(pieces))
-        pieces = pieces[:i] + _stellar(pieces[i]) + pieces[i + 1:]
-    rays = sorted({g for p in pieces for g in p.generators})
+        gens[i:i + 1] = _stellar(pieces[i][0])
+    rays = sorted({g for p in gens for g in p})
     index = {g: i for i, g in enumerate(rays)}
-    cones = sorted({tuple(sorted(index[g] for g in p.generators)) for p in pieces})
+    cones = sorted({tuple(sorted(index[g] for g in p)) for p in gens})
     return make_fan(n, rays, cones)
 
 
+def _support_rows(rows):
+    """The SupportSet of point rows (x, q), sorted and distinct as `make_support` keeps them."""
+    return SupportSet(tuple(sorted(set(rows))))
+
+
+def _rand_row(rng, n, k, den):
+    """The point row primitive(x + (den,)) of x / den, x drawn from {-k..k}^n."""
+    return primitive(tuple(rng.randint(-k, k) for _ in range(n)) + (den,))
+
+
 def _rand_a_points(rng, n):
+    """The b-divisor set A, built from its integer point rows (x, q).
+
+    One of four modes: the origin; the origin and a point of {-1, 0, 1}^n;
+    two points of {-2..2}^n / den, den in {2, 3, 5}; the origin and a point
+    of {-den..den}^n / den, den in {4, 5, 25}.  An integer point x is the
+    row (x, 1) and a point x / den the row primitive(x + (den,))
+    (`_rand_row`), so the rows are those `make_support` gives the points.
+    """
+    origin = (0,) * n + (1,)
     mode = rng.randrange(4)
     if mode == 0:
-        return [(0,) * n]
+        return _support_rows([origin])
     if mode == 1:
-        return [(0,) * n, tuple(rng.randint(-1, 1) for _ in range(n))]
+        return _support_rows([origin, _rand_row(rng, n, 1, 1)])
     if mode == 2:
         den = rng.choice((2, 3, 5))
-        return [tuple(Fraction(rng.randint(-2, 2), den) for _ in range(n))
-                for _ in range(2)]
+        return _support_rows([_rand_row(rng, n, 2, den) for _ in range(2)])
     den = rng.choice((4, 5, 25))
-    return [(0,) * n,
-            tuple(Fraction(rng.randint(-den, den), den) for _ in range(n))]
+    return _support_rows([origin, _rand_row(rng, n, den, den)])
+
+
+_BJ_POOL = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 
 
 def _rand_general(rng, n):
+    """No general boundary with probability 0.7, else one (b_j, A_j): b_j in
+    {1/2, 1, 3/2} and A_j the origin and a point of {-1, 0, 1}^n, built from
+    their integer point rows (x, 1)."""
     if rng.random() < 0.7:
         return []
-    bj = rng.choice((Fraction(1, 2), Fraction(1), Fraction(3, 2)))
-    pts = [(0,) * n, tuple(rng.randint(-1, 1) for _ in range(n))]
-    return [(bj, pts)]
+    bj = rng.choice(_BJ_POOL)
+    return [(bj, _support_rows([(0,) * n + (1,), _rand_row(rng, n, 1, 1)]))]
 
 
 def _rand_psi(rng, support):
@@ -248,10 +286,9 @@ def _candidate_pair(rng, tc):
     """
     fan = tc.fan
     n = fan.rank
-    a_pts = _rand_a_points(rng, n)
+    a_set = _rand_a_points(rng, n)
     general = _rand_general(rng, n)
-    fixes, a_eff = _fold(fan.rays, make_support(a_pts),
-                         [(bj, make_support(pts)) for bj, pts in general])
+    fixes, a_eff = _fold(fan.rays, a_set, general)
     if rng.random() < 0.55:
         # log Calabi-Yau mode: boundary determined by a single global psi
         psi = _rand_psi(rng, tc.support)
@@ -263,7 +300,7 @@ def _candidate_pair(rng, tc):
     else:
         # free mode: random coefficients, relies on the nef rejection test
         b = [Fraction(rng.choice(_B_POOL) * fd - 12 * fn, 12 * fd) for fn, fd in fixes]
-    return make_pair(fan, b, a_pts, general)
+    return make_pair(fan, b, a_set, general)
 
 
 def random_instance(seed):

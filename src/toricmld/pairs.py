@@ -5,7 +5,10 @@ with a lattice projection pi: N -> Nbar and a pointed full-dimensional
 cone sigma_bar with |fan| = pi^{-1}(sigma_bar).  Pair data consists of
 invariant boundary coefficients on the rays, a finite rational set A
 inducing the free b-divisor, and optional general boundaries (b_j, A_j)
-that fold into (B, A).
+that fold into (B, A).  make_pair takes A and each A_j as points or as
+a built SupportSet, which it keeps, so a caller that holds the set (the
+generator, fold_general) hands it on with no round trip through
+Fraction points.
 
 The computational heart: the polyhedron box = Conv(A) + {m : <m,e> >=
 -(1 - b_e + h_A(e))}, its polar u, whose rays span the recession cone
@@ -300,7 +303,16 @@ class GPair:
 
 
 def make_pair(fan, b_inv, bdiv_points, general=()):
-    b = tuple(Fraction(x) for x in b_inv)
+    """The GPair of boundary coefficients b_inv (one per ray of fan, in [0, 1]),
+    the b-divisor set A and the general boundaries (b_j >= 0, A_j).
+
+    A and each A_j are given in either of two forms: as points (ints,
+    Fractions, or anything `Fraction()` reads), which `make_support`
+    converts, or as a built `SupportSet` of dimension fan.rank, which is
+    kept as it is (`_support_of`).  Each A_j must be integral.  A
+    coefficient that is a Fraction is kept; any other becomes Fraction(x).
+    """
+    b = tuple(_fraction(x) for x in b_inv)
     if len(b) != len(fan.rays):
         raise PairError("boundary coefficient count does not match the rays")
     for i, x in enumerate(b):
@@ -309,7 +321,7 @@ def make_pair(fan, b_inv, bdiv_points, general=()):
     a_set = _support_of(fan, bdiv_points, "b-divisor")
     gen = []
     for j, (bj, pts) in enumerate(general):
-        bj = Fraction(bj)
+        bj = _fraction(bj)
         if bj < 0:
             raise PairError("general boundary %d coefficient %s must be nonnegative"
                             % (j, bj))
@@ -320,8 +332,21 @@ def make_pair(fan, b_inv, bdiv_points, general=()):
     return GPair(b, a_set, tuple(gen))
 
 
+def _fraction(x):
+    """x itself when it is a Fraction, else Fraction(x)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _support_of(fan, points, what):
-    """make_support(points) once they are nonempty with fan.rank entries each."""
+    """The support set of points once they are nonempty with fan.rank entries each.
+
+    A built `SupportSet` is returned as it is once its rows have fan.rank
+    entries before the denominator; a row that has not gets the PairError
+    its point would get.  Points are converted by make_support.
+    """
+    if isinstance(points, SupportSet):
+        _check_entries([h[:-1] for h in points.rows], fan.rank, what + " point")
+        return points
     points = list(points)
     if not points:
         raise PairError("%s has no points" % what)
@@ -357,13 +382,15 @@ def fold_general(fan, pair):
 
     b_inv gains the fixed parts (`_fold`), one Fraction per ray; the
     b-divisor set becomes A + sum_j b_j * A_j, kept as its vertices from
-    the second boundary on; toric g-log discrepancies are unchanged.
+    the second boundary on, and handed to make_pair as the set `_fold`
+    built, with no round trip through Fraction points; toric g-log
+    discrepancies are unchanged.
     """
     if pair.folded:
         return pair
     fixes, a_set = _fold(fan.rays, pair.bdiv_a, pair.general)
     return make_pair(fan, [Fraction(x.numerator * d + n * x.denominator, x.denominator * d)
-                           for x, (n, d) in zip(pair.b_inv, fixes)], a_set.points, ())
+                           for x, (n, d) in zip(pair.b_inv, fixes)], a_set, ())
 
 
 def nef_values(fan, pair):

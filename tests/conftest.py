@@ -279,3 +279,33 @@ def reference_gamma(d, a):
         a = a * a / (d * d)
         d -= 1
     return a
+
+
+# ---------------------------------------------------------------------------
+# reference draws in Fraction points: the former `generator._rand_a_points`
+# and `_rand_general`, which now build their support sets from integer rows
+
+
+def reference_rand_a_points(rng, n):
+    """The former `generator._rand_a_points`: A as a list of Fraction points."""
+    mode = rng.randrange(4)
+    if mode == 0:
+        return [(0,) * n]
+    if mode == 1:
+        return [(0,) * n, tuple(rng.randint(-1, 1) for _ in range(n))]
+    if mode == 2:
+        den = rng.choice((2, 3, 5))
+        return [tuple(F(rng.randint(-2, 2), den) for _ in range(n))
+                for _ in range(2)]
+    den = rng.choice((4, 5, 25))
+    return [(0,) * n,
+            tuple(F(rng.randint(-den, den), den) for _ in range(n))]
+
+
+def reference_rand_general(rng, n):
+    """The former `generator._rand_general`: each A_j as a list of integer points."""
+    if rng.random() < 0.7:
+        return []
+    bj = rng.choice((F(1, 2), F(1), F(3, 2)))
+    pts = [(0,) * n, tuple(rng.randint(-1, 1) for _ in range(n))]
+    return [(bj, pts)]

@@ -25,6 +25,7 @@ from toricmld.instances import (
 )
 from toricmld.lattice import identity
 from toricmld.pairs import PairError, make_contraction, make_fan, make_pair
+from toricmld.polyhedra import make_support
 
 
 def _a2_fan():
@@ -64,6 +65,55 @@ def test_make_pair_refuses_an_empty_point_set():
         make_pair(_a2_fan(), (0, 0), [])
     with pytest.raises(PairError, match=r"^general boundary 0 has no points$"):
         make_pair(_a2_fan(), (0, 0), [(0, 0)], [(1, [])])
+
+
+def _pair_error(*args):
+    with pytest.raises(PairError) as info:
+        make_pair(*args)
+    return str(info.value)
+
+
+def test_make_pair_takes_a_built_support_set_as_its_points():
+    fan = _a2_fan()
+    a_pts = [(F(1, 2), F(-1, 3)), (0, 0)]
+    a_j = [(0, 0), (1, -1)]
+    want = make_pair(fan, (0, F(1, 2)), a_pts, [(F(1, 2), a_j)])
+    for a, g in [(make_support(a_pts), a_j), (a_pts, make_support(a_j)),
+                 (make_support(a_pts), make_support(a_j))]:
+        got = make_pair(fan, (0, F(1, 2)), a, [(F(1, 2), g)])
+        assert got == want
+        if not isinstance(a, list):
+            assert got.bdiv_a is a
+        if not isinstance(g, list):
+            assert got.general[0][1] is g
+
+
+def test_make_pair_refuses_a_support_set_of_the_wrong_dimension_as_its_points():
+    fan = _a2_fan()
+    for pts in ([(1, 2, 3)], [(1, 2, 3), (0, 0, 0)], [(1,)]):
+        a_set = make_support(pts)
+        assert _pair_error(fan, (0, 0), a_set) == _pair_error(fan, (0, 0), pts)
+        assert (_pair_error(fan, (0, 0), [(0, 0)], [(1, a_set)])
+                == _pair_error(fan, (0, 0), [(0, 0)], [(1, pts)]))
+    message = _pair_error(fan, (0, 0), make_support([(1,)]))
+    assert message == "b-divisor point 0 has 1 entries, not 2"
+
+
+def test_make_pair_refuses_a_general_support_set_with_a_fractional_point():
+    a_set = make_support([(0, 0), (F(1, 2), 1)])
+    assert any(h[-1] != 1 for h in a_set.rows)
+    with pytest.raises(PairError, match=r"^general boundary support sets must be integral$"):
+        make_pair(_a2_fan(), (0, 0), [(0, 0)], [(1, a_set)])
+
+
+def test_make_pair_keeps_a_fraction_coefficient_and_converts_the_others():
+    half, one = F(1, 2), F(1)
+    pair = make_pair(_a2_fan(), (half, "1/2"), [(0, 0)], [(one, [(0, 0)]), (2, [(0, 0)])])
+    assert pair.b_inv[0] is half and pair.general[0][0] is one
+    assert pair.b_inv[1] == half and type(pair.b_inv[1]) is F
+    assert pair.general[1][0] == 2 and type(pair.general[1][0]) is F
+    assert make_pair(_a2_fan(), (0, 1), [(0, 0)]).b_inv == (F(0), F(1))
+    assert all(type(x) is F for x in make_pair(_a2_fan(), (0, 1), [(0, 0)]).b_inv)
 
 
 def test_make_contraction_refuses_pi_of_the_wrong_width():

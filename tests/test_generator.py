@@ -4,7 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 import toricmld.generator as generator
-from conftest import cone_from_normals, fix_mov, support_value
+from conftest import (
+    cone_from_normals,
+    fix_mov,
+    reference_rand_a_points,
+    reference_rand_general,
+    support_value,
+)
 from toricmld.generator import (
     MAX_ATTEMPTS,
     _build_fan,
@@ -15,6 +21,7 @@ from toricmld.generator import (
     _rand_sigma_bar,
     _rand_unimodular,
     _split,
+    _stellar,
     random_instance,
 )
 from toricmld.instances import dumps_canonical, instance_to_obj
@@ -336,10 +343,12 @@ REFERENCE_B_POOL = (F(0), F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1
 
 def reference_candidate_pair(rng, tc):
     """`_candidate_pair` as it was, in Fractions: the fixed parts by `fix_mov`,
-    h_A by `support_value` over the unhulled sum, psi by `reference_rand_psi`."""
+    h_A by `support_value` over the unhulled sum, psi by `reference_rand_psi`,
+    A and A_j as Fraction points by `reference_rand_a_points` and
+    `reference_rand_general`."""
     fan = tc.fan
-    a_pts = _rand_a_points(rng, fan.rank)
-    general = _rand_general(rng, fan.rank)
+    a_pts = reference_rand_a_points(rng, fan.rank)
+    general = reference_rand_general(rng, fan.rank)
     fixes, a_eff = [F(0)] * len(fan.rays), make_support(a_pts)
     for bj, pts in general:
         aj = make_support(pts)
@@ -396,3 +405,71 @@ def test_candidate_pairs_match_the_fraction_reference():
     # 275 pairs, 44 of them with a general boundary, and 125 refusals
     assert outcomes["pair"] >= 250 and outcomes["refused"] >= 100, outcomes
     assert general >= 40
+
+
+# ---------------------------------------------------------------------------
+# support sets drawn as integer rows, stellar pieces as generator tuples
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_drawn_support_sets_are_make_support_of_the_reference_points(n):
+    modes = set()
+    general = 0
+    for seed in range(400):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        a_set = _rand_a_points(rng, n)
+        pts = reference_rand_a_points(ref_rng, n)
+        assert a_set == make_support(pts), (seed, a_set, pts)
+        got, want = _rand_general(rng, n), reference_rand_general(ref_rng, n)
+        assert [bj for bj, _aj in got] == [bj for bj, _pts in want], seed
+        assert [aj for _bj, aj in got] == [make_support(p) for _bj, p in want], seed
+        # the same draws: the rng streams end in the same state
+        assert rng.getstate() == ref_rng.getstate(), seed
+        modes.add(max(h[-1] for h in a_set.rows))
+        general += bool(got)
+    # every denominator of the four modes, and general boundaries
+    assert modes >= {1, 2, 3, 4, 5}, modes
+    assert general >= 80
+
+
+def _pointed_pieces(monkeypatch, seeds):
+    """Every pointed piece that `_split` returns to `_build_fan` for the seeds."""
+    seen = []
+
+    def recording_split(cone, pointed, cov):
+        halves = _split(cone, pointed, cov)
+        seen.extend(half for half, is_pointed in halves if is_pointed)
+        return halves
+
+    monkeypatch.setattr(generator, "_split", recording_split)
+    for seed in seeds:
+        random_instance(seed)
+    return seen
+
+
+def test_stellar_pieces_are_the_full_dimensional_cones_make_cone_builds(monkeypatch):
+    pieces = _pointed_pieces(monkeypatch, range(2000, 2096))
+    facets = whole = 0
+    for cone in pieces:
+        n = cone.dim
+        if n == 1:
+            assert _stellar(cone) == [cone.generators], cone
+            whole += 1
+            continue
+        v = primitive(tuple(map(sum, zip(*cone.generators))))
+        want = []
+        for d in cone.dual_rays:
+            fgens = [g for g in cone.generators if dot(d, g) == 0]
+            ref = make_cone(n, fgens + [v])
+            assert ref.cone_dim() == n, (cone, d)
+            want.append(ref.generators)
+        facets += len(want)
+        assert _stellar(cone) == want, cone
+    # 2162 pieces of rank 2 or 3 with 6452 facets in all, 73 of rank 1
+    assert facets >= 6000 and whole >= 60, (facets, whole)
+
+
+def test_stellar_keeps_a_rank_one_cone_whole():
+    for gens in ([(1,)], [(-1,)]):
+        cone = make_cone(1, gens)
+        assert _stellar(cone) == [cone.generators] == [tuple(gens)]

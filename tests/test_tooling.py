@@ -402,6 +402,57 @@ def test_a_generated_contraction_keeps_the_support_its_fan_was_cut_from(monkeypa
         assert tc.support is started[-1]
 
 
+def test_generate_hands_on_the_support_sets_and_stellar_pieces_it_builds(monkeypatch):
+    """One generate pass over seeds 2000-2015 calls make_support 0 times:
+    A and A_j are drawn as integer rows and make_pair keeps the built
+    sets.  No double description runs under _stellar, whose pieces are
+    generator tuples.  analyze folds a general boundary into the set
+    `_fold` built and makes no Fraction point (`_fraction_points`)."""
+    counts = {"make_support": 0, "stellar_dd": 0, "fraction_points": 0}
+    in_stellar = [False]
+
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    real_support = toricmld.polyhedra.make_support
+    for module in (toricmld.polyhedra, toricmld.pairs):
+        monkeypatch.setattr(module, "make_support", counting("make_support", real_support))
+    real_dd = toricmld.polyhedra.cone_from_inequalities
+
+    def dd(rows, dim):
+        counts["stellar_dd"] += in_stellar[0]
+        return real_dd(rows, dim)
+
+    monkeypatch.setattr(toricmld.polyhedra, "cone_from_inequalities", dd)
+    monkeypatch.setattr(toricmld.pairs, "cone_from_inequalities", dd)
+    real_stellar = toricmld.generator._stellar
+    stellar_calls = [0]
+
+    def stellar(cone):
+        stellar_calls[0] += 1
+        in_stellar[0] = True
+        try:
+            return real_stellar(cone)
+        finally:
+            in_stellar[0] = False
+
+    monkeypatch.setattr(toricmld.generator, "_stellar", stellar)
+    monkeypatch.setattr(toricmld.polyhedra, "_fraction_points",
+                        counting("fraction_points", toricmld.polyhedra._fraction_points))
+    instances = [random_instance(seed) for seed in range(2000, 2016)]
+    assert counts == {"make_support": 0, "stellar_dd": 0, "fraction_points": 0}
+    assert stellar_calls[0] >= 5
+    general = [(tc, pair) for tc, pair, _meta in instances if pair.general]
+    # 4 of the 16 instances carry a general boundary
+    assert len(general) >= 3
+    for tc, pair in general:
+        analyze(tc, pair)
+    assert counts["fraction_points"] == 0
+
+
 # public module-level names that nothing in the package reads, each with its reason
 UNREAD_PUBLIC_ALLOWED = {
     "gauge": "bench/tracer.py probes it by name",
