@@ -51,6 +51,7 @@ from .polyhedra import (
     Cone,
     Polyhedron,
     SupportSet,
+    _dd_add_rows,
     _from_hpoints,
     _from_vertices,
     _gauge_ratio,
@@ -60,8 +61,8 @@ from .polyhedra import (
     _point_sum,
     _polar_raw,
     _support_ratio,
+    _zero_set,
     cone_from_facets,
-    cone_from_inequalities,
     integer_points,
     interval_image,
     make_cone,
@@ -98,6 +99,16 @@ class Fan:
     def _cones(self):
         return tuple(make_cone(self.rank, [self.rays[j] for j in c])
                      for c in self.max_cones)
+
+    @_on_first_read
+    def _zero_sets(self):
+        """Per maximal cone, the zero set of each of its generators over its facets.
+
+        Entry k of cone i is a bitmask aligned with `cone(i).generators[k]`:
+        bit m is set when `cone(i).dual_rays[m]` vanishes on it.
+        """
+        return tuple(tuple(_zero_set(c.dual_rays, g) for g in c.generators)
+                     for c in self._cones)
 
 
 def _check_entries(rows, n, what):
@@ -152,45 +163,62 @@ def validate_fan(fan):
     """Cones pointed and full-dimensional, pairwise intersections faces.
 
     A cone with fewer rays than the rank is refused before any cone is
-    built, since converting it costs an SNF cubic in the rank.
+    built, since converting it costs an SNF cubic in the rank.  A
+    full-dimensional cone on exactly rank rays is simplicial, so it is
+    pointed and each of its rays is extremal: it takes neither test.  In
+    any other cone a ray is extremal iff the facets vanishing on it, read
+    off its zero set (`Fan._zero_sets`), have rank rank - 1.  Every cone
+    has passed these tests before any pair is tested, which
+    `_check_face_intersection` needs: each cone's generators are then its
+    extreme rays and its dual rays its facets.
     """
     for i, c in enumerate(fan.max_cones):
         if len(c) < fan.rank:
             raise PairError("maximal cone %d is not full-dimensional" % i)
     for i, c in enumerate(fan.max_cones):
         cone = fan.cone(i)
+        if len(c) == fan.rank and cone.is_full_dim():
+            continue
         if not cone.is_pointed():
             raise PairError("maximal cone %d is not strongly convex" % i)
         if not cone.is_full_dim():
             raise PairError("maximal cone %d is not full-dimensional" % i)
+        zeros = dict(zip(cone.generators, fan._zero_sets[i]))
         for j in c:
-            if not _is_extremal_ray(cone, fan.rays[j]):
+            z = zeros[fan.rays[j]]
+            active = [d for m, d in enumerate(cone.dual_rays) if z >> m & 1]
+            if rational_rank(active, fan.rank) != fan.rank - 1:
                 raise PairError("ray %d is not extremal in maximal cone %d" % (j, i))
     for i in range(len(fan.max_cones)):
         for j in range(i + 1, len(fan.max_cones)):
             _check_face_intersection(fan, i, j)
 
 
-def _is_extremal_ray(cone, v):
-    active = [d for d in cone.dual_rays if dot(d, v) == 0]
-    return rational_rank(active, cone.dim) == cone.dim - 1
-
-
 def _check_face_intersection(fan, i, j):
-    """One double description of a cap b; each side's smallest face over it.
+    """The cones i and j of fan meet in a face of each, from a's own double description.
 
-    The smallest face of a cone containing the intersection is cut out by
-    the facets vanishing on it and generated by the cone's generators on
-    which all those facets vanish.  It contains the intersection, so the
-    two are equal exactly when those generators lie in the other cone.
+    Precondition: both cones are pointed and full-dimensional with their
+    generators as extreme rays, as `validate_fan` checks first, so a's
+    generators and zero sets (`Fan._zero_sets`) are the double description
+    of a over its facets.  The row loop `_dd_add_rows` adds b's facets to
+    it and ends at the extreme rays of a cap b, each with its exact zero
+    set over the facets of both cones.  The AND of those zero sets is the
+    set of facets vanishing on a cap b (every facet when a cap b = {0}),
+    which cuts out each cone's smallest face containing a cap b; that face
+    is generated by the cone's generators whose zero set contains those
+    facets.  It contains a cap b, so the two are equal exactly when those
+    generators lie in the other cone.
     """
     a, b = fan.cone(i), fan.cone(j)
-    rays, lines = cone_from_inequalities(a.normals + b.normals, fan.rank)
-    gens = rays + lines
-    for cone, other in ((a, b), (b, a)):
-        sel = [d for d in cone.dual_rays if all(dot(d, g) == 0 for g in gens)]
-        face = [g for g in cone.generators if all(dot(d, g) == 0 for d in sel)]
-        if not all(other.contains(g) for g in face):
+    za, zb = fan._zero_sets[i], fan._zero_sets[j]
+    k = len(a.dual_rays)
+    _rays, masks = _dd_add_rows(a.dual_rays + b.dual_rays, fan.rank, a.generators, za, range(k))
+    common = (1 << (k + len(b.dual_rays))) - 1
+    for z in masks:
+        common &= z
+    for cone, zeros, sel, other in ((a, za, common & ((1 << k) - 1), b),
+                                    (b, zb, common >> k, a)):
+        if not all(other.contains(g) for g, z in zip(cone.generators, zeros) if z & sel == sel):
             raise PairError(
                 "cones %d and %d do not intersect in a common face" % (i, j))
 
@@ -265,21 +293,38 @@ def validate_contraction(tc):
 
 
 def _check_walls(tc):
-    """Every facet of a maximal cone is shared or lies on the support boundary."""
+    """Every facet of a maximal cone is shared or lies on the support boundary.
+
+    Precondition: the fan passes `validate_fan`, so each facet's
+    generators are the cone's generators whose zero set has its bit
+    (`Fan._zero_sets`), and any two cones meet in a common face.  A facet
+    F of cone i with normal d is shared when another cone j contains it.
+    Then i meets j in a face of i that contains F, so in F or in i; not
+    in i, as a full-dimensional face of j is j and make_fan refuses two
+    maximal cones on the same rays.  So F is a face of j of dimension
+    rank - 1, a facet of j with normal d or -d, and not d: both cones
+    would then contain the half-ball on d.x >= 0 about a relative
+    interior point of F, and meet in more than F.  So only the cones
+    with the facet normal -d can share F, and only they are searched.
+    """
     fan = tc.fan
     sup = tc.support
-    for i in range(len(fan.max_cones)):
+    owners = {}
+    for j in range(len(fan.max_cones)):
+        for d in fan.cone(j).dual_rays:
+            owners.setdefault(d, []).append(j)
+    for i, zeros in enumerate(fan._zero_sets):
         cone = fan.cone(i)
-        for d in cone.dual_rays:
-            fgens = [g for g in cone.generators if dot(d, g) == 0]
+        for m, d in enumerate(cone.dual_rays):
+            fgens = [g for g, z in zip(cone.generators, zeros) if z >> m & 1]
             if not fgens:
                 continue
             on_boundary = any(all(dot(s, g) == 0 for g in fgens)
                               for s in sup.dual_rays)
             if on_boundary:
                 continue
-            shared = any(j != i and all(fan.cone(j).contains(g) for g in fgens)
-                         for j in range(len(fan.max_cones)))
+            shared = any(all(fan.cone(j).contains(g) for g in fgens)
+                         for j in owners.get(tuple(-x for x in d), ()))
             if not shared:
                 raise PairError(
                     "support condition fails: unmatched interior wall of cone %d" % i)

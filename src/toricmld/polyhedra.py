@@ -26,7 +26,11 @@ cut of the generator's fan pieces and of `search.subdivide_fan`), and
 `_cut_cone` read both halves off it, facets included;
 `cone_from_facets` take a full-dimensional cone's dual rays as its known
 facets; and `_from_vertices` keep a pointed polyhedron's vertices and
-extreme rays as its generators, converting only its rows.
+extreme rays as its generators, converting only its rows.  The row loop
+of the double description, `_dd_add_rows`, has a second user: the
+pairwise face test of `pairs.validate_fan` starts it from one fan cone's
+extreme rays and their zero sets over its facets, and adds only the
+other cone's facets.
 
 The membership tests (`Cone.contains`, `Cone.interior_contains`,
 `Polyhedron.contains`, `Polyhedron.contains_scaled`) are kernels with one
@@ -196,13 +200,27 @@ def _crossings(pos, neg, masks, dim):
 def _dd_from_base(rows, dim, base, rays):
     """Double description of {x : rows.x >= 0} from `_simplicial_start`.
 
-    Start ray j is zero on every base row but the j-th.  Adding a row
-    keeps the rays on its nonnegative side and adds each crossing ray of
-    `_crossings`, made primitive, with the added row in its zero set.
+    Start ray j is zero on every base row but the j-th; `_dd_add_rows`
+    adds the other rows.
     """
     full = sum(1 << i for i in base)
-    masks = [full & ~(1 << i) for i in base]
-    skip = set(base)
+    rays, _masks = _dd_add_rows(rows, dim, rays, [full & ~(1 << i) for i in base], set(base))
+    return tuple(sorted(rays))
+
+
+def _dd_add_rows(rows, dim, rays, masks, skip):
+    """The double-description row loop: add each row i of rows not in skip.
+
+    rays are the extreme rays of a pointed cone cut out by the rows in
+    skip, masks their zero sets over those rows (bit i for row i).
+    Adding a row keeps the rays on its nonnegative side and adds each
+    crossing ray of `_crossings`, made primitive, with the added row in
+    its zero set.  Returns the final (rays, masks), unsorted; a mask is
+    the ray's exact zero set over every row, as a crossing ray's is the
+    AND of its parents'.  `_dd_from_base` starts it from a simplicial
+    base, and `pairs._check_face_intersection` from a fan cone's own
+    extreme rays and facets.
+    """
     for i, a in enumerate(rows):
         if i in skip:
             continue
@@ -224,7 +242,12 @@ def _dd_from_base(rows, dim, base, rays):
                 kept.append(primitive(r))
                 kept_masks.append(z | bit)
         rays, masks = kept, kept_masks
-    return tuple(sorted(rays))
+    return rays, masks
+
+
+def _zero_set(facets, r):
+    """The zero set of r over facets as a bitmask: bit i for each facets[i] vanishing on r."""
+    return sum(1 << i for i, d in enumerate(facets) if not sum(map(mul, d, r)))
 
 
 def _dd_cut(rays, facets, a):
@@ -248,7 +271,7 @@ def _dd_cut(rays, facets, a):
     pos, neg, zero, masks = [], [], [], []
     pos_bits = neg_bits = 0
     for r in rays:
-        z = sum(1 << i for i, d in enumerate(facets) if not sum(map(mul, d, r)))
+        z = _zero_set(facets, r)
         v = sum(map(mul, a, r))
         masks.append(z)
         if v > 0:

@@ -29,7 +29,6 @@ from .lattice import (
     rational_rank,
     sublattice_from_vectors,
     transpose,
-    vec_scale,
 )
 from .pairs import (
     BoxData,
@@ -46,8 +45,10 @@ from .pairs import (
     validate_contraction,
 )
 from .polyhedra import (
+    SupportSet,
     _dd_cut,
     _interval_ends,
+    _rescaled,
     from_inequalities,
     make_cone,
     interval_image,
@@ -294,9 +295,13 @@ def make_slice(bd, phi_n, t):
     validate_contraction(tc1)
 
     # rescaled boundary (1 - lam) Sigma + lam B restricted to the slice;
-    # make_pair checks that it lies in [0, 1]
+    # make_pair checks that it lies in [0, 1].  The point row (x, q) of A
+    # maps to lam * basis.x / q, the row (p * basis.x, r * q) at lam = p / r
     b1 = [1 - lam * disc[g] for g in rays_n]
-    pair1 = make_pair(fan0, b1, [vec_scale(lam, apply_hom(kern.basis, a)) for a in bd.a_eff.points])
+    a1 = SupportSet(tuple(sorted({_rescaled(apply_hom(kern.basis, h[:-1]) + h[-1:],
+                                            lam.numerator, lam.denominator)
+                                  for h in bd.a_eff.rows})))
+    pair1 = make_pair(fan0, b1, a1)
     try:
         bd1 = analyze(tc1, pair1)
     except PairError as exc:

@@ -179,6 +179,26 @@ def strict_interior_contains(p, x):
     return all(dot(a, x) > c for a, c in p.ineqs)
 
 
+def reference_check_walls(tc):
+    """The former `pairs._check_walls`: every facet of a maximal cone lies on
+    the support boundary or in another cone, each facet's generators found
+    by evaluating its normal and every other cone searched."""
+    fan = tc.fan
+    sup = tc.support
+    for i in range(len(fan.max_cones)):
+        cone = fan.cone(i)
+        for d in cone.dual_rays:
+            fgens = [g for g in cone.generators if dot(d, g) == 0]
+            if not fgens:
+                continue
+            if any(all(dot(s, g) == 0 for g in fgens) for s in sup.dual_rays):
+                continue
+            if not any(j != i and all(fan.cone(j).contains(g) for g in fgens)
+                       for j in range(len(fan.max_cones))):
+                raise PairError(
+                    "support condition fails: unmatched interior wall of cone %d" % i)
+
+
 def product_germ(first, second):
     """X1 x X2 -> Y1 x Y2 from two (germ, pair): rays, pi and sigma_bar are
     block-diagonal, the maximal cones are the products of the factors', B is

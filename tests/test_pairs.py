@@ -13,6 +13,7 @@ from conftest import (
     fix_mov,
     germ,
     product_germ,
+    reference_check_walls,
     support_value,
     wedge25_pair,
     zero_pair,
@@ -99,10 +100,32 @@ QUADRANT = {"rank_N": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
      "maximal cone 0 is not full-dimensional"),
     (dict(QUADRANT, rays=[[1, 0], [1, 1], [0, 1]], max_cones=[[0, 1, 2]], pi=[[1, 0], [0, 1]]),
      "ray 1 is not extremal in maximal cone 0"),
+    (dict(QUADRANT, rays=[[1, 0], [0, 1], [1, 1]], max_cones=[[0, 1], [0, 2]], pi=[[1, 0], [0, 1]]),
+     "cones 0 and 1 do not intersect in a common face"),
+    ({"rank_N": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, -1]],
+      "max_cones": [[0, 1, 2], [0, 3, 4]], "pi": [[1, 0, 0], [0, 1, 0]]},
+     "cones 0 and 1 do not intersect in a common face"),
+    ({"rank_N": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, -1]],
+      "max_cones": [[0, 3, 4], [0, 1, 2]], "pi": [[1, 0, 0], [0, 1, 0]]},
+     "cones 0 and 1 do not intersect in a common face"),
+    ({"rank_N": 3, "rays": [[1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1]],
+      "max_cones": [[0, 1, 2, 3]], "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "ray 1 is not extremal in maximal cone 0"),
+    ({"rank_N": 3, "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+      "max_cones": [[0, 1, 2], [0, 2, 3]], "pi": [[0, 1, 0], [0, 0, 1]]},
+     "maximal cone 0 is not strongly convex"),
+    ({"rank_N": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 2, 0]],
+      "max_cones": [[0, 2, 3], [1, 2, 4]], "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "support condition fails: unmatched interior wall of cone 0"),
 ])
 def test_invalid_fan_names_its_reason(obj, reason):
     """A cone holding a line; rank-many coplanar rays, so the ray count
-    passes; a ray inside the cone over the other two."""
+    passes; a ray inside the cone over the other two; overlapping cones;
+    a ray of one cone inside a facet of the other, in both orders, as
+    only the cone with that facet sees it; a ray inside a 2-face
+    of a 4-ray rank-3 cone; rank-many rays holding a line, so the
+    simplicial shortcut does not apply; the octant split along x = y with
+    a gap beside the wall of cone 0."""
     with pytest.raises(InstanceError) as exc:
         instance_from_obj(obj)
     assert str(exc.value) == reason
@@ -212,7 +235,6 @@ def test_cone_with_fewer_rays_than_the_rank_is_refused_before_any_conversion(mon
         return real(rows, dim)
 
     monkeypatch.setattr(polyhedra, "cone_from_inequalities", counted)
-    monkeypatch.setattr(pairs, "cone_from_inequalities", counted)
     fan = make_fan(60, [(1,) + (0,) * 59], [(0,)])
     with pytest.raises(PairError, match="^maximal cone 0 is not full-dimensional$"):
         pairs.validate_fan(fan)
@@ -277,10 +299,13 @@ def _random_cone_pair(rng, n):
 
 
 def test_face_intersection_matches_reference_on_random_fans():
+    """Ranks 2, 3 and 4, both verdicts at each: at rank 4 the double
+    description starts from cones that need not be simplicial and the
+    faces compared are up to 3-dimensional."""
     rng = random.Random(29)
-    verdicts = []
-    for trial in range(240):
-        n = 2 + trial % 2
+    verdicts = {2: [], 3: [], 4: []}
+    for trial in range(360):
+        n = 2 + trial % 3
         cones = _random_cone_pair(rng, n)
         if cones is None:
             continue
@@ -288,9 +313,13 @@ def test_face_intersection_matches_reference_on_random_fans():
         rays = sorted(set(extremal[0]) | set(extremal[1]))
         fan = make_fan(n, rays, [[rays.index(r) for r in e] for e in extremal])
         expected = _reference_face_intersection(fan, 0, 1)
+        # either cone may start the double description
         assert _fast_face_intersection(fan, 0, 1) == expected, fan
-        verdicts.append(expected)
-    assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+        assert _fast_face_intersection(fan, 1, 0) == expected, fan
+        verdicts[n].append((expected, len(fan.max_cones[0]) > n))
+    for n, seen in verdicts.items():
+        assert {v for v, _ in seen} == {True, False}, n
+    assert any(wide for _, wide in verdicts[4])
 
 
 def test_face_intersection_matches_reference_on_generator_fans(monkeypatch):
@@ -314,6 +343,75 @@ def test_face_intersection_matches_reference_on_generator_fans(monkeypatch):
     for seed in range(2000, 2064):
         random_instance(seed)
     assert checked.count(True) > 0
+
+
+# fans with a wall on no other cone: the octant split along x = y with a
+# gap beside the wall; a quadrant with a gap between two cones; three
+# cones of which the middle one's outer wall is unmatched
+UNMATCHED_WALLS = [
+    ({"rank_N": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 2, 0]],
+      "max_cones": [[0, 2, 3], [1, 2, 4]], "pi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, 0),
+    ({"rank_N": 2, "rays": [[1, 0], [2, 1], [1, 2], [0, 1]], "max_cones": [[0, 1], [2, 3]],
+      "pi": [[1, 0], [0, 1]]}, 0),
+    ({"rank_N": 2, "rays": [[1, 0], [2, 1], [1, 1], [1, 2], [0, 1]],
+      "max_cones": [[0, 1], [1, 2], [3, 4]], "pi": [[1, 0], [0, 1]]}, 1),
+]
+
+
+def _wall_verdict(check, tc):
+    try:
+        check(tc)
+    except PairError as exc:
+        return str(exc)
+    return None
+
+
+def test_walls_match_the_all_cones_scan(monkeypatch):
+    """`_check_walls` searches a wall's partner only among the cones with the
+    opposite facet normal; the reference scans every cone.  They agree on
+    the corpus, on generator seeds 2000-2063 and on the unmatched walls."""
+    checked = []
+    real = pairs._check_walls
+
+    def both(tc):
+        expected = _wall_verdict(reference_check_walls, tc)
+        assert _wall_verdict(real, tc) == expected, tc.fan
+        checked.append(expected)
+        if expected:
+            raise PairError(expected)
+
+    monkeypatch.setattr(pairs, "_check_walls", both)
+    for name in CORPUS:
+        load_corpus(name)
+    for seed in range(2000, 2064):
+        random_instance(seed)
+    assert checked and set(checked) == {None}
+    for obj, cone in UNMATCHED_WALLS:
+        with pytest.raises(InstanceError) as exc:
+            instance_from_obj(obj)
+        assert str(exc.value) == checked[-1] == (
+            "support condition fails: unmatched interior wall of cone %d" % cone)
+
+
+def test_validation_converts_each_cone_once_and_no_pair(monkeypatch):
+    """On the fan of generator seed 2004 (7 maximal cones, 21 pairs)
+    validate_contraction takes 8 double descriptions: one per maximal cone
+    and the support's.  The face test converts no pair (29 when each pair
+    took one)."""
+    tc = random_instance(2004)[0]
+    fan = make_fan(tc.rank, tc.fan.rays, tc.fan.max_cones)
+    fresh = make_contraction(fan, tc.pi, tc.sigma_bar.generators)
+    calls = []
+    real = polyhedra.cone_from_inequalities
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return real(rows, dim)
+
+    monkeypatch.setattr(polyhedra, "cone_from_inequalities", counted)
+    validate_contraction(fresh)
+    assert len(fan.max_cones) == 7
+    assert len(calls) == 8
 
 
 def test_pair_coefficient_range():

@@ -9,9 +9,11 @@ import toricmld.generator
 import toricmld.lattice
 import toricmld.pairs
 import toricmld.polyhedra
-from conftest import cone_from_normals
+import toricmld.search
+from conftest import INTERIOR_SEEDS, cone_from_normals
 from toricmld.generator import _build_fan, _split, random_instance
 from toricmld.instances import CORPUS, load_corpus
+from toricmld.lattice import apply_hom, kernel_sublattice, vec_scale
 from toricmld.pairs import analyze, is_glc, make_contraction, make_fan, make_pair, mld_over_fiber
 from toricmld.polyhedra import make_cone
 from toricmld.search import find_hyperplane, verify_certificate
@@ -309,7 +311,6 @@ def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
         return real(rows, dim)
 
     monkeypatch.setattr(toricmld.polyhedra, "cone_from_inequalities", counted)
-    monkeypatch.setattr(toricmld.pairs, "cone_from_inequalities", counted)
     germs = [(name, load_corpus(name)[:2]) for name in CORPUS]
     germs.append((1025, random_instance(1025)[:2]))
     scanned = quotients = 0
@@ -427,7 +428,6 @@ def test_generate_hands_on_the_support_sets_and_stellar_pieces_it_builds(monkeyp
         return real_dd(rows, dim)
 
     monkeypatch.setattr(toricmld.polyhedra, "cone_from_inequalities", dd)
-    monkeypatch.setattr(toricmld.pairs, "cone_from_inequalities", dd)
     real_stellar = toricmld.generator._stellar
     stellar_calls = [0]
 
@@ -453,6 +453,43 @@ def test_generate_hands_on_the_support_sets_and_stellar_pieces_it_builds(monkeyp
     assert counts["fraction_points"] == 0
 
 
+def test_slice_maps_the_rows_of_a_with_no_fraction_point(monkeypatch):
+    """find_hyperplane on the eight interior seeds takes 12 slices and calls
+    neither make_support nor `_fraction_points`: make_slice maps A's point
+    rows in integers and hands make_pair the set.  Each slice's A is the
+    set make_support builds from the mapped Fraction points."""
+    counts = {"make_support": 0, "fraction_points": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    real_support = toricmld.polyhedra.make_support
+    for module in (toricmld.polyhedra, toricmld.pairs):
+        monkeypatch.setattr(module, "make_support", counting("make_support", real_support))
+    monkeypatch.setattr(toricmld.polyhedra, "_fraction_points",
+                        counting("fraction_points", toricmld.polyhedra._fraction_points))
+    slices = []
+    real_slice = toricmld.search.make_slice
+
+    def recording(bd, phi, t):
+        slices.append((bd, phi, real_slice(bd, phi, t)))
+        return slices[-1][2]
+
+    monkeypatch.setattr(toricmld.search, "make_slice", recording)
+    for seed in INTERIOR_SEEDS:
+        find_hyperplane(*random_instance(seed)[:2])
+    assert counts == {"make_support": 0, "fraction_points": 0}
+    assert len(slices) == 12
+    monkeypatch.undo()
+    for bd, phi, sd in slices:
+        basis = kernel_sublattice(phi).basis
+        assert sd.pair1.bdiv_a == real_support(
+            [vec_scale(sd.lam, apply_hom(basis, a)) for a in bd.a_eff.points])
+
+
 # public module-level names that nothing in the package reads, each with its reason
 UNREAD_PUBLIC_ALLOWED = {
     "gauge": "bench/tracer.py probes it by name",
@@ -460,6 +497,7 @@ UNREAD_PUBLIC_ALLOWED = {
     "solve_rational": "bench/tracer.py probes it by name",
     "load_corpus": "the loader of the packaged corpus",
     "from_generators": "the public polyhedron constructor",
+    "vec_scale": "bench/tracer.py probes it by name",
 }
 
 
