@@ -71,7 +71,9 @@ def is_zero(v):
 
 
 def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    """The n x n identity matrix; row i is a slice of one tuple with its 1 at n - 1."""
+    line = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    return tuple(line[n - 1 - i:2 * n - 1 - i] for i in range(n))
 
 
 def apply_hom(mat, v):

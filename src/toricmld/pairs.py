@@ -656,21 +656,47 @@ def mld_over_fiber(bd):
     are the lattice points v interior to that cone: for an integer normal
     d of a row through 0, d.v > 0 is d.v >= 1.
 
-    The enumeration bound t_cap is the least gauge over a few candidates
-    at hand: the fiber witness, the primitive direction of each vertex of
-    up, and the sum of each pair of those directions, each kept only if
-    d.v >= 1 on every row through 0.  A kept point is a candidate, so
-    t_cap is attained and the mld is the least gauge over the lattice
-    points of t_cap * up that pass the same cuts.  Those are enumerated
-    once, with the cuts in the enumeration and every row in integers, and
-    the running minimum is an integer pair compared by cross-multiplying;
-    one Fraction is built at the end.
+    Closed form on a unimodular corner simplex.  Let up have exactly one
+    facet (a, m) off 0 and l facets through 0, and let the primitive
+    directions g_1..g_l of its nonzero vertices be a lattice basis
+    (`hom_is_surjective` of the square matrix: |det| = 1).  A compact
+    full-dimensional polytope with l + 1 facets is a simplex; 0 lies on
+    the l facets through 0, so it is the vertex opposite (a, m), dirs
+    holds the l directions g_i, and the cone of up at 0 is
+    cone(g_1..g_l) with the facets through 0 as its facets.  (The basis
+    test alone implies the two counts: up is full-dimensional and
+    contains 0, so it has at least l + 1 vertices, at most l of them
+    nonzero only when 0 is a vertex and up a simplex, and a map from Z^l
+    onto Z^k needs k <= l.)  The primitive normal d_j of the facet that
+    misses g_j vanishes on the other g_i and is positive on g_j, so it is
+    a positive multiple of the dual basis vector g_j^*, which is
+    primitive as the dual basis is a basis of the dual lattice: d_j =
+    g_j^*, and d_i.g_j = 1 if i = j and 0 otherwise.  Every lattice point
+    is v = sum k_i g_i with integer k_i, and d_j.v = k_j, so the
+    candidates are exactly the points with every k_i >= 1.  The nonzero
+    vertices t_i g_i (t_i > 0) lie on a.x = -m, so the gauge -a.v / m of
+    a point v of the cone is linear, with -a.g_i / m = 1 / t_i > 0 on
+    each g_i, and its least value over the candidates is at every
+    k_i = 1: the mld is the gauge of g_1 + ... + g_l.  A smooth cone with
+    A = {0} takes this path at any coefficient height: up is
+    conv(0, e / r_e over its rays e).
+
+    Any other up is enumerated.  The enumeration bound t_cap is the least
+    gauge over a few candidates at hand: the fiber witness, the primitive
+    direction of each vertex of up, and the sum of each pair of those
+    directions, each kept only if d.v >= 1 on every row through 0.  A
+    kept point is a candidate, so t_cap is attained and the mld is the
+    least gauge over the lattice points of t_cap * up that pass the same
+    cuts.  Those are enumerated once, with the cuts in the enumeration and
+    every row in integers, and the running minimum is an integer pair
+    compared by cross-multiplying; one Fraction is built at the end.
     """
     if bd.tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
     if not is_glc(bd):
         raise PairError("pair is not g-lc")
-    if bd.l == 0:
+    l = bd.l
+    if l == 0:
         return None
     proj, up = bd.quotient
     rows = _gauge_rows(up)
@@ -678,6 +704,11 @@ def mld_over_fiber(bd):
     if not through_zero:
         return None
     dirs = [primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])]
+    if len(rows[0]) == 1 and len(through_zero) == l and hom_is_surjective(dirs, l):
+        corner = tuple(map(sum, zip(*dirs)))
+        if not all(dot(d, corner) >= 1 for d in through_zero):
+            raise PairError("the vertex directions' sum must pass the cuts")
+        return Fraction(*_least_gauge(rows, [corner]))
     at_hand = itertools.chain([apply_hom(proj, _fiber_witness(bd.tc.fan))], dirs,
                               itertools.starmap(vec_add, itertools.combinations(dirs, 2)))
     t_cap = _least_gauge(rows, (v for v in at_hand
@@ -687,7 +718,7 @@ def mld_over_fiber(bd):
     num, den = t_cap   # a.x >= (num / den) * c, times den
     cuts = ([(tuple(den * x for x in a), num * c) for a, c in up.ineqs]
             + [(d, 1) for d in through_zero])
-    best = _least_gauge(rows, integer_points(bd.l, cuts))
+    best = _least_gauge(rows, integer_points(l, cuts))
     if best is None:
         raise PairError("the witness point must be enumerated")
     return Fraction(*best)

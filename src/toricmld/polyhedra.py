@@ -21,9 +21,10 @@ iff `_crossings` finds them adjacent.  The rays come out primitive and
 sorted, so the result is deterministic.  That lets `_polar_raw` read the
 polar of a full-dimensional pointed polyhedron containing 0 off its
 stored rows; `_dd_cut` cut a pointed full-dimensional cone by a
-hyperplane in one step, from the extreme rays and facets it holds (the
-cut of the generator's fan pieces and of `search.subdivide_fan`), and
-`_cut_cone` read both halves off it, facets included;
+hyperplane in one step, from the extreme rays and facets it holds and
+their zero sets (the cut of the generator's fan pieces, whose zero sets
+`_cut_cone` computes, and of `search.subdivide_fan`, which hands on the
+fan's own), and `_cut_cone` read both halves off it, facets included;
 `cone_from_facets` take a full-dimensional cone's dual rays as its known
 facets; and `_from_vertices` keep a pointed polyhedron's vertices and
 extreme rays as its generators, converting only its rows.  The row loop
@@ -250,13 +251,14 @@ def _zero_set(facets, r):
     return sum(1 << i for i, d in enumerate(facets) if not sum(map(mul, d, r)))
 
 
-def _dd_cut(rays, facets, a):
+def _dd_cut(rays, facets, masks, a):
     """One double-description step: a pointed full-dimensional cone cut by a.x = 0.
 
     Precondition: rays and facets are exactly the extreme rays and facet
     normals of a pointed full-dimensional cone in R^len(a), as `make_cone`
-    stores them when its generators are its extreme rays, so `_crossings`
-    applies to their zero sets over the facets with no double description.
+    stores them when its generators are its extreme rays, and masks[k]
+    is the zero set of rays[k] over the facets (`_zero_set`), so
+    `_crossings` applies to them with no double description.
 
     Returns None when a.x has one sign on every ray, so the cone lies on
     one side.  Otherwise returns the halves a.x >= 0 and a.x <= 0 of the
@@ -268,12 +270,10 @@ def _dd_cut(rays, facets, a):
     the half, the rule `_cut_cone` states: facet i stays on a side iff a
     ray strictly on that side has bit i in its zero set.
     """
-    pos, neg, zero, masks = [], [], [], []
+    pos, neg, zero = [], [], []
     pos_bits = neg_bits = 0
-    for r in rays:
-        z = _zero_set(facets, r)
+    for r, z in zip(rays, masks):
         v = sum(map(mul, a, r))
-        masks.append(z)
         if v > 0:
             pos.append((r, z, v))
             pos_bits |= z
@@ -317,7 +317,8 @@ def _cut_cone(cone, a):
     extreme rays, an extreme ray of C on F, has a.x > 0: a ray with bit
     F in its zero set.  The same holds for a.x <= 0 with -a.
     """
-    halves = _dd_cut(cone.generators, cone.dual_rays, a)
+    facets = cone.dual_rays
+    halves = _dd_cut(cone.generators, facets, [_zero_set(facets, r) for r in cone.generators], a)
     if halves is None:
         return None
     return [Cone(cone.dim, tuple(sorted({primitive(r) for r in rays})),
@@ -879,12 +880,14 @@ def integer_points(dim, ineqs):
     Project and lift.  Fourier-Motzkin elimination of x_{dim-1}, ...,
     x_0 computes the systems S_dim ... S_0 once; every row, given or
     combined, is scaled to a primitive integer normal a' and its rhs
-    rounded up (`_tighten`), which is exact on integer points.  The
-    points are then lifted one coordinate at a time: x_k runs between the
-    integer ceil and floor bounds that the rows of S_{k+1} give over
-    x_0..x_{k-1}.  Each row of S_k holds on every integer point of the
-    system, and each input row bounds some coordinate, so exactly the
-    integer points come out, as int tuples in lexicographic order.
+    rounded up (`_tighten`), which is exact on integer points.  A given
+    row with a Fraction entry is first made integer (`_integer_row`); an
+    integer row, a tuple of ints with an int rhs, goes to `_tighten` as
+    it is.  The points are then lifted one coordinate at a time: x_k runs
+    between the integer ceil and floor bounds that the rows of S_{k+1}
+    give over x_0..x_{k-1}.  Each row of S_k holds on every integer point
+    of the system, and each input row bounds some coordinate, so exactly
+    the integer points come out, as int tuples in lexicographic order.
 
     The elimination runs before this returns; it raises GeometryError
     for an unbounded system that it does not show to be empty.
@@ -895,7 +898,12 @@ def integer_points(dim, ineqs):
             raise GeometryError("inequality has the wrong dimension")
         if is_zero(a) and c <= 0:
             continue
-        a, c = _tighten(*_integer_row(a, c))
+        # _tighten alone on an integer row: gcd(a, c) divides content(a), so
+        # _integer_row first would round to the same rhs
+        if type(c) is int and type(a) is tuple and _as_integers(a) is a:
+            a, c = _tighten(a, c)
+        else:
+            a, c = _tighten(*_integer_row(a, c))
         if rows.get(a, c) <= c:
             rows[a] = c
     levels = [None] * dim

@@ -185,7 +185,8 @@ def subdivide_fan(fan, phi):
     positive integer with q(e') * e' = phi(e2) e1 - phi(e1) e2, for the
     rays e1, e2 of a 2-face with phi(e1) < 0 < phi(e2).  The fan must pass
     validate_fan, so that each cone's generators are its extreme rays and
-    `_dd_cut` cuts it in one step, returning those raw crossing rays.
+    `_dd_cut` cuts it in one step from the zero sets the fan holds
+    (`Fan._zero_sets`), returning those raw crossing rays.
     """
     if len(phi) != fan.rank:
         raise PairError("functional has %d entries but the fan has rank %d"
@@ -196,7 +197,7 @@ def subdivide_fan(fan, phi):
     pieces = []
     for ci in range(len(fan.max_cones)):
         cone = fan.cone(ci)
-        halves = _dd_cut(cone.generators, cone.dual_rays, phi)
+        halves = _dd_cut(cone.generators, cone.dual_rays, fan._zero_sets[ci], phi)
         if halves is None:
             pieces.append(cone.generators)
             continue

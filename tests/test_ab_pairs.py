@@ -1,6 +1,8 @@
 """The claim rule of `tools/ab_pairs.py`: at least 9 wins in 10 pairs and a median gap wider than the parent's IQR."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -144,3 +146,40 @@ def test_run_bench_keeps_the_runs_attempted_count(monkeypatch):
     monkeypatch.setattr(ab_pairs.subprocess, "run", lambda *args, **kwargs: Done)
     assert ab_pairs.run_bench(".", {}, "generate", 0) == {"peak_rss_mb": 18.5,
                                                            "attempted": 4321}
+
+
+def test_each_side_gets_one_equal_work_run_after_its_pairs(monkeypatch, capsys, tmp_path):
+    bench = {"workloads": [{"name": "near-boundary"}],
+             "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.2},
+                            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def fake_run(checkout, env, workload, seconds, trace=0):
+        side = os.path.basename(checkout)
+        calls.append((side, seconds))
+        # the timed runs read one peak; the equal-work runs read their own
+        rss = {("parent", 0): 27.1, ("change", 0): 27.3}.get((side, seconds), 28.0)
+        return {"ops_per_s": 100.0, "peak_rss_mb": rss, "attempted": 1}
+
+    monkeypatch.setattr(ab_pairs, "run_bench", fake_run)
+    monkeypatch.setattr(ab_pairs, "level_bytecode", lambda *args: None)
+    assert ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                          "--pairs", "2", "--seconds", "3"]) == 0
+    assert calls == [("parent", 3), ("change", 3), ("change", 3), ("parent", 3),
+                     ("parent", 0), ("change", 0)]
+    lines = capsys.readouterr().out.splitlines()
+    rss = lines.index(next(line for line in lines if line.split()[0] == "peak_rss_mb"))
+    assert lines[rss + 1].split()[0] == "claim:"
+    assert lines[rss + 2].split() == ["at", "equal", "work", "(--seconds", "0):", "parent",
+                                      "27.1", "change", "27.3", "+0.7%"]
+    assert sum("equal work" in line for line in lines) == 1
+
+
+def test_equal_work_line_is_left_out_without_equal_work_runs(capsys):
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    runs = {side: [{"peak_rss_mb": 18.0, "attempted": 10}] for side in ("parent", "change")}
+    ab_pairs.report("query", metrics, runs)
+    assert "equal work" not in capsys.readouterr().out

@@ -19,18 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricmld.lattice
 import toricmld.pairs
+import toricmld.polyhedra
+import toricmld.search
 from conftest import (
+    ACCEPTANCE_SEEDS,
     INTERIOR_SEEDS,
     affine_dim,
     germ,
+    product_germ,
     strict_interior_contains,
     zero_pair,
 )
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
-from toricmld.lattice import LatticeError, apply_hom, dot, identity, is_zero
-from toricmld.pairs import _fiber_witness, analyze, make_pair, mld_over_fiber
+from toricmld.lattice import LatticeError, apply_hom, dot, identity, is_zero, primitive
+from toricmld.pairs import _fiber_witness, _least_gauge, analyze, make_pair, mld_over_fiber
 from toricmld.polyhedra import (
     GeometryError,
     _gauge_ratio,
@@ -43,6 +48,7 @@ from toricmld.polyhedra import (
     make_cone,
     scale_polyhedron,
 )
+from toricmld.search import find_hyperplane, verify_certificate
 
 
 def reference_lattice_points(p):
@@ -98,6 +104,30 @@ def reference_mld(tc, bd):
     return best
 
 
+def enumerated_mld(bd):
+    """The former mld_over_fiber past its g-lc and dim Y checks: the bound from
+    the candidates at hand, then one enumeration, on every shape of up.
+
+    It calls the enumerator as `toricmld.pairs.integer_points`, so the
+    `counted_enumerator` fixture counts its points too.
+    """
+    if bd.l == 0:
+        return None
+    proj, up = bd.quotient
+    rows = _gauge_rows(up)
+    through_zero = rows[1]
+    if not through_zero:
+        return None
+    dirs = [primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])]
+    at_hand = itertools.chain([apply_hom(proj, _fiber_witness(bd.tc.fan))], dirs,
+                              (tuple(map(sum, zip(a, b))) for a, b in itertools.combinations(dirs, 2)))
+    t_cap = _least_gauge(rows, (v for v in at_hand if all(dot(d, v) >= 1 for d in through_zero)))
+    num, den = t_cap
+    cuts = ([(tuple(den * x for x in a), num * c) for a, c in up.ineqs]
+            + [(d, 1) for d in through_zero])
+    return F(*_least_gauge(rows, toricmld.pairs.integer_points(bd.l, cuts)))
+
+
 def rand_rational(rng, lim=5):
     return F(rng.randint(-lim, lim), rng.choice((1, 1, 2, 3, 5)))
 
@@ -148,6 +178,33 @@ def test_enumerator_matches_box_scan_on_cut_systems():
         assert list(integer_points(p.dim, rows)) == expect
         cut_points += len(expect)
     assert cut_points > 100
+
+
+def test_integer_rows_go_to_the_enumerator_as_they_are(monkeypatch):
+    # an integer row is only tightened; a row with a Fraction entry, or a
+    # list normal, first becomes a primitive integer row (_integer_row), and
+    # both give the same points, also for a row (a, c) that is not primitive
+    rng = random.Random(73)
+    calls = []
+    inner = toricmld.polyhedra._integer_row
+    monkeypatch.setattr(toricmld.polyhedra, "_integer_row",
+                        lambda a, c: calls.append(a) or inner(a, c))
+    points = 0
+    for p in random_polytopes(rng, 200):
+        if p.empty:
+            continue
+        rows = [(tuple(k * x for x in a), k * c - rng.randint(0, k - 1))
+                for (a, c), k in ((row, rng.randint(1, 4)) for row in p.ineqs)]
+        calls.clear()
+        expect = list(integer_points(p.dim, rows))
+        assert calls == []
+        assert list(integer_points(p.dim, [(tuple(map(F, a)), F(c)) for a, c in rows])) == expect
+        assert list(integer_points(p.dim, [(list(a), c) for a, c in rows])) == expect
+        assert len(calls) == 2 * len(rows)
+        # k (a.x) >= k c - j with 0 <= j < k holds on an integer x iff a.x >= c does
+        assert expect == reference_lattice_points(p)
+        points += len(expect)
+    assert points > 500
 
 
 def test_enumerator_edge_cases():
@@ -215,17 +272,22 @@ def counted_enumerator(monkeypatch):
 
 @pytest.mark.parametrize("d", [2000, 10 ** 9])
 def test_near_boundary_a3_enumerates_one_point(counted_enumerator, d):
-    # B = (1 - 1/d, 1 - 1/d, 0): the bounding box of t_cap * up grows like
-    # d^2, but the cuts leave only the minimizer (1, 1, 1)
+    # B = (1 - 1/d, 1 - 1/d, 0): up is a unimodular corner simplex, so
+    # mld_over_fiber takes the closed form and enumerates nothing.  On the
+    # enumeration path the bounding box of t_cap * up grows like d^2, but
+    # the cuts leave only the minimizer (1, 1, 1)
     tc = germ(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)], identity(3))
     pair = make_pair(tc.fan, (1 - F(1, d), 1 - F(1, d), 0), [(0, 0, 0)])
     bd = analyze(tc, pair)
     assert mld_over_fiber(bd) == 1 + F(2, d)
+    assert counted_enumerator == []
+    assert enumerated_mld(bd) == 1 + F(2, d)
     assert counted_enumerator == [1]
 
 
-def test_mld_needs_the_witness_point(monkeypatch, a2_germ):
-    bd = analyze(a2_germ, zero_pair(a2_germ))
+def test_mld_needs_the_witness_point(monkeypatch, halfplane_germ):
+    # halfplane's up has two vertices off 0 for l = 2: it is enumerated
+    bd = analyze(halfplane_germ, zero_pair(halfplane_germ))
     monkeypatch.setattr(toricmld.pairs, "integer_points", lambda dim, ineqs: iter(()))
     with pytest.raises(toricmld.pairs.PairError, match="witness point must be enumerated"):
         mld_over_fiber(bd)
@@ -363,11 +425,206 @@ def test_mld_bound_cuts_the_interior_seed_enumerations(counted_enumerator, seed,
 @pytest.mark.parametrize("d", [3, 1000])
 def test_mld_bound_skips_points_that_are_not_candidates(counted_enumerator, a2_germ, d):
     # B = (1 - 1/d, 0): the vertex direction (1, 0) of up has gauge 1/d, below
-    # the mld 1 + 1/d, but it lies on a facet of the support; the bound comes
-    # from (1, 1), the sum of the two directions, and only it is enumerated
+    # the mld 1 + 1/d, but it lies on a facet of the support; up is a
+    # unimodular corner simplex, so the mld is the gauge of (1, 1), the sum
+    # of the two directions, and nothing is enumerated
     bd = analyze(a2_germ, make_pair(a2_germ.fan, (1 - F(1, d), 0), [(0, 0)]))
     proj, up = bd.quotient
     rows = _gauge_rows(up)
     assert _gauge_ratio(rows, apply_hom(proj, (1, 0))) == (1, d)
     assert mld_over_fiber(bd) == 1 + F(1, d)
+    assert counted_enumerator == []
+
+
+def test_mld_bound_from_a_pair_sum_enumerates_only_it(counted_enumerator):
+    # seed 1075: up has two facets off 0, so it is enumerated.  The vertex
+    # directions (0, -1, 1) and (0, 0, 1) have gauge 2/3, below the mld 5/3,
+    # but lie on facets of the support; the witness (1, -1, 1) has gauge
+    # 8/3; the bound comes from (1, -1, 2), the sum of (0, -1, 1) and
+    # (1, 0, 1), and only it is enumerated
+    (_name, tc, bd), = _generated([1075])
+    proj, up = bd.quotient
+    rows = _gauge_rows(up)
+    assert len(rows[0]) == 2
+    assert apply_hom(proj, _fiber_witness(tc.fan)) == (1, -1, 1)
+    assert _gauge_ratio(rows, (1, -1, 1)) == (8, 3)
+    dirs = {primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])}
+    for v in ((0, -1, 1), (0, 0, 1)):
+        assert v in dirs and _gauge_ratio(rows, v) == (2, 3)
+        assert min(dot(d, v) for d in rows[1]) == 0
+    assert (1, 0, 1) in dirs and _gauge_ratio(rows, (1, -1, 2)) == (5, 3)
+    counted_enumerator.clear()   # the generator runs the mld of what it returns
+    assert mld_over_fiber(bd) == F(5, 3)
     assert counted_enumerator == [1]
+
+
+# ---------------------------------------------------------------------------
+# the closed form on a unimodular corner simplex, against the enumeration
+
+
+def _det(rows):
+    """The determinant of a square integer matrix, by Fraction elimination."""
+    m = [[F(x) for x in r] for r in rows]
+    det = F(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def corner_shape(bd):
+    """(corner, unimodular) of up: corner when it has one facet off 0 and l
+    through 0, unimodular when its nonzero vertex directions also have
+    determinant +-1."""
+    _proj, up = bd.quotient
+    off = [a for a, c in up.ineqs if c]
+    through = [a for a, c in up.ineqs if not c]
+    if len(off) != 1 or len(through) != bd.l:
+        return False, False
+    dirs = [primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])]
+    assert len(dirs) == bd.l   # a compact polytope with l + 1 facets is a simplex
+    return True, abs(_det(dirs)) == 1
+
+
+def _smooth_ladder(n, boundary, d):
+    """Smooth A^n with B = (1 - 1/d) on the first `boundary` rays, and A = {0}."""
+    tc = germ(n, identity(n), [tuple(range(n))], identity(n))
+    b = [1 - F(1, d)] * boundary + [0] * (n - boundary)
+    return tc, make_pair(tc.fan, b, [(0,) * n])
+
+
+@pytest.mark.parametrize("n, boundary", [(3, 2), (2, 1), (1, 1)])
+def test_closed_form_matches_the_enumeration_on_the_smooth_ladders(counted_enumerator,
+                                                                   n, boundary):
+    # the mld is attained at (1, ..., 1): boundary * (1/d) + (n - boundary);
+    # the box scan is kept to the small rungs, where its box is small
+    for d in (2, 3, 10, 45, 1000, 10 ** 6, 10 ** 9):
+        tc, pair = _smooth_ladder(n, boundary, d)
+        bd = analyze(tc, pair)
+        expect = n - boundary + F(boundary, d)
+        counted_enumerator.clear()
+        assert mld_over_fiber(bd) == expect, d
+        assert counted_enumerator == [] and corner_shape(bd) == (True, True)
+        assert enumerated_mld(bd) == expect, d
+        if d <= 45:
+            assert reference_mld(tc, bd) == expect, d
+
+
+def _checked_cases():
+    """The corpus, the acceptance and interior seeds and generator seeds
+    2000-2149, as (name, tc, bd)."""
+    for name in CORPUS:
+        tc, pair, _obj = load_corpus(name)
+        yield name, tc, analyze(tc, pair)
+    yield from _generated(ACCEPTANCE_SEEDS + tuple(range(2000, 2150)))
+
+
+def test_closed_form_matches_the_enumeration_on_the_acceptance_set_and_generator_seeds(
+        counted_enumerator):
+    seen = {"closed": 0, "enumerated": 0, "corner without a basis": 0}
+    for name, tc, bd in _checked_cases():
+        counted_enumerator.clear()
+        got = mld_over_fiber(bd)
+        closed = got is not None and not counted_enumerator
+        corner, unimodular = corner_shape(bd) if bd.l else (False, False)
+        assert closed == unimodular, name
+        assert got == enumerated_mld(bd), name
+        if closed:
+            assert got == reference_mld(tc, bd), name
+        seen["closed" if closed else "enumerated"] += got is not None
+        seen["corner without a basis"] += corner and not unimodular
+    assert seen == {"closed": 181, "enumerated": 81, "corner without a basis": 15}
+
+
+@pytest.mark.parametrize("d", [1, 3, 1000])
+def test_closed_form_needs_a_lattice_basis(counted_enumerator, d):
+    # the A_1 cone spanned by (1, 0) and (1, 2), determinant 2, with B = (1 -
+    # 1/d, 0): up = conv(0, d (1, 0), (1, 2)) is a corner simplex, but the
+    # sum (2, 2) of its vertex directions has gauge 1 + 1/d, twice that of
+    # the minimizer (1, 1), which is a candidate as (1, 0) and (1, 2) are no
+    # lattice basis: without the basis test the closed form would be wrong
+    tc = germ(2, [(1, 0), (1, 2)], [(0, 1)], identity(2))
+    bd = analyze(tc, make_pair(tc.fan, (1 - F(1, d), 0), [(0, 0)]))
+    _proj, up = bd.quotient
+    rows = _gauge_rows(up)
+    assert corner_shape(bd) == (True, False)
+    expect = (1 + F(1, d)) / 2
+    assert F(*_gauge_ratio(rows, (2, 2))) == 2 * expect
+    assert F(*_gauge_ratio(rows, (1, 1))) == expect
+    assert mld_over_fiber(bd) == expect == reference_mld(tc, bd) == enumerated_mld(bd)
+    assert counted_enumerator[0] >= 1
+
+
+@pytest.mark.parametrize("names, l, closed", [
+    (("a3_identity", "a3_identity"), 6, True),
+    (("a3_identity", "a3_identity", "a3_identity"), 9, True),
+    (("a2_identity", "a3_identity"), 5, True),
+    (("a3_identity", "cax4"), 6, False),
+    (("wedge25", "a3_identity"), 5, False),
+    (("halfplane", "a2_identity"), 4, False),
+])
+def test_closed_form_matches_the_enumeration_on_product_germs(monkeypatch, counted_enumerator,
+                                                              names, l, closed):
+    # from l = 4 on hom_is_surjective reads the invariant factors off one SNF;
+    # the mld of a product is the sum of its factors'
+    factors = [load_corpus(name)[:2] for name in names]
+    tc, pair = factors[0]
+    for factor in factors[1:]:
+        tc, pair = product_germ((tc, pair), factor)
+    bd = analyze(tc, pair)
+    bd.quotient   # read before the count: only mld_over_fiber's SNF calls are counted
+    snfs = []
+    real_snf = toricmld.lattice.snf
+    monkeypatch.setattr(toricmld.lattice, "snf", lambda *a: snfs.append(a) or real_snf(*a))
+    got = mld_over_fiber(bd)
+    corner, unimodular = corner_shape(bd)
+    assert bd.l == l and len(snfs) == corner
+    assert (not counted_enumerator) == closed == unimodular
+    assert got == sum(mld_over_fiber(analyze(t, p)) for t, p in factors)
+    assert got == enumerated_mld(bd)
+
+
+def _closed_form_calls(counted_enumerator, items):
+    """Per mld_over_fiber call of find + verify over items: True when it took
+    the closed form (a value and no enumeration), and its BoxData."""
+    calls = []
+    real_mld = toricmld.search.mld_over_fiber
+
+    def counted(bd):
+        counted_enumerator.clear()
+        got = real_mld(bd)
+        calls.append((got is not None and not counted_enumerator, bd))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toricmld.search, "mld_over_fiber", counted)
+        for tc, pair in items:
+            cert = find_hyperplane(tc, pair)
+            assert verify_certificate(tc, pair, cert)[0]
+    return calls
+
+
+def test_closed_form_takes_every_near_boundary_call_and_most_of_certify(counted_enumerator):
+    # the items of the benchmark's near-boundary and certify workloads; a
+    # call takes the closed form exactly when up is a unimodular corner
+    # simplex, so no corner simplex without a lattice basis takes it
+    near = [_smooth_ladder(3, 2, d) for d in (2, 3, 4, 6, 8, 11, 16, 23, 32, 45)]
+    near += [_smooth_ladder(2, 1, d) for d in (10, 32, 100, 316, 1000, 3162)]
+    certify = [load_corpus(name)[:2] for name in CORPUS]
+    certify += [random_instance(s)[:2] for s in ACCEPTANCE_SEEDS[:64] + (5, 27, 82, 93, 119)]
+    counts = []
+    for items in (near, certify):
+        calls = _closed_form_calls(counted_enumerator, items)
+        for closed, bd in calls:
+            assert closed == corner_shape(bd)[1]
+        counts.append((len(calls), sum(closed for closed, _bd in calls),
+                       sum(corner_shape(bd) == (True, False) for _closed, bd in calls)))
+    assert counts == [(32, 32, 0), (163, 119, 8)]

@@ -494,3 +494,8 @@ def test_saturated_span_takes_one_snf(monkeypatch):
     calls.clear()
     assert saturated_span(3, []) == Sublattice(3, ())
     assert calls == []
+
+
+def test_identity_matches_the_entrywise_form():
+    for n in range(10):
+        assert identity(n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))

@@ -35,6 +35,8 @@ from toricmld.polyhedra import (
     polyhedra_equal,
     scale_polyhedron,
 )
+import toricmld.pairs
+import toricmld.polyhedra
 import toricmld.search
 from toricmld.search import (
     SearchError,
@@ -373,6 +375,31 @@ def test_subdivide_fan_matches_the_reference():
             pairs += 1
             new_rays += bool(q)
     assert len(fans) >= 60 and pairs >= 700 and new_rays >= 400
+
+
+def test_subdivide_fan_reads_the_zero_sets_the_fan_holds(monkeypatch):
+    # the fan holds each generator's zero set over its cone's facets
+    # (Fan._zero_sets, read here first); subdivide_fan hands those to
+    # _dd_cut and computes none
+    rng = random.Random(11)
+    fans = [load_corpus(name)[0].fan for name in CORPUS]
+    fans += [random_instance(s)[0].fan for s in (5, 27, 82, 93)]
+    cases = []
+    for fan in fans:
+        assert len(fan._zero_sets) == len(fan.max_cones)
+        cases += [(fan, phi, reference_subdivide_fan(fan, phi))
+                  for phi in _seeded_covectors(rng, fan, 4)]
+
+    def recomputed(facets, r):
+        raise AssertionError("a zero set was recomputed")
+
+    monkeypatch.setattr(toricmld.polyhedra, "_zero_set", recomputed)
+    monkeypatch.setattr(toricmld.pairs, "_zero_set", recomputed)
+    cut = 0
+    for fan, phi, expect in cases:
+        assert subdivide_fan(fan, phi) == expect, (fan, phi)
+        cut += bool(expect[1])
+    assert (len(cases), cut) == (73, 39)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ pairs, and a median gap wider than the parent's interquartile range
 (`claim_holds`).  Beside `peak_rss_mb` it prints each side's median
 number of operations attempted: the harness keeps a sample per
 operation, so a run that makes more operations in its time reads a
-higher peak with no memory cost of the program's own.
+higher peak with no memory cost of the program's own.  Under it, each
+side's `peak_rss_mb` at equal work: one `bench/run.py --seconds 0` run
+per side after the pairs, the same passes over the same items on both
+sides (`equal_work_rss`).
 
 With `--trace` each pair is instead one `bench/run.py --seconds 0
 --trace 1` run per side, alternating as above, and the script prints,
@@ -153,10 +156,18 @@ def level_bytecode(checkout, env, workloads):
         run_bench(checkout, env, w, 0)
 
 
-def report(workload, metrics, runs):
+def equal_work_rss(sides, envs, workload):
+    """{side: peak_rss_mb} of one `bench/run.py --seconds 0` run per side, parent first."""
+    return {side: run_bench(sides[side], envs[side], workload, 0)["peak_rss_mb"]
+            for side in ("parent", "change")}
+
+
+def report(workload, metrics, runs, equal_rss=None):
     """Print one workload's table, with the claim rule under each metric.
 
-    The `peak_rss_mb` line ends with each side's median operations attempted.
+    The `peak_rss_mb` line ends with each side's median operations
+    attempted; the sides' peaks at equal work, `equal_rss` from
+    `equal_work_rss`, follow its claim line when given.
     """
     print("== %s: %d pairs" % (workload, len(runs["parent"])))
     for m in metrics:
@@ -180,6 +191,10 @@ def report(workload, metrics, runs):
         print("    claim: %d/%d wins (need %d of >= %d), median gap %.4g vs parent IQR "
               "%.4g: %s" % (won, len(parent), math.ceil(WIN_SHARE * len(parent)),
                             MIN_PAIRS, gap, iqr, "holds" if holds else "does not hold"))
+        if name == "peak_rss_mb" and equal_rss is not None:
+            p, c = equal_rss["parent"], equal_rss["change"]
+            print("    at equal work (--seconds 0): parent %.4g change %.4g  %+6.1f%%"
+                  % (p, c, 100 * (c - p) / p if p else 0.0))
 
 
 def report_layers(workload, per_layer, runs):
@@ -240,7 +255,8 @@ def main(argv=None):
             if args.trace:
                 report_layers(w, bench["per_layer"], runs)
             else:
-                report(w, bench["end_to_end"], runs)
+                runs["equal_work_rss"] = equal_work_rss(sides, envs, w)
+                report(w, bench["end_to_end"], runs, runs["equal_work_rss"])
             if args.out:
                 with open(args.out, "w") as f:
                     json.dump({"args": vars(args), "runs": record}, f, indent=1)
