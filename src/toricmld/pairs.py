@@ -229,7 +229,10 @@ class ToricContraction:
 
     `support` is the cone pi^{-1}(sigma_bar), built by `pullback_cone`
     (or, in the generator, the very cone the fan was cut from); |fan|
-    must equal it, which validate_contraction checks.
+    must equal it, which validate_contraction checks from the support's
+    facets alone.  A valid contraction's support is read only through
+    its facets: `validate_contraction` and `analyze` take no double
+    description of it.
     """
 
     fan: Fan
@@ -253,14 +256,29 @@ def pullback_cone(rank, pi, sigma_bar):
     which make_contraction checks.  pi then maps R^rank onto the base, so
     the pulled-back facets of sigma_bar are exactly the facets of the
     full-dimensional preimage, and `cone_from_facets` builds it with no
-    conversion: its generators take one double description on their first
-    read, which an attempt of the generator rejected before `_cone_over_is`
-    or validate_contraction never makes.
+    conversion.  Its generators take one double description on their
+    first read, and three readers in the package make one:
+    validate_contraction on a contraction it refuses, `_cone_over_is` on a
+    row through 0 that is not one of the support's facets, and the
+    generator's `_build_fan`, which cuts a pointed support from its
+    generators.  A valid contraction that is loaded and analyzed never
+    converts its support.
     """
     return cone_from_facets(rank, [compose_covector(d, pi, rank) for d in sigma_bar.dual_rays])
 
 
 def make_contraction(fan, pi, sigma_bar_gens=None):
+    """The ToricContraction of fan over the integer pi and sigma_bar, not yet validated.
+
+    pi is a list of integer rows with fan.rank entries each and must map
+    Z^rank onto Z^len(pi).  sigma_bar is the cone of sigma_bar_gens, or,
+    when they are None, the cone of the rays' images under pi; it must be
+    pointed and full-dimensional.  Each refusal is a PairError, raised
+    before the support is built: a bad pi before any conversion, a bad
+    sigma_bar after sigma_bar's own.  The support is `pullback_cone`'s,
+    stored by its facets.  The fan and |fan| = support are
+    validate_contraction's.
+    """
     pi = tuple(_int_vector(row, "pi row %d" % i) for i, row in enumerate(pi))
     nbar = len(pi)
     _check_entries(pi, fan.rank, "pi row")
@@ -281,15 +299,51 @@ def make_contraction(fan, pi, sigma_bar_gens=None):
 
 
 def validate_contraction(tc):
+    """The fan is valid (`validate_fan`) and |fan| = pi^-1(sigma_bar), read off the support's facets.
+
+    The rays must lie in the support, so |fan| does, the support being
+    convex.  The support is then covered iff no interior wall is
+    unmatched (`_check_walls`), so a valid contraction never reads the
+    support's generators.  Only when `_check_walls` refuses does the
+    covering loop read them, to name the reason as the all-generators
+    test would: "pi^-1(sigma_bar) is not covered" if a generator of the
+    support lies in no maximal cone, the wall error otherwise.
+
+    Why, for a fan that passes `validate_fan` with its rays in the
+    support S, which is full-dimensional (make_contraction checks it).
+    Call a facet F of cone i a wall, interior when it lies on no facet of
+    S.  Lemma: a cone j != i holding points beyond F (on the side away
+    from i) arbitrarily near a relative interior point p of F shares F.
+    j is closed, so it holds p and meets i in a face of i through p, which
+    is F (not i, as two maximal cones differ); F is then a face of j of
+    dimension rank - 1, a facet of j with j beyond it.  If an interior
+    wall F is unmatched, the points beyond F near p lie in S, as p is
+    interior to S, and by the lemma, the cones being finitely many, some
+    of them lie in no cone: S is not covered.  Conversely, let S not be
+    covered.  Its interior is connected and meets both |fan| (at rank > 0
+    the fan has a full-dimensional cone) and S minus |fan|, which is
+    nonempty and open in S.  So the boundary of |fan| inside it separates it, has dimension
+    rank - 1, and holds a point p in the relative interior of a wall F of
+    some cone i.  F is interior, as p is, and unmatched: a cone sharing F
+    would cover, with i, a neighbourhood of p.  At rank 1 a cone's one
+    wall is {0}, with no generators, which `_check_walls` tests like any
+    other: it lies on the facet of a half-line support, and on a support
+    with no facets (base rank 0, the whole line) it must be shared by
+    the cone on the other half-line.
+    """
     validate_fan(tc.fan)
     sup = tc.support
     for i, r in enumerate(tc.fan.rays):
         if not sup.contains(r):
             raise PairError("support condition fails: ray %d leaves pi^-1(sigma_bar)" % i)
-    for g in sup.generators:
-        if not any(tc.fan.cone(i).contains(g) for i in range(len(tc.fan.max_cones))):
-            raise PairError("support condition fails: pi^-1(sigma_bar) is not covered")
-    _check_walls(tc)
+    try:
+        _check_walls(tc)
+    except PairError:
+        for g in sup.generators:
+            if not any(tc.fan.cone(i).contains(g) for i in range(len(tc.fan.max_cones))):
+                raise PairError(
+                    "support condition fails: pi^-1(sigma_bar) is not covered") from None
+        raise
 
 
 def _check_walls(tc):
@@ -317,8 +371,6 @@ def _check_walls(tc):
         cone = fan.cone(i)
         for m, d in enumerate(cone.dual_rays):
             fgens = [g for g, z in zip(cone.generators, zeros) if z >> m & 1]
-            if not fgens:
-                continue
             on_boundary = any(all(dot(s, g) == 0 for g in fgens)
                               for s in sup.dual_rays)
             if on_boundary:
@@ -584,13 +636,19 @@ def _cone_over_is(u, cone):
     """cone(u) == cone, read off u's own descriptions.
 
     With 0 in u, cone(u) is generated by u's points and rays and cut out
-    by u's inequalities through 0.
+    by u's inequalities through 0.  A row through 0 holds on the cone
+    when its primitive normal is one of the cone's dual rays; any other
+    is checked on the cone's generators.  On `analyze`'s u every row
+    through 0 comes from a ray of the box, and the box's recession cone is
+    support^vee with the support's facets as its extreme rays
+    (`_nef_box_generators`), so the support's generators are not read.
     """
     return (u.contains((0,) * u.dim)
             and all(cone.contains(h[:-1]) for h in u.hpoints)   # x / q in cone iff x is
             and all(cone.contains(r) for r in u.rays)
-            and all(dot(a, g) >= 0 for a, c in u.ineqs if c == 0
-                    for g in cone.generators))
+            and all(primitive(a) in cone.dual_rays
+                    or all(dot(a, g) >= 0 for g in cone.generators)
+                    for a, c in u.ineqs if c == 0))
 
 
 def log_discrepancy(bd, e):

@@ -20,6 +20,7 @@ from toricmld.pairs import (
     make_fan,
     make_pair,
     validate_contraction,
+    validate_fan,
 )
 from toricmld.polyhedra import (
     GeometryError,
@@ -197,6 +198,21 @@ def reference_check_walls(tc):
                        for j in range(len(fan.max_cones))):
                 raise PairError(
                     "support condition fails: unmatched interior wall of cone %d" % i)
+
+
+def reference_validate_contraction(tc):
+    """The former `pairs.validate_contraction`: the fan, the rays in the
+    support, then every generator of the support covered by a maximal cone,
+    then the walls (`reference_check_walls`), each refusal with its message."""
+    validate_fan(tc.fan)
+    sup = tc.support
+    for i, r in enumerate(tc.fan.rays):
+        if not sup.contains(r):
+            raise PairError("support condition fails: ray %d leaves pi^-1(sigma_bar)" % i)
+    for g in sup.generators:
+        if not any(tc.fan.cone(i).contains(g) for i in range(len(tc.fan.max_cones))):
+            raise PairError("support condition fails: pi^-1(sigma_bar) is not covered")
+    reference_check_walls(tc)
 
 
 def product_germ(first, second):

@@ -14,12 +14,21 @@ from conftest import (
     germ,
     product_germ,
     reference_check_walls,
+    reference_validate_contraction,
     support_value,
     wedge25_pair,
     zero_pair,
 )
 from toricmld.generator import random_instance
-from toricmld.instances import CORPUS, InstanceError, instance_from_obj, load_corpus
+from toricmld.instances import (
+    CORPUS,
+    InstanceError,
+    corpus_bytes,
+    instance_from_obj,
+    load_corpus,
+    load_instance,
+    save_instance,
+)
 from toricmld.lattice import compose_covector, dot, identity, primitive, rational_rank
 from toricmld.pairs import (
     NotRCartier,
@@ -131,7 +140,7 @@ def test_invalid_fan_names_its_reason(obj, reason):
     assert str(exc.value) == reason
 
 
-@pytest.mark.parametrize("obj, reason", [
+INVALID_CONTRACTIONS = [
     ({"rank_N": 1, "rays": [[1]], "max_cones": [[0]], "pi": [[2]]},
      "pi is not surjective"),
     (dict(QUADRANT, pi=[[1, 0], [1, 0]], sigma_bar=[[1, 0], [0, 1]]),
@@ -148,11 +157,18 @@ def test_invalid_fan_names_its_reason(obj, reason):
      "support condition fails: unmatched interior wall of cone 0"),
     ({"rank_N": 1, "rays": [[1]], "max_cones": [[0]], "pi": [[1]] * 200},
      "pi is not surjective"),
-])
+    ({"rank_N": 1, "rays": [[1]], "max_cones": [[0]], "pi": []},
+     "support condition fails: pi^-1(sigma_bar) is not covered"),
+]
+
+
+@pytest.mark.parametrize("obj, reason", INVALID_CONTRACTIONS)
 def test_invalid_contraction_names_its_reason(monkeypatch, obj, reason):
     """Not surjective over Z, then with dependent rows; a base cone that is
     not full-dimensional; the three support conditions; 200 rows of pi on
-    a rank-1 fan.  make_contraction refuses pi and sigma_bar before it
+    a rank-1 fan; one half-line over a rank-0 base, whose support is the
+    whole line and whose one wall {0} lies inside it, unshared.
+    make_contraction refuses pi and sigma_bar before it
     builds the support: a bad pi before any conversion, a bad sigma_bar
     after sigma_bar's own.  The support of a contraction it builds is the
     reference's."""
@@ -175,6 +191,31 @@ def test_invalid_contraction_names_its_reason(monkeypatch, obj, reason):
         assert calls == ([] if reason == "pi is not surjective" else [len(obj["pi"])])
         return
     tc = make_contraction(fan, obj["pi"], obj.get("sigma_bar"))
+    assert _fields(tc.support) == _fields(reference_support(tc))
+
+
+def _refuse_support_conversion(monkeypatch):
+    """Make any read of the generators of a cone built from its facets fail."""
+    def refuse(cone):
+        raise AssertionError("the generators of a cone built from its facets were read")
+
+    monkeypatch.setattr(polyhedra._FacetCone, "generators", property(refuse))
+
+
+@pytest.mark.parametrize("obj", [
+    dict(QUADRANT, pi=[[1, 0], [0, 1]]),
+    {"rank_N": 1, "rays": [[1]], "max_cones": [[0]], "pi": [[1]]},
+    {"rank_N": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]], "pi": []},
+])
+def test_valid_contraction_is_accepted(monkeypatch, obj):
+    """The valid twins of the cases above: the quadrant over itself; the
+    half-line over the half-line, whose wall {0} lies on the support's one
+    facet; the line as two half-lines over a rank-0 base, whose wall {0}
+    each cone shares with the other.  Each validates without reading the
+    support's generators, and its support is the reference's."""
+    _refuse_support_conversion(monkeypatch)
+    tc, _pair = instance_from_obj(obj)
+    monkeypatch.undo()
     assert _fields(tc.support) == _fields(reference_support(tc))
 
 
@@ -395,9 +436,10 @@ def test_walls_match_the_all_cones_scan(monkeypatch):
 
 def test_validation_converts_each_cone_once_and_no_pair(monkeypatch):
     """On the fan of generator seed 2004 (7 maximal cones, 21 pairs)
-    validate_contraction takes 8 double descriptions: one per maximal cone
-    and the support's.  The face test converts no pair (29 when each pair
-    took one)."""
+    validate_contraction takes 7 double descriptions, one per maximal cone.
+    The face test converts no pair (29 when each pair took one), and the
+    support, read through its facets alone, is not converted (8 when it
+    was)."""
     tc = random_instance(2004)[0]
     fan = make_fan(tc.rank, tc.fan.rays, tc.fan.max_cones)
     fresh = make_contraction(fan, tc.pi, tc.sigma_bar.generators)
@@ -411,7 +453,117 @@ def test_validation_converts_each_cone_once_and_no_pair(monkeypatch):
     monkeypatch.setattr(polyhedra, "cone_from_inequalities", counted)
     validate_contraction(fresh)
     assert len(fan.max_cones) == 7
-    assert len(calls) == 8
+    assert len(calls) == 7
+
+
+def test_loading_and_analyzing_a_valid_instance_reads_no_support_generator(
+        monkeypatch, tmp_path):
+    """The corpus, acceptance seeds 1000-1095 and generator seeds 2000-2063,
+    each written out and read back by load_instance, then analyzed, with
+    every read of the generators of a cone built from its facets refused:
+    validate_contraction and `_cone_over_is` read the support only through
+    its facets."""
+    paths = []
+    for name in CORPUS:
+        paths.append(tmp_path / (name + ".json"))
+        paths[-1].write_bytes(corpus_bytes(name))
+    for seed in (*range(1000, 1096), *range(2000, 2064)):
+        tc, pair, _meta = random_instance(seed)
+        paths.append(tmp_path / ("seed%d.json" % seed))
+        save_instance(paths[-1], tc, pair)
+    _refuse_support_conversion(monkeypatch)
+    base_ranks = set()
+    for path in paths:
+        tc, pair, _obj = load_instance(path)
+        analyze(tc, pair)
+        base_ranks.add(tc.base_rank < tc.rank)
+    assert len(paths) == 168 and base_ranks == {True, False}
+
+
+def _dropped_cones(fan, keep):
+    """The fan on the maximal cones with indices in keep, its unused rays dropped."""
+    cones = [fan.max_cones[i] for i in keep]
+    used = sorted({j for c in cones for j in c})
+    index = {j: k for k, j in enumerate(used)}
+    return make_fan(fan.rank, [fan.rays[j] for j in used],
+                    [[index[j] for j in c] for c in cones])
+
+
+def _perturbed(rng, gens):
+    """sigma_bar's generators with one moved, one added or one dropped."""
+    gens = [list(g) for g in gens]
+    k = rng.randrange(3)
+    if k == 0:
+        g = rng.choice(gens)
+        g[rng.randrange(len(g))] += rng.choice((-1, 1))
+    elif k == 1:
+        gens.append([rng.randint(-1, 1) for _ in gens[0]])
+    elif len(gens) > 1:
+        gens.pop(rng.randrange(len(gens)))
+    return gens
+
+
+def _rank_one_cases():
+    """Every rank-1 fan on (1,) and (-1,) over the bases of rank 0 and 1."""
+    for rays, cones in (([(1,)], [(0,)]), ([(-1,)], [(0,)]),
+                        ([(1,), (-1,)], [(0,), (1,)]), ([(1,), (-1,)], [(0, 1)])):
+        for pi, sigma_bar in (((), None), (((1,),), None), (((1,),), [(1,)]),
+                              (((1,),), [(-1,)]), (((-1,),), [(1,)])):
+            yield make_fan(1, rays, cones), pi, sigma_bar
+
+
+def _varied_contractions():
+    """(fan, pi, sigma_bar generators): valid germs, then each with maximal
+    cones dropped and with sigma_bar perturbed, the rank-1 cases, and the
+    invalid inputs of the tests above."""
+    rng = random.Random(41)
+    germs = [load_corpus(name)[0] for name in CORPUS]
+    germs += [random_instance(seed)[0] for seed in range(2000, 2064)]
+    for tc in germs:
+        fan, gens = tc.fan, tc.sigma_bar.generators
+        yield fan, tc.pi, gens
+        k = len(fan.max_cones)
+        if k > 1:
+            for i in range(k):
+                yield _dropped_cones(fan, [j for j in range(k) if j != i]), tc.pi, gens
+        if k > 2:
+            yield _dropped_cones(fan, sorted(rng.sample(range(k), k - 2))), tc.pi, gens
+        for _ in range(3):
+            yield fan, tc.pi, _perturbed(rng, gens)
+    yield from _rank_one_cases()
+    for obj, _reason in INVALID_CONTRACTIONS + UNMATCHED_WALLS:
+        fan = make_fan(obj["rank_N"], obj["rays"], obj["max_cones"])
+        yield fan, obj["pi"], obj.get("sigma_bar")
+
+
+def test_validation_matches_the_covering_loop_first(monkeypatch):
+    """validate_contraction reads the support's generators only once the
+    walls have refused it; `reference_validate_contraction` runs the
+    covering loop over them first.  Both give the same verdict and the same
+    message on valid germs, on germs with one or two maximal cones dropped
+    (covered or not at the support's generators), with sigma_bar perturbed,
+    on every rank-1 fan over the bases of rank 0 and 1, and on the invalid
+    inputs of the tests above.  A valid contraction reads no generator of
+    its support."""
+    verdicts = []
+    for fan, pi, gens in _varied_contractions():
+        try:
+            tc = make_contraction(fan, pi, gens)
+        except PairError:
+            continue
+        expected = _wall_verdict(reference_validate_contraction,
+                                 make_contraction(fan, pi, gens))
+        if expected is None:
+            _refuse_support_conversion(monkeypatch)
+        assert _wall_verdict(validate_contraction, tc) == expected, (fan, pi, gens)
+        monkeypatch.undo()
+        verdicts.append((expected, tc.rank, tc.base_rank))
+    kinds = ("leaves pi^-1(sigma_bar)", "is not covered", "unmatched interior wall")
+    seen = {v and next((k for k in kinds if k in v), v) for v, _n, _m in verdicts}
+    assert {None, *kinds} <= seen, seen
+    assert len(verdicts) >= 300
+    for m in (0, 1):
+        assert {v is None for v, n, base in verdicts if n == 1 and base == m} == {True, False}
 
 
 def test_pair_coefficient_range():
