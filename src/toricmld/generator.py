@@ -12,12 +12,12 @@ Every cone the generator builds takes at most one double description.
 The support pi^{-1}(sigma_bar) comes from sigma_bar's pulled-back facets
 (`pairs.pullback_cone`), and the contraction keeps that very cone.  A
 pointed piece of the fan is cut in one double-description step from its
-own extreme rays and facets (`polyhedra._dd_cut`, as in
-`search.subdivide_fan`): a covector that misses the piece leaves it as
-it is, and each half of a cut is read off the piece with no double
-description (`polyhedra._cut_cone`): its primitive crossing rays and
-the rays on its side, and the piece's facets that stay on its side plus
-the covector.  A piece with lines, met while the lineality of the
+own extreme rays, facets and zero sets (`polyhedra._cut_cone`, the one
+cut, which `search.subdivide_fan` makes too): a covector that misses the
+piece leaves it as it is, and each half of a cut is read off the piece
+with no double description: its primitive crossing rays and the rays on
+its side, and the piece's facets that stay on its side plus the
+covector.  A piece with lines, met while the lineality of the
 support is split away, knows the facets of both halves, so each half is
 built from them (`cone_from_facets`) with no double description: its
 generators are converted when first read, which a half with lines never
@@ -106,9 +106,9 @@ def _rand_sigma_bar(rng, nbar):
 def _split(cone, pointed, cov):
     """The full-dimensional halves cov >= 0 and cov <= 0 of a piece, in order, as (piece, pointed).
 
-    `_cut_cone` cuts a pointed piece from its extreme rays and facets: one
-    the covector misses comes back as it is (the other side is a face of
-    it), and each half of a cut is read off the piece with no double
+    `_cut_cone` cuts a pointed piece from its extreme rays, facets and
+    zero sets: one the covector misses comes back as it is (the other
+    side is a face of it), and each half of a cut is read off the piece with no double
     description, as `make_cone` would build it.  A piece with lines
     must have a line on which cov is not 0, as `_build_fan` ensures; each
     half is then built from its facets, the piece's and -/+cov, by
@@ -116,10 +116,10 @@ def _split(cone, pointed, cov):
     read: there is no double description here.
     """
     if pointed:
-        halves = _cut_cone(cone, cov)
-        if halves is None:
+        cut = _cut_cone(cone, cov)
+        if cut is None:
             return [(cone, True)]
-        return [(half, True) for half in halves]
+        return [(half, True) for half in cut[0]]
     # Every piece with lines has the same lineality space L: each cut
     # splits every such piece in two, and cuts L down to L cap cov-perp.
     # `_build_fan` redraws a cov that vanishes on L.  Each facet of the

@@ -61,7 +61,6 @@ from .polyhedra import (
     _point_sum,
     _polar_raw,
     _support_ratio,
-    _zero_set,
     cone_from_facets,
     integer_points,
     interval_image,
@@ -99,16 +98,6 @@ class Fan:
     def _cones(self):
         return tuple(make_cone(self.rank, [self.rays[j] for j in c])
                      for c in self.max_cones)
-
-    @_on_first_read
-    def _zero_sets(self):
-        """Per maximal cone, the zero set of each of its generators over its facets.
-
-        Entry k of cone i is a bitmask aligned with `cone(i).generators[k]`:
-        bit m is set when `cone(i).dual_rays[m]` vanishes on it.
-        """
-        return tuple(tuple(_zero_set(c.dual_rays, g) for g in c.generators)
-                     for c in self._cones)
 
 
 def _check_entries(rows, n, what):
@@ -167,10 +156,10 @@ def validate_fan(fan):
     full-dimensional cone on exactly rank rays is simplicial, so it is
     pointed and each of its rays is extremal: it takes neither test.  In
     any other cone a ray is extremal iff the facets vanishing on it, read
-    off its zero set (`Fan._zero_sets`), have rank rank - 1.  Every cone
-    has passed these tests before any pair is tested, which
-    `_check_face_intersection` needs: each cone's generators are then its
-    extreme rays and its dual rays its facets.
+    off the zero set the cone keeps (`Cone._zero_sets`), have rank
+    rank - 1.  Every cone has passed these tests before any pair is
+    tested, which `_check_face_intersection` needs: each cone's generators
+    are then its extreme rays and its dual rays its facets.
     """
     for i, c in enumerate(fan.max_cones):
         if len(c) < fan.rank:
@@ -183,7 +172,7 @@ def validate_fan(fan):
             raise PairError("maximal cone %d is not strongly convex" % i)
         if not cone.is_full_dim():
             raise PairError("maximal cone %d is not full-dimensional" % i)
-        zeros = dict(zip(cone.generators, fan._zero_sets[i]))
+        zeros = dict(zip(cone.generators, cone._zero_sets))
         for j in c:
             z = zeros[fan.rays[j]]
             active = [d for m, d in enumerate(cone.dual_rays) if z >> m & 1]
@@ -199,10 +188,10 @@ def _check_face_intersection(fan, i, j):
 
     Precondition: both cones are pointed and full-dimensional with their
     generators as extreme rays, as `validate_fan` checks first, so a's
-    generators and zero sets (`Fan._zero_sets`) are the double description
-    of a over its facets.  The row loop `_dd_add_rows` adds b's facets to
-    it and ends at the extreme rays of a cap b, each with its exact zero
-    set over the facets of both cones.  The AND of those zero sets is the
+    generators and the zero sets it keeps (`Cone._zero_sets`) are the
+    double description of a over its facets.  The row loop `_dd_add_rows`
+    adds b's facets to it and ends at the extreme rays of a cap b, each
+    with its exact zero set over the facets of both cones.  The AND of those zero sets is the
     set of facets vanishing on a cap b (every facet when a cap b = {0}),
     which cuts out each cone's smallest face containing a cap b; that face
     is generated by the cone's generators whose zero set contains those
@@ -210,7 +199,7 @@ def _check_face_intersection(fan, i, j):
     generators lie in the other cone.
     """
     a, b = fan.cone(i), fan.cone(j)
-    za, zb = fan._zero_sets[i], fan._zero_sets[j]
+    za, zb = a._zero_sets, b._zero_sets
     k = len(a.dual_rays)
     _rays, masks = _dd_add_rows(a.dual_rays + b.dual_rays, fan.rank, a.generators, za, range(k))
     common = (1 << (k + len(b.dual_rays))) - 1
@@ -350,9 +339,9 @@ def _check_walls(tc):
     """Every facet of a maximal cone is shared or lies on the support boundary.
 
     Precondition: the fan passes `validate_fan`, so each facet's
-    generators are the cone's generators whose zero set has its bit
-    (`Fan._zero_sets`), and any two cones meet in a common face.  A facet
-    F of cone i with normal d is shared when another cone j contains it.
+    generators are the cone's generators whose zero set (`Cone._zero_sets`)
+    has its bit, and any two cones meet in a common face.  A facet F of
+    cone i with normal d is shared when another cone j contains it.
     Then i meets j in a face of i that contains F, so in F or in i; not
     in i, as a full-dimensional face of j is j and make_fan refuses two
     maximal cones on the same rays.  So F is a face of j of dimension
@@ -367,10 +356,10 @@ def _check_walls(tc):
     for j in range(len(fan.max_cones)):
         for d in fan.cone(j).dual_rays:
             owners.setdefault(d, []).append(j)
-    for i, zeros in enumerate(fan._zero_sets):
+    for i in range(len(fan.max_cones)):
         cone = fan.cone(i)
         for m, d in enumerate(cone.dual_rays):
-            fgens = [g for g, z in zip(cone.generators, zeros) if z >> m & 1]
+            fgens = [g for g, z in zip(cone.generators, cone._zero_sets) if z >> m & 1]
             on_boundary = any(all(dot(s, g) == 0 for g in fgens)
                               for s in sup.dual_rays)
             if on_boundary:

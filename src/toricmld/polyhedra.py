@@ -20,11 +20,11 @@ in dimension <= 3, the fraction-free Gauss-Jordan elimination
 iff `_crossings` finds them adjacent.  The rays come out primitive and
 sorted, so the result is deterministic.  That lets `_polar_raw` read the
 polar of a full-dimensional pointed polyhedron containing 0 off its
-stored rows; `_dd_cut` cut a pointed full-dimensional cone by a
+stored rows; `_cut_cone` cut a pointed full-dimensional cone by a
 hyperplane in one step, from the extreme rays and facets it holds and
-their zero sets (the cut of the generator's fan pieces, whose zero sets
-`_cut_cone` computes, and of `search.subdivide_fan`, which hands on the
-fan's own), and `_cut_cone` read both halves off it, facets included;
+their zero sets (`Cone._zero_sets`, kept on the cone): the one cut of
+the generator's fan pieces and of `search.subdivide_fan`, which builds
+both halves, facets included, and gives the raw crossing rays;
 `cone_from_facets` take a full-dimensional cone's dual rays as its known
 facets; and `_from_vertices` keep a pointed polyhedron's vertices and
 extreme rays as its generators, converting only its rows.  The row loop
@@ -251,28 +251,41 @@ def _zero_set(facets, r):
     return sum(1 << i for i, d in enumerate(facets) if not sum(map(mul, d, r)))
 
 
-def _dd_cut(rays, facets, masks, a):
+def _cut_cone(cone, a):
     """One double-description step: a pointed full-dimensional cone cut by a.x = 0.
 
-    Precondition: rays and facets are exactly the extreme rays and facet
-    normals of a pointed full-dimensional cone in R^len(a), as `make_cone`
-    stores them when its generators are its extreme rays, and masks[k]
-    is the zero set of rays[k] over the facets (`_zero_set`), so
-    `_crossings` applies to them with no double description.
+    Precondition: `cone` stores its extreme rays as generators and its
+    facets as dual rays, as `make_cone` does for such a cone, so
+    `_crossings` applies to them and their zero sets (`Cone._zero_sets`).
+    Returns None when a.x has one sign on every ray: a misses the cone.
+    Otherwise returns (halves, crossings): the Cones a.x >= 0 and
+    a.x <= 0, field for field what `make_cone` returns for each, and the
+    crossing rays as `_crossings` returns them for a as given, whose
+    content is the multiplicity `search.subdivide_fan` reports.  A half's
+    generators, its extreme rays, are the rays on its side (a.x = 0
+    included) and the crossing rays made primitive, sorted; its facets
+    are the cone's facets that stay on its side, plus +/-primitive(a).
 
-    Returns None when a.x has one sign on every ray, so the cone lies on
-    one side.  Otherwise returns the halves a.x >= 0 and a.x <= 0 of the
-    cone, in that order, each as (rays, kept facets).  A half's rays are
-    the rays on its side, those with a.x = 0 included, plus the crossing
-    rays as `_crossings` returns them: their content is the multiplicity
-    `search.subdivide_fan` reports, and `_cut_cone` makes them primitive.
-    A half's kept facets are the facets of the cone that stay facets of
-    the half, the rule `_cut_cone` states: facet i stays on a side iff a
-    ray strictly on that side has bit i in its zero set.
+    Why: let C = {x : d.x >= 0 for its facets d} and H = C cap {a.x >= 0},
+    where a takes both signs on the rays of C, so a.x = 0 meets the
+    interior of C and H is full-dimensional.  H is cut out by C's facets
+    and a, so each facet of H lies in a facet F of C or in a.x = 0.  The
+    latter is a facet of H: it meets the interior of C, so primitive(a)
+    is H's primitive normal there.  For a facet F of C with normal d,
+    H cap {d.x = 0} = F cap {a.x >= 0}.  If an extreme ray of F has
+    a.x > 0, then so does a relatively open subset of F, and
+    F cap {a.x >= 0} has dimension n - 1: a facet of H.  If not, F is
+    generated by its extreme rays (C is pointed), so a.x <= 0 on all of
+    F and F cap {a.x >= 0} = F cap {a.x = 0}, which has dimension at
+    most n - 2, as F does not lie in a.x = 0 (its normal d would then be
+    +/-primitive(a), which has one sign on C).  So facet F stays iff one
+    of its extreme rays, an extreme ray of C on F, has a.x > 0: a ray with
+    bit F in its zero set.  The same holds for a.x <= 0 with -a.
     """
+    masks = cone._zero_sets
     pos, neg, zero = [], [], []
     pos_bits = neg_bits = 0
-    for r, z in zip(rays, masks):
+    for r, z in zip(cone.generators, masks):
         v = sum(map(mul, a, r))
         if v > 0:
             pos.append((r, z, v))
@@ -284,46 +297,14 @@ def _dd_cut(rays, facets, masks, a):
             zero.append(r)
     if not pos or not neg:
         return None
-    cut = zero + [r for r, _z in _crossings(pos, neg, masks, len(a))]
-    return tuple(([r for r, _z, _v in side] + cut,
-                  [d for i, d in enumerate(facets) if bits >> i & 1])
-                 for side, bits in ((pos, pos_bits), (neg, neg_bits)))
-
-
-def _cut_cone(cone, a):
-    """The halves a.x >= 0 and a.x <= 0 of a pointed full-dimensional cone, with no double description.
-
-    Precondition: `cone` stores its extreme rays as generators and its
-    facets as dual rays (as `make_cone` does for such a cone), and a is
-    primitive.  Returns None when a misses the cone (`_dd_cut`);
-    otherwise two Cones, field for field what `make_cone` returns for
-    each half's rays.  A half's generators are `_dd_cut`'s rays, made
-    primitive and sorted; they are its extreme rays.  Its facets are the
-    cone's facets that `_dd_cut` keeps on its side, plus +/-a.
-
-    Why: let C = {x : d.x >= 0 for its facets d} and H = C cap {a.x >= 0},
-    where a takes both signs on the rays of C, so a.x = 0 meets the
-    interior of C and H is full-dimensional.  H is cut out by C's facets
-    and a, so each facet of H lies in a facet F of C or in a.x = 0.  The
-    latter is a facet of H: it meets the interior of C, and a is
-    primitive, so +a is H's primitive normal.  For a facet F of C with
-    normal d, H cap {d.x = 0} = F cap {a.x >= 0}.  If an extreme ray of F
-    has a.x > 0, then so does a relatively open subset of F, and
-    F cap {a.x >= 0} has dimension n - 1: a facet of H.  If not, F is
-    generated by its extreme rays (C is pointed), so a.x <= 0 on all of
-    F and F cap {a.x >= 0} = F cap {a.x = 0}, which has dimension at
-    most n - 2, as F does not lie in a.x = 0 (its normal d would then be
-    +/-a, which has one sign on C).  So facet F stays iff one of its
-    extreme rays, an extreme ray of C on F, has a.x > 0: a ray with bit
-    F in its zero set.  The same holds for a.x <= 0 with -a.
-    """
-    facets = cone.dual_rays
-    halves = _dd_cut(cone.generators, facets, [_zero_set(facets, r) for r in cone.generators], a)
-    if halves is None:
-        return None
-    return [Cone(cone.dim, tuple(sorted({primitive(r) for r in rays})),
-                 tuple(sorted(kept + [tuple(sign * x for x in a)])), ())
-            for (rays, kept), sign in zip(halves, (1, -1))]
+    crossings = [r for r, _z in _crossings(pos, neg, masks, len(a))]
+    cut = zero + [primitive(r) for r in crossings]
+    a = primitive(a)
+    halves = [Cone(cone.dim, tuple(sorted({r for r, _z, _v in side}.union(cut))),
+                   tuple(sorted([d for i, d in enumerate(cone.dual_rays) if bits >> i & 1]
+                                + [tuple(sign * x for x in a)])), ())
+              for side, bits, sign in ((pos, pos_bits, 1), (neg, neg_bits, -1))]
+    return halves, crossings
 
 
 def cone_from_inequalities(rows, dim):
@@ -361,6 +342,12 @@ class Cone:
     generators: tuple
     dual_rays: tuple = field(compare=False)
     dual_lines: tuple = field(compare=False)
+
+    @_on_first_read
+    def _zero_sets(self):
+        """Each generator's zero set over the dual rays: bit m of entry k is
+        set when `dual_rays[m]` vanishes on `generators[k]` (`_zero_set`)."""
+        return tuple(_zero_set(self.dual_rays, g) for g in self.generators)
 
     @property
     def normals(self):
@@ -521,8 +508,7 @@ def _homogenize_generators(hpoints, rays):
 
 def _rows_of(dim, hpoints, rays):
     """Sorted rows (a, c) of conv(hpoints) + cone(rays): its homogenized dual rays and lines."""
-    drays, dlines = cone_from_inequalities(_homogenize_generators(hpoints, rays), dim + 1)
-    gens = list(drays) + list(dlines) + [tuple(-x for x in l) for l in dlines]
+    gens = _generators_of(_homogenize_generators(hpoints, rays), dim + 1)
     return tuple(sorted({(g[:dim], -g[dim]) for g in gens if not is_zero(g[:dim])}))
 
 
@@ -530,21 +516,18 @@ def _generators_from_ineqs(ineqs, dim):
     """(hpoints, rays) of {x : a.x >= c} for integer rows (a, c).
 
     The point rows are the rays (x, q) with q > 0 of the homogenized cone,
-    primitive as the double description returns them.
+    primitive as the double description returns them; its other rays, and
+    its lines both ways (their last entry is 0), give the rays.
     """
     rows = [tuple(a) + (-c,) for a, c in ineqs]
     rows.append((0,) * dim + (1,))
-    rays, lines = cone_from_inequalities(tuple(rows), dim + 1)
-    hpoints, rrays = [], []
-    for r in rays:
+    hpoints, rrays = [], set()
+    for r in _generators_of(rows, dim + 1):
         if r[dim] > 0:
             hpoints.append(r)
         else:
-            rrays.append(primitive(r[:dim]))
-    for l in lines:
-        rrays.append(primitive(l[:dim]))
-        rrays.append(primitive(tuple(-x for x in l[:dim])))
-    return tuple(sorted(hpoints)), tuple(sorted(set(rrays)))
+            rrays.add(primitive(r[:dim]))
+    return tuple(sorted(hpoints)), tuple(sorted(rrays))
 
 
 def from_generators(dim, points, rays=()):

@@ -46,7 +46,7 @@ from .pairs import (
 )
 from .polyhedra import (
     SupportSet,
-    _dd_cut,
+    _cut_cone,
     _interval_ends,
     _rescaled,
     from_inequalities,
@@ -185,8 +185,9 @@ def subdivide_fan(fan, phi):
     positive integer with q(e') * e' = phi(e2) e1 - phi(e1) e2, for the
     rays e1, e2 of a 2-face with phi(e1) < 0 < phi(e2).  The fan must pass
     validate_fan, so that each cone's generators are its extreme rays and
-    `_dd_cut` cuts it in one step from the zero sets the fan holds
-    (`Fan._zero_sets`), returning those raw crossing rays.
+    `_cut_cone`, the one cut, cuts it in one step from the zero sets the
+    cone keeps (`Cone._zero_sets`): the pieces are the halves' generators,
+    and q is the content of each raw crossing ray it returns.
     """
     if len(phi) != fan.rank:
         raise PairError("functional has %d entries but the fan has rank %d"
@@ -197,17 +198,17 @@ def subdivide_fan(fan, phi):
     pieces = []
     for ci in range(len(fan.max_cones)):
         cone = fan.cone(ci)
-        halves = _dd_cut(cone.generators, cone.dual_rays, fan._zero_sets[ci], phi)
-        if halves is None:
+        cut = _cut_cone(cone, phi)
+        if cut is None:
             pieces.append(cone.generators)
             continue
-        # the rays of a half that are not the cone's are its crossing rays
-        for w in (w for w in halves[0][0] if w not in cone.generators):
+        halves, crossings = cut
+        for w in crossings:
             p, qv = primitive(w), content(w)
             if newq.setdefault(p, qv) != qv:
                 raise SearchError("subdivision gives the new ray %r two "
                                   "multiplicities, %d and %d" % (p, newq[p], qv))
-        pieces += [[primitive(w) for w in half] for half, _kept in halves]
+        pieces += [half.generators for half in halves]
     rays = list(fan.rays) + sorted(set(newq) - set(fan.rays))
     index = {g: i for i, g in enumerate(rays)}
     cones = {tuple(sorted(index[g] for g in piece)) for piece in pieces}

@@ -24,8 +24,8 @@ from toricmld.generator import (
     _stellar,
     random_instance,
 )
-from toricmld.instances import dumps_canonical, instance_to_obj
-from toricmld.lattice import LatticeError, dot, is_zero, kernel_basis, primitive
+from toricmld.instances import CORPUS, dumps_canonical, instance_to_obj, load_corpus
+from toricmld.lattice import LatticeError, dot, is_zero, kernel_basis, primitive, rational_rank
 from toricmld.pairs import (
     PairError,
     ToricContraction,
@@ -37,6 +37,8 @@ from toricmld.pairs import (
 )
 from toricmld.polyhedra import (
     GeometryError,
+    _cut_cone,
+    _zero_set,
     make_cone,
     make_support,
     support_scale,
@@ -446,6 +448,34 @@ def _pointed_pieces(monkeypatch, seeds):
         random_instance(seed)
     return seen
 
+
+
+def test_a_cone_keeps_the_zero_sets_of_its_generators(monkeypatch):
+    """Cone._zero_sets equals a recomputation on every maximal cone of the
+    corpus and of the generated fans, and on both halves of every cut the
+    generator makes; there each generator is an extreme ray, on facets of
+    rank n - 1."""
+    halves = []
+
+    def recording_cut(cone, a):
+        cut = _cut_cone(cone, a)
+        if cut is not None:
+            halves.extend(cut[0])
+        return cut
+
+    monkeypatch.setattr(generator, "_cut_cone", recording_cut)
+    fans = [load_corpus(name)[0].fan for name in CORPUS]
+    fans += [random_instance(seed)[0].fan for seed in range(2000, 2064)]
+    cones = [fan.cone(i) for fan in fans for i in range(len(fan.max_cones))]
+    for cone in cones + halves:
+        zeros = cone._zero_sets
+        assert zeros == tuple(_zero_set(cone.dual_rays, g) for g in cone.generators), cone
+    for half in halves:
+        for z in half._zero_sets:
+            active = [d for m, d in enumerate(half.dual_rays) if z >> m & 1]
+            assert rational_rank(active, half.dim) == half.dim - 1, half
+    # 127 maximal cones and 770 halves
+    assert len(cones) >= 120 and len(halves) >= 700, (len(cones), len(halves))
 
 def test_stellar_pieces_are_the_full_dimensional_cones_make_cone_builds(monkeypatch):
     pieces = _pointed_pieces(monkeypatch, range(2000, 2096))

@@ -378,15 +378,16 @@ def test_subdivide_fan_matches_the_reference():
 
 
 def test_subdivide_fan_reads_the_zero_sets_the_fan_holds(monkeypatch):
-    # the fan holds each generator's zero set over its cone's facets
-    # (Fan._zero_sets, read here first); subdivide_fan hands those to
-    # _dd_cut and computes none
+    # each cone of the fan keeps its generators' zero sets over its facets
+    # (Cone._zero_sets, read here first); subdivide_fan cuts each cone with
+    # _cut_cone, which reads those, and computes none
     rng = random.Random(11)
     fans = [load_corpus(name)[0].fan for name in CORPUS]
     fans += [random_instance(s)[0].fan for s in (5, 27, 82, 93)]
     cases = []
     for fan in fans:
-        assert len(fan._zero_sets) == len(fan.max_cones)
+        for i in range(len(fan.max_cones)):
+            assert len(fan.cone(i)._zero_sets) == len(fan.cone(i).generators)
         cases += [(fan, phi, reference_subdivide_fan(fan, phi))
                   for phi in _seeded_covectors(rng, fan, 4)]
 
@@ -394,13 +395,30 @@ def test_subdivide_fan_reads_the_zero_sets_the_fan_holds(monkeypatch):
         raise AssertionError("a zero set was recomputed")
 
     monkeypatch.setattr(toricmld.polyhedra, "_zero_set", recomputed)
-    monkeypatch.setattr(toricmld.pairs, "_zero_set", recomputed)
     cut = 0
     for fan, phi, expect in cases:
         assert subdivide_fan(fan, phi) == expect, (fan, phi)
         cut += bool(expect[1])
     assert (len(cases), cut) == (73, 39)
 
+
+
+def test_subdivide_fan_along_a_multiple_scales_the_multiplicities():
+    # k * phi cuts every cone where phi does, and each raw crossing ray is
+    # k times phi's, so the fan is the same and q becomes k * q
+    rng = random.Random(13)
+    fans = [load_corpus(name)[0].fan for name in CORPUS]
+    fans += [random_instance(s)[0].fan for s in (5, 27, 82, 93)]
+    cut = 0
+    for fan in fans:
+        for phi in _seeded_covectors(rng, fan, 4):
+            fan1, q = subdivide_fan(fan, phi)
+            for k in (2, 3):
+                fan_k, q_k = subdivide_fan(fan, tuple(k * x for x in phi))
+                assert fan_k == fan1, (fan, phi, k)
+                assert q_k == {e: k * m for e, m in q.items()}, (fan, phi, k)
+            cut += bool(q)
+    assert cut >= 30, cut
 
 # ---------------------------------------------------------------------------
 # extension of non-negative functionals

@@ -163,6 +163,21 @@ def test_one_closed_form_solve_in_the_package():
         ("lattice.py", "rational_rank"), ("polyhedra.py", "_simplicial_start")]
 
 
+def test_one_cut_in_the_package():
+    """The adjacency pair loop is read only by the double-description row
+    loop and the one cut, polyhedra._cut_cone; zero sets are computed only
+    by the cone that keeps them (Cone._zero_sets); and no second cut
+    (_dd_cut) is defined or read."""
+    package = pathlib.Path(toricmld.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _readers(sources, "_crossings") == [
+        ("polyhedra.py", "_cut_cone"), ("polyhedra.py", "_dd_add_rows")]
+    assert _readers(sources, "_zero_set") == [("polyhedra.py", "Cone")]
+    assert _readers(sources, "_dd_cut") == []
+    assert not any(isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_dd_cut"
+                   for source in sources.values() for node in ast.walk(ast.parse(source)))
+
+
 def test_reader_scan_sees_a_second_elimination():
     sources = {
         "lattice.py": "def _cancel(r, b, c):\n    return r\n"
