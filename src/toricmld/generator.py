@@ -108,8 +108,8 @@ def _split(cone, pointed, cov):
 
     `_cut_cone` cuts a pointed piece from its extreme rays, facets and
     zero sets: one the covector misses comes back as it is (the other
-    side is a face of it), and each half of a cut is read off the piece with no double
-    description, as `make_cone` would build it.  A piece with lines
+    side is a face of it), and each half of a cut is read off the piece
+    with no double description, as `make_cone` would build it.  A piece with lines
     must have a line on which cov is not 0, as `_build_fan` ensures; each
     half is then built from its facets, the piece's and -/+cov, by
     `cone_from_facets`, which converts its generators only on their first

@@ -191,12 +191,12 @@ def _check_face_intersection(fan, i, j):
     generators and the zero sets it keeps (`Cone._zero_sets`) are the
     double description of a over its facets.  The row loop `_dd_add_rows`
     adds b's facets to it and ends at the extreme rays of a cap b, each
-    with its exact zero set over the facets of both cones.  The AND of those zero sets is the
-    set of facets vanishing on a cap b (every facet when a cap b = {0}),
-    which cuts out each cone's smallest face containing a cap b; that face
-    is generated by the cone's generators whose zero set contains those
-    facets.  It contains a cap b, so the two are equal exactly when those
-    generators lie in the other cone.
+    with its exact zero set over the facets of both cones.  The AND of
+    those zero sets is the set of facets vanishing on a cap b (every
+    facet when a cap b = {0}), which cuts out each cone's smallest face
+    containing a cap b; that face is generated by the cone's generators
+    whose zero set contains those facets.  It contains a cap b, so the
+    two are equal exactly when those generators lie in the other cone.
     """
     a, b = fan.cone(i), fan.cone(j)
     za, zb = a._zero_sets, b._zero_sets

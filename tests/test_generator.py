@@ -449,7 +449,6 @@ def _pointed_pieces(monkeypatch, seeds):
     return seen
 
 
-
 def test_a_cone_keeps_the_zero_sets_of_its_generators(monkeypatch):
     """Cone._zero_sets equals a recomputation on every maximal cone of the
     corpus and of the generated fans, and on both halves of every cut the
@@ -476,6 +475,7 @@ def test_a_cone_keeps_the_zero_sets_of_its_generators(monkeypatch):
             assert rational_rank(active, half.dim) == half.dim - 1, half
     # 127 maximal cones and 770 halves
     assert len(cones) >= 120 and len(halves) >= 700, (len(cones), len(halves))
+
 
 def test_stellar_pieces_are_the_full_dimensional_cones_make_cone_builds(monkeypatch):
     pieces = _pointed_pieces(monkeypatch, range(2000, 2096))

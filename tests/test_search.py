@@ -402,7 +402,6 @@ def test_subdivide_fan_reads_the_zero_sets_the_fan_holds(monkeypatch):
     assert (len(cases), cut) == (73, 39)
 
 
-
 def test_subdivide_fan_along_a_multiple_scales_the_multiplicities():
     # k * phi cuts every cone where phi does, and each raw crossing ray is
     # k times phi's, so the fan is the same and q becomes k * q
@@ -419,6 +418,7 @@ def test_subdivide_fan_along_a_multiple_scales_the_multiplicities():
                 assert q_k == {e: k * m for e, m in q.items()}, (fan, phi, k)
             cut += bool(q)
     assert cut >= 30, cut
+
 
 # ---------------------------------------------------------------------------
 # extension of non-negative functionals
