@@ -22,7 +22,8 @@ start of the double description in ``polyhedra`` all take this choice.
 sublattice coordinates): integer rows and pairs in, a point row (x, q)
 out, no Fraction; ``solve_rational`` is its Fraction view.
 ``hom_is_surjective`` takes each maximal minor of a map with n <= 3
-columns (at most three) as the determinant ``_small_base`` returns.
+columns (at most three) as the determinant ``_small_base`` returns, and
+one ``gcd`` of them.
 
 The leaf kernels, called about 10^4 times per pass of the certify
 benchmark, run in C-level builtins with no generator frame per entry:
@@ -60,10 +61,6 @@ def dot(u, v):
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def is_zero(v):
@@ -254,7 +251,7 @@ def hom_is_surjective(mat, ncols):
     With nrows <= ncols the map is onto iff its invariant factors are all
     1, i.e. iff the gcd of its nrows x nrows minors, their product, is 1.
     Up to 3 columns (at most three minors) each minor is the determinant
-    `_small_base` returns for its columns, stopping at the first gcd of 1;
+    `_small_base` returns for its columns, and one `gcd` takes them all;
     from 4 columns on one SNF, not C(ncols, nrows) minors, gives the
     invariant factors.  More rows than columns are never onto.
     """
@@ -264,20 +261,9 @@ def hom_is_surjective(mat, ncols):
     if nr > ncols:
         return False
     if ncols <= 3:
-        return _minors_gcd_is_one(
-            _small_base(cols, nr)[2] for cols in combinations(zip(*mat), nr))
+        return gcd(*(_small_base(cols, nr)[2] for cols in combinations(zip(*mat), nr))) == 1
     D, *_ = snf(mat, nr, ncols)
     return all(D[i][i] == 1 for i in range(nr))
-
-
-def _minors_gcd_is_one(minors):
-    """gcd(minors) == 1, stopping at the first running gcd of 1."""
-    g = 0
-    for m in minors:
-        g = gcd(g, m)
-        if g == 1:
-            return True
-    return False
 
 
 def kernel_basis(mat, ncols):

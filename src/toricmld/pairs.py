@@ -666,15 +666,6 @@ def is_glc(bd):
     return bd.box.contains((0,) * bd.tc.rank)
 
 
-def _fiber_witness(fan):
-    """A lattice point interior to the support: the ray sum of a top cone."""
-    c = fan.max_cones[0]
-    v = (0,) * fan.rank
-    for i in c:
-        v = vec_add(v, fan.rays[i])
-    return v
-
-
 def _least_gauge(rows, points):
     """The least gauge pair over points, compared by cross-multiplying; None if none.
 
@@ -701,7 +692,15 @@ def mld_over_fiber(bd):
     of up through 0 are the facets of the image of the support, so with
     none the mld is not positive (0 is interior to up).  The candidates
     are the lattice points v interior to that cone: for an integer normal
-    d of a row through 0, d.v > 0 is d.v >= 1.
+    d of a row through 0, d.v > 0 is d.v >= 1.  So the answer reads up
+    alone, past the g-lc, base-rank and l tests.
+
+    The sum `total` of the primitive directions of up's nonzero vertices
+    is always a candidate.  up is full-dimensional and the hull of its
+    vertices, so the normal d of a row through 0 is >= 0 on every vertex
+    and > 0 on some; d.g is then an integer >= 0 on every direction g
+    and >= 1 on one, and d.total >= 1.  The cut check on total is this
+    lemma's run-time check.
 
     Closed form on a unimodular corner simplex.  Let up have exactly one
     facet (a, m) off 0 and l facets through 0, and let the primitive
@@ -724,19 +723,20 @@ def mld_over_fiber(bd):
     vertices t_i g_i (t_i > 0) lie on a.x = -m, so the gauge -a.v / m of
     a point v of the cone is linear, with -a.g_i / m = 1 / t_i > 0 on
     each g_i, and its least value over the candidates is at every
-    k_i = 1: the mld is the gauge of g_1 + ... + g_l.  A smooth cone with
-    A = {0} takes this path at any coefficient height: up is
+    k_i = 1: the mld is the gauge of g_1 + ... + g_l = total.  A smooth
+    cone with A = {0} takes this path at any coefficient height: up is
     conv(0, e / r_e over its rays e).
 
     Any other up is enumerated.  The enumeration bound t_cap is the least
-    gauge over a few candidates at hand: the fiber witness, the primitive
-    direction of each vertex of up, and the sum of each pair of those
-    directions, each kept only if d.v >= 1 on every row through 0.  A
-    kept point is a candidate, so t_cap is attained and the mld is the
-    least gauge over the lattice points of t_cap * up that pass the same
-    cuts.  Those are enumerated once, with the cuts in the enumeration and
-    every row in integers, and the running minimum is an integer pair
-    compared by cross-multiplying; one Fraction is built at the end.
+    gauge over a few candidates at hand: total, then the primitive
+    direction of each vertex of up and the sum of each pair of those
+    directions, each kept only if d.v >= 1 on every row through 0, which
+    total passes.  A kept point is a candidate, so t_cap is attained and
+    the mld is the least gauge over the lattice points of t_cap * up that
+    pass the same cuts.  Those are enumerated once, with the cuts in the
+    enumeration and every row in integers, and the running minimum is an
+    integer pair compared by cross-multiplying; one Fraction is built at
+    the end.
     """
     if bd.tc.base_rank == 0:
         raise PairError("dim Y = 0: use a global mld variant (out of scope)")
@@ -745,25 +745,23 @@ def mld_over_fiber(bd):
     l = bd.l
     if l == 0:
         return None
-    proj, up = bd.quotient
+    _proj, up = bd.quotient
     rows = _gauge_rows(up)
     through_zero = rows[1]
     if not through_zero:
         return None
     dirs = [primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])]
+    total = tuple(map(sum, zip(*dirs)))
+    if not all(dot(d, total) >= 1 for d in through_zero):
+        raise PairError("the vertex directions' sum must pass the cuts")
     if len(rows[0]) == 1 and len(through_zero) == l and hom_is_surjective(dirs, l):
-        corner = tuple(map(sum, zip(*dirs)))
-        if not all(dot(d, corner) >= 1 for d in through_zero):
-            raise PairError("the vertex directions' sum must pass the cuts")
-        return Fraction(*_least_gauge(rows, [corner]))
-    at_hand = itertools.chain([apply_hom(proj, _fiber_witness(bd.tc.fan))], dirs,
+        return Fraction(*_least_gauge(rows, [total]))
+    at_hand = itertools.chain([total], dirs,
                               itertools.starmap(vec_add, itertools.combinations(dirs, 2)))
-    t_cap = _least_gauge(rows, (v for v in at_hand
-                                if all(dot(d, v) >= 1 for d in through_zero)))
-    if t_cap is None:
-        raise PairError("the fiber witness must lie inside the support")
-    num, den = t_cap   # a.x >= (num / den) * c, times den
-    cuts = ([(tuple(den * x for x in a), num * c) for a, c in up.ineqs]
+    # total passes the cuts, so the bound is set
+    num, den = _least_gauge(rows, (v for v in at_hand
+                                   if all(dot(d, v) >= 1 for d in through_zero)))
+    cuts = ([(tuple(den * x for x in a), num * c) for a, c in up.ineqs]   # a.x >= (num / den) c
             + [(d, 1) for d in through_zero])
     best = _least_gauge(rows, integer_points(l, cuts))
     if best is None:

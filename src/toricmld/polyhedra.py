@@ -34,11 +34,11 @@ extreme rays and their zero sets over its facets, and adds only the
 other cone's facets.
 
 The membership tests (`Cone.contains`, `Cone.interior_contains`,
-`Polyhedron.contains`, `Polyhedron.contains_scaled`) are kernels with one
-contract: the stored rows are ints, the length of the vector is checked
-once per call with `dot`'s LatticeError (`_check_length`, also when the
-object has no rows), and a short-circuit loop then evaluates
-`sum(map(mul, a, x))` per row.
+`Polyhedron.contains_scaled`, which `Polyhedron.contains` calls with
+t = 1) are kernels with one contract: the stored rows are ints, the
+length of the vector is checked once per call with `dot`'s LatticeError
+(`_check_length`, also when the object has no rows), and a short-circuit
+loop then evaluates `sum(map(mul, a, x))` per row.
 
 Everything is exact (int and Fraction); there is no floating point anywhere.
 """
@@ -469,13 +469,7 @@ class Polyhedron:
         return not self.hpoints
 
     def contains(self, x):
-        _check_length(self.dim, x)
-        if self.empty:
-            return False
-        for a, c in self.ineqs:
-            if sum(map(mul, a, x)) < c:
-                return False
-        return True
+        return self.contains_scaled(1, x)
 
     def contains_scaled(self, t, v):
         """contains(t * v) for a rational t, in integers when v is integral.

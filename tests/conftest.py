@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from toricmld.lattice import (
     content,
     dot,
+    hnf,
     identity,
     is_zero,
     kernel_sublattice,
@@ -236,6 +238,32 @@ def product_germ(first, second):
     pair1, pair2 = fold_general(tc1.fan, pair1), fold_general(tc2.fan, pair2)
     points = [a + b for a in pair1.bdiv_a.points for b in pair2.bdiv_a.points]
     return tc, make_pair(tc.fan, pair1.b_inv + pair2.b_inv, points)
+
+
+def cyclic_germ(r, a):
+    """The cyclic quotient germ 1/r(a_1..a_n): the identity contraction of the
+    positive orthant in N = Z^n + Z a / r.
+
+    r N is spanned by the rows r e_i and a; the first n rows of their
+    Hermite normal form are a basis of r N, that is r times a basis of N.
+    Ray i is e_i in that basis, the solution x of x . basis = r e_i, made
+    primitive, and the rays keep the order of the coordinates.  pi is the
+    identity and sigma_bar the cone of the rays.  The input must be well
+    formed, gcd(r, a_j : j != i) = 1 for each i, so that each e_i is
+    primitive in N and a boundary on ray i sits on the coordinate divisor.
+    """
+    n = len(a)
+    if not all(gcd(r, *(a[:i] + a[i + 1:])) == 1 for i in range(n)):
+        raise ValueError("1/%d%s is not well formed" % (r, tuple(a)))
+    scaled = [tuple(r * x for x in e) for e in identity(n)] + [tuple(a)]
+    basis = hnf(scaled)[0][:n]
+    columns = list(zip(*basis))
+    rays = []
+    for e in identity(n):
+        x = solve_rational(columns, [r * v for v in e], n)
+        assert all(v.denominator == 1 for v in x)
+        rays.append(primitive([int(v) for v in x]))
+    return germ(n, rays, [tuple(range(n))], identity(n), rays)
 
 
 # ---------------------------------------------------------------------------

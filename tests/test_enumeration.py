@@ -27,6 +27,7 @@ from conftest import (
     ACCEPTANCE_SEEDS,
     INTERIOR_SEEDS,
     affine_dim,
+    cyclic_germ,
     germ,
     product_germ,
     strict_interior_contains,
@@ -35,7 +36,7 @@ from conftest import (
 from toricmld.generator import random_instance
 from toricmld.instances import CORPUS, load_corpus
 from toricmld.lattice import LatticeError, apply_hom, dot, identity, is_zero, primitive
-from toricmld.pairs import _fiber_witness, _least_gauge, analyze, make_pair, mld_over_fiber
+from toricmld.pairs import _least_gauge, analyze, make_pair, mld_over_fiber
 from toricmld.polyhedra import (
     GeometryError,
     _gauge_ratio,
@@ -80,6 +81,15 @@ def reference_gauge(p, x):
     return best
 
 
+def fiber_witness(fan):
+    """A lattice point interior to the support: the ray sum of a top cone.
+
+    The references below bound their scans by it, as the former
+    mld_over_fiber did, so they do not share the bound it now takes.
+    """
+    return tuple(map(sum, zip(*(fan.rays[i] for i in fan.max_cones[0]))))
+
+
 def reference_mld(tc, bd):
     """mld_over_fiber as a scan of the box of t_cap * up, point by point."""
     if bd.l == 0:
@@ -87,7 +97,7 @@ def reference_mld(tc, bd):
     proj, up = bd.quotient
     if strict_interior_contains(up, (0,) * bd.l):
         return None
-    t_cap = reference_gauge(up, apply_hom(proj, _fiber_witness(tc.fan)))
+    t_cap = reference_gauge(up, apply_hom(proj, fiber_witness(tc.fan)))
     assert t_cap is not None and t_cap > 0
     sup_gens = [g2 for g2 in (apply_hom(proj, g) for g in tc.support.generators)
                 if not is_zero(g2)]
@@ -119,7 +129,7 @@ def enumerated_mld(bd):
     if not through_zero:
         return None
     dirs = [primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])]
-    at_hand = itertools.chain([apply_hom(proj, _fiber_witness(bd.tc.fan))], dirs,
+    at_hand = itertools.chain([apply_hom(proj, fiber_witness(bd.tc.fan))], dirs,
                               (tuple(map(sum, zip(a, b))) for a, b in itertools.combinations(dirs, 2)))
     t_cap = _least_gauge(rows, (v for v in at_hand if all(dot(d, v) >= 1 for d in through_zero)))
     num, den = t_cap
@@ -446,7 +456,7 @@ def test_mld_bound_from_a_pair_sum_enumerates_only_it(counted_enumerator):
     proj, up = bd.quotient
     rows = _gauge_rows(up)
     assert len(rows[0]) == 2
-    assert apply_hom(proj, _fiber_witness(tc.fan)) == (1, -1, 1)
+    assert apply_hom(proj, fiber_witness(tc.fan)) == (1, -1, 1)
     assert _gauge_ratio(rows, (1, -1, 1)) == (8, 3)
     dirs = {primitive(h[:-1]) for h in up.hpoints if not is_zero(h[:-1])}
     for v in ((0, -1, 1), (0, 0, 1)):
@@ -563,23 +573,31 @@ def test_closed_form_needs_a_lattice_basis(counted_enumerator, d):
     assert counted_enumerator[0] >= 1
 
 
-@pytest.mark.parametrize("names, l, closed", [
+PRODUCTS = [
     (("a3_identity", "a3_identity"), 6, True),
     (("a3_identity", "a3_identity", "a3_identity"), 9, True),
     (("a2_identity", "a3_identity"), 5, True),
     (("a3_identity", "cax4"), 6, False),
     (("wedge25", "a3_identity"), 5, False),
     (("halfplane", "a2_identity"), 4, False),
-])
-def test_closed_form_matches_the_enumeration_on_product_germs(monkeypatch, counted_enumerator,
-                                                              names, l, closed):
-    # from l = 4 on hom_is_surjective reads the invariant factors off one SNF;
-    # the mld of a product is the sum of its factors'
+]
+
+
+def _product(names):
+    """(factors, BoxData of their product) for corpus names, each factor a (tc, pair)."""
     factors = [load_corpus(name)[:2] for name in names]
     tc, pair = factors[0]
     for factor in factors[1:]:
         tc, pair = product_germ((tc, pair), factor)
-    bd = analyze(tc, pair)
+    return factors, analyze(tc, pair)
+
+
+@pytest.mark.parametrize("names, l, closed", PRODUCTS)
+def test_closed_form_matches_the_enumeration_on_product_germs(monkeypatch, counted_enumerator,
+                                                              names, l, closed):
+    # from l = 4 on hom_is_surjective reads the invariant factors off one SNF;
+    # the mld of a product is the sum of its factors'
+    factors, bd = _product(names)
     bd.quotient   # read before the count: only mld_over_fiber's SNF calls are counted
     snfs = []
     real_snf = toricmld.lattice.snf
@@ -628,3 +646,71 @@ def test_closed_form_takes_every_near_boundary_call_and_most_of_certify(counted_
         counts.append((len(calls), sum(closed for closed, _bd in calls),
                        sum(corner_shape(bd) == (True, False) for _closed, bd in calls)))
     assert counts == [(32, 32, 0), (163, 119, 8)]
+
+
+# ---------------------------------------------------------------------------
+# cyclic germs 1/r(a): a rank 4-6 oracle that is not a product
+
+
+def reid_tai_mld(r, a, b):
+    """The mld of 1/r(a) with boundary b on the coordinate divisors: the least
+    sum (1 - b_i) x_i(k) over k = 0..r-1, with x_i(k) = {k a_i / r}, or 1 where
+    that is 0 (Reid 1987, the age of the group element k)."""
+    return min(sum((1 - bi) * (F(k * ai % r, r) or 1) for ai, bi in zip(a, b))
+               for k in range(r))
+
+
+CYCLIC = [(5, (1, 2, 3, 4)), (7, (1, 2, 4, 3)), (7, (1, 2, 3, 4, 5)), (11, (1, 3, 4, 5, 9)),
+          (13, (1, 2, 3, 5, 7, 11)), (23, (1, 2, 4, 8, 16, 5))]
+
+
+@pytest.mark.parametrize("r, a", CYCLIC)
+def test_mld_of_a_cyclic_germ_is_its_reid_tai_value(r, a):
+    # not a product: the group couples every coordinate.  B_0 = 99/100
+    # enumerates up to a second at rank 6, so it is kept to rank <= 5
+    tc = cyclic_germ(r, a)
+    n = len(a)
+    assert tc.rank == n and tc.fan.rays[1:] == identity(n)[1:]
+    for b0 in (0, F(9, 10), F(99, 100))[:3 if n <= 5 else 2]:
+        b = (b0,) + (0,) * (n - 1)
+        bd = analyze(tc, make_pair(tc.fan, b, [(0,) * n]))
+        assert bd.l == n
+        assert mld_over_fiber(bd) == reid_tai_mld(r, a, b), b0
+
+
+def test_cyclic_germ_refuses_an_input_that_is_not_well_formed():
+    # gcd(4, 2, 2) = 2: e_2 / 2 = (0, 0, 1/2) lies in N = Z^3 + Z (2, 2, 1) / 4
+    with pytest.raises(ValueError, match="not well formed"):
+        cyclic_germ(4, (2, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the first candidate: the sum of up's vertex directions
+
+
+def test_the_vertex_directions_sum_passes_every_cut_of_up():
+    # up is full-dimensional, so a normal d through 0 is >= 0 on every vertex
+    # direction and >= 1 on one: d.total >= 1, total is a candidate, its gauge
+    # is positive and bounds the mld from above
+    cases = [(name, bd) for name, _tc, bd in _checked_cases()]
+    cases += [("x".join(names), _product(names)[1]) for names, _l, _closed in PRODUCTS]
+    for r, a in CYCLIC:
+        tc = cyclic_germ(r, a)
+        b = (F(9, 10),) + (0,) * (len(a) - 1)
+        cases.append(("1/%d%s" % (r, a), analyze(tc, make_pair(tc.fan, b, [(0,) * len(a)]))))
+    checked = 0
+    for name, bd in cases:
+        if not bd.l:
+            continue
+        _proj, up = bd.quotient
+        rows = _gauge_rows(up)
+        if not rows[1]:
+            continue
+        total = tuple(map(sum, zip(*(primitive(h[:-1]) for h in up.hpoints
+                                     if not is_zero(h[:-1])))))
+        assert min(dot(d, total) for d in rows[1]) >= 1, name
+        n, d = _gauge_ratio(rows, total)
+        assert n > 0, name
+        assert mld_over_fiber(bd) <= F(n, d), name
+        checked += 1
+    assert checked == 274

@@ -13,7 +13,7 @@ import toricmld.search
 from conftest import INTERIOR_SEEDS, cone_from_normals
 from toricmld.generator import _build_fan, _split, random_instance
 from toricmld.instances import CORPUS, load_corpus
-from toricmld.lattice import apply_hom, kernel_sublattice, vec_scale
+from toricmld.lattice import apply_hom, kernel_sublattice
 from toricmld.pairs import analyze, is_glc, make_contraction, make_fan, make_pair, mld_over_fiber
 from toricmld.polyhedra import make_cone
 from toricmld.search import find_hyperplane, verify_certificate
@@ -301,6 +301,49 @@ def test_tc_and_bd_scan_sees_planted_functions():
     assert _tc_and_bd_parameters(source, "planted.py") == [(1, "lct_pullback"), (4, "lift")]
 
 
+def _fiber_reads(source, filename):
+    """(names, projections) of `mld_over_fiber` in source: every name and
+    attribute it reads, and the loaded names bound to the quotient's
+    projection, the first item unpacked from `.quotient` (or "quotient[0]")."""
+    fn = next(node for node in ast.walk(ast.parse(source, filename=filename))
+              if isinstance(node, ast.FunctionDef) and node.name == "mld_over_fiber")
+    names, bound, projections = set(), set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "quotient"):
+            bound.update(t.elts[0].id for t in node.targets
+                         if isinstance(t, ast.Tuple) and isinstance(t.elts[0], ast.Name))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "quotient" and isinstance(node.slice, ast.Constant)
+              and node.slice.value == 0):
+            projections.add("quotient[0]")
+    return names, projections | (bound & names)
+
+
+def test_mld_over_fiber_reads_neither_the_fan_nor_the_projection():
+    """The mld is a question about up alone: no fan, no fiber witness, no projection."""
+    path = pathlib.Path(toricmld.__file__).parent / "pairs.py"
+    names, projections = _fiber_reads(path.read_text(), str(path))
+    assert "quotient" in names
+    assert {"fan", "_fiber_witness"} & names == set()
+    assert projections == set()
+
+
+def test_fiber_read_scan_sees_planted_reads():
+    source = "def mld_over_fiber(bd):\n    proj, up = bd.quotient\n" \
+             "    return apply_hom(proj, _fiber_witness(bd.tc.fan)), up\n" \
+             "def other(bd):\n    return bd.tc.rays\n"
+    names, projections = _fiber_reads(source, "planted.py")
+    assert {"fan", "_fiber_witness"} <= names and "rays" not in names
+    assert projections == {"proj"}
+    source = "def mld_over_fiber(bd):\n    _proj, up = bd.quotient\n    return bd.quotient[0]\n"
+    assert _fiber_reads(source, "planted.py")[1] == {"quotient[0]"}
+
+
 def test_analyze_and_mld_build_no_cone_their_polyhedra_describe(monkeypatch):
     """analyze runs 1 double description on a g-lc box of a one-point A, 2 on one of
     more points, 4 off g-lc; bd.quotient 0 or 1, mld none.
@@ -502,7 +545,7 @@ def test_slice_maps_the_rows_of_a_with_no_fraction_point(monkeypatch):
     for bd, phi, sd in slices:
         basis = kernel_sublattice(phi).basis
         assert sd.pair1.bdiv_a == real_support(
-            [vec_scale(sd.lam, apply_hom(basis, a)) for a in bd.a_eff.points])
+            [tuple(sd.lam * x for x in apply_hom(basis, a)) for a in bd.a_eff.points])
 
 
 # public module-level names that nothing in the package reads, each with its reason
@@ -512,7 +555,6 @@ UNREAD_PUBLIC_ALLOWED = {
     "solve_rational": "bench/tracer.py probes it by name",
     "load_corpus": "the loader of the packaged corpus",
     "from_generators": "the public polyhedron constructor",
-    "vec_scale": "bench/tracer.py probes it by name",
 }
 
 
